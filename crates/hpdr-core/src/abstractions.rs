@@ -14,6 +14,7 @@
 
 use crate::adapter::{DeviceAdapter, ScratchPolicy};
 use crate::error::Result;
+use std::ops::Range;
 
 /// Locality abstraction: the input domain is decomposed into `blocks`
 /// blocks (with algorithm-chosen size/halo handled inside the body); a
@@ -90,6 +91,9 @@ impl Iterative {
         }
     }
 
+    /// Give every group `bytes` of per-worker staging. Staging is handed
+    /// over dirty ([`ScratchPolicy::Dirty`]): the group body must
+    /// overwrite any staging byte before reading it.
     pub fn with_staging(mut self, bytes: usize) -> Iterative {
         self.staging_bytes = bytes;
         self
@@ -99,18 +103,22 @@ impl Iterative {
         self.vectors.div_ceil(self.batch)
     }
 
-    /// Run `f(vector_id, staging)` for every vector; vectors of the same
-    /// group share one worker and its staging. Lowered to GEM (B:1).
-    pub fn run(&self, adapter: &dyn DeviceAdapter, f: &(dyn Fn(usize, &mut [u8]) + Sync)) {
+    /// Run `f(vector_ids, staging)` once per group with the group's
+    /// contiguous range of (at most `batch`) vector ids; the group's
+    /// vectors share one worker and its staging, so the body can solve
+    /// them together (e.g. as SIMD lanes). Lowered to GEM (B:1);
+    /// re-raises worker panics.
+    pub fn run(&self, adapter: &dyn DeviceAdapter, f: &(dyn Fn(Range<usize>, &mut [u8]) + Sync)) {
         let vectors = self.vectors;
         let batch = self.batch;
-        adapter.gem(self.groups(), self.staging_bytes, &|g, staging| {
+        let body = |g: usize, staging: &mut [u8]| {
             let start = g * batch;
-            let end = (start + batch).min(vectors);
-            for v in start..end {
-                f(v, staging);
-            }
-        });
+            f(start..(start + batch).min(vectors), staging);
+        };
+        let staging = self.staging_bytes;
+        if let Err(e) = adapter.try_gem(self.groups(), staging, ScratchPolicy::Dirty, &body) {
+            panic!("{e}");
+        }
     }
 }
 
@@ -197,11 +205,16 @@ mod tests {
     #[test]
     fn iterative_covers_all_vectors_in_batches() {
         let a = CpuParallelAdapter::new(4);
-        let it = Iterative::new(103, 8);
+        let it = Iterative::new(103, 8).with_staging(16);
         assert_eq!(it.groups(), 13);
         let hits: Vec<AtomicUsize> = (0..103).map(|_| AtomicUsize::new(0)).collect();
-        it.run(&a, &|v, _| {
-            hits[v].fetch_add(1, Ordering::Relaxed);
+        it.run(&a, &|vectors, staging| {
+            assert_eq!(staging.len(), 16);
+            assert_eq!(vectors.start % 8, 0);
+            assert!(vectors.len() == 8 || vectors.end == 103, "{vectors:?}");
+            for v in vectors {
+                hits[v].fetch_add(1, Ordering::Relaxed);
+            }
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }

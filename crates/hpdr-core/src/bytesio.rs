@@ -196,6 +196,35 @@ impl<'a> ByteReader<'a> {
         self.get_bytes(n)
     }
 
+    /// Read a u64 element count and check that that many elements of
+    /// `elem_size` bytes still fit in the stream, so a corrupt count can
+    /// never size an allocation beyond the input.
+    pub fn get_count(&mut self, elem_size: usize) -> Result<usize> {
+        let count = self.get_u64()?;
+        self.check_count(count, elem_size)
+    }
+
+    /// [`ByteReader::get_count`] for a u32 count field.
+    pub fn get_count_u32(&mut self, elem_size: usize) -> Result<usize> {
+        let count = self.get_u32()?;
+        self.check_count(u64::from(count), elem_size)
+    }
+
+    fn check_count(&self, count: u64, elem_size: usize) -> Result<usize> {
+        usize::try_from(count)
+            .ok()
+            .filter(|&n| {
+                n.checked_mul(elem_size)
+                    .is_some_and(|b| b <= self.remaining())
+            })
+            .ok_or_else(|| {
+                HpdrError::corrupt(format!(
+                    "count {count} of {elem_size}-byte entries exceeds remaining {} bytes",
+                    self.remaining()
+                ))
+            })
+    }
+
     pub fn get_str(&mut self) -> Result<String> {
         let n = self.get_u32()? as usize;
         let bytes = self.get_bytes(n)?;
@@ -272,6 +301,24 @@ mod tests {
         let buf = w.into_vec();
         let mut r = ByteReader::new(&buf);
         assert!(r.get_block().is_err());
+    }
+
+    #[test]
+    fn counts_are_bounded_by_remaining_bytes() {
+        let mut w = ByteWriter::new();
+        w.put_u64(2);
+        w.put_bytes(&[0; 16]);
+        let buf = w.into_vec();
+        assert_eq!(ByteReader::new(&buf).get_count(8).unwrap(), 2);
+        assert!(ByteReader::new(&buf).get_count(9).is_err());
+        let mut w = ByteWriter::new();
+        w.put_u64(1 << 62); // count × 16 overflows usize
+        assert!(ByteReader::new(w.as_slice()).get_count(16).is_err());
+        let mut w = ByteWriter::new();
+        w.put_u32(3);
+        w.put_bytes(&[0; 15]);
+        assert_eq!(ByteReader::new(w.as_slice()).get_count_u32(5).unwrap(), 3);
+        assert!(ByteReader::new(w.as_slice()).get_count_u32(6).is_err());
     }
 
     #[test]

@@ -29,6 +29,13 @@ impl Shape {
         if dims.contains(&0) {
             return Err(HpdrError::invalid("zero-sized dimension"));
         }
+        if dims
+            .iter()
+            .try_fold(1usize, |n, &d| n.checked_mul(d))
+            .is_none()
+        {
+            return Err(HpdrError::invalid("element count overflows usize"));
+        }
         Ok(Shape(dims.to_vec()))
     }
 
@@ -150,6 +157,7 @@ mod tests {
         assert!(Shape::try_new(&[1, 2, 3, 4, 5]).is_err());
         assert!(Shape::try_new(&[3, 0]).is_err());
         assert!(Shape::try_new(&[3, 2]).is_ok());
+        assert!(Shape::try_new(&[usize::MAX / 2, 3]).is_err());
     }
 
     #[test]

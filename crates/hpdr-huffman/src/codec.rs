@@ -284,7 +284,8 @@ fn decompress_keys<K: HuffKey>(
     if chunk == 0 {
         return Err(HpdrError::corrupt("zero chunk size"));
     }
-    let num_pairs = r.get_u32()? as usize;
+    // Each code pair is a u32 symbol and a u8 length.
+    let num_pairs = r.get_count_u32(5)?;
     if num_pairs > dict_size as usize {
         return Err(HpdrError::corrupt("more codes than dictionary entries"));
     }
@@ -295,7 +296,7 @@ fn decompress_keys<K: HuffKey>(
         pairs.push((sym, len));
     }
     let book = Codebook::from_lengths(dict_size, &pairs)?;
-    let num_chunks = r.get_u32()? as usize;
+    let num_chunks = r.get_count_u32(8)?;
     let expected_chunks = n.div_ceil(chunk);
     if num_chunks != expected_chunks {
         return Err(HpdrError::corrupt(format!(
@@ -312,6 +313,11 @@ fn decompress_keys<K: HuffKey>(
         return Err(HpdrError::corrupt(
             "payload shorter than declared bit length",
         ));
+    }
+    // Every codeword is at least one bit, so this bounds the output
+    // allocation by the input size.
+    if n as u64 > total_bits {
+        return Err(HpdrError::corrupt("more symbols than coded bits"));
     }
     if n == 0 {
         return Ok(Vec::new());
@@ -584,6 +590,22 @@ mod tests {
                 (x, y) => panic!("paths disagree for dict={dict}: {x:?} vs {y:?}"),
             }
         }
+    }
+
+    #[test]
+    fn symbol_count_beyond_coded_bits_is_corrupt() {
+        let a = SerialAdapter::new();
+        let keys: Vec<u32> = (0..100u32).map(|i| i % 7).collect();
+        let mut stream = compress_u32(&a, &keys, &HuffmanConfig::default()).unwrap();
+        // Symbol count and chunk size (bytes 8..24) set to 2^40: still one
+        // chunk, so only the bit-length bound stops a 4 TiB output.
+        for at in [8, 16] {
+            stream[at..at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        }
+        assert!(matches!(
+            decompress_u32(&a, &stream),
+            Err(HpdrError::CorruptStream(_))
+        ));
     }
 
     #[test]

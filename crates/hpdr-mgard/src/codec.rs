@@ -248,7 +248,8 @@ pub fn decompress<T: Float>(adapter: &dyn DeviceAdapter, bytes: &[u8]) -> Result
     if dict_size < 16 {
         return Err(HpdrError::corrupt("bad dictionary size"));
     }
-    let n_out = r.get_u64()? as usize;
+    // Each outlier is a u64 index and an i64 value.
+    let n_out = r.get_count(16)?;
     if n_out > shape.num_elements() {
         return Err(HpdrError::corrupt("more outliers than elements"));
     }
@@ -467,6 +468,34 @@ mod tests {
         bad[0] ^= 1;
         assert!(decompress::<f64>(&adapter, &bad).is_err());
         assert!(decompress::<f32>(&adapter, &good).is_err());
+    }
+
+    /// Overwrites the header fields of a 3-D f64 stream: the three dims
+    /// (bytes 7..31) and the outlier count (bytes 44..52).
+    fn patch_header(stream: &mut [u8], dims: [u64; 3], n_out: u64) {
+        for (i, d) in dims.iter().enumerate() {
+            stream[7 + 8 * i..15 + 8 * i].copy_from_slice(&d.to_le_bytes());
+        }
+        stream[44..52].copy_from_slice(&n_out.to_le_bytes());
+    }
+
+    #[test]
+    fn crafted_counts_are_corrupt_not_aborts() {
+        let adapter = SerialAdapter::new();
+        let (data, shape) = smooth_field(&[16, 16, 16]);
+        let good = compress(&adapter, &data, &shape, &MgardConfig::relative(1e-2)).unwrap();
+        // A 2^35-entry outlier table behind plausible 4096³ dims would ask
+        // for a 512 GiB allocation.
+        let mut big = good.clone();
+        patch_header(&mut big, [4096; 3], 1 << 35);
+        assert!(matches!(
+            decompress::<f64>(&adapter, &big),
+            Err(HpdrError::CorruptStream(_))
+        ));
+        // Dims whose element count overflows usize.
+        let mut overflow = good;
+        patch_header(&mut overflow, [1 << 40; 3], 0);
+        assert!(decompress::<f64>(&adapter, &overflow).is_err());
     }
 
     #[test]

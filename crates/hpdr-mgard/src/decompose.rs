@@ -11,231 +11,586 @@
 //!
 //! Recomposition runs the exact same correction computation (the
 //! coefficients are still in `u`), subtracts it, then re-interpolates.
+//!
+//! Each level step starts by building one [`DimGeom`] table per
+//! dimension, so no kernel unravels a flat index or recomputes a weight:
+//! interpolation walks rows of the last dimension with each row's outer
+//! corners prepared once, and the correction solves tiles of [`LANES`]
+//! adjacent lines with the lane index innermost. Every value is computed
+//! by the same floating-point operations, in the same order, as the
+//! per-line reference in [`crate::operators`], so the results are
+//! bit-identical to it (DESIGN.md §5.8).
 
 use crate::hierarchy::{role_of, Hierarchy, NodeRole};
-use crate::operators::{interp_weights, mass_apply, mass_solve, restrict};
-use hpdr_core::{DeviceAdapter, Iterative, SharedSlice};
+use crate::operators::interp_weights;
+use hpdr_core::{DeviceAdapter, Iterative, Locality, SharedSlice};
+use std::ops::Range;
 
-/// Multi-index decomposition of a flat position in row-major `dims`.
-#[inline]
-fn unravel(mut flat: usize, dims: &[usize], out: &mut [usize]) {
-    for d in (0..dims.len()).rev() {
-        out[d] = flat % dims[d];
-        flat /= dims[d];
-    }
+/// Lines per correction tile — the Iterative abstraction's *B*. One group
+/// solves this many adjacent lines together, lane index innermost, so
+/// every kernel loop runs at unit stride across lanes.
+const LANES: usize = 32;
+
+/// Elements per interpolation / apply group: enough to amortize a group
+/// dispatch, few enough to balance rows across workers.
+const GROUP_ELEMS: usize = 4096;
+
+/// Role of one fine position along a dimension in one level step.
+#[derive(Debug, Clone, Copy)]
+enum Node {
+    /// Kept on the coarse level, at this coarse position.
+    Coarse(usize),
+    /// New at this level, between its two neighbours (both coarse), with
+    /// interpolation weights `(wl, wr)`.
+    New { wl: f64, wr: f64 },
 }
 
-fn strides_of(dims: &[usize]) -> Vec<usize> {
-    let mut s = vec![1usize; dims.len()];
-    for d in (0..dims.len().saturating_sub(1)).rev() {
-        s[d] = s[d + 1] * dims[d + 1];
-    }
-    s
+/// The 1-D correction operator `M_c⁻¹ · Pᵀ · M_f` of one level step along
+/// one dimension. Every line-independent coefficient is evaluated once,
+/// by the expressions [`crate::operators`] evaluates per line.
+struct LineOp<'h> {
+    /// Fine node coordinates, which give the mass-matrix spacings.
+    fine: &'h [usize],
+    nodes: Vec<Node>,
+    n_coarse: usize,
+    /// Thomas coefficients of the coarse mass matrix: `diag(0)`, then per
+    /// coarse row `i` the pivot `m[i]` (`i ≥ 1`), the coupling `off[i]`
+    /// to row `i + 1`, and the eliminated coupling `cp[i]`.
+    d0: f64,
+    m: Vec<f64>,
+    off: Vec<f64>,
+    cp: Vec<f64>,
 }
 
-/// Full-array flat index of grid position `pos` on the level grid.
-#[inline]
-fn full_index(pos: &[usize], lists: &[&[usize]], full_strides: &[usize]) -> usize {
-    pos.iter()
-        .zip(lists)
-        .zip(full_strides)
-        .map(|((&p, l), &s)| l[p] * s)
-        .sum()
+/// Spacing between nodes `i` and `i + 1` of a coordinate list.
+fn gap(c: &[usize], i: usize) -> f64 {
+    (c[i + 1] - c[i]) as f64
 }
 
-/// Multilinear interpolation at a (partially) new node; coarse neighbour
-/// values are read through `get(full_index)`.
-fn interp_at(
-    get: &dyn Fn(usize) -> f64,
-    pos: &[usize],
-    lists: &[&[usize]],
-    full_strides: &[usize],
-) -> f64 {
-    let nd = pos.len();
-    let mut new_dims = [0usize; 4];
-    let mut n_new = 0;
-    for (d, &p) in pos.iter().enumerate() {
-        if matches!(role_of(p, lists[d].len()), NodeRole::New) {
-            new_dims[n_new] = d;
-            n_new += 1;
-        }
-    }
-    debug_assert!(n_new > 0);
-    let mut corner = [0usize; 4];
-    let mut acc = 0.0;
-    for mask in 0..(1usize << n_new) {
-        corner[..nd].copy_from_slice(pos);
-        let mut weight = 1.0;
-        for (bit, &d) in new_dims[..n_new].iter().enumerate() {
-            let (wl, wr) = interp_weights(lists[d], pos[d]);
-            if mask >> bit & 1 == 0 {
-                corner[d] = pos[d] - 1;
-                weight *= wl;
-            } else {
-                corner[d] = pos[d] + 1;
-                weight *= wr;
+impl<'h> LineOp<'h> {
+    fn new(fine: &'h [usize], coarse: &[usize]) -> LineOp<'h> {
+        let nf = fine.len();
+        let nodes = (0..nf)
+            .map(|p| match role_of(p, nf) {
+                NodeRole::Coarse { coarse_pos } => Node::Coarse(coarse_pos),
+                NodeRole::New => {
+                    let (wl, wr) = interp_weights(fine, p);
+                    Node::New { wl, wr }
+                }
+            })
+            .collect();
+        let nc = coarse.len();
+        let diag = |i: usize| {
+            let hl = if i > 0 { gap(coarse, i - 1) } else { 0.0 };
+            let hr = if i + 1 < nc { gap(coarse, i) } else { 0.0 };
+            (hl + hr) / 3.0
+        };
+        let off: Vec<f64> = (0..nc.saturating_sub(1))
+            .map(|i| gap(coarse, i) / 6.0)
+            .collect();
+        let mut m = vec![0.0; nc];
+        let mut cp = vec![0.0; nc];
+        let mut d0 = 1.0;
+        if nc > 1 {
+            d0 = diag(0);
+            cp[0] = off[0] / d0;
+            for i in 1..nc {
+                m[i] = diag(i) - off[i - 1] * cp[i - 1];
+                if i + 1 < nc {
+                    cp[i] = off[i] / m[i];
+                }
             }
         }
-        acc += weight * get(full_index(&corner[..nd], lists, full_strides));
-    }
-    acc
-}
-
-/// Compute the level-`l` correction field from the coefficients currently
-/// stored in `u`. Returns the correction on the level-(l−1) grid
-/// (row-major over the coarse per-dim list lengths).
-fn compute_correction(
-    adapter: &dyn DeviceAdapter,
-    u: &[f64],
-    h: &Hierarchy,
-    l: usize,
-    full_strides: &[usize],
-) -> Vec<f64> {
-    let nd = h.shape().ndims();
-    let fine_lists: Vec<&[usize]> = (0..nd).map(|d| h.dim_nodes(l, d)).collect();
-    let coarse_lists: Vec<&[usize]> = (0..nd).map(|d| h.dim_nodes(l - 1, d)).collect();
-    let fine_dims: Vec<usize> = fine_lists.iter().map(|l| l.len()).collect();
-
-    // w = coefficient function on the fine grid (0 at coarse nodes).
-    let total = fine_dims.iter().product::<usize>();
-    let mut w = vec![0.0f64; total];
-    {
-        let w_sh = SharedSlice::new(&mut w);
-        adapter.dem(total, &|flat| {
-            let mut pos = [0usize; 4];
-            unravel(flat, &fine_dims, &mut pos[..nd]);
-            let is_new = pos[..nd]
-                .iter()
-                .zip(&fine_lists)
-                .any(|(&p, l)| matches!(role_of(p, l.len()), NodeRole::New));
-            if is_new {
-                let v = u[full_index(&pos[..nd], &fine_lists, full_strides)];
-                // Safety: each flat position writes only itself.
-                unsafe { w_sh.write(flat, v) };
-            }
-        });
-    }
-
-    // Dimension-by-dimension projection; saturated dims (identical
-    // fine/coarse lists) are the identity and are skipped.
-    let mut cur_dims = fine_dims.clone();
-    for k in 0..nd {
-        if fine_lists[k].len() == coarse_lists[k].len() {
-            continue;
+        LineOp {
+            fine,
+            nodes,
+            n_coarse: nc,
+            d0,
+            m,
+            off,
+            cp,
         }
-        let fine_len = fine_lists[k].len();
-        let coarse_len = coarse_lists[k].len();
-        let mut out_dims = cur_dims.clone();
-        out_dims[k] = coarse_len;
-        let in_strides = strides_of(&cur_dims);
-        let out_strides = strides_of(&out_dims);
-        let mut out = vec![0.0f64; out_dims.iter().product()];
-        let num_lines: usize = cur_dims.iter().product::<usize>() / cur_dims[k];
-        let line_dims: Vec<usize> = (0..nd).filter(|&d| d != k).map(|d| cur_dims[d]).collect();
-        {
-            let out_sh = SharedSlice::new(&mut out);
-            let w_ref = &w;
-            // Iterative abstraction: one tridiagonal system per line
-            // (paper Alg. 1 line 9).
-            Iterative::new(num_lines, 8).run(adapter, &|line, _| {
-                let mut li = [0usize; 3];
-                unravel(line, &line_dims, &mut li[..line_dims.len()]);
-                let mut base_in = 0usize;
-                let mut base_out = 0usize;
-                let mut j = 0;
-                for d in 0..nd {
-                    if d == k {
-                        continue;
+    }
+
+    fn is_coarse(&self, p: usize) -> bool {
+        matches!(self.nodes[p], Node::Coarse(_))
+    }
+
+    /// Correct `lanes` lines at once. `fine` holds their values lane-minor
+    /// (`fine[p * lanes + lane]`); the coarse result goes to `out` the same
+    /// way. Each lane sees exactly the operations of `mass_apply` →
+    /// `restrict` → `mass_solve` on its own line. Needs at least three
+    /// fine positions (shorter lists do not coarsen).
+    fn apply(&self, lanes: usize, fine: &[f64], out: &mut [f64]) {
+        let nf = self.nodes.len();
+        let nc = self.n_coarse;
+        debug_assert!(nf >= 3 && nc >= 2);
+        let row = |p: usize| &fine[p * lanes..(p + 1) * lanes];
+        let out = &mut out[..nc * lanes];
+        out.fill(0.0);
+
+        // Pᵀ · M_f: each mass row is restricted as it is formed, in
+        // fine-position order. A mass row's spacings are `hl` and `hr`,
+        // 0.0 past an end; the end positions are coarse.
+        let (hl, hr) = (0.0, gap(self.fine, 0));
+        let s = hl + hr;
+        for ((o, &x), &xr) in out[..lanes].iter_mut().zip(row(0)).zip(row(1)) {
+            *o += x * s / 3.0 + xr * hr / 6.0;
+        }
+        // Coarse slot of the latest coarse position: a new position sits
+        // between it and the next slot.
+        let mut left = 0;
+        for p in 1..nf - 1 {
+            let (hl, hr) = (gap(self.fine, p - 1), gap(self.fine, p));
+            let s = hl + hr;
+            let vals = row(p).iter().zip(row(p - 1)).zip(row(p + 1));
+            let mass = |((&x, &xl), &xr): ((&f64, &f64), &f64)| {
+                x * s / 3.0 + xl * hl / 6.0 + xr * hr / 6.0
+            };
+            match self.nodes[p] {
+                Node::Coarse(c) => {
+                    for (o, v) in out[c * lanes..(c + 1) * lanes].iter_mut().zip(vals) {
+                        *o += mass(v);
                     }
-                    base_in += li[j] * in_strides[d];
-                    base_out += li[j] * out_strides[d];
-                    j += 1;
+                    left = c;
                 }
-                let mut vals = vec![0.0f64; fine_len];
-                for (p, v) in vals.iter_mut().enumerate() {
-                    *v = w_ref[base_in + p * in_strides[k]];
+                Node::New { wl, wr } => {
+                    let (ol, or) = out[left * lanes..(left + 2) * lanes].split_at_mut(lanes);
+                    for ((a, b), v) in ol.iter_mut().zip(or).zip(vals) {
+                        let v = mass(v);
+                        *a += wl * v;
+                        *b += wr * v;
+                    }
                 }
-                let mut massed = vec![0.0f64; fine_len];
-                mass_apply(&vals, fine_lists[k], &mut massed);
-                let mut b = vec![0.0f64; coarse_len];
-                restrict(&massed, fine_lists[k], &mut b);
-                let mut scratch = vec![0.0f64; coarse_len];
-                mass_solve(&mut b, coarse_lists[k], &mut scratch);
-                for (p, &v) in b.iter().enumerate() {
-                    // Safety: lines write disjoint output positions.
-                    unsafe { out_sh.write(base_out + p * out_strides[k], v) };
-                }
-            });
+            }
         }
-        w = out;
-        cur_dims = out_dims;
+        let (hl, hr) = (gap(self.fine, nf - 2), 0.0);
+        let s = hl + hr;
+        let last = &mut out[(nc - 1) * lanes..];
+        for ((o, &x), &xl) in last.iter_mut().zip(row(nf - 1)).zip(row(nf - 2)) {
+            *o += x * s / 3.0 + xl * hl / 6.0;
+        }
+
+        // M_c⁻¹: Thomas forward sweep and back substitution.
+        for b in &mut out[..lanes] {
+            *b /= self.d0;
+        }
+        for i in 1..nc {
+            let (done, rest) = out.split_at_mut(i * lanes);
+            let (off, m) = (self.off[i - 1], self.m[i]);
+            for (b, &bp) in rest[..lanes].iter_mut().zip(&done[(i - 1) * lanes..]) {
+                *b = (*b - off * bp) / m;
+            }
+        }
+        for i in (0..nc - 1).rev() {
+            let (head, tail) = out.split_at_mut((i + 1) * lanes);
+            let cp = self.cp[i];
+            for (b, &bn) in head[i * lanes..].iter_mut().zip(&tail[..lanes]) {
+                *b -= cp * bn;
+            }
+        }
     }
-    w
 }
 
-/// Visit every level-`l` grid node that has at least one new dimension
-/// and apply `f(full_index, interpolated_value)`. Reads coarse nodes,
-/// writes new nodes — disjoint sets, hence safe shared access.
-fn for_each_new_node(
-    adapter: &dyn DeviceAdapter,
-    u: &mut [f64],
-    h: &Hierarchy,
-    l: usize,
-    full_strides: &[usize],
-    apply: &(dyn Fn(f64, f64) -> f64 + Sync),
-) {
-    let nd = h.shape().ndims();
-    let fine_lists: Vec<&[usize]> = (0..nd).map(|d| h.dim_nodes(l, d)).collect();
-    let fine_dims: Vec<usize> = fine_lists.iter().map(|l| l.len()).collect();
-    let total: usize = fine_dims.iter().product();
-    let u_sh = SharedSlice::new(u);
-    adapter.dem(total, &|flat| {
-        let mut pos = [0usize; 4];
-        unravel(flat, &fine_dims, &mut pos[..nd]);
-        let any_new = pos[..nd]
-            .iter()
-            .zip(&fine_lists)
-            .any(|(&p, l)| matches!(role_of(p, l.len()), NodeRole::New));
-        if !any_new {
-            return;
+/// One dimension of one level step: where its fine and coarse positions
+/// sit in the full array, and its 1-D operator.
+struct DimGeom<'h> {
+    fine_off: Vec<usize>,
+    coarse_off: Vec<usize>,
+    op: LineOp<'h>,
+}
+
+impl DimGeom<'_> {
+    fn n_fine(&self) -> usize {
+        self.fine_off.len()
+    }
+
+    fn n_coarse(&self) -> usize {
+        self.coarse_off.len()
+    }
+
+    /// A list of two or fewer nodes no longer coarsens: the step is the
+    /// identity along this dimension.
+    fn saturated(&self) -> bool {
+        self.n_fine() == self.n_coarse()
+    }
+}
+
+/// Geometry tables of level step `l → l−1`, one per dimension.
+fn level_geometry(h: &Hierarchy, l: usize) -> Vec<DimGeom<'_>> {
+    let strides = h.shape().strides();
+    strides
+        .iter()
+        .enumerate()
+        .map(|(d, &stride)| {
+            let (fine, coarse) = (h.dim_nodes(l, d), h.dim_nodes(l - 1, d));
+            DimGeom {
+                fine_off: fine.iter().map(|&i| i * stride).collect(),
+                coarse_off: coarse.iter().map(|&i| i * stride).collect(),
+                op: LineOp::new(fine, coarse),
+            }
+        })
+        .collect()
+}
+
+/// Row-major multi-index over up to three `extents`, stepped in place.
+struct Odometer<'a> {
+    pos: [usize; 3],
+    extents: &'a [usize],
+}
+
+impl<'a> Odometer<'a> {
+    /// Starts at the multi-index of flat position `at`.
+    fn new(mut at: usize, extents: &'a [usize]) -> Odometer<'a> {
+        let mut pos = [0; 3];
+        for (p, &n) in pos[..extents.len()].iter_mut().zip(extents).rev() {
+            *p = at % n;
+            at /= n;
         }
-        // Safety: interp reads only all-coarse corners; the write targets
-        // this (new) node. New and coarse node sets are disjoint.
-        let get = |idx: usize| unsafe { u_sh.read(idx) };
-        let interp = interp_at(&get, &pos[..nd], &fine_lists, full_strides);
-        let idx = full_index(&pos[..nd], &fine_lists, full_strides);
-        // SAFETY: `idx` is this invocation's own (new) node; no other
-        // invocation touches it (new nodes are pairwise distinct).
-        let old = unsafe { u_sh.read(idx) };
-        // SAFETY: same exclusive index as the read above.
-        unsafe { u_sh.write(idx, apply(old, interp)) };
+        Odometer { pos, extents }
+    }
+
+    fn pos(&self) -> &[usize] {
+        &self.pos[..self.extents.len()]
+    }
+
+    fn advance(&mut self) {
+        for (p, &n) in self.pos[..self.extents.len()]
+            .iter_mut()
+            .zip(self.extents)
+            .rev()
+        {
+            *p += 1;
+            if *p < n {
+                return;
+            }
+            *p = 0;
+        }
+    }
+}
+
+/// Run `body(row, outer_pos, cols)` over a grid whose rows run along the
+/// last dimension (`row_len` long) and whose outer extents are `outer`,
+/// about [`GROUP_ELEMS`] elements per Locality group: several whole rows,
+/// or one column range of a longer row (so a 1-D field still spreads
+/// over the workers).
+fn for_each_row(
+    adapter: &dyn DeviceAdapter,
+    outer: &[usize],
+    row_len: usize,
+    body: impl Fn(usize, &[usize], Range<usize>) + Sync,
+) {
+    let rows: usize = outer.iter().product();
+    if row_len > GROUP_ELEMS {
+        let pieces = row_len.div_ceil(GROUP_ELEMS);
+        Locality::new(rows * pieces).run(adapter, &|g, _| {
+            let (r, start) = (g / pieces, g % pieces * GROUP_ELEMS);
+            let at = Odometer::new(r, outer);
+            body(r, at.pos(), start..(start + GROUP_ELEMS).min(row_len));
+        });
+        return;
+    }
+    let per_group = GROUP_ELEMS / row_len;
+    Locality::new(rows.div_ceil(per_group)).run(adapter, &|g, _| {
+        let first = g * per_group;
+        let mut at = Odometer::new(first, outer);
+        for r in first..(first + per_group).min(rows) {
+            body(r, at.pos(), 0..row_len);
+            at.advance();
+        }
     });
 }
 
-/// Add/subtract a coarse-grid field into the full array at coarse nodes.
+/// Coefficient pass: every level-`l` node with a new dimension becomes
+/// `apply(value, interpolant)`, the interpolant summing its all-coarse
+/// corners from `0.0` in mask order (lowest new dimension toggling
+/// fastest) with weights multiplied in ascending-dimension order.
+fn interpolate(
+    adapter: &dyn DeviceAdapter,
+    u: &mut [f64],
+    geo: &[DimGeom<'_>],
+    apply: impl Fn(f64, f64) -> f64 + Sync,
+) {
+    let (last, outer) = geo.split_last().expect("at least one dimension");
+    let extents: Vec<usize> = outer.iter().map(DimGeom::n_fine).collect();
+    let u_sh = SharedSlice::new(u);
+    for_each_row(adapter, &extents, last.n_fine(), |_, pos, cols| {
+        // The row's outer corners (offset, weight), one per left/right
+        // choice over its new outer dimensions, built in mask order.
+        let mut corners = [(0usize, 1.0f64); 8];
+        let mut n = 1;
+        let mut row = 0;
+        for (g, &p) in outer.iter().zip(pos) {
+            row += g.fine_off[p];
+            match g.op.nodes[p] {
+                Node::Coarse(_) => corners[..n].iter_mut().for_each(|c| c.0 += g.fine_off[p]),
+                Node::New { wl, wr, .. } => {
+                    for i in 0..n {
+                        let (o, w) = corners[i];
+                        corners[i] = (o + g.fine_off[p - 1], w * wl);
+                        corners[n + i] = (o + g.fine_off[p + 1], w * wr);
+                    }
+                    n *= 2;
+                }
+            }
+        }
+        // Specialized on the corner count so the corner loops unroll.
+        let corners = &corners[..n];
+        match n {
+            1 => interp_row::<1>(&u_sh, corners, row, cols, last, &apply),
+            2 => interp_row::<2>(&u_sh, corners, row, cols, last, &apply),
+            4 => interp_row::<4>(&u_sh, corners, row, cols, last, &apply),
+            _ => interp_row::<8>(&u_sh, corners, row, cols, last, &apply),
+        }
+    });
+}
+
+/// Columns `cols` of one row of the coefficient pass, given the row's `N`
+/// outer corners and its own offset `row`.
+fn interp_row<const N: usize>(
+    u_sh: &SharedSlice<'_, f64>,
+    corners: &[(usize, f64)],
+    row: usize,
+    cols: Range<usize>,
+    last: &DimGeom<'_>,
+    apply: &impl Fn(f64, f64) -> f64,
+) {
+    let corners: &[(usize, f64); N] = corners.try_into().expect("N corners");
+    // Adds the corners at last-dimension offset `at`, each weighted by
+    // `w · ws` (`ws = 1.0` leaves `w` exact).
+    let gather = |acc: &mut f64, at: usize, ws: f64| {
+        for &(o, w) in corners {
+            // SAFETY: corners are all-coarse nodes, which this pass only
+            // reads; every write below targets a node with a new dimension.
+            *acc += w * ws * unsafe { u_sh.read(o + at) };
+        }
+    };
+    for (j, node) in cols.clone().zip(&last.op.nodes[cols]) {
+        let mut acc = 0.0;
+        match *node {
+            Node::Coarse(_) if N == 1 => continue,
+            Node::Coarse(_) => gather(&mut acc, last.fine_off[j], 1.0),
+            Node::New { wl, wr, .. } => {
+                gather(&mut acc, last.fine_off[j - 1], wl);
+                gather(&mut acc, last.fine_off[j + 1], wr);
+            }
+        }
+        let idx = row + last.fine_off[j];
+        // SAFETY: `idx` is the node (row, j), which has a new dimension; no
+        // other group, row or column reads or writes it.
+        unsafe { u_sh.write(idx, apply(u_sh.read(idx), acc)) };
+    }
+}
+
+/// Per-dimension offsets of a row-major array of extents `dims`.
+fn compact_offsets(dims: &[usize]) -> Vec<Vec<usize>> {
+    let mut stride = 1;
+    let mut off = vec![Vec::new(); dims.len()];
+    for (o, &n) in off.iter_mut().zip(dims).rev() {
+        *o = (0..n).map(|p| p * stride).collect();
+        stride *= n;
+    }
+    off
+}
+
+/// What a correction pass reads: values and the offset of every position
+/// along each dimension.
+struct PassInput<'a> {
+    data: &'a [f64],
+    off: Vec<Vec<usize>>,
+    /// Set on a level's first pass, which reads the coefficient function
+    /// straight from `u`: the level's roles, so all-coarse nodes read 0.
+    roles: Option<&'a [DimGeom<'a>]>,
+}
+
+/// Staging bytes for a tile of `lanes` lines of `nf` fine and `nc`
+/// coarse positions, plus slack so its `f64`-aligned part holds the tile.
+fn tile_bytes(nf: usize, nc: usize, lanes: usize) -> usize {
+    (nf + nc) * lanes * std::mem::size_of::<f64>() + std::mem::align_of::<f64>()
+}
+
+/// The first `len` aligned `f64`s of a staging arena sized by
+/// [`tile_bytes`].
+fn staging_f64(staging: &mut [u8], len: usize) -> &mut [f64] {
+    // A byte pointer can always be aligned at run time, within the
+    // `align_of::<f64>()` slack `tile_bytes` adds.
+    let skip = staging.as_ptr().align_offset(std::mem::align_of::<f64>());
+    let bytes = &mut staging[skip..skip + len * std::mem::size_of::<f64>()];
+    // SAFETY: `bytes` is `f64`-aligned, exactly `len` f64s long and part of
+    // this group's exclusive staging arena, borrowed mutably for the
+    // result's lifetime; every bit pattern is a valid `f64`.
+    unsafe { std::slice::from_raw_parts_mut(bytes.as_mut_ptr().cast::<f64>(), len) }
+}
+
+/// One dimension of the correction: every line along `k` of the input,
+/// mass → restrict → Thomas, into `out` (row-major over `out_dims`). Each
+/// Iterative group gathers [`LANES`] adjacent lines into a lane-minor tile
+/// in its staging, solves them together and scatters the coarse rows.
+fn correction_pass(
+    adapter: &dyn DeviceAdapter,
+    input: &PassInput<'_>,
+    k: usize,
+    op: &LineOp<'_>,
+    out_dims: &[usize],
+    out: &mut [f64],
+) {
+    let nf = input.off[k].len();
+    let nc = out_dims[k];
+    let out_off = compact_offsets(out_dims);
+    let others: Vec<usize> = (0..out_dims.len()).filter(|&d| d != k).collect();
+    let extents: Vec<usize> = others.iter().map(|&d| input.off[d].len()).collect();
+    let lines: usize = extents.iter().product();
+    let out_sh = SharedSlice::new(out);
+    Iterative::new(lines, LANES)
+        .with_staging(tile_bytes(nf, nc, LANES.min(lines)))
+        .run(adapter, &|span, staging| {
+            let lanes = span.len();
+            let (fine, coarse) = staging_f64(staging, (nf + nc) * lanes).split_at_mut(nf * lanes);
+            let mut src = [0usize; LANES];
+            let mut dst = [0usize; LANES];
+            let mut zero = [false; LANES];
+            let mut line = Odometer::new(span.start, &extents);
+            for lane in 0..lanes {
+                for (&d, &p) in others.iter().zip(line.pos()) {
+                    src[lane] += input.off[d][p];
+                    dst[lane] += out_off[d][p];
+                }
+                zero[lane] = input.roles.is_some_and(|geo| {
+                    others
+                        .iter()
+                        .zip(line.pos())
+                        .all(|(&d, &p)| geo[d].op.is_coarse(p))
+                });
+                line.advance();
+            }
+            // Whole tile rows when several lanes are adjacent, else line
+            // by line (the last dimension, `u` at coarser levels, and a
+            // lone line, which one strided loop moves fastest).
+            let adjacent = |at: &[usize]| lanes > 1 && (1..lanes).all(|i| at[i] == at[0] + i);
+            if adjacent(&src) {
+                for (row, &o) in fine.chunks_exact_mut(lanes).zip(&input.off[k]) {
+                    let at = src[0] + o;
+                    row.copy_from_slice(&input.data[at..at + lanes]);
+                }
+            } else {
+                for (lane, &at) in src[..lanes].iter().enumerate() {
+                    for (x, &o) in fine[lane..].iter_mut().step_by(lanes).zip(&input.off[k]) {
+                        *x = input.data[at + o];
+                    }
+                }
+            }
+            if let Some(geo) = input.roles {
+                for (p, row) in fine.chunks_exact_mut(lanes).enumerate() {
+                    if geo[k].op.is_coarse(p) {
+                        for (x, &z) in row.iter_mut().zip(&zero) {
+                            if z {
+                                *x = 0.0;
+                            }
+                        }
+                    }
+                }
+            }
+            op.apply(lanes, fine, coarse);
+            // A line writes only positions whose coordinates off
+            // dimension `k` are its own; lines are distinct, so tiles write
+            // disjoint sets.
+            if adjacent(&dst) {
+                for (row, &o) in coarse.chunks_exact(lanes).zip(&out_off[k]) {
+                    // SAFETY: the tile's lanes at coarse position `o`, a
+                    // range only this tile writes.
+                    unsafe { out_sh.slice_mut(dst[0] + o, lanes) }.copy_from_slice(row);
+                }
+            } else {
+                for (lane, &at) in dst[..lanes].iter().enumerate() {
+                    for (&v, &o) in coarse[lane..].iter().step_by(lanes).zip(&out_off[k]) {
+                        // SAFETY: a position of this lane's own line.
+                        unsafe { out_sh.write(at + o, v) };
+                    }
+                }
+            }
+        });
+}
+
+/// The two ping-pong buffers of the correction passes, sized for the
+/// largest pass output of any level.
+fn correction_buffers(h: &Hierarchy) -> [Vec<f64>; 2] {
+    let mut len = [0usize; 2];
+    for l in 1..=h.finest() {
+        let mut dims = h.level_dims(l);
+        let mut which = 0;
+        for (k, nc) in h.level_dims(l - 1).into_iter().enumerate() {
+            if nc != dims[k] {
+                dims[k] = nc;
+                len[which] = len[which].max(dims.iter().product());
+                which ^= 1;
+            }
+        }
+    }
+    len.map(|n| vec![0.0; n])
+}
+
+/// Correction of one level step: the L2 projection of the coefficient
+/// function (`u` at nodes with a new dimension, 0 at all-coarse nodes)
+/// onto the coarse grid, one dimension at a time. The first pass reads
+/// `u` directly; later passes alternate between `bufs`. Returns the
+/// correction, row-major over the level-(l−1) grid.
+fn compute_correction<'b>(
+    adapter: &dyn DeviceAdapter,
+    u: &[f64],
+    geo: &[DimGeom<'_>],
+    bufs: &'b mut [Vec<f64>; 2],
+) -> &'b [f64] {
+    let mut dims: Vec<usize> = geo.iter().map(DimGeom::n_fine).collect();
+    let mut latest: Option<usize> = None;
+    for (k, g) in geo.iter().enumerate().filter(|(_, g)| !g.saturated()) {
+        let mut out_dims = dims.clone();
+        out_dims[k] = g.n_coarse();
+        let target = latest.map_or(0, |i| 1 - i);
+        let [a, b] = &mut *bufs;
+        let (out, prev) = if target == 0 { (a, &*b) } else { (b, &*a) };
+        let input = match latest {
+            None => PassInput {
+                data: u,
+                off: geo.iter().map(|g| g.fine_off.clone()).collect(),
+                roles: Some(geo),
+            },
+            Some(_) => PassInput {
+                data: prev,
+                off: compact_offsets(&dims),
+                roles: None,
+            },
+        };
+        let len = out_dims.iter().product();
+        correction_pass(adapter, &input, k, &g.op, &out_dims, &mut out[..len]);
+        dims = out_dims;
+        latest = Some(target);
+    }
+    let i = latest.expect("every level step coarsens some dimension");
+    &bufs[i][..dims.iter().product()]
+}
+
+/// Add `sign · corr` (row-major over the level-(l−1) grid) into `u` at
+/// the coarse nodes, a row of the last dimension at a time.
 fn apply_on_coarse(
     adapter: &dyn DeviceAdapter,
     u: &mut [f64],
-    h: &Hierarchy,
-    l: usize,
-    full_strides: &[usize],
+    geo: &[DimGeom<'_>],
     corr: &[f64],
     sign: f64,
 ) {
-    let nd = h.shape().ndims();
-    let coarse_lists: Vec<&[usize]> = (0..nd).map(|d| h.dim_nodes(l - 1, d)).collect();
-    let coarse_dims: Vec<usize> = coarse_lists.iter().map(|l| l.len()).collect();
-    let total: usize = coarse_dims.iter().product();
-    debug_assert_eq!(corr.len(), total);
+    let (last, outer) = geo.split_last().expect("at least one dimension");
+    let extents: Vec<usize> = outer.iter().map(DimGeom::n_coarse).collect();
+    let n = last.n_coarse();
+    debug_assert_eq!(corr.len(), extents.iter().product::<usize>() * n);
     let u_sh = SharedSlice::new(u);
-    adapter.dem(total, &|flat| {
-        let mut pos = [0usize; 4];
-        unravel(flat, &coarse_dims, &mut pos[..nd]);
-        let idx = full_index(&pos[..nd], &coarse_lists, full_strides);
-        // Safety: coarse positions are distinct full-array indices.
-        unsafe {
-            let old = u_sh.read(idx);
-            u_sh.write(idx, old + sign * corr[flat]);
+    for_each_row(adapter, &extents, n, |r, pos, cols| {
+        let row: usize = outer.iter().zip(pos).map(|(g, &c)| g.coarse_off[c]).sum();
+        let corr = &corr[r * n..(r + 1) * n];
+        for (&at, &c) in last.coarse_off[cols.clone()].iter().zip(&corr[cols]) {
+            let idx = row + at;
+            // SAFETY: coarse positions are distinct full-array indices,
+            // each visited by exactly one (row, column).
+            unsafe { u_sh.write(idx, u_sh.read(idx) + sign * c) };
         }
     });
 }
@@ -244,31 +599,35 @@ fn apply_on_coarse(
 /// coarsest-level values at level-0 nodes and multilevel coefficients
 /// everywhere else.
 pub fn decompose(adapter: &dyn DeviceAdapter, u: &mut [f64], h: &Hierarchy) {
-    let full_strides = h.shape().strides();
+    let mut bufs = correction_buffers(h);
     for l in (1..=h.finest()).rev() {
+        let geo = level_geometry(h, l);
         // 1. Coefficients: u[new] -= interp(coarse).
-        for_each_new_node(adapter, u, h, l, &full_strides, &|old, interp| old - interp);
+        interpolate(adapter, u, &geo, |old, interp| old - interp);
         // 2–3. Correction onto the coarse grid.
-        let corr = compute_correction(adapter, u, h, l, &full_strides);
-        apply_on_coarse(adapter, u, h, l, &full_strides, &corr, 1.0);
+        let corr = compute_correction(adapter, u, &geo, &mut bufs);
+        apply_on_coarse(adapter, u, &geo, corr, 1.0);
     }
 }
 
 /// Full multilevel recomposition, in place (inverse of [`decompose`]).
 pub fn recompose(adapter: &dyn DeviceAdapter, u: &mut [f64], h: &Hierarchy) {
-    let full_strides = h.shape().strides();
+    let mut bufs = correction_buffers(h);
     for l in 1..=h.finest() {
-        let corr = compute_correction(adapter, u, h, l, &full_strides);
-        apply_on_coarse(adapter, u, h, l, &full_strides, &corr, -1.0);
+        let geo = level_geometry(h, l);
+        let corr = compute_correction(adapter, u, &geo, &mut bufs);
+        apply_on_coarse(adapter, u, &geo, corr, -1.0);
         // u[new] = mc + interp(coarse).
-        for_each_new_node(adapter, u, h, l, &full_strides, &|old, interp| old + interp);
+        interpolate(adapter, u, &geo, |old, interp| old + interp);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::operators::{mass_apply, mass_solve, restrict};
     use hpdr_core::{CpuParallelAdapter, SerialAdapter, Shape};
+    use proptest::prelude::*;
 
     fn roundtrip_check(shape: &Shape, data: &[f64], tol: f64) {
         let adapter = CpuParallelAdapter::new(4);
@@ -359,19 +718,104 @@ mod tests {
         assert!(fine < mid, "fine {fine} mid {mid}");
     }
 
-    #[test]
-    fn serial_and_parallel_decompositions_agree() {
-        let shape = Shape::new(&[33, 12]);
+    /// Decomposition and recomposition on `threads` workers reproduce the
+    /// serial bits.
+    fn check_serial_parallel(dims: &[usize], threads: usize) {
+        let shape = Shape::new(dims);
         let data: Vec<f64> = (0..shape.num_elements())
             .map(|i| ((i * 2654435761usize % 1000) as f64) / 7.0)
             .collect();
         let h = Hierarchy::new(&shape);
+        let serial = SerialAdapter::new();
+        let parallel = CpuParallelAdapter::new(threads);
         let mut a = data.clone();
-        let mut b = data.clone();
-        decompose(&SerialAdapter::new(), &mut a, &h);
-        decompose(&CpuParallelAdapter::new(8), &mut b, &h);
+        let mut b = data;
+        decompose(&serial, &mut a, &h);
+        decompose(&parallel, &mut b, &h);
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.to_bits(), y.to_bits(), "bitwise determinism required");
+        }
+        recompose(&serial, &mut a, &h);
+        recompose(&parallel, &mut b, &h);
+        for (x, y) in a.iter().zip(&b) {
+            assert_eq!(x.to_bits(), y.to_bits(), "bitwise determinism required");
+        }
+    }
+
+    #[test]
+    fn serial_and_parallel_decompositions_agree() {
+        check_serial_parallel(&[33, 12], 8);
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn serial_and_parallel_agree_on_partial_tiles_and_split_rows() {
+        for threads in [1, 2, 4] {
+            // 37 is not a multiple of LANES: tiles end partial and
+            // straddle rows.
+            check_serial_parallel(&[9, 7, 37], threads);
+            // Rows longer than GROUP_ELEMS run as column ranges.
+            check_serial_parallel(&[3 * GROUP_ELEMS + 5], threads);
+            check_serial_parallel(&[3, GROUP_ELEMS + 7], threads);
+        }
+    }
+
+    /// Small enough for Miri: every staging and shared-slice site runs on
+    /// two workers.
+    #[test]
+    fn tiny_3d_on_two_threads_matches_serial() {
+        check_serial_parallel(&[5, 6, 7], 2);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The lane-batched kernel equals the per-line reference in
+        /// `operators.rs` bit for bit on every lane. Random extents make
+        /// most levels end in a short trailing interval.
+        #[test]
+        #[cfg_attr(miri, ignore)]
+        fn line_kernel_matches_reference_on_every_lane(
+            n in 3usize..300,
+            depth in 0usize..16,
+            seed in any::<u64>(),
+        ) {
+            let h = Hierarchy::new(&Shape::new(&[n]));
+            let l = h.finest() - depth % h.finest();
+            let (fine, coarse) = (h.dim_nodes(l, 0), h.dim_nodes(l - 1, 0));
+            let op = LineOp::new(fine, coarse);
+            let mut state = seed;
+            let mut value = || {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                match state >> 61 {
+                    0 => -0.0,
+                    1 => 0.0,
+                    _ => (state >> 11) as f64 / (1u64 << 53) as f64 * 200.0 - 100.0,
+                }
+            };
+            for lanes in [1, 3, LANES, LANES + 5] {
+                let tile: Vec<f64> = (0..fine.len() * lanes).map(|_| value()).collect();
+                let mut got = vec![f64::NAN; coarse.len() * lanes];
+                op.apply(lanes, &tile, &mut got);
+                for lane in 0..lanes {
+                    let vals: Vec<f64> = tile.iter().skip(lane).step_by(lanes).copied().collect();
+                    let mut massed = vec![0.0; fine.len()];
+                    mass_apply(&vals, fine, &mut massed);
+                    let mut want = vec![0.0; coarse.len()];
+                    restrict(&massed, fine, &mut want);
+                    let mut scratch = vec![0.0; coarse.len()];
+                    mass_solve(&mut want, coarse, &mut scratch);
+                    for (c, w) in want.iter().enumerate() {
+                        prop_assert_eq!(
+                            got[c * lanes + lane].to_bits(),
+                            w.to_bits(),
+                            "n={} l={} lanes={} lane={} c={}", n, l, lanes, lane, c
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -116,7 +116,8 @@ impl Refactored {
         if levels == 0 || levels > 64 {
             return Err(HpdrError::corrupt("bad level count"));
         }
-        let n_out = r.get_u64()? as usize;
+        // Each outlier is a u64 index and an i64 value.
+        let n_out = r.get_count(16)?;
         if n_out > shape.num_elements() {
             return Err(HpdrError::corrupt("too many outliers"));
         }
