@@ -10,6 +10,7 @@
 use crate::effects_audit::EffectFinding;
 use crate::explore::ExploreReport;
 use hpdr_metrics::{parse_json, JsonValue};
+use hpdr_sim::json::{esc, need, need_arr, need_bool, need_str, need_u64};
 use hpdr_verify::envelope::{self, SCHEMA_AUDIT};
 
 /// Audit results for one pipeline configuration in one direction.
@@ -45,7 +46,7 @@ impl ConfigAudit {
                     "{{\"op\":{},\"label\":\"{}\",\"buf\":{},\"issue\":\"{}\",\
                      \"severity\":\"{}\"}}",
                     f.op,
-                    envelope::esc(&f.label),
+                    esc(&f.label),
                     f.buf.index(),
                     f.issue.tag(),
                     f.issue.severity()
@@ -67,7 +68,7 @@ impl ConfigAudit {
                      \"witness\":[{}]}}",
                     v.kind,
                     v.op,
-                    envelope::esc(&v.label),
+                    esc(&v.label),
                     witness.join(",")
                 )
             })
@@ -81,7 +82,7 @@ impl ConfigAudit {
             "{{\"name\":\"{}\",\"direction\":\"{}\",\"effects\":[{}],\
              \"explore\":{{\"ops\":{},\"states\":{},\"exhaustive\":{},\
              \"schedules\":{schedules},\"max_live\":{},\"violations\":[{}]}}}}",
-            envelope::esc(&self.name),
+            esc(&self.name),
             self.direction,
             effects.join(","),
             self.explore.ops,
@@ -177,35 +178,6 @@ impl AuditReport {
     }
 }
 
-fn need<'a>(v: &'a JsonValue, key: &str, ctx: &str) -> Result<&'a JsonValue, String> {
-    v.get(key).ok_or_else(|| format!("{ctx}: missing '{key}'"))
-}
-
-fn need_u64(v: &JsonValue, key: &str, ctx: &str) -> Result<u64, String> {
-    need(v, key, ctx)?
-        .as_u64()
-        .ok_or_else(|| format!("{ctx}: '{key}' is not a non-negative integer"))
-}
-
-fn need_str<'a>(v: &'a JsonValue, key: &str, ctx: &str) -> Result<&'a str, String> {
-    need(v, key, ctx)?
-        .as_str()
-        .ok_or_else(|| format!("{ctx}: '{key}' is not a string"))
-}
-
-fn need_bool(v: &JsonValue, key: &str, ctx: &str) -> Result<bool, String> {
-    match need(v, key, ctx)? {
-        JsonValue::Bool(b) => Ok(*b),
-        _ => Err(format!("{ctx}: '{key}' is not a boolean")),
-    }
-}
-
-fn need_arr<'a>(v: &'a JsonValue, key: &str, ctx: &str) -> Result<&'a [JsonValue], String> {
-    need(v, key, ctx)?
-        .as_arr()
-        .ok_or_else(|| format!("{ctx}: '{key}' is not an array"))
-}
-
 /// Validate an `hpdr-audit/v1` document against its schema.
 ///
 /// Checks document structure, enumerated field values, and the
@@ -228,10 +200,7 @@ pub fn validate_audit_json(doc: &str) -> Result<(), String> {
         "deser-first-order",
     ];
     let v = parse_json(doc)?;
-    if need_str(&v, "schema", "envelope")? != SCHEMA_AUDIT {
-        return Err(format!("envelope: schema is not {SCHEMA_AUDIT}"));
-    }
-    let ok = need_bool(&v, "ok", "envelope")?;
+    let ok = envelope::header(&v, SCHEMA_AUDIT)?;
     let summary = need(&v, "summary", "document")?;
     let sum_errors = need_u64(summary, "errors", "summary")?;
     let sum_warnings = need_u64(summary, "warnings", "summary")?;
@@ -406,7 +375,7 @@ mod tests {
         assert!(report.is_sound());
         let doc = report.to_json();
         validate_audit_json(&doc).unwrap();
-        assert!(hpdr_verify::envelope::read_header(&doc, SCHEMA_AUDIT).unwrap());
+        assert!(envelope::header(&parse_json(&doc).unwrap(), SCHEMA_AUDIT).unwrap());
     }
 
     #[test]

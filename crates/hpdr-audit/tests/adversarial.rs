@@ -16,8 +16,9 @@ use hpdr_audit::{
     ExploreOptions,
 };
 use hpdr_core::{ArrayMeta, DType, Shape};
+use hpdr_sim::json::parse_json;
 use hpdr_sim::{v100, Cost, Effects, Engine, KernelClass, MemPool, Ns, OpSpec, Sim};
-use hpdr_verify::envelope::{read_header, SCHEMA_AUDIT};
+use hpdr_verify::envelope::{header, SCHEMA_AUDIT};
 use hpdr_verify::{check, Direction, LintConfig};
 
 fn plain_cfg() -> LintConfig {
@@ -120,7 +121,7 @@ fn under_declared_write_passes_verify_but_fails_audit() {
     // The JSON report is schema-valid and its envelope says unsound.
     let json = report.to_json();
     validate_audit_json(&json).expect("schema-valid report");
-    assert_eq!(read_header(&json, SCHEMA_AUDIT), Ok(false));
+    assert_eq!(header(&parse_json(&json).unwrap(), SCHEMA_AUDIT), Ok(false));
 }
 
 #[test]
@@ -162,7 +163,7 @@ fn over_declared_read_passes_verify_and_audit_warns() {
     assert_eq!(f.issue, EffectIssue::UnusedRead);
     let json = report.to_json();
     validate_audit_json(&json).expect("schema-valid report");
-    assert_eq!(read_header(&json, SCHEMA_AUDIT), Ok(true));
+    assert_eq!(header(&parse_json(&json).unwrap(), SCHEMA_AUDIT), Ok(true));
 }
 
 // ---------------------------------------------------------------------------

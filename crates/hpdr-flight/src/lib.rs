@@ -34,6 +34,6 @@ pub use record::{
     sort_events, FlightConfig, FlightLog, FlightRecorder, JobEvent, JobEventKind, TraceContext,
 };
 pub use report::{
-    explain_lines, flight_section, parse_flight_rows, to_json, validate_flight_json, FlightRow,
+    check_flight, explain_lines, parse_flight_rows, to_json, validate_flight_json, FlightRow,
     FLIGHT_SCHEMA,
 };

@@ -8,7 +8,8 @@
 
 use crate::analyze::{BlameRow, FlightReport};
 use crate::record::{JobEvent, JobEventKind};
-use hpdr_verify::envelope::{esc, read_header, wrap};
+use hpdr_sim::json::{esc, need, need_arr, need_bool, need_str, need_u64, parse_json, JsonValue};
+use hpdr_verify::envelope::{header, wrap};
 
 /// Schema tag of flight reports.
 pub const FLIGHT_SCHEMA: &str = "hpdr-flight/v1";
@@ -54,10 +55,6 @@ fn event_json(e: &JobEvent) -> String {
 }
 
 /// Render a flight report as an `hpdr-flight/v1` envelope document.
-///
-/// Layout contract the row parser relies on: `jobs_table` rows are
-/// single-line `{"trace":…}` objects with no nested braces, and the
-/// table precedes the `events` section.
 pub fn to_json(report: &FlightReport) -> String {
     let mut p = String::new();
     p.push('\n');
@@ -168,135 +165,71 @@ impl FlightRow {
     }
 }
 
-/// Locate the `hpdr-flight/v1` sub-document inside `doc` — `doc` may be
-/// a standalone flight report or a cluster report embedding one.
-pub fn flight_section(doc: &str) -> Option<&str> {
-    let at = doc.find("{\"schema\":\"hpdr-flight/v1\"")?;
-    Some(&doc[at..])
+/// The `hpdr-flight/v1` object of a parsed document: the document
+/// itself, or the `flight` section a cluster report embeds.
+fn flight_of(doc: &JsonValue) -> Result<&JsonValue, String> {
+    [Some(doc), doc.get("flight")]
+        .into_iter()
+        .flatten()
+        .find(|v| v.get("schema").and_then(JsonValue::as_str) == Some(FLIGHT_SCHEMA))
+        .ok_or_else(|| "document carries no hpdr-flight/v1 section".to_string())
 }
 
-fn scan_u64(obj: &str, key: &str) -> Result<u64, String> {
-    let pat = format!("\"{key}\":");
-    let at = obj
-        .find(&pat)
-        .ok_or_else(|| format!("flight document is missing '{key}'"))?
-        + pat.len();
-    let rest = obj[at..].trim_start();
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end]
-        .parse()
-        .map_err(|e| format!("flight '{key}' is not a number: {e}"))
-}
-
-fn scan_str(obj: &str, key: &str) -> Result<String, String> {
-    let pat = format!("\"{key}\":");
-    let at = obj
-        .find(&pat)
-        .ok_or_else(|| format!("flight document is missing '{key}'"))?
-        + pat.len();
-    let rest = obj[at..]
-        .trim_start()
-        .strip_prefix('"')
-        .ok_or_else(|| format!("flight '{key}' is not a string"))?;
-    let end = rest
-        .find('"')
-        .ok_or_else(|| format!("flight '{key}' is unterminated"))?;
-    Ok(rest[..end].to_string())
-}
-
-fn scan_bool(obj: &str, key: &str) -> Result<bool, String> {
-    let pat = format!("\"{key}\":");
-    let at = obj
-        .find(&pat)
-        .ok_or_else(|| format!("flight document is missing '{key}'"))?
-        + pat.len();
-    let rest = obj[at..].trim_start();
-    if rest.starts_with("true") {
-        Ok(true)
-    } else if rest.starts_with("false") {
-        Ok(false)
-    } else {
-        Err(format!("flight '{key}' is not a boolean"))
-    }
-}
-
-fn parse_row(obj: &str) -> Result<FlightRow, String> {
+fn parse_row(v: &JsonValue, ctx: &str) -> Result<FlightRow, String> {
+    let int = |key: &str| need_u64(v, key, ctx);
     Ok(FlightRow {
-        trace: scan_u64(obj, "trace")?,
-        tenant: scan_u64(obj, "tenant")? as u32,
-        shard: scan_u64(obj, "shard")? as u32,
-        hops: scan_u64(obj, "hops")? as u32,
-        outcome: scan_str(obj, "outcome")?,
-        latency_ns: scan_u64(obj, "latency_ns")?,
-        queue_ns: scan_u64(obj, "queue_ns")?,
-        placement_ns: scan_u64(obj, "placement_ns")?,
-        transfer_ns: scan_u64(obj, "transfer_ns")?,
-        batch_ns: scan_u64(obj, "batch_ns")?,
-        service_ns: scan_u64(obj, "service_ns")?,
-        retry_ns: scan_u64(obj, "retry_ns")?,
-        sampled: scan_bool(obj, "sampled")?,
-        why: scan_str(obj, "why")?,
+        trace: int("trace")?,
+        tenant: int("tenant")? as u32,
+        shard: int("shard")? as u32,
+        hops: int("hops")? as u32,
+        outcome: need_str(v, "outcome", ctx)?.to_string(),
+        latency_ns: int("latency_ns")?,
+        queue_ns: int("queue_ns")?,
+        placement_ns: int("placement_ns")?,
+        transfer_ns: int("transfer_ns")?,
+        batch_ns: int("batch_ns")?,
+        service_ns: int("service_ns")?,
+        retry_ns: int("retry_ns")?,
+        sampled: need_bool(v, "sampled", ctx)?,
+        why: need_str(v, "why", ctx)?.to_string(),
     })
 }
 
-/// Parse every `jobs_table` row of the flight section in `doc`.
-/// Indentation-independent, so it works on standalone reports and on
-/// the re-indented copy a cluster report embeds.
-pub fn parse_flight_rows(doc: &str) -> Result<Vec<FlightRow>, String> {
-    let sec = flight_section(doc).ok_or("document carries no hpdr-flight/v1 section")?;
-    let table_at = sec
-        .find("\"jobs_table\":")
-        .ok_or("flight section has no jobs_table")?;
-    let after = &sec[table_at..];
-    let table = &after[..after.find("\"events\":").unwrap_or(after.len())];
-    let mut rows = Vec::new();
-    let mut at = 0;
-    while let Some(pos) = table[at..].find("{\"trace\":") {
-        let start = at + pos;
-        let end = table[start..]
-            .find('}')
-            .ok_or("unterminated jobs_table row")?
-            + start
-            + 1;
-        rows.push(parse_row(&table[start..end])?);
-        at = end;
-    }
-    Ok(rows)
+fn rows_of(flight: &JsonValue) -> Result<Vec<FlightRow>, String> {
+    need_arr(flight, "jobs_table", "flight")?
+        .iter()
+        .enumerate()
+        .map(|(i, r)| parse_row(r, &format!("flight jobs_table[{i}]")))
+        .collect()
 }
 
-/// Validate an `hpdr-flight/v1` document (standalone or embedded):
-/// envelope header, required keys, and — the core invariant — every
-/// row's components sum exactly to its end-to-end latency.
-pub fn validate_flight_json(doc: &str) -> Result<(), String> {
-    let sec = flight_section(doc).ok_or("document carries no hpdr-flight/v1 section")?;
-    let ok = read_header(sec, FLIGHT_SCHEMA)?;
-    if !ok {
+/// Parse every `jobs_table` row of the flight report in `doc`, a
+/// standalone report or a cluster report embedding one.
+pub fn parse_flight_rows(doc: &str) -> Result<Vec<FlightRow>, String> {
+    rows_of(flight_of(&parse_json(doc)?)?)
+}
+
+/// Walk a parsed `hpdr-flight/v1` object: envelope header, required
+/// sections, and — the core invariant — every row's components sum
+/// exactly to its end-to-end latency.
+pub fn check_flight(flight: &JsonValue) -> Result<(), String> {
+    let ctx = "flight";
+    if !header(flight, FLIGHT_SCHEMA)? {
         return Err("flight report envelope is not ok".to_string());
     }
-    for key in [
-        "jobs",
-        "sampled",
-        "dropped",
-        "sample_every",
-        "p99_ns",
-        "blame_by_tenant",
-        "blame_by_shard",
-        "jobs_table",
-        "events",
-        "blackbox",
-    ] {
-        if !sec.contains(&format!("\"{key}\":")) {
-            return Err(format!("flight document is missing '{key}'"));
-        }
+    for key in ["dropped", "sample_every", "p99_ns"] {
+        need_u64(flight, key, ctx)?;
     }
-    let rows = parse_flight_rows(sec)?;
-    if rows.len() as u64 != scan_u64(sec, "jobs")? {
+    for key in ["blame_by_tenant", "blame_by_shard", "events"] {
+        need_arr(flight, key, ctx)?;
+    }
+    need(flight, "blackbox", ctx)?;
+    let rows = rows_of(flight)?;
+    if rows.len() as u64 != need_u64(flight, "jobs", ctx)? {
         return Err("flight 'jobs' does not match the jobs_table row count".to_string());
     }
     let sampled = rows.iter().filter(|r| r.sampled).count() as u64;
-    if sampled != scan_u64(sec, "sampled")? {
+    if sampled != need_u64(flight, "sampled", ctx)? {
         return Err("flight 'sampled' does not match the sampled row count".to_string());
     }
     for r in &rows {
@@ -310,6 +243,12 @@ pub fn validate_flight_json(doc: &str) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// Validate an `hpdr-flight/v1` document (standalone or embedded in a
+/// cluster report) with [`check_flight`].
+pub fn validate_flight_json(doc: &str) -> Result<(), String> {
+    check_flight(flight_of(&parse_json(doc)?)?)
 }
 
 fn shard_label(shard: u32) -> String {
@@ -344,29 +283,23 @@ fn push_row(lines: &mut Vec<String>, rank: Option<usize>, r: &FlightRow) {
 
 /// Append the sampled event stream of `trace` (when the report kept
 /// it) as indented timeline lines.
-fn push_events(lines: &mut Vec<String>, sec: &str, trace: u64) -> Result<(), String> {
-    let Some(at) = sec.find(&format!("{{\"trace\":{trace},\"events\":[")) else {
+fn push_events(lines: &mut Vec<String>, flight: &JsonValue, trace: u64) -> Result<(), String> {
+    let streams = need_arr(flight, "events", "flight")?;
+    let Some(stream) = streams
+        .iter()
+        .find(|s| s.get("trace").and_then(JsonValue::as_u64) == Some(trace))
+    else {
         return Ok(()); // not sampled: no stream kept
     };
-    let body_at = at + sec[at..].find('[').expect("just matched") + 1;
-    let body = &sec[body_at
-        ..body_at
-            + sec[body_at..]
-                .find(']')
-                .ok_or("unterminated event stream")?];
-    let mut cursor = 0;
-    while let Some(pos) = body[cursor..].find("{\"at_ns\":") {
-        let start = cursor + pos;
-        let end = body[start..].find('}').ok_or("unterminated event")? + start + 1;
-        let obj = &body[start..end];
+    let ctx = format!("flight events of trace {trace}");
+    for e in need_arr(stream, "events", &ctx)? {
         lines.push(format!(
             "   @{} shard={} hop={} {}",
-            scan_u64(obj, "at_ns")?,
-            shard_label(scan_u64(obj, "shard")? as u32),
-            scan_u64(obj, "hop")?,
-            scan_str(obj, "kind")?
+            need_u64(e, "at_ns", &ctx)?,
+            shard_label(need_u64(e, "shard", &ctx)? as u32),
+            need_u64(e, "hop", &ctx)?,
+            need_str(e, "kind", &ctx)?
         ));
-        cursor = end;
     }
     Ok(())
 }
@@ -375,14 +308,16 @@ fn push_events(lines: &mut Vec<String>, sec: &str, trace: u64) -> Result<(), Str
 /// either one job's breakdown (with its event timeline when sampled) or
 /// the true worst-`worst` jobs by latency.
 pub fn explain_lines(doc: &str, job: Option<u64>, worst: usize) -> Result<Vec<String>, String> {
-    let sec = flight_section(doc).ok_or("document carries no hpdr-flight/v1 section")?;
-    let rows = parse_flight_rows(sec)?;
+    let parsed = parse_json(doc)?;
+    let flight = flight_of(&parsed)?;
+    let rows = rows_of(flight)?;
+    let count = |key: &str| need_u64(flight, key, "flight");
     let mut lines = vec![format!(
         "flight report: {} jobs, {} sampled, p99 {} ns, {} events dropped",
-        scan_u64(sec, "jobs")?,
-        scan_u64(sec, "sampled")?,
-        scan_u64(sec, "p99_ns")?,
-        scan_u64(sec, "dropped")?
+        count("jobs")?,
+        count("sampled")?,
+        count("p99_ns")?,
+        count("dropped")?
     )];
     match job {
         Some(id) => {
@@ -391,7 +326,7 @@ pub fn explain_lines(doc: &str, job: Option<u64>, worst: usize) -> Result<Vec<St
                 .find(|r| r.trace == id)
                 .ok_or_else(|| format!("no job with trace id {id} in the flight report"))?;
             push_row(&mut lines, None, row);
-            push_events(&mut lines, sec, id)?;
+            push_events(&mut lines, flight, id)?;
         }
         None => {
             let mut ranked: Vec<&FlightRow> = rows.iter().collect();
@@ -466,7 +401,7 @@ mod tests {
     fn roundtrip_serializes_validates_and_parses() {
         let report = sample_report();
         let doc = to_json(&report);
-        assert!(read_header(&doc, FLIGHT_SCHEMA).unwrap());
+        assert!(header(&parse_json(&doc).unwrap(), FLIGHT_SCHEMA).unwrap());
         validate_flight_json(&doc).unwrap();
         let rows = parse_flight_rows(&doc).unwrap();
         assert_eq!(rows.len(), report.rows.len());
@@ -484,12 +419,8 @@ mod tests {
     fn validator_rejects_damaged_documents() {
         let doc = to_json(&sample_report());
         // Break the additive invariant on one row.
-        let row = doc
-            .lines()
-            .find(|l| l.contains("\"trace\":9,"))
-            .unwrap()
-            .to_string();
-        let lat = scan_u64(&row, "latency_ns").unwrap();
+        let rows = parse_flight_rows(&doc).unwrap();
+        let lat = rows.iter().find(|r| r.trace == 9).unwrap().latency_ns;
         let bad = doc.replace(
             &format!("\"latency_ns\":{lat}"),
             &format!("\"latency_ns\":{}", lat + 1),
@@ -509,7 +440,7 @@ mod tests {
     fn parser_survives_cluster_style_embedding() {
         let doc = to_json(&sample_report());
         // A cluster report re-indents the embedded document and nests it
-        // under a "flight" key; the scanners must not care.
+        // under a "flight" key; the readers must not care.
         let embedded = format!(
             "{{\"schema\":\"hpdr-shard/v1\",\"ok\":true,\n  \"flight\": {}\n}}",
             doc.trim_end().replace('\n', "\n      ")

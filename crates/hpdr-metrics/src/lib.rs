@@ -16,12 +16,11 @@
 
 pub mod collect;
 pub mod histogram;
-pub mod json;
 pub mod registry;
 pub mod slo;
 
 pub use collect::{record_batch_trace, record_pool_stats, BatchTraceIds};
 pub use histogram::{bucket_width, exact_quantile, StreamingHistogram};
-pub use json::{parse_json, JsonValue};
+pub use hpdr_sim::json::{parse_json, JsonValue};
 pub use registry::{validate_metrics_json, InstrumentId, MetricsConfig, Registry, METRICS_SCHEMA};
 pub use slo::{SloAlert, SloAttainment, SloConfig, SloTracker};

@@ -19,8 +19,8 @@
 //! exposition and JSON so determinism guarantees survive.
 
 use crate::histogram::StreamingHistogram;
-use crate::json::parse_json;
 use crate::slo::{SloAlert, SloConfig, SloTracker};
+use hpdr_sim::json::{esc, parse_json};
 use hpdr_sim::Ns;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -472,7 +472,7 @@ impl Registry {
             if inst.volatile {
                 continue;
             }
-            let key = json_key(name);
+            let key = format!("\"{}\"", esc(name));
             match &inst.value {
                 Value::Counter(v) => counters.push(format!("{key}: {v}")),
                 Value::Gauge(v) => gauges.push(format!("{key}: {v:.6}")),
@@ -513,7 +513,7 @@ impl Registry {
                     .iter()
                     .map(|(t, v)| format!("[{},{v:.6}]", t.0))
                     .collect();
-                format!("{}: [{}]", json_key(name), points.join(","))
+                format!("\"{}\": [{}]", esc(name), points.join(","))
             })
             .collect();
         s.push_str(&format!("  \"series\": {}", obj(series)));
@@ -608,12 +608,6 @@ impl Registry {
         }
         out
     }
-}
-
-/// Quote an instrument name as a JSON key, escaping the `"` characters
-/// its labels carry (`family{tenant="0"}`).
-fn json_key(name: &str) -> String {
-    format!("\"{}\"", name.replace('\\', "\\\\").replace('"', "\\\""))
 }
 
 /// Split `family{labels}` into `(family, labels)` (labels without braces).

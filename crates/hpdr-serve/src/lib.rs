@@ -44,7 +44,7 @@ pub use job::{
 pub use loadgen::{
     run_loadgen, validate_loadgen_json, LoadgenOptions, LoadgenReport, LOADGEN_SCHEMA,
 };
-pub use report::{validate_serve_json, LatencySummary, ServeReport, SERVE_SCHEMA};
+pub use report::{check_serve, validate_serve_json, LatencySummary, ServeReport, SERVE_SCHEMA};
 pub use scheduler::{
     serve, JobSource, Policy, Scheduler, ServeConfig, ServeOutcome, VecSource, NODE_FAILURE,
 };

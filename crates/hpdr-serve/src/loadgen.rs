@@ -12,10 +12,11 @@
 
 use crate::error::ServeError;
 use crate::job::{JobRequest, ServeCodec, TenantId};
-use crate::report::{validate_serve_json, ServeReport};
+use crate::report::{check_serve, ServeReport};
 use crate::scheduler::{serve, JobSource, Policy, Scheduler, ServeConfig, VecSource};
 use crate::script::PayloadCache;
 use hpdr_core::{CpuParallelAdapter, DeviceAdapter};
+use hpdr_sim::json::{need, need_f64, parse_json, JsonValue};
 use hpdr_sim::Ns;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -318,17 +319,17 @@ impl LoadgenReport {
     }
 }
 
-/// Validate a loadgen JSON document (schema + embedded serve report).
+/// Validate a loadgen JSON document: schema id, the batching
+/// microbench fields, and the embedded serve report's walk.
 pub fn validate_loadgen_json(json: &str) -> Result<(), String> {
-    if !json.contains(&format!("\"schema\": \"{LOADGEN_SCHEMA}\"")) {
+    let doc = parse_json(json)?;
+    if doc.get("schema").and_then(JsonValue::as_str) != Some(LOADGEN_SCHEMA) {
         return Err(format!("missing schema id {LOADGEN_SCHEMA}"));
     }
-    for k in ["batching_speedup", "serial_goodput_gbps", "serve"] {
-        if !json.contains(&format!("\"{k}\"")) {
-            return Err(format!("missing field '{k}'"));
-        }
+    for k in ["batching_speedup", "serial_goodput_gbps"] {
+        need_f64(&doc, k, "loadgen report")?;
     }
-    validate_serve_json(json)
+    check_serve(need(&doc, "serve", "loadgen report")?)
 }
 
 /// The scheduler microbench: replay `prefix` (arrivals zeroed, hazards

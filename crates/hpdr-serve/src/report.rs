@@ -15,6 +15,7 @@
 use crate::histogram::StreamingHistogram;
 use crate::job::{JobOutcome, JobRecord};
 use crate::scheduler::{Policy, ServeOutcome};
+use hpdr_sim::json::{need_f64, need_u64, parse_json, JsonValue};
 use hpdr_sim::{Ns, Trace};
 
 /// Schema identifier embedded in every serve report.
@@ -425,30 +426,17 @@ impl ServeReport {
     }
 }
 
-/// Extract the first `"key": <integer>` in `json` (top-level counters
-/// precede the nested arrays in reports we emit).
-fn json_u64(json: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let at = json.find(&needle)? + needle.len();
-    let rest = json[at..].trim_start();
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Validate a serve-report JSON document: schema id, required fields,
-/// and the zero-lost-jobs invariant. Accepts both the envelope header
-/// (`{"schema":"hpdr-serve/v1","ok":...`) and the legacy pretty header
-/// (`"schema": "hpdr-serve/v1"`), so reports written before the
-/// envelope migration keep validating.
-pub fn validate_serve_json(json: &str) -> Result<(), String> {
-    let envelope = format!("\"schema\":\"{SERVE_SCHEMA}\",\"ok\":");
-    let legacy = format!("\"schema\": \"{SERVE_SCHEMA}\"");
-    if !json.contains(&envelope) && !json.contains(&legacy) {
+/// Walk a parsed serve report: schema id, required fields, and the
+/// zero-lost-jobs invariant. Accepts both the envelope header and the
+/// legacy pretty header without `ok`, so reports written before the
+/// envelope migration keep validating; an `ok` that is present must
+/// agree with the ledger.
+pub fn check_serve(report: &JsonValue) -> Result<(), String> {
+    let ctx = "serve report";
+    if report.get("schema").and_then(JsonValue::as_str) != Some(SERVE_SCHEMA) {
         return Err(format!("missing schema id {SERVE_SCHEMA}"));
     }
-    let field = |k: &str| json_u64(json, k).ok_or_else(|| format!("missing field '{k}'"));
+    let field = |k: &str| need_u64(report, k, ctx).map(u128::from);
     let submitted = field("submitted")?;
     let admitted = field("admitted")?;
     let rejected = field("rejected")?;
@@ -457,9 +445,7 @@ pub fn validate_serve_json(json: &str) -> Result<(), String> {
     let cancelled = field("cancelled")?;
     let failed = field("failed")?;
     for k in ["makespan_ns", "goodput_gbps", "peak_queue_jobs"] {
-        if !json.contains(&format!("\"{k}\"")) {
-            return Err(format!("missing field '{k}'"));
-        }
+        need_f64(report, k, ctx)?;
     }
     if submitted != admitted + rejected {
         return Err(format!(
@@ -473,7 +459,17 @@ pub fn validate_serve_json(json: &str) -> Result<(), String> {
              + cancelled {cancelled} + failed {failed}"
         ));
     }
-    Ok(())
+    match report.get("ok") {
+        None | Some(JsonValue::Bool(true)) => Ok(()),
+        Some(_) => Err(format!(
+            "{ctx}: envelope 'ok' is not true on a balanced ledger"
+        )),
+    }
+}
+
+/// Validate a serve-report JSON document with [`check_serve`].
+pub fn validate_serve_json(json: &str) -> Result<(), String> {
+    check_serve(&parse_json(json)?)
 }
 
 #[cfg(test)]
@@ -505,13 +501,5 @@ mod tests {
     fn validator_rejects_wrong_schema() {
         let json = sample_json(1, 1, 1).replace("hpdr-serve/v1", "hpdr-serve/v0");
         assert!(validate_serve_json(&json).is_err());
-    }
-
-    #[test]
-    fn json_u64_parses_first_occurrence() {
-        let json = "{\"a\": 42, \"b\":7, \"a\": 9}";
-        assert_eq!(json_u64(json, "a"), Some(42));
-        assert_eq!(json_u64(json, "b"), Some(7));
-        assert_eq!(json_u64(json, "c"), None);
     }
 }

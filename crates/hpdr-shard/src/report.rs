@@ -17,10 +17,13 @@
 //! from the failure count.
 
 use crate::cluster::ClusterOutcome;
+use hpdr_flight::check_flight;
 use hpdr_metrics::StreamingHistogram;
-use hpdr_serve::{LatencySummary, ServeReport};
+use hpdr_serve::{check_serve, LatencySummary, ServeReport};
+use hpdr_sim::json::{need, need_arr, need_f64, need_u64, parse_json, JsonValue};
 use hpdr_sim::{Ns, Trace};
 use hpdr_trace::merge_shard_traces;
+use hpdr_verify::envelope;
 
 /// Schema identifier embedded in every cluster report.
 pub const CLUSTER_SCHEMA: &str = "hpdr-shard/v1";
@@ -355,76 +358,100 @@ impl ClusterReport {
             }
             None => s.push_str("  \"flight\": null\n"),
         }
-        let mut doc = hpdr_verify::envelope::wrap(CLUSTER_SCHEMA, self.ok(), &s);
+        let mut doc = envelope::wrap(CLUSTER_SCHEMA, self.ok(), &s);
         doc.push('\n');
         doc
     }
 }
 
-/// Extract the first `"key": <integer>` (optionally negative).
-fn json_i64(json: &str, key: &str) -> Option<i64> {
-    let needle = format!("\"{key}\":");
-    let at = json.find(&needle)? + needle.len();
-    let rest = json[at..].trim_start();
-    let end = rest
-        .char_indices()
-        .find(|&(i, c)| !(c.is_ascii_digit() || (i == 0 && c == '-')))
-        .map_or(rest.len(), |(i, _)| i);
-    rest[..end].parse().ok()
-}
-
-/// Validate a cluster-report JSON document: the `hpdr-shard/v1`
-/// envelope header, required fields, and the cluster zero-lost-jobs
-/// invariant (`lost == 0`).
+/// Validate a cluster-report JSON document with one walk over the
+/// parsed tree:
+///
+/// * the `hpdr-shard/v1` envelope header and the required fields;
+/// * the cluster zero-lost-jobs invariant: `lost`, recomputed from the
+///   top-level counts, must equal the stored value and be zero;
+/// * every `per_shard[].report` through the serve report's walk;
+/// * the envelope `ok`, which must agree with both;
+/// * the embedded `flight` report, when the run recorded one (reports
+///   written before flight recording carry no `flight` key).
 pub fn validate_cluster_json(json: &str) -> Result<(), String> {
-    hpdr_verify::envelope::read_header(json, CLUSTER_SCHEMA)?;
-    for k in [
-        "nodes",
-        "logical_submitted",
-        "cache_hit_rate",
-        "goodput_gbps",
-        "makespan_ns",
-        "per_shard",
-    ] {
-        if !json.contains(&format!("\"{k}\"")) {
-            return Err(format!("missing field '{k}'"));
-        }
+    let ctx = "cluster report";
+    let doc = parse_json(json)?;
+    let ok = envelope::header(&doc, CLUSTER_SCHEMA)?;
+    for k in ["nodes", "cache_hit_rate", "goodput_gbps", "makespan_ns"] {
+        need_f64(&doc, k, ctx)?;
     }
-    let lost = json_i64(json, "lost").ok_or("missing field 'lost'")?;
+    let terminals = [
+        "completed",
+        "timed_out",
+        "cancelled",
+        "rejected",
+        "failed",
+        "retries_exhausted",
+    ]
+    .iter()
+    .map(|k| need_u64(&doc, k, ctx).map(i128::from))
+    .sum::<Result<i128, String>>()?;
+    let lost = i128::from(need_u64(&doc, "logical_submitted", ctx)?) - terminals;
+    if need_f64(&doc, "lost", ctx)? != lost as f64 {
+        return Err(format!(
+            "{ctx}: stored 'lost' disagrees with the counts, which lose {lost} jobs"
+        ));
+    }
+    for (i, row) in need_arr(&doc, "per_shard", ctx)?.iter().enumerate() {
+        check_serve(need(row, "report", ctx)?)
+            .map_err(|e| format!("per_shard[{i}].report: {e}"))?;
+    }
     if lost != 0 {
         return Err(format!("cluster lost {lost} jobs"));
     }
-    // When the cluster ran with flight recording on, the embedded
-    // hpdr-flight/v1 document must satisfy its own invariants too.
-    if hpdr_flight::flight_section(json).is_some() {
-        hpdr_flight::validate_flight_json(json).map_err(|e| format!("embedded flight: {e}"))?;
+    if !ok {
+        return Err(format!("{ctx}: envelope 'ok' is false on a sound ledger"));
     }
-    Ok(())
+    match doc.get("flight") {
+        None | Some(JsonValue::Null) => Ok(()),
+        Some(flight) => check_flight(flight).map_err(|e| format!("embedded flight: {e}")),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn json_i64_handles_negatives() {
-        assert_eq!(json_i64("{\"lost\": -2}", "lost"), Some(-2));
-        assert_eq!(json_i64("{\"lost\":3,\"x\":1}", "lost"), Some(3));
-        assert_eq!(json_i64("{}", "lost"), None);
+    use crate::loadgen::{run_cluster_loadgen, ClusterLoadOptions};
+
+    /// `doc` with the integer after the first `needle` increased by one.
+    fn bump(doc: &str, needle: &str) -> String {
+        let at = doc.find(needle).expect("needle in document") + needle.len();
+        let len = doc[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
+        let n: u64 = doc[at..at + len].parse().unwrap();
+        format!("{}{}{}", &doc[..at], n + 1, &doc[at + len..])
     }
 
     #[test]
     fn validator_requires_envelope_and_zero_lost() {
-        let good = hpdr_verify::envelope::wrap(
-            CLUSTER_SCHEMA,
-            true,
-            "\"nodes\":2,\"logical_submitted\":4,\"lost\":0,\"cache_hit_rate\":1.0,\
-             \"goodput_gbps\":0.1,\"makespan_ns\":10,\"per_shard\":[]",
-        );
+        // What `hpdr cluster --quick --fail-node 0@125000 --json` writes.
+        let opts = ClusterLoadOptions {
+            fail: Some((0, Ns::from_micros(125_000))),
+            ..ClusterLoadOptions::quick()
+        };
+        let good = run_cluster_loadgen(&opts).unwrap().to_json();
         validate_cluster_json(&good).unwrap();
-        let lossy = good.replace("\"lost\":0", "\"lost\":1");
+        let lossy = good.replacen("\"lost\": 0", "\"lost\": 1", 1);
         assert!(validate_cluster_json(&lossy).unwrap_err().contains("lost"));
-        let wrong = good.replace("hpdr-shard/v1", "hpdr-shard/v0");
+        let wrong = good.replacen("hpdr-shard/v1", "hpdr-shard/v0", 1);
         assert!(validate_cluster_json(&wrong).is_err());
+        // The envelope says the run failed.
+        let not_ok = good.replacen("\"ok\":true", "\"ok\":false", 1);
+        let err = validate_cluster_json(&not_ok).unwrap_err();
+        assert!(err.contains("'ok'"), "{err}");
+        // An inflated top-level count: the stored `lost` no longer follows.
+        let inflated = bump(&good, "\n  \"completed\": ");
+        let err = validate_cluster_json(&inflated).unwrap_err();
+        assert!(err.contains("'lost'"), "{err}");
+        // One embedded shard report whose own ledger no longer balances.
+        let unbalanced = bump(&good, "\n        \"admitted\": ");
+        let err = validate_cluster_json(&unbalanced).unwrap_err();
+        assert!(err.contains("per_shard[0].report"), "{err}");
     }
 }

@@ -23,6 +23,7 @@
 
 pub mod effects;
 pub mod horizon;
+pub mod json;
 pub mod mem;
 pub mod sim;
 pub mod spec;

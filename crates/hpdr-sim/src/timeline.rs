@@ -361,95 +361,3 @@ mod tests {
         assert_eq!(comp, Ns(7));
     }
 }
-
-impl Timeline {
-    /// Export the timeline as Chrome trace-event JSON (load in
-    /// `chrome://tracing` or Perfetto): one row per engine, one complete
-    /// event per op. Times are virtual nanoseconds reported as
-    /// microseconds (the trace format's unit).
-    pub fn to_chrome_trace(&self) -> String {
-        use std::fmt::Write as _;
-        fn engine_row(e: Engine) -> (u64, String) {
-            match e {
-                Engine::H2D(d) => (d.0 as u64 * 10 + 1, format!("dev{} H2D", d.0)),
-                Engine::D2H(d) => (d.0 as u64 * 10 + 2, format!("dev{} D2H", d.0)),
-                Engine::Compute(d) => (d.0 as u64 * 10 + 3, format!("dev{} compute", d.0)),
-                Engine::Staging(d) => (d.0 as u64 * 10 + 4, format!("dev{} staging", d.0)),
-                Engine::Runtime(r) => (9000 + r.0 as u64, format!("runtime{} lock", r.0)),
-                Engine::Host => (9999, "host".to_string()),
-            }
-        }
-        let mut out = String::from("[\n");
-        let mut rows: Vec<(u64, String)> =
-            self.records.iter().map(|r| engine_row(r.engine)).collect();
-        rows.sort();
-        rows.dedup();
-        for (tid, name) in &rows {
-            let _ = writeln!(
-                out,
-                "  {{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\
-                 \"args\":{{\"name\":\"{name}\"}}}},"
-            );
-        }
-        for (i, r) in self.records.iter().enumerate() {
-            let (tid, _) = engine_row(r.engine);
-            let comma = if i + 1 == self.records.len() { "" } else { "," };
-            let _ = writeln!(
-                out,
-                "  {{\"name\":\"{}\",\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\
-                 \"ts\":{:.3},\"dur\":{:.3},\"args\":{{\"bytes\":{}}}}}{comma}",
-                r.label.replace('"', "'"),
-                r.start.0 as f64 / 1000.0,
-                r.duration().0 as f64 / 1000.0,
-                r.bytes
-            );
-        }
-        out.push_str("]\n");
-        out
-    }
-}
-
-#[cfg(test)]
-mod trace_tests {
-    use super::*;
-    use crate::sim::RuntimeId;
-
-    #[test]
-    fn chrome_trace_is_valid_json_shape() {
-        let tl = Timeline::new(vec![
-            OpRecord {
-                label: "H2D[0]".into(),
-                engine: Engine::H2D(DeviceId(0)),
-                start: Ns(0),
-                end: Ns(1500),
-                bytes: 1024,
-                class: None,
-            },
-            OpRecord {
-                label: "alloc \"x\"".into(),
-                engine: Engine::Runtime(RuntimeId(0)),
-                start: Ns(100),
-                end: Ns(300),
-                bytes: 0,
-                class: None,
-            },
-        ]);
-        let json = tl.to_chrome_trace();
-        assert!(json.starts_with("[\n"));
-        assert!(json.trim_end().ends_with(']'));
-        assert!(json.contains("\"ph\":\"X\""));
-        assert!(json.contains("dev0 H2D"));
-        assert!(json.contains("runtime0 lock"));
-        // Quotes in labels are sanitized.
-        assert!(json.contains("alloc 'x'"));
-        // No trailing comma before the closing bracket.
-        assert!(!json.contains("},\n]"));
-    }
-
-    #[test]
-    fn chrome_trace_empty_timeline() {
-        let tl = Timeline::new(vec![]);
-        let json = tl.to_chrome_trace();
-        assert_eq!(json, "[\n]\n");
-    }
-}

@@ -321,25 +321,12 @@ impl VerifyReport {
 
     /// Machine-readable JSON report (hand-rolled; no serde offline).
     pub fn to_json(&self, dag: &Dag) -> String {
-        fn esc(s: &str) -> String {
-            let mut out = String::with_capacity(s.len());
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
-            }
-            out
-        }
         let mut items = Vec::with_capacity(self.hazards.len());
         for h in &self.hazards {
             items.push(format!(
                 "{{\"kind\":\"{}\",\"detail\":\"{}\"}}",
                 h.kind(),
-                esc(&h.describe(dag))
+                crate::json::esc(&h.describe(dag))
             ));
         }
         format!(

@@ -15,6 +15,7 @@
 //! <https://ui.perfetto.dev> or `chrome://tracing`.
 
 use crate::metrics::engine_name;
+use hpdr_sim::json::{esc, need, need_f64, need_str, need_u64, parse_json};
 use hpdr_sim::{Engine, Trace};
 use std::fmt::Write as _;
 
@@ -46,24 +47,6 @@ fn process_name(e: Engine) -> String {
         Engine::Runtime(r) => format!("runtime{}", r.0),
         Engine::Host => "host".to_string(),
     }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn us(ns: u64) -> String {
@@ -120,7 +103,7 @@ pub fn to_chrome_trace(trace: &Trace) -> String {
         }
         lines.push(format!(
             "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":{},\"tid\":{},\"ts\":{},\"dur\":{},\"args\":{{{args}}}}}",
-            escape(&s.label),
+            esc(&s.label),
             pid_of(s.engine),
             tid_of(s.engine),
             us(s.start.0),
@@ -149,40 +132,18 @@ pub struct ChromeTraceSummary {
     pub pids: Vec<u64>,
 }
 
-/// Extract a numeric field (`"key":123` or `"key":12.5`) from one event
-/// line.
-fn field_num(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let at = line.find(&pat)? + pat.len();
-    let rest = &line[at..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Structural validator for the schema emitted by [`to_chrome_trace`]
-/// (there is no JSON parser in the dependency tree, so this is
-/// line-oriented over the one-event-per-line layout):
+/// Validator for the schema emitted by [`to_chrome_trace`], a typed walk
+/// over the parsed document:
 ///
-/// * the file is a JSON array (`[` … `]`), one event object per line;
-/// * every event has `name`, `ph`, `pid`, `tid` and an `args` object;
+/// * the document is a JSON array of event objects;
+/// * every event has a string `name` and `ph`, integer `pid` ≥ 1 and
+///   `tid`, and an `args` object;
 /// * all metadata (`M`) events precede all complete (`X`) events;
 /// * every `X` event has numeric `ts` ≥ 0 and `dur` ≥ 0;
-/// * `X` timestamps are monotone non-decreasing in file order.
+/// * `X` timestamps are monotone non-decreasing in array order.
 pub fn validate_chrome_trace(json: &str) -> Result<ChromeTraceSummary, String> {
-    let mut lines = json.lines().map(str::trim).filter(|l| !l.is_empty());
-    if lines.next() != Some("[") {
-        return Err("trace must open with a JSON array bracket".into());
-    }
-    let body: Vec<&str> = lines.collect();
-    let Some((&last, events)) = body.split_last() else {
-        return Err("trace has no closing bracket".into());
-    };
-    if last != "]" {
-        return Err("trace must close with a JSON array bracket".into());
-    }
-
+    let doc = parse_json(json)?;
+    let events = doc.as_arr().ok_or("trace must be a JSON array of events")?;
     let mut summary = ChromeTraceSummary {
         metadata_events: 0,
         complete_events: 0,
@@ -190,44 +151,41 @@ pub fn validate_chrome_trace(json: &str) -> Result<ChromeTraceSummary, String> {
     };
     let mut seen_complete = false;
     let mut last_ts = -1.0f64;
-    for (i, raw) in events.iter().enumerate() {
-        let line = raw.strip_suffix(',').unwrap_or(raw);
-        if !(line.starts_with('{') && line.ends_with('}')) {
-            return Err(format!("event {i}: not a JSON object: {line}"));
+    for (i, e) in events.iter().enumerate() {
+        let ctx = format!("event {i}");
+        need_str(e, "name", &ctx)?;
+        need(e, "args", &ctx)?
+            .as_obj()
+            .ok_or_else(|| format!("{ctx}: 'args' is not an object"))?;
+        let pid = need_u64(e, "pid", &ctx)?;
+        need_u64(e, "tid", &ctx)?;
+        if pid < 1 {
+            return Err(format!("{ctx}: pid must be positive"));
         }
-        if !line.contains("\"name\":") || !line.contains("\"args\":{") {
-            return Err(format!("event {i}: missing name/args"));
-        }
-        let pid = field_num(line, "pid").ok_or(format!("event {i}: missing numeric pid"))?;
-        field_num(line, "tid").ok_or(format!("event {i}: missing numeric tid"))?;
-        if pid < 1.0 {
-            return Err(format!("event {i}: pid must be positive"));
-        }
-        if line.contains("\"ph\":\"M\"") {
-            if seen_complete {
-                return Err(format!("event {i}: metadata after complete events"));
+        match need_str(e, "ph", &ctx)? {
+            "M" => {
+                if seen_complete {
+                    return Err(format!("{ctx}: metadata after complete events"));
+                }
+                summary.metadata_events += 1;
             }
-            summary.metadata_events += 1;
-        } else if line.contains("\"ph\":\"X\"") {
-            seen_complete = true;
-            let ts = field_num(line, "ts").ok_or(format!("event {i}: missing numeric ts"))?;
-            let dur = field_num(line, "dur").ok_or(format!("event {i}: missing numeric dur"))?;
-            if ts < 0.0 || dur < 0.0 {
-                return Err(format!("event {i}: negative ts/dur"));
+            "X" => {
+                seen_complete = true;
+                let ts = need_f64(e, "ts", &ctx)?;
+                let dur = need_f64(e, "dur", &ctx)?;
+                if ts < 0.0 || dur < 0.0 {
+                    return Err(format!("{ctx}: negative ts/dur"));
+                }
+                if ts < last_ts {
+                    return Err(format!("{ctx}: timestamps not monotone ({ts} < {last_ts})"));
+                }
+                last_ts = ts;
+                summary.complete_events += 1;
+                if !summary.pids.contains(&pid) {
+                    summary.pids.push(pid);
+                }
             }
-            if ts < last_ts {
-                return Err(format!(
-                    "event {i}: timestamps not monotone ({ts} < {last_ts})"
-                ));
-            }
-            last_ts = ts;
-            summary.complete_events += 1;
-            let pid = pid as u64;
-            if !summary.pids.contains(&pid) {
-                summary.pids.push(pid);
-            }
-        } else {
-            return Err(format!("event {i}: unknown event phase"));
+            other => return Err(format!("{ctx}: unknown event phase '{other}'")),
         }
     }
     summary.pids.sort_unstable();

@@ -15,6 +15,8 @@
 //! error path and share the same non-zero code — callers distinguish
 //! the cases by whether a report document was produced.
 
+use hpdr_sim::json::{esc, need_bool, need_str, JsonValue};
+
 /// Schema tag of `hpdr verify --json` documents.
 pub const SCHEMA_VERIFY: &str = "hpdr-verify/v1";
 
@@ -24,21 +26,6 @@ pub const SCHEMA_AUDIT: &str = "hpdr-audit/v1";
 /// Unified exit code for "the tool ran and produced findings", shared
 /// by `hpdr verify` and `hpdr audit`.
 pub const EXIT_FINDINGS: i32 = 1;
-
-/// JSON string escape (the workspace emits handwritten JSON; no serde).
-pub fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Wrap pre-rendered payload fields (`"key":value,...` without the outer
 /// braces) in the shared envelope. An empty payload is allowed.
@@ -50,28 +37,27 @@ pub fn wrap(schema: &str, ok: bool, payload: &str) -> String {
     }
 }
 
-/// Cheap envelope-header check without a full parse: does the document
-/// start with the expected schema tag? Returns the `ok` flag.
+/// Check a parsed document's envelope header: `schema` must be the
+/// expected tag and `ok` a boolean, whose value is returned.
 ///
-/// Full schema validation lives with each report type; this helper is
-/// for dispatchers that only need to route a document.
-pub fn read_header(json: &str, schema: &str) -> Result<bool, String> {
-    let want = format!("{{\"schema\":\"{}\",\"ok\":", esc(schema));
-    let rest = json
-        .strip_prefix(&want)
-        .ok_or_else(|| format!("document does not open with the {schema} envelope"))?;
-    if rest.starts_with("true") {
-        Ok(true)
-    } else if rest.starts_with("false") {
-        Ok(false)
-    } else {
-        Err("envelope 'ok' field is not a boolean".to_string())
+/// Full schema validation lives with each report type, which walks the
+/// rest of the same parsed tree.
+pub fn header(doc: &JsonValue, schema: &str) -> Result<bool, String> {
+    let got = need_str(doc, "schema", "envelope")?;
+    if got != schema {
+        return Err(format!("envelope: schema is '{got}', not {schema}"));
     }
+    need_bool(doc, "ok", "envelope")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpdr_sim::json::parse_json;
+
+    fn parsed_header(doc: &str, schema: &str) -> Result<bool, String> {
+        header(&parse_json(doc)?, schema)
+    }
 
     #[test]
     fn wrap_and_read_roundtrip() {
@@ -80,20 +66,19 @@ mod tests {
             doc,
             "{\"schema\":\"hpdr-audit/v1\",\"ok\":false,\"configs\":[]}"
         );
-        assert_eq!(read_header(&doc, SCHEMA_AUDIT), Ok(false));
-        assert!(read_header(&doc, SCHEMA_VERIFY).is_err());
+        assert_eq!(parsed_header(&doc, SCHEMA_AUDIT), Ok(false));
+        assert!(parsed_header(&doc, SCHEMA_VERIFY).is_err());
+        // Key order and whitespace do not matter; the flag's type does.
+        let reordered = "{ \"ok\" : true ,\n \"schema\" : \"hpdr-audit/v1\" }";
+        assert_eq!(parsed_header(reordered, SCHEMA_AUDIT), Ok(true));
+        let quoted = "{\"schema\":\"hpdr-audit/v1\",\"ok\":\"true\"}";
+        assert!(parsed_header(quoted, SCHEMA_AUDIT).is_err());
     }
 
     #[test]
     fn wrap_empty_payload() {
         let doc = wrap(SCHEMA_VERIFY, true, "");
         assert_eq!(doc, "{\"schema\":\"hpdr-verify/v1\",\"ok\":true}");
-        assert_eq!(read_header(&doc, SCHEMA_VERIFY), Ok(true));
-    }
-
-    #[test]
-    fn esc_covers_report_characters() {
-        assert_eq!(esc("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(esc("\u{1}"), "\\u0001");
+        assert_eq!(parsed_header(&doc, SCHEMA_VERIFY), Ok(true));
     }
 }

@@ -218,11 +218,6 @@ impl ScheduleReport {
 
     /// Machine-readable JSON rendering.
     pub fn to_json(&self, dag: &Dag) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\")
-                .replace('"', "\\\"")
-                .replace('\n', "\\n")
-        }
         let lints: Vec<String> = self
             .lints
             .iter()
@@ -230,7 +225,7 @@ impl ScheduleReport {
                 format!(
                     "{{\"lint\":\"{}\",\"message\":\"{}\"}}",
                     f.lint,
-                    esc(&f.message)
+                    hpdr_sim::json::esc(&f.message)
                 )
             })
             .collect();

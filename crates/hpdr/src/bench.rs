@@ -22,6 +22,7 @@ use hpdr_core::{
     WorkerPool,
 };
 use hpdr_mgard::MgardConfig;
+use hpdr_sim::json::{esc, need, need_arr, need_f64, need_str, need_u64, parse_json, JsonValue};
 use hpdr_zfp::ZfpConfig;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -464,7 +465,7 @@ impl BenchReport {
     /// serializes after every measurement succeeded, so `ok` is true.
     pub fn to_json(&self) -> String {
         let mut s = String::new();
-        let _ = write!(s, "\"label\":\"{}\"", self.label);
+        let _ = write!(s, "\"label\":\"{}\"", esc(&self.label));
         let _ = write!(s, ",\"quick\":{}", self.quick);
         let _ = write!(s, ",\"threads\":{}", self.threads);
         let _ = write!(s, ",\"simd\":\"{}\"", self.simd);
@@ -578,59 +579,13 @@ impl BenchReport {
     }
 }
 
-/// Structural validation of a bench JSON document: schema id, non-empty
-/// results, and positive finite throughput numbers. No serde in the
-/// dependency tree, so this is a purposeful string-level check of every
-/// field CI relies on — it rejects truncation, a wrong schema id, and
-/// missing sections.
+/// Structural validation of a bench JSON document: schema id (v2, or v1
+/// for old baselines), the sections CI relies on, a non-empty results
+/// array, and a positive finite throughput in every row. Documents
+/// recorded before the envelope carry no `ok`, and older ones no
+/// `flight_overhead` section; both stay valid.
 pub fn validate_bench_json(json: &str) -> std::result::Result<(), String> {
-    let j = json.trim();
-    if !(j.starts_with('{') && j.ends_with('}')) {
-        return Err("document is not a JSON object".into());
-    }
-    let v2 = format!("\"schema\":\"{BENCH_SCHEMA}\"");
-    let v1 = format!("\"schema\":\"{BENCH_SCHEMA_V1}\"");
-    if !j.contains(&v2) && !j.contains(&v1) {
-        return Err(format!(
-            "missing or wrong schema id (expected {BENCH_SCHEMA} or {BENCH_SCHEMA_V1})"
-        ));
-    }
-    for key in [
-        "\"label\":",
-        "\"threads\":",
-        "\"pool\":",
-        "\"speedup\":",
-        "\"serve_overhead\":",
-        "\"results\":[",
-        "\"compress\":",
-        "\"decompress\":",
-    ] {
-        if !j.contains(key) {
-            return Err(format!("missing required key {key}"));
-        }
-    }
-    if j.contains("\"results\":[]") {
-        return Err("results array is empty".into());
-    }
-    // Every gbps value must parse as a positive finite number.
-    let mut rest = j;
-    let mut seen = 0usize;
-    while let Some(pos) = rest.find("\"gbps\":") {
-        rest = &rest[pos + 7..];
-        let end = rest.find([',', '}']).ok_or("truncated gbps value")?;
-        let v: f64 = rest[..end]
-            .trim()
-            .parse()
-            .map_err(|_| format!("unparseable gbps value '{}'", &rest[..end]))?;
-        if !(v.is_finite() && v > 0.0) {
-            return Err(format!("non-positive gbps value {v}"));
-        }
-        seen += 1;
-    }
-    if seen == 0 {
-        return Err("no gbps measurements in document".into());
-    }
-    Ok(())
+    bench_rows(&parse_json(json)?).map(drop)
 }
 
 /// One `(codec, adapter)` row extracted from a bench JSON document.
@@ -645,66 +600,60 @@ pub struct BenchEntry {
     pub decompress_gbps: f64,
 }
 
-fn scan_str(obj: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":\"");
-    let at = obj.find(&needle)? + needle.len();
-    let end = obj[at..].find('"')?;
-    Some(obj[at..at + end].to_string())
-}
-
-fn scan_num(obj: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = obj.find(&needle)? + needle.len();
-    let rest = &obj[at..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
+/// The walk behind [`validate_bench_json`]: check a parsed bench
+/// document and return its result rows.
+fn bench_rows(doc: &JsonValue) -> std::result::Result<Vec<BenchEntry>, String> {
+    let ctx = "bench document";
+    let schema = need_str(doc, "schema", ctx)?;
+    if schema != BENCH_SCHEMA && schema != BENCH_SCHEMA_V1 {
+        return Err(format!(
+            "wrong schema id '{schema}' (expected {BENCH_SCHEMA} or {BENCH_SCHEMA_V1})"
+        ));
+    }
+    need_str(doc, "label", ctx)?;
+    need_u64(doc, "threads", ctx)?;
+    need_f64(need(doc, "pool", ctx)?, "speedup", "pool")?;
+    need(doc, "serve_overhead", ctx)?;
+    let results = need_arr(doc, "results", ctx)?;
+    if results.is_empty() {
+        return Err("results array is empty".into());
+    }
+    let mut entries = Vec::with_capacity(results.len());
+    for (i, r) in results.iter().enumerate() {
+        let ctx = format!("results[{i}]");
+        let gbps = |dir: &str| {
+            let v = need_f64(need(r, dir, &ctx)?, "gbps", &format!("{ctx}.{dir}"))?;
+            if v.is_finite() && v > 0.0 {
+                Ok(v)
+            } else {
+                Err(format!("{ctx}.{dir}: non-positive gbps value {v}"))
+            }
+        };
+        entries.push(BenchEntry {
+            codec: need_str(r, "codec", &ctx)?.to_string(),
+            adapter: need_str(r, "adapter", &ctx)?.to_string(),
+            threads: r.get("threads").and_then(JsonValue::as_u64),
+            bytes: need_u64(r, "bytes", &ctx)?,
+            compress_gbps: gbps("compress")?,
+            decompress_gbps: gbps("decompress")?,
+        });
+    }
+    Ok(entries)
 }
 
 /// Extract the per-result rows from a bench JSON document.
 pub fn parse_bench_entries(json: &str) -> std::result::Result<Vec<BenchEntry>, String> {
-    validate_bench_json(json)?;
-    let mut entries = Vec::new();
-    let mut rest = json;
-    while let Some(pos) = rest.find("{\"codec\":") {
-        rest = &rest[pos..];
-        // Each row ends with the decompress block's `}}` pair.
-        let end = rest.find("}}").map(|e| e + 2).ok_or("truncated result")?;
-        let obj = &rest[..end];
-        let comp_at = obj.find("\"compress\":").ok_or("missing compress block")?;
-        let dec_at = obj
-            .find("\"decompress\":")
-            .ok_or("missing decompress block")?;
-        entries.push(BenchEntry {
-            codec: scan_str(obj, "codec").ok_or("missing codec")?,
-            adapter: scan_str(obj, "adapter").ok_or("missing adapter")?,
-            threads: scan_num(obj, "threads").map(|t| t as u64),
-            bytes: scan_num(obj, "bytes").ok_or("missing bytes")? as u64,
-            compress_gbps: scan_num(&obj[comp_at..dec_at], "gbps").ok_or("missing gbps")?,
-            decompress_gbps: scan_num(&obj[dec_at..], "gbps").ok_or("missing gbps")?,
-        });
-        rest = &rest[end..];
-    }
-    if entries.is_empty() {
-        return Err("no result entries".into());
-    }
-    Ok(entries)
+    bench_rows(&parse_json(json)?)
 }
 
 /// Ceiling on the paired serve-metering overhead accepted by
 /// `bench --compare` (the zero-overhead-when-off contract).
 pub const METERING_OVERHEAD_CEILING: f64 = 0.02;
 
-/// Extract `"overhead":<num>` from a document's `serve_overhead` block.
-fn scan_serve_overhead(doc: &str) -> Option<f64> {
-    let at = doc.find("\"serve_overhead\":")?;
-    scan_num(&doc[at..], "overhead")
-}
-
-/// Extract `"overhead":<num>` from a document's `flight_overhead`
-/// block. Absent from documents that predate the flight recorder.
-fn scan_flight_overhead(doc: &str) -> Option<f64> {
-    let at = doc.find("\"flight_overhead\":")?;
-    scan_num(&doc[at..], "overhead")
+/// `overhead` of a paired-overhead section (`serve_overhead`,
+/// `flight_overhead`); `None` when the document predates the section.
+fn section_overhead(doc: &JsonValue, section: &str) -> Option<f64> {
+    doc.get(section)?.get("overhead")?.as_f64()
 }
 
 /// `hpdr bench --compare A.json B.json`: diff two bench documents and
@@ -721,10 +670,10 @@ fn scan_flight_overhead(doc: &str) -> Option<f64> {
 /// paired measurement interleaves metered and unmetered serves in one
 /// process, so 2% is a real bound, not a noise floor.
 pub fn compare_command(a_path: &str, b_path: &str, threshold: f64) -> Result<Vec<String>> {
-    let load = |p: &str| -> Result<(Vec<BenchEntry>, String)> {
-        let doc = std::fs::read_to_string(p)?;
-        let entries =
-            parse_bench_entries(&doc).map_err(|e| HpdrError::invalid(format!("{p}: {e}")))?;
+    let load = |p: &str| -> Result<(Vec<BenchEntry>, JsonValue)> {
+        let text = std::fs::read_to_string(p)?;
+        let doc = parse_json(&text).map_err(|e| HpdrError::invalid(format!("{p}: {e}")))?;
+        let entries = bench_rows(&doc).map_err(|e| HpdrError::invalid(format!("{p}: {e}")))?;
         Ok((entries, doc))
     };
     let (a, _a_doc) = load(a_path)?;
@@ -809,7 +758,7 @@ pub fn compare_command(a_path: &str, b_path: &str, threshold: f64) -> Result<Vec
             "no comparable rows between the two documents".to_string(),
         ));
     }
-    match scan_serve_overhead(&b_doc) {
+    match section_overhead(&b_doc, "serve_overhead") {
         Some(ov) if ov > METERING_OVERHEAD_CEILING => regressions.push(format!(
             "serve metering overhead {:.2}% exceeds the {:.0}% zero-overhead-when-off budget",
             ov * 100.0,
@@ -825,7 +774,7 @@ pub fn compare_command(a_path: &str, b_path: &str, threshold: f64) -> Result<Vec
     // The flight recorder shares the 2% paired-overhead budget. Old
     // baselines predate the section, so only the candidate is gated and
     // its absence there is informational, not an error.
-    match scan_flight_overhead(&b_doc) {
+    match section_overhead(&b_doc, "flight_overhead") {
         Some(ov) if ov > METERING_OVERHEAD_CEILING => regressions.push(format!(
             "flight recorder overhead {:.2}% exceeds the {:.0}% paired-overhead budget",
             ov * 100.0,

@@ -1733,6 +1733,8 @@ fn profile_fig1(json: bool) -> Result<Vec<String>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpdr_sim::json::{need, need_str, need_u64, parse_json, JsonValue};
+    use hpdr_verify::envelope;
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(str::to_string).collect()
@@ -2112,17 +2114,26 @@ mod tests {
         ))
         .unwrap())
         .unwrap();
-        // Top-level "fetched_bytes" appears exactly once per document
-        // (the refine delta uses "delta_bytes") — check.sh greps it.
-        let bytes = |doc: &str| -> u64 {
-            assert_eq!(doc.matches("\"fetched_bytes\":").count(), 1, "{doc}");
-            let tail = doc.split("\"fetched_bytes\":").nth(1).unwrap();
-            tail[..tail.find(',').unwrap()].parse().unwrap()
-        };
-        assert!(loose[0].contains("\"schema\":\"hpdr-progressive/v1\""));
-        let (lb, tb) = (bytes(&loose[0]), bytes(&tight[0]));
+        let (loose, tight) = (
+            parse_json(&loose[0]).unwrap(),
+            parse_json(&tight[0]).unwrap(),
+        );
+        for doc in [&loose, &tight] {
+            assert_eq!(
+                need_str(doc, "schema", "retrieve"),
+                Ok("hpdr-progressive/v1")
+            );
+        }
+        let bytes = |doc: &JsonValue| need_u64(doc, "fetched_bytes", "retrieve").unwrap();
+        let (lb, tb) = (bytes(&loose), bytes(&tight));
         assert!(lb < tb, "loose fetch {lb} not < tight fetch {tb}");
-        assert!(tight[0].contains("\"refine\":{"), "{}", tight[0]);
+        assert!(loose.get("refine").is_none());
+        need_u64(
+            need(&tight, "refine", "retrieve").unwrap(),
+            "delta_bytes",
+            "refine",
+        )
+        .unwrap();
     }
 
     #[test]
@@ -2176,7 +2187,7 @@ mod tests {
         let blob = json.last().unwrap();
         // Shared envelope family with `hpdr audit`.
         assert_eq!(
-            hpdr_verify::envelope::read_header(blob, hpdr_verify::envelope::SCHEMA_VERIFY),
+            envelope::header(&parse_json(blob).unwrap(), envelope::SCHEMA_VERIFY),
             Ok(true),
             "{blob}"
         );
@@ -2206,7 +2217,7 @@ mod tests {
         let blob = json.last().unwrap();
         hpdr_audit::validate_audit_json(blob).unwrap();
         assert_eq!(
-            hpdr_verify::envelope::read_header(blob, hpdr_verify::envelope::SCHEMA_AUDIT),
+            envelope::header(&parse_json(blob).unwrap(), envelope::SCHEMA_AUDIT),
             Ok(true)
         );
         // Both directions of the codec × adapter matrix are present.

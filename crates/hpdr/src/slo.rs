@@ -7,7 +7,7 @@
 //! (registry under `"serve"."metrics"`) — so `hpdr slo --report` works
 //! on whatever file a metered run left behind.
 
-use hpdr_metrics::{parse_json, JsonValue};
+use hpdr_sim::json::{need_f64, parse_json, JsonValue};
 
 /// Locate the embedded metrics registry object in a parsed report.
 fn find_metrics(doc: &JsonValue) -> Result<&JsonValue, String> {
@@ -24,9 +24,7 @@ fn find_metrics(doc: &JsonValue) -> Result<&JsonValue, String> {
 }
 
 fn num(v: &JsonValue, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(JsonValue::as_f64)
-        .ok_or_else(|| format!("missing numeric field '{key}' in slo section"))
+    need_f64(v, key, "slo section")
 }
 
 /// Render the SLO section of a report: objectives, per-tenant

@@ -72,7 +72,7 @@ fn main() {
     )
     .expect("pipeline");
     let path = std::env::temp_dir().join("hpdr-pipeline-trace.json");
-    std::fs::write(&path, report.timeline.to_chrome_trace()).expect("write trace");
+    std::fs::write(&path, hpdr::trace::to_chrome_trace(&report.trace)).expect("write trace");
     println!(
         "\npipeline schedule ({} ops, makespan {}) written to {} — open in chrome://tracing",
         report.timeline.len(),

@@ -20,9 +20,6 @@ cargo test --workspace --quiet
 echo "==> cargo test --workspace (HPDR_FORCE_SCALAR=1: scalar kernel dispatch)"
 HPDR_FORCE_SCALAR=1 cargo test --workspace --quiet
 
-echo "==> cargo bench --no-run (compile gate)"
-cargo bench --workspace --no-run --quiet
-
 echo "==> hpdr verify"
 cargo run --release -p hpdr --bin hpdr -- verify
 
@@ -39,19 +36,14 @@ echo "==> loom model checking (pool handoff, shared cells, context cache)"
 CARGO_TARGET_DIR=target/loom RUSTFLAGS="--cfg loom" \
   cargo test -p hpdr-core --test loom --quiet
 
-echo "==> hpdr retrieve (progressive smoke: looser bound fetches strictly less)"
-cargo run --release -p hpdr --bin hpdr -- retrieve --side 16 --tolerance 1e-1 \
-  --json --out target/RETRIEVE_loose.json > /dev/null
+echo "==> hpdr retrieve (progressive smoke: refine within tolerance, no re-fetch)"
+# The command asserts measured error <= tolerance and the zero-re-fetch
+# refine guarantee; the tier-1 test retrieve_fetches_fewer_bytes_at_looser_tolerance
+# checks that a looser bound fetches strictly fewer bytes.
 cargo run --release -p hpdr --bin hpdr -- retrieve --side 16 --tolerance 1e-3 \
   --refine 1e-5 --json --out target/RETRIEVE_ci.json > /dev/null
 grep -q '"schema":"hpdr-progressive/v1"' target/RETRIEVE_ci.json
 grep -q '"refine":{' target/RETRIEVE_ci.json
-# The command itself asserts measured error <= tolerance and the
-# zero-re-fetch refine guarantee; here assert the multi-fidelity
-# economics: the loose bound must fetch strictly fewer bytes.
-loose=$(sed 's/.*"fetched_bytes":\([0-9]*\).*/\1/' target/RETRIEVE_loose.json)
-tight=$(sed 's/.*"fetched_bytes":\([0-9]*\).*/\1/' target/RETRIEVE_ci.json)
-test "$loose" -lt "$tight"
 
 echo "==> hpdr profile (trace smoke: non-empty trace, utilization in (0,1])"
 cargo run --release -p hpdr --bin hpdr -- profile | tail -n 1 | grep -q "invariants ok"
