@@ -140,7 +140,8 @@ fn decompress_typed<T: Float>(
     if dict_size < 16 {
         return Err(HpdrError::corrupt("bad dict size"));
     }
-    let n_out = r.get_u64()? as usize;
+    // Each outlier is a u64 index and an i64 value.
+    let n_out = r.get_count(16)?;
     if n_out > shape.num_elements() {
         return Err(HpdrError::corrupt("too many outliers"));
     }
@@ -287,6 +288,22 @@ mod tests {
         for cut in [0usize, 3, 11, stream.len() - 1] {
             assert!(r.decompress(&adapter, &stream[..cut]).is_err());
         }
+    }
+
+    #[test]
+    fn forged_outlier_count_is_corrupt_not_an_abort() {
+        // Dims 2^40 × 2^20 × 1 (at byte 6) and 2^50 outliers (at byte 42):
+        // the count fits the forged shape but not the bytes that follow.
+        let adapter = SerialAdapter::new();
+        let data: Vec<f32> = (0..64).map(|i| (i as f32 * 0.3).sin()).collect();
+        let shape = Shape::new(&[4, 4, 4]);
+        let mut c = compress_typed(&adapter, &data, &shape, &SzConfig::relative(1e-2)).unwrap();
+        for (at, d) in [(6, 1u64 << 40), (14, 1 << 20), (22, 1)] {
+            c[at..at + 8].copy_from_slice(&d.to_le_bytes());
+        }
+        c[42..50].copy_from_slice(&(1u64 << 50).to_le_bytes());
+        let got = decompress_typed::<f32>(&adapter, &c);
+        assert!(matches!(got, Err(HpdrError::CorruptStream(_))));
     }
 
     #[test]

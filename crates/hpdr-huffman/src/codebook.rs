@@ -244,9 +244,11 @@ impl Codebook {
     }
 
     /// Decode one symbol from an MSB-first canonical bit source. `next`
-    /// yields successive bits. Returns the symbol.
-    #[inline]
-    pub fn decode_one(&self, mut next: impl FnMut() -> Result<bool>) -> Result<u32> {
+    /// yields successive bits. Returns the symbol. The bit-at-a-time
+    /// canonical decoder: the oracle the table-driven decoders are
+    /// tested against.
+    #[cfg(test)]
+    pub(crate) fn decode_one(&self, mut next: impl FnMut() -> Result<bool>) -> Result<u32> {
         let mut code: u64 = 0;
         for len in 1..=self.max_len {
             code = (code << 1) | next()? as u64;
@@ -258,11 +260,6 @@ impl Codebook {
             }
         }
         Err(HpdrError::corrupt("invalid Huffman codeword"))
-    }
-
-    /// Build an accelerated decode table over `width`-bit prefixes.
-    pub fn decode_table(&self, width: u32) -> DecodeTable {
-        DecodeTable::new(self, width)
     }
 
     /// Build the two-level decode table used by the codec hot path.
@@ -304,52 +301,6 @@ impl Codebook {
     }
 }
 
-/// Lookup-table decoder: a table of `2^width` entries maps every
-/// possible `width`-bit window (LSB-first, as read off the stream) to the
-/// decoded symbol and its code length. Codes longer than `width` fall
-/// back to the bit-by-bit canonical decoder. With the typical skewed
-/// quantizer distributions, ≥ 99% of symbols decode in one table probe.
-#[derive(Debug, Clone)]
-pub struct DecodeTable {
-    width: u32,
-    /// entry = (symbol, code_len); code_len == 0 marks "fall back".
-    entries: Vec<(u32, u8)>,
-}
-
-impl DecodeTable {
-    fn new(book: &Codebook, width: u32) -> DecodeTable {
-        let width = width.clamp(1, 16).min(book.max_len().max(1));
-        let mut entries = vec![(0u32, 0u8); 1usize << width];
-        for sym in 0..book.dict_size() {
-            let code = book.code(sym);
-            if code.len == 0 || code.len > width {
-                continue;
-            }
-            // The stream is written LSB-first with the canonical code
-            // bit-reversed, so a window's low `len` bits equal bits_rev.
-            let step = 1u64 << code.len;
-            let mut w = code.bits_rev;
-            while w < (1u64 << width) {
-                entries[w as usize] = (sym, code.len as u8);
-                w += step;
-            }
-        }
-        DecodeTable { width, entries }
-    }
-
-    pub fn width(&self) -> u32 {
-        self.width
-    }
-
-    /// Probe the table with a `width`-bit window. Returns
-    /// `Some((symbol, bits_consumed))` on a hit.
-    #[inline]
-    pub fn probe(&self, window: u64) -> Option<(u32, u32)> {
-        let (sym, len) = self.entries[(window & ((1u64 << self.width) - 1)) as usize];
-        (len != 0).then_some((sym, len as u32))
-    }
-}
-
 /// Two-level lookup decoder: an L1 table over the first `l1_width` bits
 /// resolves every code of length ≤ `l1_width` in one probe; longer codes
 /// land in per-prefix L2 subtables sized to the bucket's deepest code
@@ -361,23 +312,18 @@ impl DecodeTable {
 #[derive(Debug, Clone)]
 pub struct TwoLevelTable {
     l1_width: u32,
-    /// `(symbol, total_len)` for direct hits; `total_len == 0` means
-    /// "consult the subtable fields".
-    l1: Vec<L1Entry>,
+    /// One packed word per `l1_width`-bit prefix: the code length of a
+    /// direct hit in bits 0..8 (0 = no direct hit), the subtable's extra
+    /// bits in bits 8..16 (0 = no subtable), and in bits 32..64 the hit's
+    /// symbol or else the subtable's offset in `l2`. Eight-byte entries
+    /// keep the probe to one scaled load.
+    l1: Vec<u64>,
     /// Concatenated L2 subtables; entry `(symbol, total_len)`,
     /// `total_len == 0` marks an invalid / escape window.
     l2: Vec<(u32, u8)>,
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-struct L1Entry {
-    sym: u32,
-    /// Code length for a direct L1 hit (0 = no direct hit).
-    len: u8,
-    /// Extra bits indexed by this prefix's subtable (0 = no subtable).
-    sub_width: u8,
-    /// Offset of the subtable in `l2`.
-    sub: u32,
+    /// Longest code either level resolves: every hit consumes at most
+    /// this many bits, and decides on no bit beyond them.
+    max_hit: u32,
 }
 
 impl TwoLevelTable {
@@ -389,7 +335,7 @@ impl TwoLevelTable {
 
     fn new(book: &Codebook, l1_width: u32) -> TwoLevelTable {
         let l1_width = l1_width.clamp(1, 16).min(book.max_len().max(1));
-        let mut l1 = vec![L1Entry::default(); 1usize << l1_width];
+        let mut l1 = vec![0u64; 1usize << l1_width];
         // Short codes: strided direct fill (stream is LSB-first with
         // bit-reversed canonical codes, so a window's low `len` bits
         // equal `bits_rev`).
@@ -401,12 +347,7 @@ impl TwoLevelTable {
             let step = 1u64 << code.len;
             let mut w = code.bits_rev;
             while w < (1u64 << l1_width) {
-                l1[w as usize] = L1Entry {
-                    sym,
-                    len: code.len as u8,
-                    sub_width: 0,
-                    sub: 0,
-                };
+                l1[w as usize] = u64::from(sym) << 32 | u64::from(code.len);
                 w += step;
             }
         }
@@ -439,14 +380,30 @@ impl TwoLevelTable {
                     w += step;
                 }
             }
-            l1[prefix as usize].sub_width = sub_width as u8;
-            l1[prefix as usize].sub = base as u32;
+            l1[prefix as usize] = (base as u64) << 32 | u64::from(sub_width) << 8;
         }
-        TwoLevelTable { l1_width, l1, l2 }
+        let max_hit = l1
+            .iter()
+            .map(|&e| e as u8)
+            .chain(l2.iter().map(|&(_, len)| len))
+            .max()
+            .unwrap_or(0) as u32;
+        TwoLevelTable {
+            l1_width,
+            l1,
+            l2,
+            max_hit,
+        }
     }
 
     pub fn l1_width(&self) -> u32 {
         self.l1_width
+    }
+
+    /// Longest code a table hit can consume (0 when every window
+    /// escapes). A hit depends only on the window's low `max_hit` bits.
+    pub(crate) fn max_hit(&self) -> u32 {
+        self.max_hit
     }
 
     /// Decode one symbol from a zero-padded LSB-first window. Returns
@@ -456,14 +413,16 @@ impl TwoLevelTable {
     #[inline]
     pub fn decode(&self, window: u64) -> Option<(u32, u32)> {
         let e = self.l1[(window & ((1u64 << self.l1_width) - 1)) as usize];
-        if e.len != 0 {
-            return Some((e.sym, e.len as u32));
+        let len = e as u8;
+        if len != 0 {
+            return Some(((e >> 32) as u32, u32::from(len)));
         }
-        if e.sub_width != 0 {
-            let idx = (window >> self.l1_width) & ((1u64 << e.sub_width) - 1);
-            let (sym, len) = self.l2[e.sub as usize + idx as usize];
+        let sub_width = (e >> 8) as u8;
+        if sub_width != 0 {
+            let idx = (window >> self.l1_width) & ((1u64 << sub_width) - 1);
+            let (sym, len) = self.l2[(e >> 32) as usize + idx as usize];
             if len != 0 {
-                return Some((sym, len as u32));
+                return Some((sym, u32::from(len)));
             }
         }
         None
@@ -594,55 +553,26 @@ mod tests {
     }
 
     #[test]
-    fn decode_table_agrees_with_bitwise_decoder() {
-        use hpdr_kernels::{BitReader, BitWriter};
-        let freqs: Vec<u64> = (0..200u64).map(|i| (i % 13) * (i % 7) + 1).collect();
-        let b = book(&freqs);
-        let table = b.decode_table(10);
-        let symbols: Vec<u32> = (0..5000u32).map(|i| (i * 31) % 200).collect();
-        let mut w = BitWriter::new();
-        for &s in &symbols {
-            let c = b.code(s);
-            w.write_bits(c.bits_rev, c.len);
-        }
-        let total = w.bit_len();
-        let bytes = w.into_bytes();
-        let mut r = BitReader::with_bit_limit(&bytes, total).unwrap();
-        for &expect in &symbols {
-            // Try the table with a peeked window first.
-            let pos = r.bit_pos();
-            let avail = (r.remaining_bits()).min(table.width() as u64) as u32;
-            let window = r.read_bits(avail).unwrap();
-            r.seek(pos).unwrap();
-            let got = match table.probe(window) {
-                Some((sym, used)) if used as u64 <= total - pos => {
-                    r.seek(pos + used as u64).unwrap();
-                    sym
-                }
-                _ => b.decode_one(|| r.read_bit()).unwrap(),
-            };
-            assert_eq!(got, expect);
-        }
-        assert_eq!(r.remaining_bits(), 0);
-    }
-
-    #[test]
     fn decode_table_flags_long_codes_as_fallback() {
-        // Highly skewed book: some codes exceed a narrow table width.
+        // Highly skewed book: codes run 1..=31 bits. Every code longer
+        // than the 4-bit L1 shares one prefix whose subtree is deeper than
+        // L2_CAP, so all of them escape and only L1 hits remain.
         let freqs: Vec<u64> = (0..32u64).map(|i| 1u64 << i).collect();
         let b = book(&freqs);
-        let table = b.decode_table(4);
-        assert_eq!(table.width(), 4);
-        let mut hits = 0;
-        for w in 0..16u64 {
-            if table.probe(w).is_some() {
-                hits += 1;
-            }
-        }
+        let table = b.two_level_table(4);
+        assert_eq!(table.l1_width(), 4);
+        assert_eq!(table.max_hit(), 4);
+        let hits = (0..16u64).filter(|&w| table.decode(w).is_some()).count();
         assert!(hits > 0, "short codes must populate the table");
         // The most frequent symbol (shortest code) hits on many windows.
         let c = b.code(31);
         assert!(c.len <= 2);
+        assert_eq!(table.decode(c.bits_rev), Some((31, c.len)));
+        // The deepest code escapes both levels to the window scan.
+        let deep = b.code(0);
+        assert!(deep.len > table.max_hit());
+        assert_eq!(table.decode(deep.bits_rev), None);
+        assert_eq!(b.decode_window(deep.bits_rev).unwrap(), (0, deep.len));
     }
 
     #[test]

@@ -119,31 +119,53 @@ impl BlockGrid {
         }
     }
 
-    /// Scatter block `b` from `src` back into `data`, skipping padded
-    /// (out-of-domain) lanes.
-    pub fn scatter<T: Copy>(&self, data: &mut [T], b: usize, src: &[T]) {
+    /// Scatter block `b` from `src`, skipping padded (out-of-domain)
+    /// lanes: `put(at, run)` receives each block row's in-domain lanes
+    /// as one contiguous run starting at flat index `at`. Blocks tile the
+    /// domain, so the runs of distinct blocks never overlap.
+    ///
+    /// An odometer over the outer block dims walks the rows whose outer
+    /// indices lie in the domain (all of them for an interior block) and
+    /// clips each row at the innermost edge — no per-lane index decode.
+    pub fn scatter<T: Copy>(&self, b: usize, src: &[T], mut put: impl FnMut(usize, &[T])) {
         debug_assert_eq!(src.len(), self.block_elements());
         let mut origin = [0usize; MAX_RANK];
         self.origin_into(b, &mut origin);
         let dims = self.shape.dims();
         let strides = self.shape.strides();
         let nd = dims.len();
-        let mut local = [0usize; MAX_RANK];
-        'slot: for (slot, &v) in src.iter().enumerate() {
-            let mut rem = slot;
-            for k in (0..nd).rev() {
-                local[k] = rem % self.block[k];
-                rem /= self.block[k];
-            }
-            let mut flat = 0usize;
-            for k in 0..nd {
-                let idx = origin[k] + local[k];
-                if idx >= dims[k] {
-                    continue 'slot; // padded lane
+        // In-domain extent of the block along each dim, and the block's
+        // own row-major strides.
+        let mut keep = [0usize; MAX_RANK];
+        let mut bstride = [0usize; MAX_RANK];
+        let mut step = 1;
+        for k in (0..nd).rev() {
+            keep[k] = self.block[k].min(dims[k] - origin[k]);
+            bstride[k] = step;
+            step *= self.block[k];
+        }
+        let row = keep[nd - 1];
+        let mut idx = [0usize; MAX_RANK];
+        let mut at: usize = (0..nd).map(|k| origin[k] * strides[k]).sum();
+        let mut from = 0usize;
+        loop {
+            put(at, &src[from..from + row]);
+            let mut k = nd - 1;
+            loop {
+                if k == 0 {
+                    return;
                 }
-                flat += idx * strides[k];
+                k -= 1;
+                idx[k] += 1;
+                at += strides[k];
+                from += bstride[k];
+                if idx[k] < keep[k] {
+                    break;
+                }
+                at -= keep[k] * strides[k];
+                from -= keep[k] * bstride[k];
+                idx[k] = 0;
             }
-            data[flat] = v;
         }
     }
 }
@@ -172,7 +194,9 @@ mod tests {
         let mut block = vec![0u32; 16];
         for b in 0..g.num_blocks() {
             g.gather(&data, b, &mut block);
-            g.scatter(&mut rebuilt, b, &block);
+            g.scatter(b, &block, |at, run| {
+                rebuilt[at..at + run.len()].copy_from_slice(run)
+            });
         }
         assert_eq!(rebuilt, data);
     }
@@ -187,9 +211,38 @@ mod tests {
         let mut block = vec![0f32; g.block_elements()];
         for b in 0..g.num_blocks() {
             g.gather(&data, b, &mut block);
-            g.scatter(&mut rebuilt, b, &block);
+            g.scatter(b, &block, |at, run| {
+                rebuilt[at..at + run.len()].copy_from_slice(run)
+            });
         }
         assert_eq!(rebuilt, data);
+    }
+
+    #[test]
+    fn scatter_writes_every_element_exactly_once() {
+        // Disjoint runs are what lets parallel block groups scatter into
+        // one shared output.
+        let cases: [(&[usize], &[usize]); 5] = [
+            (&[7], &[4]),
+            (&[5, 6], &[4, 4]),
+            (&[5, 7, 3], &[4, 4, 4]),
+            (&[3, 5, 2, 6], &[4, 4, 4, 4]),
+            (&[9, 10], &[2, 3]),
+        ];
+        for (dims, block) in cases {
+            let shape = Shape::new(dims);
+            let g = BlockGrid::new(&shape, block);
+            let mut writes = vec![0u32; shape.num_elements()];
+            let lanes = vec![0u8; g.block_elements()];
+            for b in 0..g.num_blocks() {
+                g.scatter(b, &lanes, |at, run| {
+                    for w in &mut writes[at..at + run.len()] {
+                        *w += 1;
+                    }
+                });
+            }
+            assert!(writes.iter().all(|&w| w == 1), "{dims:?} / {block:?}");
+        }
     }
 
     #[test]

@@ -162,51 +162,77 @@ pub fn encode_ints(w: &mut BitWriter, maxbits: u32, kmin: u32, data: &[u64]) -> 
     written
 }
 
+/// The low `m` bits of `w` (`m <= 64`).
+#[inline]
+fn low_bits(w: u64, m: u32) -> u64 {
+    if m >= 64 {
+        w
+    } else {
+        w & !(u64::MAX << m)
+    }
+}
+
 /// Decode the planes written by [`encode_ints`] with identical `maxbits`
-/// and `kmin`. Returns the reconstructed negabinary coefficients.
+/// and `kmin` into `out[..size]` (the negabinary coefficients; the rest
+/// of `out` is zeroed).
+///
+/// The inverse of the closed-form emission: each group test and the
+/// zero run after it are read from one peeked window. The run is
+/// `trailing_zeros` long, capped at `size − 1 − n` and at the budget left
+/// after the test bit — exactly where zfp's per-bit loop stops reading —
+/// so the decoder consumes the bits that loop consumed and errs when they
+/// do not fit the stream.
 pub fn decode_ints(
     r: &mut BitReader<'_>,
     maxbits: u32,
     kmin: u32,
     size: usize,
-) -> Result<Vec<u64>> {
+    out: &mut [u64; 64],
+) -> Result<()> {
     debug_assert!((1..=64).contains(&size));
     let mut bits = maxbits;
     let mut n: usize = 0;
-    let mut planes = [0u64; 64];
+    *out = [0; 64];
     let mut k = 64u32;
     while bits > 0 && k > kmin {
         k -= 1;
+        // Verbatim bits for the n already-significant coefficients.
         let m = (n as u32).min(bits);
         bits -= m;
-        let mut x = r.read_bits(m)?;
-        loop {
-            if n >= size || bits == 0 {
-                break;
-            }
-            bits -= 1;
-            if !r.read_bit()? {
-                break;
-            }
-            loop {
-                if n >= size - 1 || bits == 0 {
-                    break;
-                }
+        let mut x = low_bits(r.peek_padded(), m);
+        r.seek(r.bit_pos() + u64::from(m))?;
+        // Group tests, one run per window. Past the stream end the window
+        // reads zeros, so a run that leaves the stream consumes more than
+        // remains and `seek` errs — where the per-bit loop's read erred.
+        while n < size && bits > 0 {
+            let w = r.peek_padded();
+            if w & 1 == 0 {
+                // Group test 0: no significant coefficients remain.
+                r.seek(r.bit_pos() + 1)?;
                 bits -= 1;
-                if r.read_bit()? {
-                    break;
-                }
-                n += 1;
+                break;
             }
+            // Test bit, then `tz` zeros and a terminating one; a run that
+            // reaches the cap stops without its terminator.
+            let cap = ((size - 1 - n) as u32).min(bits - 1);
+            let tz = (w >> 1).trailing_zeros();
+            let (zeros, used) = if tz < cap {
+                (tz, tz + 2)
+            } else {
+                (cap, cap + 1)
+            };
+            r.seek(r.bit_pos() + u64::from(used))?;
+            bits -= used;
+            n += zeros as usize;
             x += 1u64 << n;
             n += 1;
         }
-        planes[k as usize] = x;
+        out[k as usize] = x;
     }
     // One transpose deposits every decoded plane into its coefficients
-    // (`out[i]` bit `k` == `planes[k]` bit `i`); undecoded planes are 0.
-    (hpdr_kernels::kernels().bit_transpose64)(&mut planes);
-    Ok(planes[..size].to_vec())
+    // (`out[i]` bit `k` == plane `k` bit `i`); undecoded planes are 0.
+    (hpdr_kernels::kernels().bit_transpose64)(out);
+    Ok(())
 }
 
 #[cfg(test)]
@@ -220,7 +246,9 @@ mod tests {
         assert_eq!(used as u64, w.bit_len());
         let bytes = w.into_bytes();
         let mut r = BitReader::new(&bytes);
-        decode_ints(&mut r, maxbits, kmin, data.len()).unwrap()
+        let mut out = [0u64; 64];
+        decode_ints(&mut r, maxbits, kmin, data.len(), &mut out).unwrap();
+        out[..data.len()].to_vec()
     }
 
     #[test]
@@ -265,7 +293,7 @@ mod tests {
             let mut r = BitReader::new(&bytes);
             // Decoding with the same budget must not error even when the
             // stream was truncated by the budget.
-            decode_ints(&mut r, maxbits, 0, data.len()).unwrap();
+            decode_ints(&mut r, maxbits, 0, data.len(), &mut [0; 64]).unwrap();
         }
     }
 
@@ -316,10 +344,53 @@ mod tests {
         maxbits - bits
     }
 
-    #[test]
-    fn closed_form_emission_matches_reference_bit_for_bit() {
-        // Pseudo-random blocks over every size, a spread of budgets that
-        // exercises truncation at every alignment, and kmin truncation.
+    /// zfp's per-bit decoding loop, kept verbatim as the oracle for the
+    /// closed-form run decoding in [`decode_ints`].
+    fn decode_ints_reference(
+        r: &mut BitReader<'_>,
+        maxbits: u32,
+        kmin: u32,
+        size: usize,
+    ) -> Result<Vec<u64>> {
+        let mut bits = maxbits;
+        let mut n: usize = 0;
+        let mut planes = [0u64; 64];
+        let mut k = 64u32;
+        while bits > 0 && k > kmin {
+            k -= 1;
+            let m = (n as u32).min(bits);
+            bits -= m;
+            let mut x = r.read_bits(m)?;
+            loop {
+                if n >= size || bits == 0 {
+                    break;
+                }
+                bits -= 1;
+                if !r.read_bit()? {
+                    break;
+                }
+                loop {
+                    if n >= size - 1 || bits == 0 {
+                        break;
+                    }
+                    bits -= 1;
+                    if r.read_bit()? {
+                        break;
+                    }
+                    n += 1;
+                }
+                x += 1u64 << n;
+                n += 1;
+            }
+            planes[k as usize] = x;
+        }
+        (hpdr_kernels::kernels().bit_transpose64)(&mut planes);
+        Ok(planes[..size].to_vec())
+    }
+
+    /// Pseudo-random blocks of every size 1..=64: dense, sparse,
+    /// small-magnitude and all-zero words.
+    fn sample_blocks() -> Vec<Vec<u64>> {
         let mut state = 0x243F_6A88_85A3_08D3u64;
         let mut rng = move || {
             state ^= state << 13;
@@ -327,34 +398,86 @@ mod tests {
             state ^= state << 17;
             state
         };
+        let mut blocks = Vec::new();
         for size in 1..=64usize {
             for case in 0..8 {
-                let data: Vec<u64> = (0..size)
-                    .map(|_| {
-                        let v = rng();
-                        // Mix sparse, dense, and small-magnitude words.
-                        match case % 4 {
-                            0 => v,
-                            1 => v & rng() & rng(),
-                            2 => v >> (v % 50),
-                            _ => 0,
+                blocks.push(
+                    (0..size)
+                        .map(|_| {
+                            let v = rng();
+                            match case % 4 {
+                                0 => v,
+                                1 => v & rng() & rng(),
+                                2 => v >> (v % 50),
+                                _ => 0,
+                            }
+                        })
+                        .collect(),
+                );
+            }
+        }
+        blocks
+    }
+
+    const BUDGETS: [u32; 10] = [1, 7, 17, 63, 64, 65, 129, 1007, 4096, 1 << 24];
+
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn closed_form_decoding_matches_reference() {
+        // Every size, ten budgets, three kmin, and three truncations of
+        // the stream: intact, cut to half its bytes, and one byte short.
+        // The decoders must agree on Ok/Err, the coefficients, and the
+        // bit position they stop at.
+        for data in sample_blocks() {
+            let size = data.len();
+            for maxbits in BUDGETS {
+                for kmin in [0u32, 13, 52] {
+                    let mut w = BitWriter::new();
+                    encode_ints(&mut w, maxbits, kmin, &data);
+                    let bytes = w.into_bytes();
+                    for cut in [bytes.len(), bytes.len() / 2, bytes.len().saturating_sub(1)] {
+                        let stream = &bytes[..cut];
+                        let mut ra = BitReader::new(stream);
+                        let mut out = [0u64; 64];
+                        let a = decode_ints(&mut ra, maxbits, kmin, size, &mut out);
+                        let mut rb = BitReader::new(stream);
+                        let b = decode_ints_reference(&mut rb, maxbits, kmin, size);
+                        let at = format!("size={size} maxbits={maxbits} kmin={kmin} cut={cut}");
+                        match (a, b) {
+                            (Ok(()), Ok(want)) => {
+                                assert_eq!(&out[..size], &want[..], "{at}");
+                                assert!(out[size..].iter().all(|&v| v == 0), "{at}");
+                                assert_eq!(ra.bit_pos(), rb.bit_pos(), "{at}");
+                            }
+                            (Err(_), Err(_)) => {}
+                            (a, b) => panic!("{at}: {a:?} vs {b:?}"),
                         }
-                    })
-                    .collect();
-                for maxbits in [1u32, 7, 17, 63, 64, 65, 129, 1007, 4096, 1 << 24] {
-                    for kmin in [0u32, 13, 52] {
-                        let mut wa = BitWriter::new();
-                        let ua = encode_ints(&mut wa, maxbits, kmin, &data);
-                        let mut wb = BitWriter::new();
-                        let ub = encode_ints_reference(&mut wb, maxbits, kmin, &data);
-                        assert_eq!(ua, ub, "size={size} maxbits={maxbits} kmin={kmin}");
-                        assert_eq!(
-                            wa.clone().into_bytes(),
-                            wb.clone().into_bytes(),
-                            "size={size} maxbits={maxbits} kmin={kmin}"
-                        );
-                        assert_eq!(wa.bit_len(), wb.bit_len());
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn closed_form_emission_matches_reference_bit_for_bit() {
+        // Pseudo-random blocks over every size, a spread of budgets that
+        // exercises truncation at every alignment, and kmin truncation.
+        for data in sample_blocks() {
+            let size = data.len();
+            for maxbits in BUDGETS {
+                for kmin in [0u32, 13, 52] {
+                    let mut wa = BitWriter::new();
+                    let ua = encode_ints(&mut wa, maxbits, kmin, &data);
+                    let mut wb = BitWriter::new();
+                    let ub = encode_ints_reference(&mut wb, maxbits, kmin, &data);
+                    assert_eq!(ua, ub, "size={size} maxbits={maxbits} kmin={kmin}");
+                    assert_eq!(
+                        wa.clone().into_bytes(),
+                        wb.clone().into_bytes(),
+                        "size={size} maxbits={maxbits} kmin={kmin}"
+                    );
+                    assert_eq!(wa.bit_len(), wb.bit_len());
                 }
             }
         }

@@ -271,8 +271,9 @@ proptest! {
         prop_assert!(used < 1 << 24);
         let bytes = w.into_bytes();
         let mut r = BitReader::new(&bytes);
-        let out = hpdr_zfp::embedded::decode_ints(&mut r, 1 << 24, 0, data.len()).unwrap();
-        prop_assert_eq!(out, data);
+        let mut out = [0u64; 64];
+        hpdr_zfp::embedded::decode_ints(&mut r, 1 << 24, 0, data.len(), &mut out).unwrap();
+        prop_assert_eq!(&out[..data.len()], &data[..]);
     }
 
     #[test]
