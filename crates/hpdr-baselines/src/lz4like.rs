@@ -94,10 +94,14 @@ pub fn lz_compress(input: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Decompress [`lz_compress`] output. `expected_len` bounds allocation.
+/// Decompress [`lz_compress`] output, which must decode to exactly
+/// `expected_len` bytes. `expected_len` comes from an untrusted header,
+/// so it bounds the output but is not reserved: the output grows with
+/// the decoded bytes, from a first reservation of at most 4× the input
+/// (float data compresses about 1.1×).
 pub fn lz_decompress(input: &[u8], expected_len: usize) -> Result<Vec<u8>> {
     let mut r = ByteReader::new(input);
-    let mut out: Vec<u8> = Vec::with_capacity(expected_len);
+    let mut out: Vec<u8> = Vec::with_capacity(expected_len.min(input.len().saturating_mul(4)));
     loop {
         let lit_len = get_varint(&mut r)? as usize;
         if out.len() + lit_len > expected_len {

@@ -18,7 +18,9 @@ impl Shape {
         Shape(dims.to_vec())
     }
 
-    /// Fallible constructor for decoding paths.
+    /// Fallible constructor for decoding paths: `InvalidArgument` for a
+    /// bad rank or a zero dim, `CorruptStream` for more than
+    /// `isize::MAX / 8` elements.
     pub fn try_new(dims: &[usize]) -> Result<Shape> {
         if dims.is_empty() || dims.len() > 4 {
             return Err(HpdrError::invalid(format!(
@@ -29,12 +31,16 @@ impl Shape {
         if dims.contains(&0) {
             return Err(HpdrError::invalid("zero-sized dimension"));
         }
-        if dims
-            .iter()
-            .try_fold(1usize, |n, &d| n.checked_mul(d))
-            .is_none()
-        {
-            return Err(HpdrError::invalid("element count overflows usize"));
+        // At most 8 bytes per element: `ArrayMeta::num_bytes` and every
+        // byte offset into the array then fit an `isize`. No allocation
+        // can hold a larger array, so a stream that declares one is
+        // corrupt.
+        let count = dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d));
+        let fits = matches!(count, Some(n) if n <= isize::MAX as usize / 8);
+        if !fits {
+            return Err(HpdrError::corrupt(format!(
+                "dims {dims:?} hold more than isize::MAX / 8 elements"
+            )));
         }
         Ok(Shape(dims.to_vec()))
     }
@@ -158,6 +164,10 @@ mod tests {
         assert!(Shape::try_new(&[3, 0]).is_err());
         assert!(Shape::try_new(&[3, 2]).is_ok());
         assert!(Shape::try_new(&[usize::MAX / 2, 3]).is_err());
+        // 2^61 f64 elements would be 2^64 bytes.
+        assert!(Shape::try_new(&[1 << 61]).is_err());
+        assert!(Shape::try_new(&[isize::MAX as usize / 8 + 1]).is_err());
+        assert!(Shape::try_new(&[isize::MAX as usize / 8]).is_ok());
     }
 
     #[test]

@@ -28,12 +28,14 @@ pub struct Code {
 }
 
 /// A canonical Huffman codebook over symbols `0..dict_size`.
+///
+/// Every table is sized by the coded symbols, never by `dict_size`: a
+/// decoder rebuilds the book from a stream's `(symbol, length)` pairs,
+/// and the stream's dictionary field is untrusted.
 #[derive(Debug, Clone)]
 pub struct Codebook {
     dict_size: u32,
-    /// Per-symbol canonical codes.
-    codes: Vec<Code>,
-    /// Decoder tables: symbols sorted by (len, symbol).
+    /// Coded symbols in canonical order: by code length, then symbol.
     sorted_symbols: Vec<u32>,
     /// count[l] = number of codes of length l (index 0 unused).
     length_count: Vec<u32>,
@@ -152,14 +154,13 @@ impl Codebook {
                 "Huffman code length {max_len} exceeds {MAX_CODE_LEN}"
             )));
         }
-        let mut codes = vec![Code::default(); dict_size as usize];
         // Phase 2: canonical assignment. Symbols sorted by (length, symbol).
         let mut sorted: Vec<(u32, u32)> = lengths.to_vec();
         sorted.sort_unstable_by_key(|&(sym, len)| (len, sym));
         let mut length_count = vec![0u32; max_len as usize + 1];
         for &(sym, len) in &sorted {
-            if len == 0 || len > MAX_CODE_LEN {
-                return Err(HpdrError::corrupt("zero or oversized code length"));
+            if len == 0 {
+                return Err(HpdrError::corrupt("zero code length"));
             }
             if sym >= dict_size {
                 return Err(HpdrError::corrupt(format!(
@@ -183,32 +184,19 @@ impl Codebook {
         let mut code = 0u64;
         let mut base = 0u32;
         for l in 1..=max_len as usize {
+            // `code` tracks the first code of length l: the previous
+            // length's first code advanced past its codes, then shifted.
             code = (code + length_count[l - 1] as u64) << 1;
+            if l < 64 && code + u64::from(length_count[l]) > 1u64 << l {
+                return Err(HpdrError::corrupt("canonical code overflow"));
+            }
             first_code[l] = code;
             sym_base[l] = base;
             base += length_count[l];
-            // `code` tracks the first code of length l; advance by the
-            // codes of this length for the next iteration's shift.
-        }
-        // Assign codes in (len, sym) order.
-        let mut next = first_code.clone();
-        let mut sorted_symbols = Vec::with_capacity(sorted.len());
-        for &(sym, len) in &sorted {
-            let c = next[len as usize];
-            next[len as usize] += 1;
-            if len < 64 && c >= (1u64 << len) {
-                return Err(HpdrError::corrupt("canonical code overflow"));
-            }
-            codes[sym as usize] = Code {
-                bits_rev: reverse_bits(c, len),
-                len,
-            };
-            sorted_symbols.push(sym);
         }
         Ok(Codebook {
             dict_size,
-            codes,
-            sorted_symbols,
+            sorted_symbols: sorted.into_iter().map(|(sym, _)| sym).collect(),
             length_count,
             first_code,
             sym_base,
@@ -224,10 +212,40 @@ impl Codebook {
         self.max_len
     }
 
-    /// The code for `symbol` (len 0 if the symbol never occurs).
-    #[inline]
-    pub fn code(&self, symbol: u32) -> Code {
-        self.codes[symbol as usize]
+    /// The code of the `idx`-th symbol of length `len` in canonical order.
+    fn canonical_code(&self, len: u32, idx: usize) -> Code {
+        Code {
+            bits_rev: reverse_bits(self.first_code[len as usize] + idx as u64, len),
+            len,
+        }
+    }
+
+    /// Every coded symbol with its code, in canonical order.
+    pub fn codes(&self) -> impl Iterator<Item = (u32, Code)> + '_ {
+        (1..=self.max_len).flat_map(move |len| {
+            let base = self.sym_base[len as usize] as usize;
+            let count = self.length_count[len as usize] as usize;
+            self.sorted_symbols[base..base + count]
+                .iter()
+                .enumerate()
+                .map(move |(idx, &sym)| (sym, self.canonical_code(len, idx)))
+        })
+    }
+
+    /// The code for `symbol` (len 0 if the symbol never occurs): a binary
+    /// search in each length's symbol run. Encoders build a dense table
+    /// from [`Codebook::codes`] instead.
+    #[cfg(test)]
+    pub(crate) fn code(&self, symbol: u32) -> Code {
+        (1..=self.max_len)
+            .find_map(|len| {
+                let base = self.sym_base[len as usize] as usize;
+                let count = self.length_count[len as usize] as usize;
+                let run = &self.sorted_symbols[base..base + count];
+                let idx = run.binary_search(&symbol).ok()?;
+                Some(self.canonical_code(len, idx))
+            })
+            .unwrap_or_default()
     }
 
     /// Number of distinct coded symbols.
@@ -237,10 +255,7 @@ impl Codebook {
 
     /// `(symbol, length)` pairs for serialization, in canonical order.
     pub fn length_pairs(&self) -> Vec<(u32, u32)> {
-        self.sorted_symbols
-            .iter()
-            .map(|&s| (s, self.codes[s as usize].len))
-            .collect()
+        self.codes().map(|(sym, code)| (sym, code.len)).collect()
     }
 
     /// Decode one symbol from an MSB-first canonical bit source. `next`
@@ -293,106 +308,150 @@ impl Codebook {
 
     /// Expected encoded size in bits for the given frequency table.
     pub fn encoded_bits(&self, freqs: &[u64]) -> u64 {
-        freqs
-            .iter()
-            .enumerate()
-            .map(|(s, &f)| f * self.codes[s].len as u64)
+        self.codes()
+            .map(|(sym, code)| {
+                freqs
+                    .get(sym as usize)
+                    .map_or(0, |&f| f * u64::from(code.len))
+            })
             .sum()
     }
 }
 
-/// Two-level lookup decoder: an L1 table over the first `l1_width` bits
-/// resolves every code of length ≤ `l1_width` in one probe; longer codes
-/// land in per-prefix L2 subtables sized to the bucket's deepest code
-/// (capped at [`TwoLevelTable::L2_CAP`] extra bits). Codes deeper than
-/// both levels — or buckets that would blow the total L2 budget — return
-/// `None` and are resolved by [`Codebook::decode_window`], which is still
-/// a pure register scan over an already-peeked window. No decode path
-/// reads the stream bit-by-bit.
+/// Two-level lookup decoder. An L1 table over the first `l1_width` window
+/// bits resolves every code of length ≤ `l1_width` in one probe; longer
+/// codes land in per-prefix L2 subtables sized to the bucket's deepest
+/// code (capped at [`TwoLevelTable::L2_CAP`] extra bits). Codes deeper
+/// than both levels — or buckets beyond the L2 entry budget — miss, and
+/// [`Codebook::decode_window`] resolves them with a register scan over an
+/// already-peeked window. No decode path reads the stream bit-by-bit.
+///
+/// When every coded symbol is below 2^16 the table is *multi-symbol*: an
+/// L1 entry carries every whole codeword, up to three, that the probe's
+/// `l1_width` bits hold, in stream order. Codes are prefix-free, so the
+/// codewords found inside the probe bits are exactly the ones sequential
+/// decoding finds there, whatever bits follow.
+///
+/// An L1 entry is one `u64`:
+///
+/// | bits | direct hit (bits 0..8 ≠ 0) | no direct hit |
+/// |---|---|---|
+/// | 0..8 | bits consumed by its codewords | 0 |
+/// | 8..16 | codeword count (8..10), first codeword's length (10..16) | L2 subtable width (0 = miss) |
+/// | 16..64 | 16-bit symbols at bits 16, 32, 48 (multi-symbol), else one symbol in 32..64 | L2 offset in 32..64 |
 #[derive(Debug, Clone)]
 pub struct TwoLevelTable {
     l1_width: u32,
-    /// One packed word per `l1_width`-bit prefix: the code length of a
-    /// direct hit in bits 0..8 (0 = no direct hit), the subtable's extra
-    /// bits in bits 8..16 (0 = no subtable), and in bits 32..64 the hit's
-    /// symbol or else the subtable's offset in `l2`. Eight-byte entries
-    /// keep the probe to one scaled load.
     l1: Vec<u64>,
     /// Concatenated L2 subtables; entry `(symbol, total_len)`,
     /// `total_len == 0` marks an invalid / escape window.
     l2: Vec<(u32, u8)>,
-    /// Longest code either level resolves: every hit consumes at most
-    /// this many bits, and decides on no bit beyond them.
+    /// Longest code either level resolves: a first codeword consumes at
+    /// most this many bits, and decides on no bit beyond them.
     max_hit: u32,
+    /// Whether L1 entries carry up to three 16-bit symbols.
+    multi: bool,
 }
 
 impl TwoLevelTable {
     /// Maximum extra bits resolved by one L2 subtable.
     pub const L2_CAP: u32 = 12;
-    /// Total L2 entry budget; prefixes beyond it escape to the canonical
-    /// window scan (pathological books only).
-    const L2_BUDGET: usize = 1 << 18;
+    /// Total L2 entry budget (1 MiB); prefixes beyond it escape to the
+    /// canonical window scan (pathological books only).
+    const L2_BUDGET: usize = 1 << 17;
 
     fn new(book: &Codebook, l1_width: u32) -> TwoLevelTable {
-        let l1_width = l1_width.clamp(1, 16).min(book.max_len().max(1));
-        let mut l1 = vec![0u64; 1usize << l1_width];
-        // Short codes: strided direct fill (stream is LSB-first with
-        // bit-reversed canonical codes, so a window's low `len` bits
-        // equal `bits_rev`).
-        for sym in 0..book.dict_size() {
-            let code = book.code(sym);
-            if code.len == 0 || code.len > l1_width {
-                continue;
-            }
-            let step = 1u64 << code.len;
-            let mut w = code.bits_rev;
-            while w < (1u64 << l1_width) {
-                l1[w as usize] = u64::from(sym) << 32 | u64::from(code.len);
-                w += step;
-            }
-        }
-        // Long codes: bucket by their first `l1_width` stream bits.
+        let l1_width = l1_width.clamp(1, 16);
+        let size = 1usize << l1_width;
+        let multi = book.sorted_symbols.iter().all(|&sym| sym < 1 << 16);
+        let mut l1 = vec![0u64; size];
+        let mut l1_hit = 0;
+        // One pass over the coded pairs. Short codes fill their L1 stride
+        // (the stream is LSB-first with bit-reversed canonical codes, so a
+        // window's low `len` bits equal `bits_rev`); long codes are
+        // bucketed by their first `l1_width` stream bits.
         let mut buckets: std::collections::BTreeMap<u64, Vec<(u32, Code)>> =
             std::collections::BTreeMap::new();
-        for sym in 0..book.dict_size() {
-            let code = book.code(sym);
+        for (sym, code) in book.codes() {
             if code.len > l1_width {
-                let prefix = code.bits_rev & ((1u64 << l1_width) - 1);
+                let prefix = code.bits_rev & (size as u64 - 1);
                 buckets.entry(prefix).or_default().push((sym, code));
+                continue;
+            }
+            l1_hit = l1_hit.max(code.len);
+            let sym_at = if multi { 16 } else { 32 };
+            let len = u64::from(code.len);
+            let entry = u64::from(sym) << sym_at | (1 | len << 2) << 8 | len;
+            let mut w = code.bits_rev as usize;
+            while w < size {
+                l1[w] = entry;
+                w += 1 << code.len;
             }
         }
-        let mut l2: Vec<(u32, u8)> = Vec::new();
-        for (prefix, codes) in buckets {
-            let deepest = codes.iter().map(|&(_, c)| c.len).max().unwrap_or(0);
-            let sub_width = deepest - l1_width;
-            if sub_width > Self::L2_CAP || l2.len() + (1usize << sub_width) > Self::L2_BUDGET {
-                continue; // escape to Codebook::decode_window
+        // Multi-symbol entries, built in place from the highest window
+        // down: the rest of window `w` after its first `tot` bits is the
+        // window `w >> tot < w`, whose entry is still single-codeword. A
+        // follower joins only if it fits in the bits left, so no codeword
+        // depends on the zeros shifted in above them.
+        if multi {
+            for w in (0..size).rev() {
+                let first = l1[w];
+                let len0 = first & 0xFF;
+                if len0 == 0 {
+                    continue;
+                }
+                let (mut entry, mut tot, mut count) = (first >> 16 << 16, len0, 1u64);
+                while count < 3 {
+                    let next = l1[w >> tot];
+                    let len = next & 0xFF;
+                    if len == 0 || tot + len > u64::from(l1_width) {
+                        break;
+                    }
+                    entry |= (next >> 16 & 0xFFFF) << (16 + 16 * count);
+                    tot += len;
+                    count += 1;
+                }
+                l1[w] = entry | (count | len0 << 2) << 8 | tot;
             }
+        }
+        // L2 subtables, allocated once at their exact total size.
+        let mut total = 0usize;
+        let widths: Vec<Option<u32>> = buckets
+            .values()
+            .map(|codes| {
+                let deepest = codes.iter().map(|&(_, c)| c.len).max().unwrap_or(0);
+                let width = deepest - l1_width;
+                let fits = width <= Self::L2_CAP && total + (1 << width) <= Self::L2_BUDGET;
+                fits.then(|| {
+                    total += 1 << width;
+                    width
+                })
+            })
+            .collect();
+        let mut l2: Vec<(u32, u8)> = Vec::with_capacity(total);
+        let mut max_hit = 0;
+        for ((prefix, codes), width) in buckets.into_iter().zip(widths) {
+            let Some(width) = width else {
+                continue; // escape to Codebook::decode_window
+            };
             let base = l2.len();
-            l2.resize(base + (1usize << sub_width), (0, 0));
+            l2.resize(base + (1usize << width), (0, 0));
             for (sym, code) in codes {
-                let rem = code.len - l1_width;
-                let rest = code.bits_rev >> l1_width;
-                let step = 1u64 << rem;
-                let mut w = rest;
-                while w < (1u64 << sub_width) {
+                max_hit = max_hit.max(code.len);
+                let mut w = code.bits_rev >> l1_width;
+                while w < 1u64 << width {
                     l2[base + w as usize] = (sym, code.len as u8);
-                    w += step;
+                    w += 1u64 << (code.len - l1_width);
                 }
             }
-            l1[prefix as usize] = (base as u64) << 32 | u64::from(sub_width) << 8;
+            l1[prefix as usize] = (base as u64) << 32 | u64::from(width) << 8;
         }
-        let max_hit = l1
-            .iter()
-            .map(|&e| e as u8)
-            .chain(l2.iter().map(|&(_, len)| len))
-            .max()
-            .unwrap_or(0) as u32;
         TwoLevelTable {
             l1_width,
             l1,
             l2,
-            max_hit,
+            max_hit: max_hit.max(l1_hit),
+            multi,
         }
     }
 
@@ -401,9 +460,51 @@ impl TwoLevelTable {
     }
 
     /// Longest code a table hit can consume (0 when every window
-    /// escapes). A hit depends only on the window's low `max_hit` bits.
+    /// escapes). A first codeword depends only on the window's low
+    /// `max_hit` bits.
+    #[cfg(test)]
     pub(crate) fn max_hit(&self) -> u32 {
         self.max_hit
+    }
+
+    /// Bits one probe decides on and at most consumes: the L1 index, or
+    /// an L2 hit's full code.
+    pub(crate) fn probe_span(&self) -> u32 {
+        self.l1_width.max(self.max_hit)
+    }
+
+    /// Whether L1 entries carry up to three 16-bit symbols.
+    pub(crate) fn is_multi(&self) -> bool {
+        self.multi
+    }
+
+    /// The L1 entries, indexed by a window's low `l1_width` bits: the
+    /// entry of `window` is at `window & (len − 1)`.
+    pub(crate) fn l1_entries(&self) -> &[u64] {
+        &self.l1
+    }
+
+    #[inline(always)]
+    fn entry(&self, window: u64) -> u64 {
+        self.l1[window as usize & (self.l1.len() - 1)]
+    }
+
+    /// Bits an entry's codewords consume (0 when it holds none).
+    #[inline(always)]
+    pub(crate) fn entry_bits(entry: u64) -> u32 {
+        entry as u8 as u32
+    }
+
+    /// Number of codewords in a direct-hit entry.
+    #[inline(always)]
+    pub(crate) fn entry_count(entry: u64) -> usize {
+        (entry >> 8 & 3) as usize
+    }
+
+    /// The `k`-th symbol (k < 3) of a multi-symbol entry.
+    #[inline(always)]
+    pub(crate) fn entry_symbol(entry: u64, k: u32) -> u32 {
+        (entry >> (16 + 16 * k)) as u16 as u32
     }
 
     /// Decode one symbol from a zero-padded LSB-first window. Returns
@@ -412,20 +513,29 @@ impl TwoLevelTable {
     /// the caller must bound consumption by the stream's remaining bits.
     #[inline]
     pub fn decode(&self, window: u64) -> Option<(u32, u32)> {
-        let e = self.l1[(window & ((1u64 << self.l1_width) - 1)) as usize];
-        let len = e as u8;
-        if len != 0 {
-            return Some(((e >> 32) as u32, u32::from(len)));
+        let e = self.entry(window);
+        if Self::entry_bits(e) == 0 {
+            return self.decode_l2(e, window);
         }
-        let sub_width = (e >> 8) as u8;
-        if sub_width != 0 {
-            let idx = (window >> self.l1_width) & ((1u64 << sub_width) - 1);
-            let (sym, len) = self.l2[(e >> 32) as usize + idx as usize];
-            if len != 0 {
-                return Some((sym, u32::from(len)));
-            }
+        let sym = if self.multi {
+            Self::entry_symbol(e, 0)
+        } else {
+            (e >> 32) as u32
+        };
+        Some((sym, (e >> 10 & 0x3F) as u32))
+    }
+
+    /// The L2 half of [`TwoLevelTable::decode`], for an L1 entry `e` with
+    /// no direct hit.
+    #[inline]
+    pub(crate) fn decode_l2(&self, e: u64, window: u64) -> Option<(u32, u32)> {
+        let width = (e >> 8) as u8;
+        if width == 0 {
+            return None;
         }
-        None
+        let idx = (window >> self.l1_width) & ((1u64 << width) - 1);
+        let (sym, len) = self.l2[(e >> 32) as usize + idx as usize];
+        (len != 0).then_some((sym, u32::from(len)))
     }
 }
 

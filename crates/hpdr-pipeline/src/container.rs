@@ -59,12 +59,15 @@ impl Container {
             dims.push(r.get_u64()? as usize);
         }
         let shape = Shape::try_new(&dims)?;
-        let n_chunks = r.get_u32()? as usize;
+        // Each chunk is at least its u64 row count and u64 block length.
+        let n_chunks = r.get_count_u32(16)?;
         let mut chunks = Vec::with_capacity(n_chunks);
         let mut total_rows = 0usize;
         for _ in 0..n_chunks {
             let rows = r.get_u64()? as usize;
-            total_rows += rows;
+            total_rows = total_rows
+                .checked_add(rows)
+                .ok_or_else(|| HpdrError::corrupt("chunk rows overflow"))?;
             let stream = r.get_block()?.to_vec();
             chunks.push((rows, stream));
         }

@@ -176,6 +176,13 @@ fn report_from(
 /// like `cudaFree`).
 const NOCMM_ALLOCS: usize = 24;
 
+/// A reconstruction reserves its host output up front only while the
+/// container's claimed size is at most this many times its stream
+/// bytes, so a forged header costs at most that much memory. A container
+/// that expands further (long zero runs, very loose bounds) grows its
+/// output as its chunks decode.
+const PRESIZE_RATIO: usize = 64;
+
 /// Resolve the chunk row schedule for an input.
 fn chunk_schedule(
     spec: &DeviceSpec,
@@ -515,6 +522,9 @@ pub(crate) struct DecompressJob {
     meta: ArrayMeta,
     reducer: Arc<dyn Reducer>,
     work: Arc<dyn DeviceAdapter>,
+    /// The reconstructed array, filled only by decoded chunks; the row
+    /// counts the container claims reserve it only within
+    /// `PRESIZE_RATIO`.
     output: Arc<Mutex<Vec<u8>>>,
     error: Arc<Mutex<Option<HpdrError>>>,
     d2h_ops: Vec<OpId>,
@@ -556,20 +566,18 @@ impl DecompressJob {
             .map(|(_, s)| s.len())
             .max()
             .unwrap_or(1);
-        let max_out = container
-            .chunks
-            .iter()
-            .map(|(r, _)| r * row_bytes)
-            .max()
-            .unwrap_or(1);
         let n_buf = if opts.two_buffers { 2 } else { 3 };
         let queues = [sim.add_queue(), sim.add_queue(), sim.add_queue()];
         let in_bufs: Vec<BufId> = (0..n_buf)
             .map(|_| sim.create_buffer(dev, max_stream))
             .collect();
-        let out_bufs: Vec<BufId> = (0..n_buf)
-            .map(|_| sim.create_buffer(dev, max_out))
-            .collect();
+        // Output buffers take each decoded chunk as it is produced: the
+        // header's row counts are untrusted, so no device buffer is sized
+        // by them, and the host output only within `PRESIZE_RATIO`.
+        let out_bufs: Vec<BufId> = (0..n_buf).map(|_| sim.create_buffer(dev, 0)).collect();
+        let presize = meta
+            .num_bytes()
+            .min(PRESIZE_RATIO.saturating_mul(container.total_stream_bytes() as usize));
         Ok(DecompressJob {
             dev,
             queues,
@@ -584,7 +592,7 @@ impl DecompressJob {
             meta: meta.clone(),
             reducer,
             work,
-            output: Arc::new(Mutex::new(vec![0u8; meta.num_bytes()])),
+            output: Arc::new(Mutex::new(Vec::with_capacity(presize))),
             error: Arc::new(Mutex::new(None)),
             d2h_ops: Vec::new(),
             pending_out: None,
@@ -621,8 +629,15 @@ impl DecompressJob {
                 effects: Effects::read(out_buf),
             },
             Some(Box::new(move |pool| {
-                output.lock()[byte_start..byte_start + chunk_bytes]
-                    .copy_from_slice(&pool.get(out_buf)[..chunk_bytes]);
+                // Payloads run in submission order, so chunks land in
+                // array order. A chunk that failed to decode left no
+                // output, and its successors no longer line up; `finish`
+                // reports the error.
+                let chunk = pool.get(out_buf);
+                let mut out = output.lock();
+                if chunk.len() == chunk_bytes && out.len() == byte_start {
+                    out.extend_from_slice(chunk);
+                }
             })),
         );
         // Reduction buffer → application buffer host copy.
@@ -812,18 +827,19 @@ impl DecompressJob {
             },
             Some(Box::new(move |pool| {
                 let src: Vec<u8> = pool.get(in_buf).to_vec();
-                match reducer.decompress(work.as_ref(), &src) {
-                    Ok((bytes, meta)) => {
-                        if meta != expect_meta {
-                            let mut slot = error.lock();
-                            if slot.is_none() {
-                                *slot = Some(HpdrError::corrupt("chunk metadata mismatch"));
-                            }
-                            return;
+                let decoded = reducer
+                    .decompress(work.as_ref(), &src)
+                    .and_then(|(bytes, meta)| {
+                        if meta == expect_meta {
+                            Ok(bytes)
+                        } else {
+                            Err(HpdrError::corrupt("chunk metadata mismatch"))
                         }
-                        pool.get_mut(out_buf)[..bytes.len()].copy_from_slice(&bytes);
-                    }
+                    });
+                match decoded {
+                    Ok(bytes) => pool.replace(out_buf, bytes),
                     Err(e) => {
+                        pool.replace(out_buf, Vec::new());
                         let mut slot = error.lock();
                         if slot.is_none() {
                             *slot = Some(e);
@@ -884,6 +900,9 @@ impl DecompressJob {
         let out = Arc::try_unwrap(self.output)
             .map_err(|_| HpdrError::invalid("pipeline output still shared"))?
             .into_inner();
+        if out.len() != self.meta.num_bytes() {
+            return Err(HpdrError::corrupt("chunk outputs do not cover the array"));
+        }
         Ok((out, self.meta))
     }
 }

@@ -216,6 +216,15 @@ impl MemPool {
         b.data.resize(bytes, 0);
     }
 
+    /// Replace a buffer's contents with `data`: a kernel that produced
+    /// its output in an allocation of its own hands it over uncopied.
+    pub fn replace(&mut self, id: BufId, data: Vec<u8>) {
+        self.check_write(id);
+        let b = &mut self.buffers[id.0];
+        assert!(!b.freed, "replace of freed device buffer {id:?}");
+        b.data = data;
+    }
+
     /// Logical size of a buffer. Hard error on freed buffers: a freed
     /// buffer has no length, and code asking for one is reading stale
     /// state (the runtime check backing the analyzer's UAF lint).
@@ -340,6 +349,14 @@ mod tests {
         pool.mark_freed(a);
         assert!(pool.is_freed(a));
         assert_eq!(pool.resident_bytes(dev()), 50);
+    }
+
+    #[test]
+    fn replace_swaps_contents() {
+        let mut pool = MemPool::new();
+        let a = pool.create(dev(), 0);
+        pool.replace(a, vec![1, 2, 3]);
+        assert_eq!(pool.get(a), &[1, 2, 3]);
     }
 
     #[test]

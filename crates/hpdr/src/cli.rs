@@ -318,7 +318,12 @@ pub fn parse_shape(s: &str) -> Result<Shape> {
                 .map_err(|_| HpdrError::invalid(format!("bad shape component '{p}'")))
         })
         .collect::<Result<_>>()?;
-    Shape::try_new(&dims)
+    // `try_new` calls an oversized shape a corrupt stream, which is what
+    // decoders report; here the shape is user input.
+    Shape::try_new(&dims).map_err(|e| match e {
+        HpdrError::CorruptStream(m) => HpdrError::invalid(format!("bad shape '{s}': {m}")),
+        e => e,
+    })
 }
 
 fn parse_dtype(s: &str) -> Result<DType> {
@@ -1747,6 +1752,23 @@ mod tests {
         assert!(parse_shape("4xx5").is_err());
         assert!(parse_shape("4x0").is_err());
         assert!(parse_shape("a").is_err());
+    }
+
+    #[test]
+    fn oversized_shape_is_an_invalid_argument() {
+        let err = parse_shape("4294967296x4294967296").unwrap_err();
+        assert!(matches!(err, HpdrError::InvalidArgument(_)), "{err:?}");
+        assert!(
+            err.to_string()
+                .contains("bad shape '4294967296x4294967296'"),
+            "{err}"
+        );
+        let err = parse(&argv(
+            "compress --codec mgard --rel-eb 1e-2 --shape 4294967296x4294967296 \
+             --dtype f32 --input a.bin --output a.hpdr",
+        ))
+        .unwrap_err();
+        assert!(matches!(err, HpdrError::InvalidArgument(_)), "{err:?}");
     }
 
     #[test]
