@@ -36,7 +36,7 @@ fn plain_cfg() -> LintConfig {
 fn fixture(
     declared: impl Fn(hpdr_sim::BufId, hpdr_sim::BufId, hpdr_sim::BufId) -> Effects,
     payload: impl Fn(&mut MemPool, hpdr_sim::BufId, hpdr_sim::BufId, hpdr_sim::BufId) + Send + 'static,
-) -> Sim {
+) -> Sim<'static> {
     let mut sim = Sim::new();
     let rt = sim.add_runtime();
     let dev = sim.add_device(v100(), rt);

@@ -65,9 +65,39 @@ impl From<std::io::Error> for HpdrError {
 /// Result alias used throughout HPDR.
 pub type Result<T> = std::result::Result<T, HpdrError>;
 
+/// The error of a job's lowest-numbered failing part (a chunk, a
+/// component). The parts may run and fail in any order; keeping the
+/// lowest makes a failure read the same on every run.
+#[derive(Debug, Default)]
+pub struct LowestError(parking_lot::Mutex<Option<(usize, HpdrError)>>);
+
+impl LowestError {
+    /// Record part `part`'s error unless a lower part already failed.
+    pub fn record(&self, part: usize, e: HpdrError) {
+        let mut slot = self.0.lock();
+        if !matches!(*slot, Some((p, _)) if p <= part) {
+            *slot = Some((part, e));
+        }
+    }
+
+    pub fn take(&self) -> Option<HpdrError> {
+        self.0.lock().take().map(|(_, e)| e)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn lowest_error_keeps_the_lowest_part() {
+        let slot = LowestError::default();
+        slot.record(3, HpdrError::corrupt("three"));
+        slot.record(1, HpdrError::corrupt("one"));
+        slot.record(2, HpdrError::corrupt("two"));
+        assert_eq!(slot.take(), Some(HpdrError::corrupt("one")));
+        assert_eq!(slot.take(), None);
+    }
 
     #[test]
     fn display_variants() {

@@ -36,7 +36,7 @@ pub use adapter::{
 };
 pub use bytesio::{ByteReader, ByteWriter, FrameHeader};
 pub use cmm::{fnv1a, CmmStats, ContextCache, ContextKey};
-pub use error::{HpdrError, Result};
+pub use error::{HpdrError, LowestError, Result};
 pub use float::{DType, Float};
 pub use gpu_sim::GpuSimAdapter;
 pub use pool::{PoolPanic, PoolStats, WorkerPool};

@@ -446,12 +446,18 @@ impl WorkerPool {
                     false
                 }
             };
-        // The submitter always participates (taking its thread-local
-        // arena out so a nested inline submit sees an empty slot instead
-        // of a RefCell conflict).
-        let mut scratch = SUBMIT_SCRATCH.with(|c| std::mem::take(&mut *c.borrow_mut()));
-        execute(&self.shared, &job, &mut scratch);
-        SUBMIT_SCRATCH.with(|c| *c.borrow_mut() = scratch);
+        // The submitter always participates. A scratch body takes the
+        // thread-local arena out, so a nested inline submit sees an empty
+        // slot instead of a RefCell conflict; a plain body needs no arena
+        // and leaves it in place for the scratch jobs nested inside it
+        // (the concurrent executor's payloads).
+        if matches!(job.body, BodyPtr::Scratch(_)) {
+            let mut scratch = SUBMIT_SCRATCH.with(|c| std::mem::take(&mut *c.borrow_mut()));
+            execute(&self.shared, &job, &mut scratch);
+            SUBMIT_SCRATCH.with(|c| *c.borrow_mut() = scratch);
+        } else {
+            execute(&self.shared, &job, &mut Vec::new());
+        }
         if published {
             let mut d = self.shared.disp.lock();
             if d.job.as_ref().is_some_and(|j| Arc::ptr_eq(j, &job)) {
@@ -511,81 +517,16 @@ pub fn parallel_for_with_scratch(
     }
 }
 
-/// The pre-pool reference implementation: spawn-per-call over a fresh
-/// `crossbeam::thread::scope`. Kept as the baseline `hpdr bench`
-/// measures the persistent pool against; not used by any adapter.
-pub fn spawning_parallel_for(
-    threads: usize,
-    n: usize,
-    grain: usize,
-    body: &(dyn Fn(usize) + Sync),
-) {
-    let grain = grain.max(1);
-    if n == 0 {
-        return;
-    }
-    let workers = threads.clamp(1, n.div_ceil(grain));
-    if workers == 1 {
-        for i in 0..n {
-            body(i);
+/// The pool as the simulator's concurrent executor sees it: one job whose
+/// `participants` indices each run one ready-list loop. The executor
+/// catches its payloads' panics itself, so a captured panic here is a
+/// defect of the executor, re-raised on the submitting thread.
+impl hpdr_sim::Workers for WorkerPool {
+    fn run(&self, participants: usize, body: &(dyn Fn(usize) + Sync)) {
+        if let Err(p) = WorkerPool::run(self, participants, participants, 1, body) {
+            panic!("{p}");
         }
-        return;
     }
-    let next = AtomicUsize::new(0);
-    crossbeam::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|_| loop {
-                let start = next.fetch_add(grain, Ordering::Relaxed);
-                if start >= n {
-                    break;
-                }
-                let end = (start + grain).min(n);
-                for i in start..end {
-                    body(i);
-                }
-            });
-        }
-    })
-    .expect("worker panicked in spawning_parallel_for");
-}
-
-/// Spawn-per-call GEM baseline (fresh scratch per worker per call) —
-/// the allocation behaviour this PR removed; kept for benchmarking.
-pub fn spawning_parallel_for_with_scratch(
-    threads: usize,
-    groups: usize,
-    scratch_bytes: usize,
-    body: &(dyn Fn(usize, &mut [u8]) + Sync),
-) {
-    if groups == 0 {
-        return;
-    }
-    let workers = threads.clamp(1, groups);
-    if workers == 1 {
-        let mut scratch = vec![0u8; scratch_bytes];
-        for g in 0..groups {
-            scratch.fill(0);
-            body(g, &mut scratch);
-        }
-        return;
-    }
-    let next = AtomicUsize::new(0);
-    crossbeam::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|_| {
-                let mut scratch = vec![0u8; scratch_bytes];
-                loop {
-                    let g = next.fetch_add(1, Ordering::Relaxed);
-                    if g >= groups {
-                        break;
-                    }
-                    scratch.fill(0);
-                    body(g, &mut scratch);
-                }
-            });
-        }
-    })
-    .expect("worker panicked in spawning_parallel_for_with_scratch");
 }
 
 #[cfg(test)]
@@ -735,20 +676,5 @@ mod tests {
             "at least n/grain chunk claims, got {}",
             d.tasks
         );
-    }
-
-    #[test]
-    fn spawning_baselines_still_work() {
-        let sum = AtomicU64::new(0);
-        spawning_parallel_for(4, 100, 8, &|i| {
-            sum.fetch_add(i as u64, Ordering::Relaxed);
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), 4950);
-        let hits: Vec<AtomicU64> = (0..32).map(|_| AtomicU64::new(0)).collect();
-        spawning_parallel_for_with_scratch(4, 32, 8, &|g, s| {
-            assert!(s.iter().all(|&b| b == 0));
-            hits[g].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
 }

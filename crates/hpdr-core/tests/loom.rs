@@ -1,8 +1,10 @@
 //! Exhaustive-interleaving checks (up to the preemption bound) for the
-//! three concurrency protocols `hpdr-core` relies on:
+//! concurrency protocols `hpdr-core` relies on:
 //!
 //! * the [`WorkerPool`] single-job-slot publish/join/drain handoff and
 //!   its panic-capture poisoning (`pool.rs`),
+//! * the concurrent executor's ready-list hand-off, which runs on that
+//!   pool (`hpdr-sim/src/exec.rs`),
 //! * [`SharedSlice`]-style unsynchronized disjoint writes (`shared.rs`),
 //! * [`ContextCache`] check-then-insert atomicity and idle/acquire
 //!   accounting (`cmm.rs`).
@@ -257,6 +259,167 @@ fn pool_contended_submission_falls_back_inline() {
         assert_eq!(job.hits[0].load(Ordering::Relaxed), 1);
         assert_eq!(job.hits[1].load(Ordering::Relaxed), 1);
         other.join().unwrap();
+    });
+}
+
+// ---------------------------------------------------------------------------
+// Ready-list executor model (hpdr-sim/src/exec.rs)
+// ---------------------------------------------------------------------------
+
+/// Mirror of `exec::Ready`: unfinished predecessors per op, the ready
+/// list, the completion count, and the ops skipped after a panic.
+struct Ready {
+    waiting: Vec<usize>,
+    ready: Vec<usize>,
+    done: usize,
+    skipped: Vec<bool>,
+    panics: Vec<usize>,
+}
+
+/// A fork-join DAG: op 0 releases ops 1 and 2 at once, op 3 waits on
+/// both. Ops 1 and 2 meet at a rendezvous, so they must run side by
+/// side: a participant left waiting while a successor sits on the ready
+/// list deadlocks the model. `ran` counts payload runs; `finished` lets
+/// a successor check that its predecessors really returned.
+struct Executor {
+    state: Mutex<Ready>,
+    wake: Condvar,
+    succ: [Vec<usize>; 4],
+    preds: [Vec<usize>; 4],
+    fail_at: Option<usize>,
+    ran: [AtomicUsize; 4],
+    finished: [AtomicBool; 4],
+    met: Mutex<usize>,
+    meet: Condvar,
+}
+
+impl Executor {
+    fn new(fail_at: Option<usize>) -> Executor {
+        Executor {
+            state: Mutex::new(Ready {
+                waiting: vec![0, 1, 1, 2],
+                ready: vec![0],
+                done: 0,
+                skipped: vec![false; 4],
+                panics: Vec::new(),
+            }),
+            wake: Condvar::new(),
+            succ: [vec![1, 2], vec![3], vec![3], vec![]],
+            preds: [vec![], vec![0], vec![0], vec![1, 2]],
+            fail_at,
+            ran: [0, 0, 0, 0].map(AtomicUsize::new),
+            finished: [false; 4].map(AtomicBool::new),
+            met: Mutex::new(0),
+            meet: Condvar::new(),
+        }
+    }
+
+    /// Op `i`'s payload. Returns whether it "panicked".
+    fn payload(&self, i: usize) -> bool {
+        for &p in &self.preds[i] {
+            assert!(
+                self.finished[p].load(Ordering::Acquire),
+                "op {i} ran before op {p}"
+            );
+        }
+        self.ran[i].fetch_add(1, Ordering::Relaxed);
+        if i == 1 || i == 2 {
+            let mut met = self.met.lock().unwrap();
+            *met += 1;
+            self.meet.notify_all();
+            while *met < 2 {
+                met = self.meet.wait(met).unwrap();
+            }
+        }
+        self.finished[i].store(true, Ordering::Release);
+        self.fail_at == Some(i)
+    }
+}
+
+/// Mirror of `exec::participate`: claim the lowest ready op, run its
+/// payload outside the lock (a "panic" at `fail_at` is a value, as in
+/// the pool model), complete it and release its successors, waking one
+/// waiter per ready op left behind; wait while nothing is ready; return
+/// once every op is done.
+fn participate(ex: &Executor) {
+    let n = ex.succ.len();
+    let mut st = ex.state.lock().unwrap();
+    loop {
+        if st.done == n {
+            return;
+        }
+        let Some(at) = (0..st.ready.len()).min_by_key(|&x| st.ready[x]) else {
+            st = ex.wake.wait(st).unwrap();
+            continue;
+        };
+        let i = st.ready.swap_remove(at);
+        let mut panicked = false;
+        if !st.skipped[i] {
+            drop(st);
+            panicked = ex.payload(i);
+            st = ex.state.lock().unwrap();
+        }
+        if panicked {
+            st.skipped[i] = true;
+            st.panics.push(i);
+        }
+        st.done += 1;
+        let skip = st.skipped[i];
+        for &s in &ex.succ[i] {
+            st.skipped[s] |= skip;
+            st.waiting[s] -= 1;
+            if st.waiting[s] == 0 {
+                st.ready.push(s);
+            }
+        }
+        if st.done == n {
+            ex.wake.notify_all();
+        } else {
+            for _ in 1..st.ready.len() {
+                ex.wake.notify_one();
+            }
+        }
+    }
+}
+
+/// Two participants drain the DAG; returns the executor afterwards.
+fn run_executor(fail_at: Option<usize>) -> Arc<Executor> {
+    let ex = Arc::new(Executor::new(fail_at));
+    let other = {
+        let ex = Arc::clone(&ex);
+        thread::spawn(move || participate(&ex))
+    };
+    participate(&ex);
+    // Both participants return in every schedule: no lost wakeup strands
+    // one on the condvar.
+    other.join().unwrap();
+    ex
+}
+
+#[test]
+fn ready_list_runs_each_op_once_after_its_predecessors() {
+    pool_model(|| {
+        let ex = run_executor(None);
+        for ran in &ex.ran {
+            assert_eq!(ran.load(Ordering::Relaxed), 1);
+        }
+        let st = ex.state.lock().unwrap();
+        assert_eq!(st.done, 4);
+        assert!(st.ready.is_empty() && st.panics.is_empty());
+    });
+}
+
+#[test]
+fn ready_list_skips_successors_of_a_panic_and_still_shuts_down() {
+    pool_model(|| {
+        let ex = run_executor(Some(1));
+        // Op 1 "panicked": its successor is skipped, the independent op
+        // still ran, and every op completed so both participants left.
+        let ran: Vec<usize> = ex.ran.iter().map(|r| r.load(Ordering::Relaxed)).collect();
+        assert_eq!(ran, [1, 1, 1, 0]);
+        let st = ex.state.lock().unwrap();
+        assert_eq!(st.panics, vec![1]);
+        assert_eq!(st.done, 4);
     });
 }
 

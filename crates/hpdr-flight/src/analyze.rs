@@ -319,6 +319,7 @@ pub fn events_to_trace(log: &FlightLog) -> Trace {
                 bytes: 0,
                 footprint_bytes: 0,
                 ready: Ns(t0),
+                wall_start: Ns::ZERO,
                 wall: Ns::ZERO,
             }
         })

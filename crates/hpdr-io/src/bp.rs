@@ -18,6 +18,14 @@ use std::path::{Path, PathBuf};
 
 const FRAME: FrameHeader = FrameHeader::new(0x4250_3500 /* "BP5" */, 1, "BP index");
 
+/// Fewest bytes the index spends on a step (its variable count), a
+/// variable (an empty name and a block count) and a block (writer,
+/// subfile, offset, length, an empty codec name, dtype and rank), so
+/// that no count claims more entries than the index has bytes for.
+const STEP_BYTES: usize = 4;
+const VAR_BYTES: usize = 4 + 4;
+const BLOCK_BYTES: usize = 4 + 4 + 8 + 8 + 4 + 1 + 1;
+
 /// One variable block as recorded in the metadata index.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlockInfo {
@@ -161,14 +169,14 @@ impl BpReader {
         let mut r = ByteReader::new(&idx);
         FRAME.read(&mut r)?;
         let _subfiles = r.get_u32()?;
-        let n_steps = r.get_u32()? as usize;
+        let n_steps = r.get_count_u32(STEP_BYTES)?;
         let mut steps = Vec::with_capacity(n_steps);
         for _ in 0..n_steps {
-            let n_vars = r.get_u32()? as usize;
+            let n_vars = r.get_count_u32(VAR_BYTES)?;
             let mut vars = Vec::with_capacity(n_vars);
             for _ in 0..n_vars {
                 let name = r.get_str()?;
-                let n_blocks = r.get_u32()? as usize;
+                let n_blocks = r.get_count_u32(BLOCK_BYTES)?;
                 let mut blocks = Vec::with_capacity(n_blocks);
                 for _ in 0..n_blocks {
                     let writer = r.get_u32()?;
@@ -220,9 +228,18 @@ impl BpReader {
             .ok_or_else(|| HpdrError::invalid(format!("no variable '{var}' in step {step}")))
     }
 
-    /// Read one block's payload from its subfile.
+    /// Read one block's payload from its subfile. The block must lie
+    /// inside the subfile, so the read allocates no more than the file
+    /// holds.
     pub fn read_block(&self, info: &BlockInfo) -> Result<Vec<u8>> {
         let mut f = fs::File::open(self.dir.join(format!("data.{}", info.subfile)))?;
+        let size = f.metadata()?.len();
+        if !matches!(info.offset.checked_add(info.len), Some(end) if end <= size) {
+            return Err(HpdrError::corrupt(format!(
+                "block at {} of {} bytes exceeds subfile {} of {size} bytes",
+                info.offset, info.len, info.subfile
+            )));
+        }
         f.seek(SeekFrom::Start(info.offset))?;
         let mut buf = vec![0u8; info.len as usize];
         f.read_exact(&mut buf)?;
@@ -308,6 +325,27 @@ mod tests {
         bytes.truncate(bytes.len() / 2);
         fs::write(&idx, &bytes).unwrap();
         assert!(BpReader::open(&dir).is_err());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn block_past_its_subfile_is_an_error() {
+        let dir = tmpdir("past");
+        let mut w = BpWriter::create(&dir, 1).unwrap();
+        w.begin_step();
+        w.put("v", &meta(4), &[1; 16], "raw").unwrap();
+        w.close().unwrap();
+        let r = BpReader::open(&dir).unwrap();
+        let good = r.blocks(0, "v").unwrap()[0].clone();
+        assert_eq!(r.read_block(&good).unwrap(), vec![1; 16]);
+        for (offset, len) in [(1, 16), (0, 17), (u64::MAX, 2), (0, u64::MAX)] {
+            let bad = BlockInfo {
+                offset,
+                len,
+                ..good.clone()
+            };
+            assert!(r.read_block(&bad).is_err(), "offset {offset} len {len}");
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 

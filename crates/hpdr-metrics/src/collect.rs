@@ -101,6 +101,7 @@ mod tests {
             bytes: 0,
             footprint_bytes: 0,
             ready: Ns(start),
+            wall_start: Ns::ZERO,
             wall: Ns::ZERO,
         }
     }

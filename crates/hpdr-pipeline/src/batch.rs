@@ -11,7 +11,7 @@
 //! span trace, so callers can attribute virtual time back to each job.
 
 use crate::container::Container;
-use crate::runner::{timed_run, CompressJob, DecompressJob, PipelineOptions};
+use crate::runner::{timed_run, CompressJob, DecompressJob, Payloads, PipelineOptions};
 use hpdr_core::{ArrayMeta, DeviceAdapter, HpdrError, Reducer, Result};
 use hpdr_sim::{DeviceId, DeviceSpec, Ns, Sim, Trace};
 use std::sync::Arc;
@@ -27,7 +27,7 @@ pub trait ExternalBatchJob {
     fn raw_bytes(&self) -> u64;
     /// Construct the job's per-launch state in the shared simulator.
     fn build(
-        self: Box<Self>,
+        &self,
         sim: &mut Sim,
         dev: DeviceId,
         work: Arc<dyn DeviceAdapter>,
@@ -102,23 +102,19 @@ impl BatchReport {
     }
 }
 
-enum JobState {
+enum JobState<'a> {
     Compress(CompressJob),
-    Decompress {
-        job: DecompressJob,
-        /// Output byte offset per chunk.
-        starts: Vec<usize>,
-    },
+    Decompress(DecompressJob<'a>),
     External(Box<dyn SubmittedBatchJob>),
     /// Construction failed; the error is already in the output slot.
     Failed,
 }
 
-impl JobState {
+impl JobState<'_> {
     fn num_chunks(&self) -> usize {
         match self {
             JobState::Compress(j) => j.num_chunks(),
-            JobState::Decompress { job, .. } => job.num_chunks(),
+            JobState::Decompress(job) => job.num_chunks(),
             JobState::External(job) => job.num_chunks(),
             JobState::Failed => 0,
         }
@@ -154,7 +150,7 @@ pub fn run_batch(
 
     let mut outputs: Vec<Option<Result<BatchOutput>>> = Vec::with_capacity(items.len());
     let mut jobs: Vec<JobState> = Vec::with_capacity(items.len());
-    for item in items {
+    for item in &items {
         match item {
             BatchItem::Compress {
                 reducer,
@@ -163,10 +159,10 @@ pub fn run_batch(
             } => match CompressJob::new(
                 &mut sim,
                 dev,
-                reducer,
+                Arc::clone(reducer),
                 Arc::clone(&work),
-                input,
-                meta,
+                Arc::clone(input),
+                meta.clone(),
                 *opts,
             ) {
                 Ok(job) => {
@@ -178,32 +174,23 @@ pub fn run_batch(
                     outputs.push(Some(Err(e)));
                 }
             },
-            BatchItem::Decompress { reducer, container } => {
-                let row_bytes = container.meta.shape.row_elements() * container.meta.dtype.size();
-                let mut starts = Vec::with_capacity(container.chunks.len());
-                let mut at = 0usize;
-                for (rows, _) in &container.chunks {
-                    starts.push(at);
-                    at += rows * row_bytes;
+            BatchItem::Decompress { reducer, container } => match DecompressJob::new(
+                &mut sim,
+                dev,
+                Arc::clone(reducer),
+                Arc::clone(&work),
+                container,
+                *opts,
+            ) {
+                Ok(job) => {
+                    jobs.push(JobState::Decompress(job));
+                    outputs.push(None);
                 }
-                match DecompressJob::new(
-                    &mut sim,
-                    dev,
-                    reducer,
-                    Arc::clone(&work),
-                    &container,
-                    *opts,
-                ) {
-                    Ok(job) => {
-                        jobs.push(JobState::Decompress { job, starts });
-                        outputs.push(None);
-                    }
-                    Err(e) => {
-                        jobs.push(JobState::Failed);
-                        outputs.push(Some(Err(e)));
-                    }
+                Err(e) => {
+                    jobs.push(JobState::Failed);
+                    outputs.push(Some(Err(e)));
                 }
-            }
+            },
             BatchItem::External(ext) => match ext.build(&mut sim, dev, Arc::clone(&work)) {
                 Ok(job) => {
                     jobs.push(JobState::External(job));
@@ -229,7 +216,7 @@ pub fn run_batch(
             total_chunks += 1;
             match state {
                 JobState::Compress(job) => job.submit_chunk(&mut sim, k),
-                JobState::Decompress { job, starts } => job.submit_chunk(&mut sim, k, starts[k]),
+                JobState::Decompress(job) => job.submit_chunk(&mut sim, k),
                 JobState::External(job) => job.submit_chunk(&mut sim, k),
                 JobState::Failed => unreachable!("failed jobs have zero chunks"),
             }
@@ -237,14 +224,14 @@ pub fn run_batch(
     }
     for state in &mut jobs {
         match state {
-            JobState::Decompress { job, .. } => job.finish_submission(&mut sim),
+            JobState::Decompress(job) => job.finish_submission(&mut sim),
             JobState::External(job) => job.finish_submission(&mut sim),
             _ => {}
         }
     }
 
     sim.set_trace(true);
-    let (timeline, runtime) = timed_run(&mut sim);
+    let (timeline, runtime) = timed_run(&mut sim, Payloads::for_adapter(work.as_ref()));
     let mut trace = sim.take_trace().expect("tracing was enabled");
     trace.set_runtime_stats(runtime);
 
@@ -253,7 +240,7 @@ pub fn run_batch(
             JobState::Compress(job) => {
                 *slot = Some(job.finish().map(BatchOutput::Compressed));
             }
-            JobState::Decompress { job, .. } => {
+            JobState::Decompress(job) => {
                 *slot = Some(
                     job.finish()
                         .map(|(bytes, meta)| BatchOutput::Restored(bytes, meta)),

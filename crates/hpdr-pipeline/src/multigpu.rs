@@ -134,18 +134,11 @@ pub fn decompress_multi_gpu(
         })
         .collect::<Result<_>>()?;
 
-    // Per-device running byte offsets for the output placement.
-    let mut offsets = vec![0usize; n_devices];
-    let row_bytes: Vec<usize> = containers
-        .iter()
-        .map(|c| c.meta.shape.row_elements() * c.meta.dtype.size())
-        .collect();
     let max_chunks = jobs.iter().map(|j| j.num_chunks()).max().unwrap_or(0);
     for k in 0..max_chunks {
-        for (d, job) in jobs.iter_mut().enumerate() {
+        for job in jobs.iter_mut() {
             if k < job.num_chunks() {
-                job.submit_chunk(&mut sim, k, offsets[d]);
-                offsets[d] += containers[d].chunks[k].0 * row_bytes[d];
+                job.submit_chunk(&mut sim, k);
             }
         }
     }

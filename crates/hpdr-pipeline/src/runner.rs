@@ -25,7 +25,7 @@
 
 use crate::container::{fixed_chunks, Container};
 use crate::roofline::{adaptive_chunks, default_sweep, fit, profile_kernel, Roofline};
-use hpdr_core::{ArrayMeta, DeviceAdapter, HpdrError, Reducer, Result};
+use hpdr_core::{ArrayMeta, DeviceAdapter, HpdrError, LowestError, Reducer, Result, WorkerPool};
 use hpdr_sim::{
     BufId, Cost, DeviceId, DeviceSpec, Effects, Engine, Ns, OpId, OpSpec, QueueId, Sim, Timeline,
     Trace,
@@ -135,8 +135,12 @@ pub struct PipelineReport {
     /// End-to-end throughput (raw bytes / makespan) in GB/s.
     pub end_to_end_gbps: f64,
     /// Paper §V-C overlap ratio (None if no DMA occurred), derived from
-    /// the span trace via `hpdr_trace::overlap_ratio`.
+    /// the span trace via `hpdr_trace::overlap_ratio`. Virtual time.
     pub overlap: Option<f64>,
+    /// Share of payload wall-clock time that ran beside another payload
+    /// (None if no payload ran), via `hpdr_trace::wall_overlap_ratio`.
+    /// Measured, not modeled: 0 when the payloads ran one at a time.
+    pub overlap_wall: Option<f64>,
     /// Fraction of busy time spent on memory operations (Fig. 1 metric).
     pub memory_fraction: f64,
     pub num_chunks: usize,
@@ -161,6 +165,7 @@ fn report_from(
         compressed_bytes: compressed,
         end_to_end_gbps: hpdr_sim::gbps(input_bytes, makespan),
         overlap: hpdr_trace::overlap_ratio(&trace, dev),
+        overlap_wall: hpdr_trace::wall_overlap_ratio(&trace),
         memory_fraction: hpdr_trace::memory_fraction(&trace),
         num_chunks: chunks,
         timeline,
@@ -230,7 +235,7 @@ pub(crate) struct CompressJob {
     reducer: Arc<dyn Reducer>,
     work: Arc<dyn DeviceAdapter>,
     results: Arc<Mutex<Vec<Option<Vec<u8>>>>>,
-    error: Arc<Mutex<Option<HpdrError>>>,
+    error: Arc<LowestError>,
     s_ops: Vec<OpId>,
     opts: PipelineOptions,
     row_bytes: usize,
@@ -277,7 +282,7 @@ impl CompressJob {
             reducer,
             work,
             results: Arc::new(Mutex::new(vec![None; n])),
-            error: Arc::new(Mutex::new(None)),
+            error: Arc::new(LowestError::default()),
             s_ops: Vec::with_capacity(n),
             opts,
             row_bytes,
@@ -437,19 +442,13 @@ impl CompressJob {
                 effects: Effects::read(in_buf).and_write(out_buf),
             },
             Some(Box::new(move |pool| {
-                let src: Vec<u8> = pool.get(in_buf)[..chunk_bytes].to_vec();
-                match reducer.compress(work.as_ref(), &src, &chunk_meta) {
+                let src = &pool.get(in_buf)[..chunk_bytes];
+                match reducer.compress(work.as_ref(), src, &chunk_meta) {
                     Ok(stream) => {
                         size_for_payload.store(stream.len() as u64, Ordering::SeqCst);
-                        pool.resize(out_buf, stream.len());
-                        pool.get_mut(out_buf).copy_from_slice(&stream);
+                        pool.replace(out_buf, stream);
                     }
-                    Err(e) => {
-                        let mut slot = error.lock();
-                        if slot.is_none() {
-                            *slot = Some(e);
-                        }
-                    }
+                    Err(e) => error.record(k, e),
                 }
             })),
         );
@@ -491,7 +490,7 @@ impl CompressJob {
 
     /// Collect the container after `sim.run()`.
     pub fn finish(self) -> Result<Container> {
-        if let Some(e) = self.error.lock().take() {
+        if let Some(e) = self.error.take() {
             return Err(e);
         }
         let results = Arc::try_unwrap(self.results)
@@ -511,22 +510,49 @@ impl CompressJob {
     }
 }
 
+/// The reconstructed array, assembled from decoded chunks in array order
+/// whatever order their output copies run in.
+struct Output {
+    /// The landed prefix of the array. The row counts the container
+    /// claims reserve it only within `PRESIZE_RATIO`; past that it grows
+    /// by decoded bytes alone.
+    bytes: Vec<u8>,
+    /// Chunks before this one have landed.
+    next: usize,
+    /// Chunks that arrived before a predecessor, until it lands.
+    parked: Vec<(usize, Vec<u8>)>,
+}
+
+impl Output {
+    /// Land chunk `k`: append it if every earlier chunk has landed, else
+    /// park a copy; then append the parked chunks that now follow.
+    fn land(&mut self, k: usize, chunk: &[u8]) {
+        if k != self.next {
+            self.parked.push((k, chunk.to_vec()));
+            return;
+        }
+        self.bytes.extend_from_slice(chunk);
+        self.next += 1;
+        while let Some(i) = self.parked.iter().position(|(p, _)| *p == self.next) {
+            let (_, chunk) = self.parked.swap_remove(i);
+            self.bytes.extend_from_slice(&chunk);
+            self.next += 1;
+        }
+    }
+}
+
 /// State shared between the DAG payloads of one device's reconstruction.
-pub(crate) struct DecompressJob {
+/// The H2D payloads read the chunk streams straight from the container.
+pub(crate) struct DecompressJob<'a> {
     pub dev: DeviceId,
     queues: [QueueId; 3],
     in_bufs: Vec<BufId>,
     out_bufs: Vec<BufId>,
-    streams: Vec<Arc<Vec<u8>>>,
-    rows: Vec<usize>,
-    meta: ArrayMeta,
+    container: &'a Container,
     reducer: Arc<dyn Reducer>,
     work: Arc<dyn DeviceAdapter>,
-    /// The reconstructed array, filled only by decoded chunks; the row
-    /// counts the container claims reserve it only within
-    /// `PRESIZE_RATIO`.
-    output: Arc<Mutex<Vec<u8>>>,
-    error: Arc<Mutex<Option<HpdrError>>>,
+    output: Arc<Mutex<Output>>,
+    error: Arc<LowestError>,
     d2h_ops: Vec<OpId>,
     /// Deferred output-copy spec when `deser_first` is on.
     pending_out: Option<PendingOut>,
@@ -538,19 +564,18 @@ struct PendingOut {
     k: usize,
     compute: OpId,
     out_buf: BufId,
-    byte_start: usize,
     chunk_bytes: usize,
 }
 
-impl DecompressJob {
+impl<'a> DecompressJob<'a> {
     pub fn new(
-        sim: &mut Sim,
+        sim: &mut Sim<'a>,
         dev: DeviceId,
         reducer: Arc<dyn Reducer>,
         work: Arc<dyn DeviceAdapter>,
-        container: &Container,
+        container: &'a Container,
         opts: PipelineOptions,
-    ) -> Result<DecompressJob> {
+    ) -> Result<DecompressJob<'a>> {
         if container.reducer != reducer.name() {
             return Err(HpdrError::invalid(format!(
                 "container was produced by '{}', not '{}'",
@@ -558,7 +583,7 @@ impl DecompressJob {
                 reducer.name()
             )));
         }
-        let meta = container.meta.clone();
+        let meta = &container.meta;
         let row_bytes = meta.shape.row_elements() * meta.dtype.size();
         let max_stream = container
             .chunks
@@ -583,17 +608,15 @@ impl DecompressJob {
             queues,
             in_bufs,
             out_bufs,
-            streams: container
-                .chunks
-                .iter()
-                .map(|(_, s)| Arc::new(s.clone()))
-                .collect(),
-            rows: container.chunks.iter().map(|(r, _)| *r).collect(),
-            meta: meta.clone(),
+            container,
             reducer,
             work,
-            output: Arc::new(Mutex::new(Vec::with_capacity(presize))),
-            error: Arc::new(Mutex::new(None)),
+            output: Arc::new(Mutex::new(Output {
+                bytes: Vec::with_capacity(presize),
+                next: 0,
+                parked: Vec::new(),
+            })),
+            error: Arc::new(LowestError::default()),
             d2h_ops: Vec::new(),
             pending_out: None,
             opts,
@@ -602,10 +625,10 @@ impl DecompressJob {
     }
 
     pub fn num_chunks(&self) -> usize {
-        self.rows.len()
+        self.container.chunks.len()
     }
 
-    fn push_pending_out(&mut self, sim: &mut Sim) {
+    fn push_pending_out(&mut self, sim: &mut Sim<'a>) {
         let Some(p) = self.pending_out.take() else {
             return;
         };
@@ -615,8 +638,7 @@ impl DecompressJob {
             self.queues[p.k % 3]
         };
         let output = Arc::clone(&self.output);
-        let out_buf = p.out_buf;
-        let (byte_start, chunk_bytes) = (p.byte_start, p.chunk_bytes);
+        let (k, out_buf, chunk_bytes) = (p.k, p.out_buf, p.chunk_bytes);
         let d2h = sim.push(
             OpSpec {
                 engine: Engine::D2H(self.dev),
@@ -629,14 +651,11 @@ impl DecompressJob {
                 effects: Effects::read(out_buf),
             },
             Some(Box::new(move |pool| {
-                // Payloads run in submission order, so chunks land in
-                // array order. A chunk that failed to decode left no
-                // output, and its successors no longer line up; `finish`
-                // reports the error.
+                // A chunk that failed to decode left no output, and the
+                // chunks after it never land; `finish` reports the error.
                 let chunk = pool.get(out_buf);
-                let mut out = output.lock();
-                if chunk.len() == chunk_bytes && out.len() == byte_start {
-                    out.extend_from_slice(chunk);
+                if chunk.len() == chunk_bytes {
+                    output.lock().land(k, chunk);
                 }
             })),
         );
@@ -660,7 +679,7 @@ impl DecompressJob {
     }
 
     /// Submit chunk `k`'s ops (H2D → Deser(D2H) → Reconstruct → D2H).
-    pub fn submit_chunk(&mut self, sim: &mut Sim, k: usize, byte_start: usize) {
+    pub fn submit_chunk(&mut self, sim: &mut Sim<'a>, k: usize) {
         let q = if self.opts.serial_queue {
             self.queues[0]
         } else {
@@ -668,9 +687,10 @@ impl DecompressJob {
         };
         let n_buf = self.in_bufs.len();
         let j = if self.opts.serial_queue { 0 } else { k % n_buf };
-        let stream = Arc::clone(&self.streams[k]);
+        let (rows, ref stream) = self.container.chunks[k];
+        let stream: &'a [u8] = stream;
         let stream_len = stream.len();
-        let chunk_bytes = self.rows[k] * self.row_bytes;
+        let chunk_bytes = rows * self.row_bytes;
         let rt = sim.device_runtime(self.dev);
 
         if !self.opts.cmm {
@@ -757,7 +777,7 @@ impl DecompressJob {
             },
             Some(Box::new(move |pool| {
                 pool.resize(in_buf, stream_len);
-                pool.get_mut(in_buf).copy_from_slice(&stream);
+                pool.get_mut(in_buf).copy_from_slice(stream);
             })),
         );
 
@@ -811,8 +831,8 @@ impl DecompressJob {
         let reducer = Arc::clone(&self.reducer);
         let work = Arc::clone(&self.work);
         let error = Arc::clone(&self.error);
-        let expect_meta =
-            ArrayMeta::new(self.meta.dtype, self.meta.shape.with_leading(self.rows[k]));
+        let meta = &self.container.meta;
+        let expect_meta = ArrayMeta::new(meta.dtype, meta.shape.with_leading(rows));
         let compute = sim.push(
             OpSpec {
                 engine: Engine::Compute(self.dev),
@@ -826,9 +846,8 @@ impl DecompressJob {
                 effects: Effects::read(in_buf).and_write(out_buf),
             },
             Some(Box::new(move |pool| {
-                let src: Vec<u8> = pool.get(in_buf).to_vec();
                 let decoded = reducer
-                    .decompress(work.as_ref(), &src)
+                    .decompress(work.as_ref(), pool.get(in_buf))
                     .and_then(|(bytes, meta)| {
                         if meta == expect_meta {
                             Ok(bytes)
@@ -840,10 +859,7 @@ impl DecompressJob {
                     Ok(bytes) => pool.replace(out_buf, bytes),
                     Err(e) => {
                         pool.replace(out_buf, Vec::new());
-                        let mut slot = error.lock();
-                        if slot.is_none() {
-                            *slot = Some(e);
-                        }
+                        error.record(k, e);
                     }
                 }
             })),
@@ -876,7 +892,6 @@ impl DecompressJob {
             k,
             compute: out_dep,
             out_buf,
-            byte_start,
             chunk_bytes,
         };
         if self.opts.deser_first {
@@ -888,22 +903,23 @@ impl DecompressJob {
     }
 
     /// Flush the trailing deferred output op (call after the last chunk).
-    pub fn finish_submission(&mut self, sim: &mut Sim) {
+    pub fn finish_submission(&mut self, sim: &mut Sim<'a>) {
         self.push_pending_out(sim);
     }
 
     /// Collect the raw output bytes after `sim.run()`.
     pub fn finish(self) -> Result<(Vec<u8>, ArrayMeta)> {
-        if let Some(e) = self.error.lock().take() {
+        if let Some(e) = self.error.take() {
             return Err(e);
         }
         let out = Arc::try_unwrap(self.output)
             .map_err(|_| HpdrError::invalid("pipeline output still shared"))?
             .into_inner();
-        if out.len() != self.meta.num_bytes() {
+        let meta = &self.container.meta;
+        if out.next != self.container.chunks.len() || out.bytes.len() != meta.num_bytes() {
             return Err(HpdrError::corrupt("chunk outputs do not cover the array"));
         }
-        Ok((out, self.meta))
+        Ok((out.bytes, meta.clone()))
     }
 }
 
@@ -917,7 +933,7 @@ pub fn plan_compress(
     input: Arc<Vec<u8>>,
     meta: &ArrayMeta,
     opts: &PipelineOptions,
-) -> Result<Sim> {
+) -> Result<Sim<'static>> {
     let mut sim = Sim::new();
     let rt = sim.add_runtime();
     let dev = sim.add_device(spec.clone(), rt);
@@ -930,37 +946,62 @@ pub fn plan_compress(
 
 /// Build and submit the full reconstruction DAG **without executing it**
 /// (see [`plan_compress`]).
-pub fn plan_decompress(
+pub fn plan_decompress<'a>(
     spec: &DeviceSpec,
     work: Arc<dyn DeviceAdapter>,
     reducer: Arc<dyn Reducer>,
-    container: &Container,
+    container: &'a Container,
     opts: &PipelineOptions,
-) -> Result<Sim> {
+) -> Result<Sim<'a>> {
     let mut sim = Sim::new();
     let rt = sim.add_runtime();
     let dev = sim.add_device(spec.clone(), rt);
     let mut job = DecompressJob::new(&mut sim, dev, reducer, work, container, *opts)?;
-    let row_bytes = container.meta.shape.row_elements() * container.meta.dtype.size();
-    let mut byte_start = 0usize;
     for k in 0..job.num_chunks() {
-        job.submit_chunk(&mut sim, k, byte_start);
-        byte_start += container.chunks[k].0 * row_bytes;
+        job.submit_chunk(&mut sim, k);
     }
     job.finish_submission(&mut sim);
     Ok(sim)
 }
 
+/// Where a run's payloads execute: on `pool`, up to `participants` at
+/// once wherever the DAG lets chunks overlap (`hpdr_sim::exec`), or one
+/// after another when `participants` is 1.
+#[derive(Clone, Copy)]
+pub(crate) struct Payloads<'p> {
+    pub pool: &'p WorkerPool,
+    pub participants: usize,
+}
+
+impl Payloads<'static> {
+    /// The global pool, one chunk per participant, up to the adapter's
+    /// thread count: a payload that runs beside another runs its adapter
+    /// calls inline, so chunk-level parallelism takes the place of the
+    /// adapter's own.
+    pub fn for_adapter(work: &dyn DeviceAdapter) -> Payloads<'static> {
+        let pool = WorkerPool::global();
+        Payloads {
+            pool,
+            participants: work.info().threads.min(pool.workers() + 1),
+        }
+    }
+}
+
 /// Run the sim under a wall clock and a worker-pool stats window, so the
 /// trace carries measured host time and pool activity next to the
 /// modeled virtual times.
-pub(crate) fn timed_run(sim: &mut Sim) -> (hpdr_sim::Timeline, hpdr_sim::RuntimeStats) {
-    let pool = hpdr_core::WorkerPool::global();
-    let before = pool.stats();
+pub(crate) fn timed_run<'a>(
+    sim: &mut Sim<'a>,
+    on: Payloads<'a>,
+) -> (hpdr_sim::Timeline, hpdr_sim::RuntimeStats) {
+    if on.participants > 1 {
+        sim.set_workers(on.pool, on.participants);
+    }
+    let before = on.pool.stats();
     let t0 = std::time::Instant::now();
     let timeline = sim.run();
     let wall = hpdr_sim::Ns(t0.elapsed().as_nanos() as u64);
-    let delta = pool.stats().since(before);
+    let delta = on.pool.stats().since(before);
     (
         timeline,
         hpdr_sim::RuntimeStats {
@@ -983,6 +1024,19 @@ pub fn compress_pipelined(
     meta: &ArrayMeta,
     opts: &PipelineOptions,
 ) -> Result<(Container, PipelineReport)> {
+    let on = Payloads::for_adapter(work.as_ref());
+    compress_on(spec, work, reducer, input, meta, opts, on)
+}
+
+pub(crate) fn compress_on(
+    spec: &DeviceSpec,
+    work: Arc<dyn DeviceAdapter>,
+    reducer: Arc<dyn Reducer>,
+    input: Arc<Vec<u8>>,
+    meta: &ArrayMeta,
+    opts: &PipelineOptions,
+    on: Payloads<'_>,
+) -> Result<(Container, PipelineReport)> {
     let mut sim = Sim::new();
     let rt = sim.add_runtime();
     let dev = sim.add_device(spec.clone(), rt);
@@ -992,7 +1046,7 @@ pub fn compress_pipelined(
         job.submit_chunk(&mut sim, k);
     }
     sim.set_trace(true);
-    let (timeline, runtime) = timed_run(&mut sim);
+    let (timeline, runtime) = timed_run(&mut sim, on);
     let mut trace = sim.take_trace().expect("tracing was enabled");
     trace.set_runtime_stats(runtime);
     let chunks = job.num_chunks();
@@ -1016,19 +1070,28 @@ pub fn decompress_pipelined(
     container: &Container,
     opts: &PipelineOptions,
 ) -> Result<(Vec<u8>, ArrayMeta, PipelineReport)> {
+    let on = Payloads::for_adapter(work.as_ref());
+    decompress_on(spec, work, reducer, container, opts, on)
+}
+
+pub(crate) fn decompress_on(
+    spec: &DeviceSpec,
+    work: Arc<dyn DeviceAdapter>,
+    reducer: Arc<dyn Reducer>,
+    container: &Container,
+    opts: &PipelineOptions,
+    on: Payloads<'_>,
+) -> Result<(Vec<u8>, ArrayMeta, PipelineReport)> {
     let mut sim = Sim::new();
     let rt = sim.add_runtime();
     let dev = sim.add_device(spec.clone(), rt);
     let mut job = DecompressJob::new(&mut sim, dev, reducer, work, container, *opts)?;
-    let row_bytes = container.meta.shape.row_elements() * container.meta.dtype.size();
-    let mut byte_start = 0usize;
     for k in 0..job.num_chunks() {
-        job.submit_chunk(&mut sim, k, byte_start);
-        byte_start += container.chunks[k].0 * row_bytes;
+        job.submit_chunk(&mut sim, k);
     }
     job.finish_submission(&mut sim);
     sim.set_trace(true);
-    let (timeline, runtime) = timed_run(&mut sim);
+    let (timeline, runtime) = timed_run(&mut sim, on);
     let mut trace = sim.take_trace().expect("tracing was enabled");
     trace.set_runtime_stats(runtime);
     let chunks = job.num_chunks();
@@ -1036,4 +1099,369 @@ pub fn decompress_pipelined(
     let (bytes, meta) = job.finish()?;
     let report = report_from(timeline, trace, dev, bytes.len() as u64, compressed, chunks);
     Ok((bytes, meta, report))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hpdr_baselines::{Lz4Reducer, SzConfig, SzReducer};
+    use hpdr_core::{CpuParallelAdapter, DType, KernelClass, SerialAdapter, Shape};
+    use hpdr_huffman::ByteHuffmanReducer;
+    use hpdr_mgard::{MgardConfig, MgardReducer};
+    use hpdr_zfp::{ZfpConfig, ZfpReducer};
+    use proptest::prelude::*;
+    use std::sync::OnceLock;
+
+    /// A two-thread pool of the tests' own, so the concurrent executor
+    /// runs two participants on any host.
+    fn on(participants: usize) -> Payloads<'static> {
+        static POOL: OnceLock<WorkerPool> = OnceLock::new();
+        Payloads {
+            pool: POOL.get_or_init(|| WorkerPool::new(2)),
+            participants,
+        }
+    }
+
+    fn nyx(side: usize) -> (Arc<Vec<u8>>, ArrayMeta) {
+        let d = hpdr_data::nyx_density(side, 5);
+        (
+            Arc::new(d.bytes.clone()),
+            ArrayMeta::new(DType::F32, d.shape.clone()),
+        )
+    }
+
+    fn codec(i: usize) -> Arc<dyn Reducer> {
+        match i {
+            0 => Arc::new(MgardReducer(MgardConfig::relative(1e-2))),
+            1 => Arc::new(ZfpReducer(ZfpConfig::fixed_rate(8))),
+            2 => Arc::new(ByteHuffmanReducer::default()),
+            3 => Arc::new(SzReducer(SzConfig::relative(1e-3))),
+            _ => Arc::new(Lz4Reducer),
+        }
+    }
+
+    /// Everything a run's trace holds except the wall clock: labels,
+    /// virtual times, sizes and footprints.
+    fn spans(report: &PipelineReport) -> Vec<(String, Ns, Ns, Ns, u64, u64)> {
+        report
+            .trace
+            .spans()
+            .iter()
+            .map(|s| {
+                let (start, end, ready) = (s.start, s.end, s.ready);
+                (
+                    s.label.clone(),
+                    start,
+                    end,
+                    ready,
+                    s.bytes,
+                    s.footprint_bytes,
+                )
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+        /// The serial executor is the oracle: over the shipped configs,
+        /// every codec and both adapter kinds, the concurrent executor
+        /// gives the same container bytes, outputs and timelines.
+        #[test]
+        fn concurrent_executor_matches_the_serial_one(
+            mode in 0usize..3,
+            flags in 0u32..32,
+            c in 0usize..5,
+            threads in 1usize..3,
+        ) {
+            // 48³ f32, 9 KiB rows: 8-row chunks are the smallest kernel
+            // payloads that run concurrently.
+            let (input, meta) = nyx(48);
+            let row = input.len() as u64 / 48;
+            let opts = PipelineOptions {
+                mode: match mode {
+                    0 => PipelineMode::Unpipelined,
+                    1 => PipelineMode::Fixed { chunk_bytes: 8 * row },
+                    _ => PipelineMode::Adaptive {
+                        init_bytes: 8 * row,
+                        limit_bytes: 16 * row,
+                    },
+                },
+                two_buffers: flags & 1 != 0,
+                cmm: flags & 2 != 0,
+                deser_first: flags & 4 != 0,
+                serial_queue: flags & 8 != 0,
+                host_staging: flags & 16 != 0,
+            };
+            let work: Arc<dyn DeviceAdapter> = if threads == 1 {
+                Arc::new(SerialAdapter::new())
+            } else {
+                Arc::new(CpuParallelAdapter::new(2))
+            };
+            let spec = hpdr_sim::v100();
+            let reducer = codec(c);
+            let compress = |n| {
+                compress_on(&spec, Arc::clone(&work), Arc::clone(&reducer), Arc::clone(&input), &meta, &opts, on(n))
+                    .unwrap()
+            };
+            let ((serial, sr), (concurrent, cr)) = (compress(1), compress(2));
+            prop_assert_eq!(serial.to_bytes(), concurrent.to_bytes());
+            prop_assert_eq!(spans(&sr), spans(&cr));
+            let decompress = |n| {
+                decompress_on(&spec, Arc::clone(&work), Arc::clone(&reducer), &serial, &opts, on(n))
+                    .unwrap()
+            };
+            let ((so, _, sr), (co, _, cr)) = (decompress(1), decompress(2));
+            prop_assert_eq!(so, co);
+            prop_assert_eq!(spans(&sr), spans(&cr));
+        }
+    }
+
+    #[test]
+    fn overlapping_chunks_run_on_the_executor_and_serial_queues_do_not() {
+        // A pool of this test's own: its job count is the executor's.
+        let pool = WorkerPool::new(2);
+        let (input, meta) = nyx(48);
+        let work: Arc<dyn DeviceAdapter> = Arc::new(SerialAdapter::new());
+        let spec = hpdr_sim::v100();
+        let jobs = |opts: PipelineOptions| {
+            let on = Payloads {
+                pool: &pool,
+                participants: 2,
+            };
+            let (c, cr) = compress_on(
+                &spec,
+                Arc::clone(&work),
+                codec(1),
+                Arc::clone(&input),
+                &meta,
+                &opts,
+                on,
+            )
+            .unwrap();
+            let (_, _, dr) =
+                decompress_on(&spec, Arc::clone(&work), codec(1), &c, &opts, on).unwrap();
+            let stats = |r: &PipelineReport| r.trace.runtime_stats().unwrap().pool_jobs;
+            (c.chunks.len(), stats(&cr), stats(&dr))
+        };
+        let fixed = PipelineOptions::fixed(8 * input.len() as u64 / 48);
+        assert_eq!(jobs(fixed), (6, 1, 1));
+        let serial_queue = PipelineOptions {
+            serial_queue: true,
+            ..fixed
+        };
+        assert_eq!(jobs(serial_queue), (6, 0, 0));
+    }
+
+    /// Delegates to `inner`, except that decoding the chunk of
+    /// `first_rows` rows returns only once a later chunk has landed in
+    /// `output`: the output copies then run in reverse order.
+    struct LandLater {
+        inner: Arc<dyn Reducer>,
+        first_rows: usize,
+        output: OnceLock<std::sync::Weak<Mutex<Output>>>,
+    }
+
+    impl Reducer for LandLater {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+        fn kernel_class(&self) -> KernelClass {
+            self.inner.kernel_class()
+        }
+        fn is_lossless(&self) -> bool {
+            self.inner.is_lossless()
+        }
+        fn compress(
+            &self,
+            work: &dyn DeviceAdapter,
+            data: &[u8],
+            meta: &ArrayMeta,
+        ) -> Result<Vec<u8>> {
+            self.inner.compress(work, data, meta)
+        }
+        fn decompress(
+            &self,
+            work: &dyn DeviceAdapter,
+            stream: &[u8],
+        ) -> Result<(Vec<u8>, ArrayMeta)> {
+            let out = self.inner.decompress(work, stream)?;
+            if out.1.shape.dims()[0] == self.first_rows {
+                let output = self
+                    .output
+                    .get()
+                    .and_then(|o| o.upgrade())
+                    .expect("output attached");
+                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+                while output.lock().parked.is_empty() {
+                    assert!(
+                        std::time::Instant::now() < deadline,
+                        "no later chunk landed"
+                    );
+                    std::thread::yield_now();
+                }
+            }
+            Ok(out)
+        }
+    }
+
+    #[test]
+    fn output_copies_completing_in_reverse_order_restore_the_same_bytes() {
+        let (input, meta) = nyx(64);
+        let work: Arc<dyn DeviceAdapter> = Arc::new(SerialAdapter::new());
+        let spec = hpdr_sim::v100();
+        let inner = codec(1);
+        // Chunks of 48 and 16 rows (768 and 256 KiB).
+        let opts = PipelineOptions::fixed(48 * input.len() as u64 / 64);
+        let (container, _) = compress_on(
+            &spec,
+            Arc::clone(&work),
+            Arc::clone(&inner),
+            input,
+            &meta,
+            &opts,
+            on(1),
+        )
+        .unwrap();
+        let rows: Vec<usize> = container.chunks.iter().map(|c| c.0).collect();
+        assert_eq!(rows, [48, 16]);
+        let (expect, _, _) = decompress_on(
+            &spec,
+            Arc::clone(&work),
+            Arc::clone(&inner),
+            &container,
+            &opts,
+            on(1),
+        )
+        .unwrap();
+        let reducer = Arc::new(LandLater {
+            inner,
+            first_rows: 48,
+            output: OnceLock::new(),
+        });
+        // A pool of this test's own: the forced order needs both
+        // participants, which a pool shared with other tests cannot
+        // promise.
+        let pool = WorkerPool::new(2);
+        let mut sim = Sim::new();
+        let rt = sim.add_runtime();
+        let dev = sim.add_device(spec.clone(), rt);
+        let mut job = DecompressJob::new(
+            &mut sim,
+            dev,
+            Arc::clone(&reducer) as _,
+            work,
+            &container,
+            opts,
+        )
+        .unwrap();
+        for k in 0..job.num_chunks() {
+            job.submit_chunk(&mut sim, k);
+        }
+        job.finish_submission(&mut sim);
+        let _ = reducer.output.set(Arc::downgrade(&job.output));
+        sim.set_trace(true);
+        timed_run(
+            &mut sim,
+            Payloads {
+                pool: &pool,
+                participants: 2,
+            },
+        );
+        let trace = sim.take_trace().unwrap();
+        let (out, _) = job.finish().unwrap();
+        assert_eq!(out, expect);
+        let wall_start = |label: &str| {
+            let span = trace.spans().iter().find(|s| s.label == label).unwrap();
+            span.wall_start
+        };
+        assert!(wall_start("D2Hout[1]") < wall_start("D2Hout[0]"));
+        assert!(hpdr_trace::wall_overlap_ratio(&trace).unwrap() > 0.0);
+    }
+
+    #[test]
+    fn chunks_land_in_array_order_whatever_order_they_complete_in() {
+        let mut out = Output {
+            bytes: Vec::new(),
+            next: 0,
+            parked: Vec::new(),
+        };
+        for k in (0..4u8).rev() {
+            out.land(k as usize, &[k; 3]);
+        }
+        assert_eq!(out.next, 4);
+        assert!(out.parked.is_empty());
+        assert_eq!(out.bytes, [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]);
+    }
+
+    /// Panics compressing the chunk whose first value is in `rows`.
+    struct PanicAt(Vec<f32>);
+
+    impl Reducer for PanicAt {
+        fn name(&self) -> &'static str {
+            "lz4-like"
+        }
+        fn kernel_class(&self) -> KernelClass {
+            Lz4Reducer.kernel_class()
+        }
+        fn is_lossless(&self) -> bool {
+            true
+        }
+        fn compress(
+            &self,
+            work: &dyn DeviceAdapter,
+            data: &[u8],
+            meta: &ArrayMeta,
+        ) -> Result<Vec<u8>> {
+            let first = f32::from_le_bytes(data[..4].try_into().unwrap());
+            if self.0.contains(&first) {
+                panic!("chunk at row {first}");
+            }
+            Lz4Reducer.compress(work, data, meta)
+        }
+        fn decompress(
+            &self,
+            work: &dyn DeviceAdapter,
+            stream: &[u8],
+        ) -> Result<(Vec<u8>, ArrayMeta)> {
+            Lz4Reducer.decompress(work, stream)
+        }
+    }
+
+    #[test]
+    fn a_panicking_payload_reports_the_lowest_chunk_and_the_pool_stays_usable() {
+        // Row r holds the value r, so a chunk's first value names its row.
+        // Rows are 16 KiB: 4-row chunks are kernel payloads large enough
+        // to run concurrently.
+        const COLS: usize = 4096;
+        let meta = ArrayMeta::new(DType::F32, Shape::new(&[16, COLS]));
+        let input: Arc<Vec<u8>> = Arc::new(
+            (0..16 * COLS)
+                .flat_map(|i| ((i / COLS) as f32).to_le_bytes())
+                .collect(),
+        );
+        let spec = hpdr_sim::v100();
+        let work: Arc<dyn DeviceAdapter> = Arc::new(SerialAdapter::new());
+        let opts = PipelineOptions::fixed(4 * COLS as u64 * 4);
+        let reducer: Arc<dyn Reducer> = Arc::new(PanicAt(vec![4.0, 12.0]));
+        for _ in 0..5 {
+            let run = || {
+                compress_on(
+                    &spec,
+                    Arc::clone(&work),
+                    Arc::clone(&reducer),
+                    Arc::clone(&input),
+                    &meta,
+                    &opts,
+                    on(2),
+                )
+            };
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).unwrap_err();
+            let message = panic.downcast_ref::<String>().map(String::as_str);
+            assert_eq!(message, Some("chunk at row 4"));
+        }
+        let fine: Arc<dyn Reducer> = Arc::new(Lz4Reducer);
+        let (container, _) =
+            compress_on(&spec, work, fine, Arc::clone(&input), &meta, &opts, on(2)).unwrap();
+        assert_eq!(container.chunks.len(), 4);
+    }
 }

@@ -35,12 +35,12 @@ impl ExternalBatchJob for RetrieveBatchItem {
     }
 
     fn build(
-        self: Box<Self>,
+        &self,
         sim: &mut Sim,
         dev: DeviceId,
         work: Arc<dyn DeviceAdapter>,
     ) -> Result<Box<dyn SubmittedBatchJob>> {
-        let job = RetrieveJob::new(sim, dev, work, self.set, self.tolerance)?;
+        let job = RetrieveJob::new(sim, dev, work, Arc::clone(&self.set), self.tolerance)?;
         Ok(Box::new(job))
     }
 }

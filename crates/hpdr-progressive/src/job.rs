@@ -11,7 +11,7 @@
 
 use crate::plan::{plan_fetch, FetchPlan};
 use crate::refactoring::{level_counts, reconstruct_bytes, DecodeState, Refactoring};
-use hpdr_core::{ArrayMeta, DeviceAdapter, HpdrError, KernelClass, Result};
+use hpdr_core::{ArrayMeta, DeviceAdapter, HpdrError, KernelClass, LowestError, Result};
 use hpdr_sim::{BufId, Cost, DeviceId, DeviceSpec, Effects, Engine, OpId, OpSpec, QueueId, Sim};
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -30,7 +30,7 @@ pub struct RetrieveJob {
     state: Arc<Mutex<DecodeState>>,
     work: Arc<dyn DeviceAdapter>,
     output: OutputSlot,
-    error: Arc<Mutex<Option<HpdrError>>>,
+    error: Arc<LowestError>,
     decode_ops: Vec<OpId>,
     meta: ArrayMeta,
 }
@@ -70,7 +70,7 @@ impl RetrieveJob {
             set,
             work,
             output: Arc::new(Mutex::new(None)),
-            error: Arc::new(Mutex::new(None)),
+            error: Arc::new(LowestError::default()),
             decode_ops: Vec::new(),
             meta,
         })
@@ -144,10 +144,7 @@ impl RetrieveJob {
                 let result = hpdr_huffman::decompress_u32(work.as_ref(), &blob)
                     .and_then(|decoded| state.lock().apply(c.level, c.plane, &decoded, nodes));
                 if let Err(e) = result {
-                    let mut slot = error.lock();
-                    if slot.is_none() {
-                        *slot = Some(e);
-                    }
+                    error.record(k, e);
                 }
             })),
         );
@@ -163,6 +160,7 @@ impl RetrieveJob {
         let error = Arc::clone(&self.error);
         let out_buf = self.out_buf;
         let out_bytes = self.meta.num_bytes();
+        let last = self.num_components();
         let rec = sim.push(
             OpSpec {
                 engine: Engine::Compute(self.dev),
@@ -181,12 +179,7 @@ impl RetrieveJob {
                         pool.resize(out_buf, bytes.len());
                         pool.get_mut(out_buf).copy_from_slice(&bytes);
                     }
-                    Err(e) => {
-                        let mut slot = error.lock();
-                        if slot.is_none() {
-                            *slot = Some(e);
-                        }
-                    }
+                    Err(e) => error.record(last, e),
                 }
             })),
         );
@@ -211,7 +204,7 @@ impl RetrieveJob {
 
     /// Collect the reconstructed bytes after `sim.run()`.
     pub fn finish(self) -> Result<(Vec<u8>, ArrayMeta)> {
-        if let Some(e) = self.error.lock().take() {
+        if let Some(e) = self.error.take() {
             return Err(e);
         }
         self.output
@@ -229,7 +222,7 @@ pub fn plan_retrieve(
     work: Arc<dyn DeviceAdapter>,
     set: Arc<Refactoring>,
     tolerance: f64,
-) -> Result<Sim> {
+) -> Result<Sim<'static>> {
     let mut sim = Sim::new();
     let rt = sim.add_runtime();
     let dev = sim.add_device(spec.clone(), rt);

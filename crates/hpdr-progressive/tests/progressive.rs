@@ -276,7 +276,7 @@ fn retrieve_dag_matches_direct_reconstruction_and_verifies_clean() {
 /// Helper pairing a Sim with its RetrieveJob (plan_retrieve consumes
 /// the job internally, so tests that need `finish()` build their own).
 struct Sim2 {
-    sim: hpdr_sim::Sim,
+    sim: hpdr_sim::Sim<'static>,
     job: hpdr_progressive::RetrieveJob,
 }
 

@@ -722,6 +722,7 @@ impl Scheduler {
             bytes: 0,
             footprint_bytes: 0,
             ready: alert.at,
+            wall_start: Ns::ZERO,
             wall: Ns::ZERO,
         });
     }
@@ -1252,6 +1253,7 @@ fn reject_or_job_span(
         bytes,
         footprint_bytes: 0,
         ready,
+        wall_start: Ns::ZERO,
         wall: Ns::ZERO,
     }
 }

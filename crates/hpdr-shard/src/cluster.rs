@@ -506,6 +506,7 @@ impl Cluster {
             bytes,
             footprint_bytes: 0,
             ready: self.clock,
+            wall_start: Ns::ZERO,
             wall: Ns::ZERO,
         });
     }
@@ -531,6 +532,7 @@ impl Cluster {
             bytes: 0,
             footprint_bytes: 0,
             ready: self.clock,
+            wall_start: Ns::ZERO,
             wall: Ns::ZERO,
         });
     }

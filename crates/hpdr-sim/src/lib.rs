@@ -18,10 +18,13 @@
 //! * launch-order effects (engines execute in submission order, so the
 //!   Fig. 9 dependency/ordering optimizations are directly expressible).
 //!
-//! Everything is single-threaded and deterministic, which makes pipeline
-//! schedules unit-testable down to the nanosecond.
+//! Virtual time is deterministic, which makes pipeline schedules
+//! unit-testable down to the nanosecond. Payloads run serially, or
+//! concurrently where the DAG allows ([`exec`]); the outputs and the
+//! virtual times are the same either way.
 
 pub mod effects;
+pub mod exec;
 pub mod horizon;
 pub mod json;
 pub mod mem;
@@ -33,6 +36,7 @@ pub mod trace;
 pub mod verify;
 
 pub use effects::Effects;
+pub use exec::Workers;
 pub use horizon::BusyHorizon;
 pub use mem::{BufId, MemPool};
 pub use sim::{

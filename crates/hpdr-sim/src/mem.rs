@@ -11,6 +11,12 @@
 //! write, or free panics with the op's label. This keeps the static
 //! analyzer's input honest — a payload cannot touch a buffer the
 //! analyzer does not know about.
+//!
+//! When payloads run concurrently ([`crate::exec`]), each one runs
+//! against a **view**: a pool holding only the buffers its effects
+//! declare, moved out of the run's pool by [`MemPool::lend`] and back by
+//! [`MemPool::restore`]. Every other buffer is absent from the view, so
+//! two running payloads cannot share a buffer, in any build.
 
 use crate::effects::Effects;
 use crate::sim::DeviceId;
@@ -37,7 +43,23 @@ struct Buffer {
     device: DeviceId,
     data: Vec<u8>,
     freed: bool,
+    /// The bytes are not in this pool: lent to a running payload (in the
+    /// run's pool), or never lent in (in a payload's view).
+    away: bool,
 }
+
+impl Buffer {
+    fn absent(device: DeviceId) -> Buffer {
+        Buffer {
+            device,
+            data: Vec::new(),
+            freed: false,
+            away: true,
+        }
+    }
+}
+
+const AWAY: &str = "an op may touch only the buffers its effects declare";
 
 /// What the effect guard does with each access it intercepts.
 #[derive(Debug)]
@@ -81,8 +103,60 @@ impl MemPool {
             device,
             data: vec![0u8; bytes],
             freed: false,
+            away: false,
         });
         id
+    }
+
+    /// Move the buffers `effects` names into a pool of their own, the
+    /// view one payload runs against while others run beside it. The
+    /// buffers are away from this pool until [`MemPool::restore`].
+    pub(crate) fn lend(&mut self, effects: &Effects) -> MemPool {
+        let touched = effects.touched();
+        let len = touched.last().map_or(0, |b| b.0 + 1);
+        let mut buffers: Vec<Buffer> = self.buffers[..len]
+            .iter()
+            .map(|b| Buffer::absent(b.device))
+            .collect();
+        for b in touched {
+            debug_assert!(!self.buffers[b.0].away, "{b:?} lent twice");
+            std::mem::swap(&mut buffers[b.0], &mut self.buffers[b.0]);
+        }
+        MemPool {
+            buffers,
+            guard: None,
+        }
+    }
+
+    /// Take back the buffers of a view made by [`MemPool::lend`].
+    pub(crate) fn restore(&mut self, view: MemPool) {
+        for (slot, b) in self.buffers.iter_mut().zip(view.buffers) {
+            if !b.away {
+                *slot = b;
+            }
+        }
+    }
+
+    fn buf(&self, id: BufId) -> &Buffer {
+        let b = &self.buffers[id.0];
+        assert!(!b.away, "{id:?} is not in this memory pool: {AWAY}");
+        b
+    }
+
+    fn buf_mut(&mut self, id: BufId) -> &mut Buffer {
+        let b = &mut self.buffers[id.0];
+        assert!(!b.away, "{id:?} is not in this memory pool: {AWAY}");
+        b
+    }
+
+    /// Live bytes of the buffers `effects` names (the span footprint).
+    pub(crate) fn footprint(&self, effects: &Effects) -> u64 {
+        effects
+            .touched()
+            .into_iter()
+            .filter(|b| !self.is_freed(*b))
+            .map(|b| self.len(b) as u64)
+            .sum()
     }
 
     /// Install the effect guard for one payload run (debug enforcement).
@@ -176,7 +250,7 @@ impl MemPool {
     /// Read access to a buffer's bytes.
     pub fn get(&self, id: BufId) -> &[u8] {
         self.check_read(id);
-        let b = &self.buffers[id.0];
+        let b = self.buf(id);
         assert!(!b.freed, "use of freed device buffer {id:?}");
         &b.data
     }
@@ -184,7 +258,7 @@ impl MemPool {
     /// Write access to a buffer's bytes.
     pub fn get_mut(&mut self, id: BufId) -> &mut [u8] {
         self.check_write(id);
-        let b = &mut self.buffers[id.0];
+        let b = self.buf_mut(id);
         assert!(!b.freed, "use of freed device buffer {id:?}");
         &mut b.data
     }
@@ -195,7 +269,7 @@ impl MemPool {
         self.check_read(src);
         self.check_write(dst);
         assert!(
-            !self.buffers[src.0].freed && !self.buffers[dst.0].freed,
+            !self.buf(src).freed && !self.buf(dst).freed,
             "use of freed device buffer (src {src:?} / dst {dst:?})"
         );
         let (lo, hi) = if src.0 < dst.0 {
@@ -211,7 +285,7 @@ impl MemPool {
     /// Resize a buffer (e.g. to the actual compressed size after a kernel).
     pub fn resize(&mut self, id: BufId, bytes: usize) {
         self.check_write(id);
-        let b = &mut self.buffers[id.0];
+        let b = self.buf_mut(id);
         assert!(!b.freed, "resize of freed device buffer {id:?}");
         b.data.resize(bytes, 0);
     }
@@ -220,7 +294,7 @@ impl MemPool {
     /// its output in an allocation of its own hands it over uncopied.
     pub fn replace(&mut self, id: BufId, data: Vec<u8>) {
         self.check_write(id);
-        let b = &mut self.buffers[id.0];
+        let b = self.buf_mut(id);
         assert!(!b.freed, "replace of freed device buffer {id:?}");
         b.data = data;
     }
@@ -229,7 +303,7 @@ impl MemPool {
     /// buffer has no length, and code asking for one is reading stale
     /// state (the runtime check backing the analyzer's UAF lint).
     pub fn len(&self, id: BufId) -> usize {
-        let b = &self.buffers[id.0];
+        let b = self.buf(id);
         assert!(!b.freed, "len of freed device buffer {id:?}");
         b.data.len()
     }
@@ -253,7 +327,7 @@ impl MemPool {
     /// free panics (double-free detector backing the analyzer).
     pub fn mark_freed(&mut self, id: BufId) {
         self.check_free(id);
-        let b = &mut self.buffers[id.0];
+        let b = self.buf_mut(id);
         assert!(!b.freed, "double free of device buffer {id:?}");
         b.freed = true;
         b.data = Vec::new();
@@ -262,7 +336,7 @@ impl MemPool {
     /// Move a buffer's contents out (typically after the run completes).
     pub fn take(&mut self, id: BufId) -> Vec<u8> {
         self.check_write(id);
-        let b = &mut self.buffers[id.0];
+        let b = self.buf_mut(id);
         assert!(!b.freed, "take of freed device buffer {id:?}");
         std::mem::take(&mut b.data)
     }
@@ -451,6 +525,33 @@ mod tests {
         pool.begin_payload("ok", &Effects::read(a));
         let _ = pool.get(a);
         assert!(pool.end_payload().is_none());
+    }
+
+    #[test]
+    fn lent_buffers_leave_the_pool_and_come_back() {
+        let mut pool = MemPool::new();
+        let a = pool.create(dev(), 4);
+        let b = pool.create(dev(), 4);
+        let c = pool.create(dev(), 4);
+        let mut view = pool.lend(&Effects::read(a).and_write(b));
+        view.get_mut(b).copy_from_slice(&[5; 4]);
+        view.mark_freed(a);
+        // The undeclared buffer is absent from the view.
+        let stray = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| view.len(c)));
+        assert!(stray.is_err());
+        pool.restore(view);
+        assert_eq!(pool.get(b), &[5; 4]);
+        assert!(pool.is_freed(a));
+        assert_eq!(pool.len(c), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "not in this memory pool")]
+    fn lent_buffer_is_away_from_the_run_pool() {
+        let mut pool = MemPool::new();
+        let a = pool.create(dev(), 4);
+        let _view = pool.lend(&Effects::write(a));
+        let _ = pool.get(a);
     }
 
     #[test]

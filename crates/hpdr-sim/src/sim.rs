@@ -15,9 +15,13 @@
 //!   optimization is expressed by reordering submissions).
 //!
 //! Every op may carry a *payload* closure that runs against the real
-//! [`MemPool`], so simulated pipelines produce real output bytes.
+//! [`MemPool`], so simulated pipelines produce real output bytes. With
+//! workers attached ([`Sim::set_workers`]), payloads that the DAG lets
+//! overlap run concurrently ([`crate::exec`]); virtual time is the same
+//! either way.
 
 use crate::effects::Effects;
+use crate::exec::{self, Exec, Guard, Run, Workers};
 use crate::mem::{BufId, MemPool};
 use crate::spec::{DeviceSpec, KernelClass};
 use crate::time::Ns;
@@ -76,8 +80,9 @@ pub enum Cost {
     Transfer { bytes: u64 },
     /// A DMA transfer whose size becomes known only when an earlier
     /// payload runs (e.g. the compressed size produced by a reduction
-    /// kernel). The cell is read at schedule time, which happens after
-    /// all earlier-submitted payloads have executed.
+    /// kernel). The cell is read when virtual time is computed, after
+    /// every payload of the run has executed, so exactly one payload may
+    /// write it.
     TransferDyn {
         bytes: std::sync::Arc<std::sync::atomic::AtomicU64>,
     },
@@ -97,8 +102,10 @@ pub enum Cost {
     },
 }
 
-/// Payload executed against the memory pool when the op "runs".
-pub type Payload = Box<dyn FnOnce(&mut MemPool)>;
+/// Payload executed against the memory pool when the op "runs". It may
+/// borrow anything that outlives the [`Sim`], and it may run on a worker
+/// thread.
+pub type Payload<'a> = Box<dyn FnOnce(&mut MemPool) + Send + 'a>;
 
 /// Shadow-access record of one executed op, collected when auditing is
 /// enabled ([`Sim::set_audit`]): the buffer accesses the payload *actually*
@@ -131,17 +138,18 @@ struct Device {
     runtime: RuntimeId,
 }
 
-struct PendingOp {
+struct PendingOp<'a> {
     spec: OpSpec,
-    payload: Option<Payload>,
+    payload: Option<Payload<'a>>,
 }
 
 /// The virtual machine: devices, queues, submitted ops and the memory pool.
-pub struct Sim {
+/// `'a` bounds what payloads borrow.
+pub struct Sim<'a> {
     devices: Vec<Device>,
     runtimes: usize,
     queues: usize,
-    ops: Vec<PendingOp>,
+    ops: Vec<PendingOp<'a>>,
     pool: MemPool,
     /// Pageable host-memory copy bandwidth (GB/s) for [`Cost::HostCopy`].
     host_copy_gbps: f64,
@@ -156,16 +164,19 @@ pub struct Sim {
     audit_enabled: bool,
     /// Per-op observation log of the last audited [`Sim::run`].
     observed: Vec<OpAudit>,
+    /// Threads for concurrent payload execution, and how many of them
+    /// one run may use ([`Sim::set_workers`]).
+    workers: Option<(&'a dyn Workers, usize)>,
 }
 
-impl Default for Sim {
+impl Default for Sim<'_> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl Sim {
-    pub fn new() -> Sim {
+impl<'a> Sim<'a> {
+    pub fn new() -> Sim<'a> {
         Sim {
             devices: Vec::new(),
             runtimes: 0,
@@ -177,7 +188,16 @@ impl Sim {
             recorder: None,
             audit_enabled: false,
             observed: Vec::new(),
+            workers: None,
         }
+    }
+
+    /// Run payloads on up to `participants` threads of `workers` when the
+    /// DAG lets two large kernel payloads overlap ([`crate::exec`]).
+    /// Outputs, timelines and traces are identical to the serial
+    /// executor's, apart from measured wall-clock times.
+    pub fn set_workers(&mut self, workers: &'a dyn Workers, participants: usize) {
+        self.workers = Some((workers, participants));
     }
 
     /// Enable or disable span tracing for the next [`Sim::run`]. Tracing
@@ -275,7 +295,7 @@ impl Sim {
     }
 
     /// Submit an operation. Dependencies must reference earlier submissions.
-    pub fn push(&mut self, spec: OpSpec, payload: Option<Payload>) -> OpId {
+    pub fn push(&mut self, spec: OpSpec, payload: Option<Payload<'a>>) -> OpId {
         let id = OpId(self.ops.len());
         for d in &spec.deps {
             assert!(d.0 < id.0, "dependency {:?} not yet submitted", d);
@@ -392,8 +412,13 @@ impl Sim {
         Dag { ops }
     }
 
-    /// Execute every submitted op: compute virtual start/end times and run
-    /// payloads in submission (and therefore dependency-safe) order.
+    /// Execute every submitted op: run the payloads, then compute virtual
+    /// start/end times in submission order.
+    ///
+    /// Payloads run in submission (and therefore dependency-safe) order,
+    /// or, with workers attached, concurrently wherever the DAG allows
+    /// ([`crate::exec`]). Either way the outputs and the virtual times are
+    /// the same.
     ///
     /// When verification is enabled ([`Sim::set_verify`]; default on in
     /// debug builds), the static hazard analyzer runs over the DAG first
@@ -403,19 +428,69 @@ impl Sim {
     /// Returns the resulting [`Timeline`]; the memory pool stays available
     /// via [`Sim::pool`] / [`Sim::take_buffer`] for output extraction.
     pub fn run(&mut self) -> Timeline {
-        if self.verify_enabled {
-            let dag = self.dag();
-            let report = verify::analyze(&dag);
-            assert!(report.is_clean(), "{}", report.describe(&dag));
+        let dag = (self.verify_enabled || self.workers.is_some()).then(|| self.dag());
+        if let Some(dag) = dag.as_ref().filter(|_| self.verify_enabled) {
+            let report = verify::analyze(dag);
+            assert!(report.is_clean(), "{}", report.describe(dag));
         }
+        let (specs, payloads): (Vec<OpSpec>, Vec<Option<Payload<'a>>>) =
+            std::mem::take(&mut self.ops)
+                .into_iter()
+                .map(|p| (p.spec, p.payload))
+                .unzip();
+        let run = Run {
+            specs: &specs,
+            footprints: self.recorder.is_some(),
+            guard: if self.audit_enabled {
+                Guard::Record
+            } else if cfg!(debug_assertions) {
+                Guard::Enforce
+            } else {
+                Guard::Off
+            },
+            t0: std::time::Instant::now(),
+        };
+        let has_payload: Vec<bool> = payloads.iter().map(Option::is_some).collect();
+        let concurrent = self
+            .workers
+            .filter(|&(_, participants)| participants > 1 && !self.audit_enabled)
+            .and_then(|(workers, participants)| {
+                Some((
+                    workers,
+                    participants,
+                    exec::plan(dag.as_ref()?, &specs, &has_payload)?,
+                ))
+            });
+        let execs = match concurrent {
+            Some((workers, participants, plan)) => {
+                let participants = participants.min(has_payload.iter().filter(|&&p| p).count());
+                exec::run_concurrent(workers, participants, &plan, &run, &mut self.pool, payloads)
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            }
+            None => exec::run_serial(&run, &mut self.pool, payloads),
+        };
+        if self.audit_enabled {
+            self.observed = specs
+                .iter()
+                .zip(&execs)
+                .map(|(spec, e)| OpAudit {
+                    label: spec.label.clone(),
+                    had_payload: e.observed.is_some(),
+                    observed: e.observed.clone().unwrap_or_default(),
+                })
+                .collect();
+        }
+        self.schedule(specs, &execs)
+    }
+
+    /// Virtual start/end times of the executed ops, in submission order.
+    fn schedule(&mut self, specs: Vec<OpSpec>, execs: &[Exec]) -> Timeline {
         use std::collections::HashMap;
         let mut engine_free: HashMap<Engine, Ns> = HashMap::new();
         let mut queue_tail: Vec<Ns> = vec![Ns::ZERO; self.queues];
-        let mut ends: Vec<Ns> = Vec::with_capacity(self.ops.len());
-        let mut records: Vec<OpRecord> = Vec::with_capacity(self.ops.len());
-
-        let ops = std::mem::take(&mut self.ops);
-        for (op, PendingOp { spec, payload }) in ops.into_iter().enumerate() {
+        let mut ends: Vec<Ns> = Vec::with_capacity(specs.len());
+        let mut records: Vec<OpRecord> = Vec::with_capacity(specs.len());
+        for (op, (spec, e)) in specs.into_iter().zip(execs).enumerate() {
             let mut ready = Ns::ZERO;
             for d in &spec.deps {
                 ready = ready.max(ends[d.0]);
@@ -447,56 +522,13 @@ impl Sim {
                     bytes,
                     ready,
                 });
-            }
-            let mut wall = Ns::ZERO;
-            if let Some(p) = payload {
-                let t0 = std::time::Instant::now();
-                if self.audit_enabled {
-                    // Audit mode: record what the payload really touches.
-                    self.pool
-                        .begin_payload_recording(&spec.label, &spec.effects);
-                    p(&mut self.pool);
-                    let observed = self.pool.end_payload().unwrap_or_default();
-                    self.observed.push(OpAudit {
-                        label: spec.label.clone(),
-                        had_payload: true,
-                        observed,
-                    });
-                } else if cfg!(debug_assertions) {
-                    // Debug builds: hold the payload to its declared effects.
-                    self.pool.begin_payload(&spec.label, &spec.effects);
-                    p(&mut self.pool);
-                    self.pool.end_payload();
-                } else {
-                    p(&mut self.pool);
-                }
-                wall = Ns(t0.elapsed().as_nanos() as u64);
-            } else if self.audit_enabled {
-                self.observed.push(OpAudit {
-                    label: spec.label.clone(),
-                    had_payload: false,
-                    observed: Effects::none(),
-                });
-            }
-            if self.recorder.is_some() {
-                // Footprint sampled after the payload so dynamically sized
-                // outputs (compressed streams) report their final sizes.
-                let footprint_bytes = spec
-                    .effects
-                    .touched()
-                    .into_iter()
-                    .filter(|b| !self.pool.is_freed(*b))
-                    .map(|b| self.pool.len(b) as u64)
-                    .sum();
-                let event = SpanEvent::End {
+                rec.emit(SpanEvent::End {
                     op,
                     t: end,
-                    footprint_bytes,
-                    wall,
-                };
-                if let Some(rec) = &mut self.recorder {
-                    rec.emit(event);
-                }
+                    footprint_bytes: e.footprint,
+                    wall_start: e.wall_start,
+                    wall: e.wall,
+                });
             }
             records.push(OpRecord {
                 label: spec.label,
@@ -533,7 +565,7 @@ mod tests {
     use super::*;
     use crate::spec::v100;
 
-    fn one_device() -> (Sim, DeviceId, QueueId) {
+    fn one_device() -> (Sim<'static>, DeviceId, QueueId) {
         let mut sim = Sim::new();
         let rt = sim.add_runtime();
         let dev = sim.add_device(v100(), rt);

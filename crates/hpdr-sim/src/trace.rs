@@ -44,6 +44,10 @@ pub enum SpanEvent {
         /// Total live bytes of the device buffers the op declared it
         /// touches, sampled after its payload executed.
         footprint_bytes: u64,
+        /// When the op's payload started on the wall clock, from the
+        /// start of the run (zero for ops without a payload). Measured,
+        /// like `wall`.
+        wall_start: Ns,
         /// Real elapsed wall-clock time of the op's payload on the host
         /// (zero for ops without a payload). Unlike the virtual times,
         /// this is measured, not modeled.
@@ -71,6 +75,10 @@ pub struct SpanRecord {
     pub footprint_bytes: u64,
     /// When the op's explicit dependencies were satisfied.
     pub ready: Ns,
+    /// Measured wall-clock start of the op's payload, from the start of
+    /// the run (zero when the op had no payload). Payloads that ran side
+    /// by side overlap in `[wall_start, wall_start + wall)`.
+    pub wall_start: Ns,
     /// Measured wall-clock time of the op's payload (zero when the op
     /// had no payload). Lets profiles report real host time next to the
     /// modeled virtual time.
@@ -151,6 +159,7 @@ impl Recorder {
                         bytes,
                         footprint_bytes: 0,
                         ready,
+                        wall_start: Ns::ZERO,
                         wall: Ns::ZERO,
                     });
                 }
@@ -158,6 +167,7 @@ impl Recorder {
                     op,
                     t,
                     footprint_bytes,
+                    wall_start,
                     wall,
                 } => {
                     let idx = open
@@ -167,6 +177,7 @@ impl Recorder {
                         .unwrap_or_else(|| panic!("end event for op {op} without a begin"));
                     spans[idx].end = t;
                     spans[idx].footprint_bytes = footprint_bytes;
+                    spans[idx].wall_start = wall_start;
                     spans[idx].wall = wall;
                     open[op] = None;
                 }
@@ -287,6 +298,7 @@ mod tests {
             op: 0,
             t: Ns(100),
             footprint_bytes: 64,
+            wall_start: Ns::ZERO,
             wall: Ns(7),
         });
         r.emit(begin(1, 50));
@@ -294,6 +306,7 @@ mod tests {
             op: 1,
             t: Ns(150),
             footprint_bytes: 0,
+            wall_start: Ns::ZERO,
             wall: Ns::ZERO,
         });
         let trace = r.into_trace();
@@ -329,6 +342,7 @@ mod tests {
             bytes: 0,
             footprint_bytes: 0,
             ready: Ns(30),
+            wall_start: Ns::ZERO,
             wall: Ns::ZERO,
         };
         assert_eq!(s.wait(), Ns(40));

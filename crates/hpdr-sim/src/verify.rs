@@ -210,6 +210,17 @@ impl Reachability {
     /// serialization. Requires deps to point strictly earlier (checked
     /// by the structural pass); returns `None` otherwise.
     pub fn compute(dag: &Dag) -> Option<Reachability> {
+        Reachability::build(dag, true)
+    }
+
+    /// HB from explicit deps and queue program order alone: the order
+    /// the concurrent executor ([`crate::exec`]) honours, since engines
+    /// serialize ops only in virtual time.
+    pub fn program_order(dag: &Dag) -> Option<Reachability> {
+        Reachability::build(dag, false)
+    }
+
+    fn build(dag: &Dag, engine_edges: bool) -> Option<Reachability> {
         let n = dag.len();
         for (i, op) in dag.ops.iter().enumerate() {
             if op.deps.iter().any(|&d| d >= i) {
@@ -230,10 +241,12 @@ impl Reachability {
                 }
                 last_on_queue.insert(q, i);
             }
-            if let Some(&p) = last_on_engine.get(&op.engine) {
-                preds.push(p);
+            if engine_edges {
+                if let Some(&p) = last_on_engine.get(&op.engine) {
+                    preds.push(p);
+                }
+                last_on_engine.insert(op.engine, i);
             }
-            last_on_engine.insert(op.engine, i);
             for p in preds {
                 // row_i |= row_p; row_i |= {p}
                 let (lo, hi) = if p < i { (p, i) } else { (i, p) };

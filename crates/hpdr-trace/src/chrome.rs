@@ -211,6 +211,7 @@ mod tests {
             bytes: 123,
             footprint_bytes: 456,
             ready: Ns(start),
+            wall_start: Ns::ZERO,
             wall: Ns::ZERO,
         }
     }

@@ -31,6 +31,6 @@ pub use critical::{critical_path, CriticalPath};
 pub use metrics::{
     alloc_contention, batch_digest, batch_digest_with, category_of, engine_name, engine_stats,
     job_span_stats, latency_histograms, memory_fraction, merge_shard_traces, overlap_ratio,
-    BatchDigest, DigestScratch, EngineStats, JobSpanStats, LatencyHistogram,
+    wall_overlap_ratio, BatchDigest, DigestScratch, EngineStats, JobSpanStats, LatencyHistogram,
 };
 pub use report::Profile;

@@ -160,6 +160,32 @@ pub fn overlap_ratio(trace: &Trace, dev: DeviceId) -> Option<f64> {
     Some(overlapped.0 as f64 / dma_total.0 as f64)
 }
 
+/// Share of payload wall-clock time that ran beside another payload: the
+/// measured counterpart of [`overlap_ratio`], over the spans'
+/// `[wall_start, wall_start + wall)` intervals. 0 when the payloads ran
+/// one at a time; `None` when no payload ran.
+pub fn wall_overlap_ratio(trace: &Trace) -> Option<f64> {
+    let mut edges: Vec<(u64, i64)> = Vec::new();
+    for s in trace.spans().iter().filter(|s| !s.wall.is_zero()) {
+        edges.push((s.wall_start.0, 1));
+        edges.push((s.wall_start.0 + s.wall.0, -1));
+    }
+    // Ends sort before starts at the same instant: touching is not
+    // overlapping.
+    edges.sort_unstable();
+    let (mut running, mut last, mut total, mut beside) = (0u64, 0u64, 0u64, 0u64);
+    for (t, step) in edges {
+        let covered = (t - last) * running;
+        total += covered;
+        if running > 1 {
+            beside += covered;
+        }
+        running = running.checked_add_signed(step).expect("balanced edges");
+        last = t;
+    }
+    (total > 0).then(|| beside as f64 / total as f64)
+}
+
 /// One-pass digest of a batch trace for live metering: per-category
 /// busy time, the §V-C overlap ratio for one device, and allocator
 /// contention. Identical numbers to [`engine_stats`] +
@@ -498,12 +524,39 @@ mod tests {
             bytes: end - start,
             footprint_bytes: 0,
             ready: Ns(start),
+            wall_start: Ns::ZERO,
             wall: Ns::ZERO,
         }
     }
 
     fn d0() -> DeviceId {
         DeviceId(0)
+    }
+
+    #[test]
+    fn wall_overlap_counts_payload_time_beside_another() {
+        let timed = |op, wall_start, wall| SpanRecord {
+            wall_start: Ns(wall_start),
+            wall: Ns(wall),
+            ..span(op, Engine::Compute(d0()), 0, 1, OpKind::Kernel, None)
+        };
+        // One after another (touching ends): no overlap.
+        let serial = Trace::from_spans(vec![timed(0, 0, 10), timed(1, 10, 10)]);
+        assert_eq!(wall_overlap_ratio(&serial), Some(0.0));
+        // [0, 10) and [5, 25): 5 ns run side by side, on each of two
+        // payloads, out of 30 payload-ns.
+        let overlapped = Trace::from_spans(vec![timed(0, 0, 10), timed(1, 5, 20)]);
+        assert_eq!(wall_overlap_ratio(&overlapped), Some(10.0 / 30.0));
+        // No payload ran.
+        let bare = Trace::from_spans(vec![span(
+            0,
+            Engine::H2D(d0()),
+            0,
+            5,
+            OpKind::Transfer,
+            None,
+        )]);
+        assert_eq!(wall_overlap_ratio(&bare), None);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use crate::critical::{critical_path, CriticalPath};
 use crate::metrics::{
     alloc_contention, engine_stats, latency_histograms, memory_fraction, overlap_ratio,
-    EngineStats, LatencyHistogram,
+    wall_overlap_ratio, EngineStats, LatencyHistogram,
 };
 use hpdr_sim::{DeviceId, Ns, RuntimeStats, Trace};
 use std::fmt::Write as _;
@@ -14,8 +14,11 @@ use std::fmt::Write as _;
 pub struct Profile {
     pub makespan: Ns,
     pub engines: Vec<EngineStats>,
-    /// §V-C overlap ratio per device appearing in the trace.
+    /// §V-C overlap ratio per device appearing in the trace (virtual).
     pub overlap: Vec<(DeviceId, Option<f64>)>,
+    /// Share of payload wall-clock time that ran beside another payload
+    /// (measured; `None` when no payload ran).
+    pub overlap_wall: Option<f64>,
     /// Fig. 1 memory-op share of total busy time.
     pub memory_fraction: f64,
     /// Time alloc/free ops queued behind the shared runtime lock.
@@ -70,6 +73,7 @@ impl Profile {
                 .into_iter()
                 .map(|d| (d, overlap_ratio(trace, d)))
                 .collect(),
+            overlap_wall: wall_overlap_ratio(trace),
             memory_fraction: memory_fraction(trace),
             alloc_contention: alloc_contention(trace),
             critical,
@@ -104,6 +108,13 @@ impl Profile {
                 Some(r) => out.push(format!("overlap dev{}        {:5.1}%", d.0, r * 100.0)),
                 None => out.push(format!("overlap dev{}        (no DMA)", d.0)),
             }
+        }
+        match self.overlap_wall {
+            Some(r) => out.push(format!(
+                "overlap wall-clock  {:5.1}% of payload time",
+                r * 100.0
+            )),
+            None => out.push("overlap wall-clock  (no payloads)".to_string()),
         }
         out.push(format!("alloc contention    {}", self.alloc_contention));
         out.push("engines:".to_string());
@@ -189,7 +200,14 @@ impl Profile {
                 }
             }
         }
-        s.push_str("],\"critical_path\":{");
+        s.push(']');
+        match self.overlap_wall {
+            Some(r) => {
+                let _ = write!(s, ",\"overlap_wall\":{r:.6}");
+            }
+            None => s.push_str(",\"overlap_wall\":null"),
+        }
+        s.push_str(",\"critical_path\":{");
         let _ = write!(
             s,
             "\"ops\":{:?},\"length_ns\":{},\"memory_share\":{:.6}",
@@ -223,6 +241,7 @@ mod tests {
                 bytes: 100,
                 footprint_bytes: 100,
                 ready: Ns(0),
+                wall_start: Ns::ZERO,
                 wall: Ns(40),
             },
             SpanRecord {
@@ -238,6 +257,7 @@ mod tests {
                 bytes: 100,
                 footprint_bytes: 100,
                 ready: Ns(100),
+                wall_start: Ns::ZERO,
                 wall: Ns(60),
             },
         ])

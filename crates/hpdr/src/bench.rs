@@ -1,14 +1,12 @@
 //! `hpdr bench` — wall-clock throughput measurement.
 //!
-//! Two benchmark families, both measured (not modeled):
+//! Measured (not modeled):
 //!
 //! * **Codec throughput**: compress/decompress GB/s per codec × adapter
 //!   × input size, best of N timed runs after warmup (wall-clock noise
 //!   is additive, so the minimum converges on the true cost);
-//! * **Pool microbenchmark**: ≥ 32 GEM/DEM stage invocations through the
-//!   persistent [`hpdr_core::WorkerPool`] versus the pre-pool
-//!   spawn-per-call baseline (`spawning_parallel_for*`), reported as a
-//!   speedup ratio.
+//! * **Paired overheads**: serve metering and the flight recorder, each
+//!   timed off and on in one process.
 //!
 //! Results serialize to a `BENCH_<label>.json` document with schema id
 //! [`BENCH_SCHEMA`]; [`validate_bench_json`] structurally checks a
@@ -16,7 +14,6 @@
 
 use crate::Codec;
 use hpdr_baselines::SzConfig;
-use hpdr_core::pool::{spawning_parallel_for, spawning_parallel_for_with_scratch};
 use hpdr_core::{
     ArrayMeta, CpuParallelAdapter, DType, DeviceAdapter, HpdrError, Result, SerialAdapter,
     WorkerPool,
@@ -25,7 +22,6 @@ use hpdr_mgard::MgardConfig;
 use hpdr_sim::json::{esc, need, need_arr, need_f64, need_str, need_u64, parse_json, JsonValue};
 use hpdr_zfp::ZfpConfig;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Schema identifier embedded in every bench document.
@@ -89,17 +85,6 @@ pub struct CodecResult {
     pub ratio: f64,
 }
 
-/// Persistent-pool vs spawn-per-call microbenchmark result.
-#[derive(Debug, Clone)]
-pub struct PoolBench {
-    /// Stage invocations per side (ISSUE floor: ≥ 32).
-    pub invocations: usize,
-    pub pool: Duration,
-    pub spawn: Duration,
-    /// `spawn / pool` — how much faster the persistent pool is.
-    pub speedup: f64,
-}
-
 /// Metrics-registry overhead on the serving path, measured *paired*:
 /// the same deterministic job stream served with no registry installed
 /// and with a full registry + SLO tracker, interleaved in one process
@@ -140,32 +125,12 @@ pub struct BenchReport {
     /// SIMD tier the kernel dispatch selected for this run
     /// ("scalar", "sse2", or "avx2").
     pub simd: String,
-    pub pool: PoolBench,
     pub serve: ServeOverhead,
     /// Flight-recorder overhead, measured with the same paired
     /// methodology as `serve` (recorder off vs on, metrics off on both
     /// sides so the two budgets don't confound each other).
     pub flight: ServeOverhead,
     pub results: Vec<CodecResult>,
-}
-
-fn median(mut samples: Vec<Duration>) -> Duration {
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
-
-fn time_median<F: FnMut()>(reps: usize, warmup: usize, mut f: F) -> Duration {
-    for _ in 0..warmup {
-        f();
-    }
-    let samples = (0..reps.max(1))
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed()
-        })
-        .collect();
-    median(samples)
 }
 
 /// Minimum wall-clock over `reps` timed runs (see [`Throughput::best`]
@@ -208,54 +173,6 @@ fn bench_adapters() -> Vec<(&'static str, usize, Box<dyn DeviceAdapter>)> {
         ("openmp", 2, Box::new(CpuParallelAdapter::new(2))),
         ("openmp", 4, Box::new(CpuParallelAdapter::new(4))),
     ]
-}
-
-/// ≥ 32 GEM + DEM stage invocations through the persistent pool versus
-/// the spawn-per-call baseline. Both sides run the same bodies with the
-/// same grain, so the only difference is worker startup and scratch
-/// lifetime — precisely what the persistent pool amortizes.
-fn pool_microbench(quick: bool) -> PoolBench {
-    let invocations = if quick { 32 } else { 64 };
-    let n = 4096usize;
-    let grain = 64usize;
-    let scratch = 2048usize;
-    let pool = WorkerPool::global();
-    // At least 4-way, mirroring the `CpuParallelAdapter::new(4)` config
-    // used across the suite: pre-pool, such an adapter spawned OS
-    // threads per stage even on a single-core host — exactly the
-    // overhead the persistent pool removes.
-    let threads = (pool.workers() + 1).max(4);
-    let sink = AtomicU64::new(0);
-    let dem_body = |i: usize| {
-        // A touch of real work per index so bodies don't optimize away.
-        sink.fetch_add((i as u64).wrapping_mul(0x9E37), Ordering::Relaxed);
-    };
-    let gem_body = |g: usize, scratch: &mut [u8]| {
-        scratch[g % scratch.len()] = g as u8;
-        sink.fetch_add(scratch[0] as u64, Ordering::Relaxed);
-    };
-    let run_pool = || {
-        for _ in 0..invocations / 2 {
-            pool.run(threads, n, grain, &dem_body).expect("bench body");
-            pool.run_with_scratch(threads, 64, scratch, true, &gem_body)
-                .expect("bench body");
-        }
-    };
-    let run_spawn = || {
-        for _ in 0..invocations / 2 {
-            spawning_parallel_for(threads, n, grain, &dem_body);
-            spawning_parallel_for_with_scratch(threads, 64, scratch, &gem_body);
-        }
-    };
-    let (reps, warmup) = if quick { (3, 1) } else { (7, 2) };
-    let pool_t = time_median(reps, warmup, run_pool);
-    let spawn_t = time_median(reps, warmup, run_spawn);
-    PoolBench {
-        invocations,
-        pool: pool_t,
-        spawn: spawn_t,
-        speedup: spawn_t.as_secs_f64() / pool_t.as_secs_f64().max(1e-12),
-    }
 }
 
 /// The deterministic job stream both paired serving benches run.
@@ -452,7 +369,6 @@ pub fn run_bench(opts: &BenchOptions) -> Result<BenchReport> {
         quick: opts.quick,
         threads: WorkerPool::global().workers() + 1,
         simd: hpdr_kernels::kernels().tier.name().to_string(),
-        pool: pool_microbench(opts.quick),
         serve: serve_overhead_bench(opts.quick),
         flight: flight_overhead_bench(opts.quick),
         results,
@@ -469,14 +385,6 @@ impl BenchReport {
         let _ = write!(s, ",\"quick\":{}", self.quick);
         let _ = write!(s, ",\"threads\":{}", self.threads);
         let _ = write!(s, ",\"simd\":\"{}\"", self.simd);
-        let _ = write!(
-            s,
-            ",\"pool\":{{\"invocations\":{},\"pool_ns\":{},\"spawn_ns\":{},\"speedup\":{:.4}}}",
-            self.pool.invocations,
-            self.pool.pool.as_nanos(),
-            self.pool.spawn.as_nanos(),
-            self.pool.speedup
-        );
         let _ = write!(
             s,
             ",\"serve_overhead\":{{\"jobs\":{},\"reps\":{},\"off_ns\":{},\"on_ns\":{},\
@@ -535,11 +443,6 @@ impl BenchReport {
             self.simd,
             if self.quick { "quick" } else { "full" }
         )];
-        out.push(format!(
-            "pool vs spawn-per-call over {} stage invocations: {:.2}x \
-             (pool {:?}, spawn {:?})",
-            self.pool.invocations, self.pool.speedup, self.pool.pool, self.pool.spawn
-        ));
         out.push(format!(
             "serve metering overhead over {} jobs x {} reps (paired): \
              {:+.2}% (off {:?}, on {:?})",
@@ -612,7 +515,6 @@ fn bench_rows(doc: &JsonValue) -> std::result::Result<Vec<BenchEntry>, String> {
     }
     need_str(doc, "label", ctx)?;
     need_u64(doc, "threads", ctx)?;
-    need_f64(need(doc, "pool", ctx)?, "speedup", "pool")?;
     need(doc, "serve_overhead", ctx)?;
     let results = need_arr(doc, "results", ctx)?;
     if results.is_empty() {
@@ -825,25 +727,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn median_of_samples() {
-        let d = |n| Duration::from_nanos(n);
-        assert_eq!(median(vec![d(3), d(1), d(2)]), d(2));
-        assert_eq!(median(vec![d(5)]), d(5));
-    }
-
-    #[test]
     fn validator_accepts_real_report_and_rejects_damage() {
         let report = BenchReport {
             label: "t".into(),
             quick: true,
             threads: 4,
             simd: "scalar".into(),
-            pool: PoolBench {
-                invocations: 32,
-                pool: Duration::from_micros(10),
-                spawn: Duration::from_micros(30),
-                speedup: 3.0,
-            },
             serve: ServeOverhead {
                 jobs: 48,
                 reps: 5,
@@ -901,6 +790,15 @@ mod tests {
         assert!(doc.contains("\"flight_overhead\":"));
         validate_bench_json(&doc.replace("\"flight_overhead\"", "\"x\""))
             .expect("documents without a flight section stay valid");
+        // Documents recorded before the pool-vs-spawn microbench was
+        // removed carry a `pool` section the validator no longer reads.
+        for committed in [
+            include_str!("../../../BENCH_baseline.json"),
+            include_str!("../../../BENCH_simd.json"),
+        ] {
+            assert!(committed.contains("\"pool\":"));
+            validate_bench_json(committed).expect("committed bench documents validate");
+        }
     }
 
     #[test]
@@ -916,12 +814,6 @@ mod tests {
                 quick: true,
                 threads: 4,
                 simd: "scalar".into(),
-                pool: PoolBench {
-                    invocations: 32,
-                    pool: Duration::from_micros(10),
-                    spawn: Duration::from_micros(30),
-                    speedup: 3.0,
-                },
                 serve: ServeOverhead {
                     jobs: 48,
                     reps: 5,
@@ -987,15 +879,6 @@ mod tests {
             "{err}"
         );
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn pool_microbench_reports_plausible_numbers() {
-        let b = pool_microbench(true);
-        assert_eq!(b.invocations, 32);
-        assert!(b.pool > Duration::ZERO);
-        assert!(b.spawn > Duration::ZERO);
-        assert!(b.speedup > 0.0);
     }
 
     #[test]

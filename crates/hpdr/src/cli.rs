@@ -58,7 +58,7 @@ pub enum Command {
         json: bool,
     },
     /// Wall-clock throughput benchmark: codec × adapter × size GB/s plus
-    /// the persistent-pool vs spawn-per-call microbenchmark; writes a
+    /// the paired metering and flight-recorder overheads; writes a
     /// schema-validated `BENCH_<label>.json`.
     Bench {
         opts: crate::bench::BenchOptions,
@@ -215,9 +215,7 @@ non-pipelined and checks their memory-op time share against the paper's
 (uncompressed GB/s, best of N runs after warmup) for every codec
 across a size x thread matrix: sizes 16^3 -> 32^3 -> 128^3 (the
 paper-scale 512^3 point is opt-in via --paper-scale), the serial
-adapter plus the CPU-parallel adapter at 1/2/4 threads, plus a
-microbenchmark of >= 32 GEM/DEM stage invocations through the
-persistent worker pool against the spawn-per-call baseline. The
+adapter plus the CPU-parallel adapter at 1/2/4 threads. The
 document records which SIMD tier the kernel dispatch selected (set
 HPDR_FORCE_SCALAR=1 to record a scalar baseline). Results are written
 to BENCH_<label>.json (schema hpdr-bench/v2, validated before writing;

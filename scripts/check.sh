@@ -30,10 +30,13 @@ test -s target/AUDIT_ci.json
 grep -q '"schema":"hpdr-audit/v1"' target/AUDIT_ci.json
 grep -q '"ok":true' target/AUDIT_ci.json
 
-echo "==> loom model checking (pool handoff, shared cells, context cache)"
+echo "==> loom model checking (pool handoff, ready-list executor, shared cells, context cache)"
 # Separate target dir: --cfg loom changes every crate's fingerprint and
-# would otherwise evict the regular build cache.
+# would otherwise evict the regular build cache. The models run at the
+# default preemption bound and again at 4, as CI's loom job does.
 CARGO_TARGET_DIR=target/loom RUSTFLAGS="--cfg loom" \
+  cargo test -p hpdr-core --test loom --quiet
+LOOM_MAX_PREEMPTIONS=4 CARGO_TARGET_DIR=target/loom RUSTFLAGS="--cfg loom" \
   cargo test -p hpdr-core --test loom --quiet
 
 echo "==> hpdr retrieve (progressive smoke: refine within tolerance, no re-fetch)"

@@ -1,15 +1,17 @@
 //! Structure-aware field sweep over decoder inputs: the Huffman-X stream,
-//! the Huffman-X and lz4-like reducer headers, and the pipeline container.
+//! the Huffman-X and lz4-like reducer headers, the pipeline container and
+//! the BP index.
 //!
 //! Every count, length, offset and dim field of a valid input is set in
 //! turn to 0, 1, max − 1, max, 2^32, 2^40 and `u64::MAX` (the values its
 //! width holds), and offsets also to the payload's bit count ± 1. Each
 //! case must return `Err` or the reference output (the bit-at-a-time
-//! decode for Huffman-X streams, the original bytes otherwise), with no
-//! panic and no abort. A counting global allocator checks that no single
-//! allocation exceeds max(1 MiB, 64 × input bytes). The six inputs that
-//! aborted or panicked before decoders bounded their sizes are named
-//! cases at the end.
+//! decode for Huffman-X streams, a plain read of the format for the BP
+//! index, the original bytes otherwise), with no panic and no abort. A
+//! counting global allocator checks that no single allocation exceeds
+//! max(1 MiB, 64 × input bytes). The seven inputs that aborted or
+//! panicked before decoders bounded their sizes are named cases at the
+//! end.
 
 // The counting allocator is the one `unsafe` item: it forwards every call
 // to the system allocator unchanged.
@@ -20,11 +22,13 @@ use hpdr_core::{
     ArrayMeta, ByteReader, CpuParallelAdapter, DType, DeviceAdapter, Reducer, SerialAdapter, Shape,
 };
 use hpdr_huffman::{ByteHuffmanReducer, Codebook, HuffmanConfig};
+use hpdr_io::{BlockInfo, BpReader, BpWriter};
 use hpdr_kernels::BitReader;
 use hpdr_pipeline::{compress_pipelined, decompress_pipelined, Container, PipelineOptions};
 use hpdr_zfp::{ZfpConfig, ZfpReducer};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashMap;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -384,6 +388,153 @@ fn pipeline_container_fields_decode_to_err_or_the_input() {
     sweep("pipeline container", &valid, &fields, 0, &decode);
 }
 
+/// Every block of a BP dataset, with its step and variable.
+type BpBlocks = Vec<(usize, String, BlockInfo, Vec<u8>)>;
+
+/// A temp dir holding a small BP dataset: two steps, four blocks over
+/// two subfiles. Removed on drop.
+struct BpDataset(PathBuf);
+
+impl BpDataset {
+    fn new(name: &str) -> BpDataset {
+        let dir = std::env::temp_dir().join(format!("hpdr-bp-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let meta = |dims: &[usize]| ArrayMeta::new(DType::F32, Shape::new(dims));
+        let mut w = BpWriter::create(&dir, 2).unwrap();
+        w.begin_step();
+        w.put("density", &meta(&[4]), &[1; 16], "zfp-x").unwrap();
+        w.put("density", &meta(&[2, 3]), &[2; 24], "zfp-x").unwrap();
+        w.put("t", &meta(&[2]), &[3; 8], "raw").unwrap();
+        w.end_step().unwrap();
+        w.begin_step();
+        w.put("density", &meta(&[4]), &[4; 16], "mgard-x").unwrap();
+        w.close().unwrap();
+        BpDataset(dir)
+    }
+
+    fn index(&self) -> Vec<u8> {
+        std::fs::read(self.0.join("md.idx")).unwrap()
+    }
+}
+
+impl Drop for BpDataset {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// Every block of the dataset in `dir`, through `BpReader`.
+fn bp_read(dir: &Path) -> hpdr_core::Result<BpBlocks> {
+    let r = BpReader::open(dir)?;
+    let mut out = Vec::new();
+    for step in 0..r.num_steps() {
+        for var in r.variables(step) {
+            for b in r.blocks(step, var)? {
+                out.push((step, var.to_string(), b.clone(), r.read_block(b)?));
+            }
+        }
+    }
+    Ok(out)
+}
+
+/// Reference read of a BP dataset, written from the format alone: plain
+/// reads with nothing reserved ahead, each block sliced out of its whole
+/// subfile; `None` where it cannot read.
+fn bp_reference(dir: &Path, idx: &[u8]) -> Option<BpBlocks> {
+    let mut r = ByteReader::new(idx);
+    (r.get_u32().ok()? == 0x4250_3500 && r.get_u8().ok()? == 1).then_some(())?;
+    r.get_u32().ok()?; // subfile count
+    let mut steps = Vec::new();
+    for _ in 0..r.get_u32().ok()? {
+        let mut vars = Vec::new();
+        for _ in 0..r.get_u32().ok()? {
+            let name = r.get_str().ok()?;
+            let mut blocks = Vec::new();
+            for _ in 0..r.get_u32().ok()? {
+                let (writer, subfile) = (r.get_u32().ok()?, r.get_u32().ok()?);
+                let (offset, len) = (r.get_u64().ok()?, r.get_u64().ok()?);
+                let codec = r.get_str().ok()?;
+                let dtype = DType::from_tag(r.get_u8().ok()?)?;
+                let dims = (0..r.get_u8().ok()?)
+                    .map(|_| r.get_u64().ok().map(|d| d as usize))
+                    .collect::<Option<Vec<_>>>()?;
+                let meta = ArrayMeta::new(dtype, Shape::try_new(&dims).ok()?);
+                blocks.push(BlockInfo {
+                    writer,
+                    subfile,
+                    offset,
+                    len,
+                    codec,
+                    meta,
+                });
+            }
+            vars.push((name, blocks));
+        }
+        steps.push(vars);
+    }
+    r.expect_exhausted().ok()?;
+    let mut out = Vec::new();
+    for (step, vars) in steps.iter().enumerate() {
+        for (name, _) in vars {
+            // A step's variables are looked up by name: the first wins.
+            let (_, blocks) = vars.iter().find(|(n, _)| n == name)?;
+            for b in blocks {
+                let file = std::fs::read(dir.join(format!("data.{}", b.subfile))).ok()?;
+                let at = usize::try_from(b.offset).ok()?;
+                let end = at.checked_add(usize::try_from(b.len).ok()?)?;
+                out.push((step, name.clone(), b.clone(), file.get(at..end)?.to_vec()));
+            }
+        }
+    }
+    Some(out)
+}
+
+/// The BP index's count, length, subfile, offset, rank and dim fields.
+fn bp_fields(idx: &[u8]) -> Vec<Field> {
+    let u32_at = |at: usize| u32::from_le_bytes(idx[at..at + 4].try_into().unwrap()) as usize;
+    // After the 5-byte frame: the subfile count and the step count.
+    let mut fields = vec![field(5, 4), field(9, 4)];
+    let mut at = 13;
+    for _ in 0..u32_at(9) {
+        fields.push(field(at, 4));
+        let vars = u32_at(at);
+        at += 4;
+        for _ in 0..vars {
+            fields.push(field(at, 4));
+            at += 4 + u32_at(at);
+            fields.push(field(at, 4));
+            let blocks = u32_at(at);
+            at += 4;
+            for _ in 0..blocks {
+                // The writer rank is an id, not a size; then subfile,
+                // offset, length and the codec name's length.
+                fields.extend([field(at + 4, 4), field(at + 8, 8), field(at + 16, 8)]);
+                fields.push(field(at + 24, 4));
+                at += 28 + u32_at(at + 24);
+                // The dtype tag, then the rank and the dims.
+                fields.push(field(at + 1, 1));
+                let rank = idx[at + 1] as usize;
+                fields.extend((0..rank).map(|d| field(at + 2 + 8 * d, 8)));
+                at += 2 + 8 * rank;
+            }
+        }
+    }
+    assert_eq!(at, idx.len(), "walked the whole index");
+    fields
+}
+
+#[test]
+fn bp_index_fields_decode_to_err_or_the_reference() {
+    let data = BpDataset::new("sweep");
+    let valid = data.index();
+    assert_eq!(bp_read(&data.0).unwrap().len(), 4);
+    let decode = |input: &[u8]| {
+        std::fs::write(data.0.join("md.idx"), input).unwrap();
+        verdict(bp_read(&data.0), || bp_reference(&data.0, input))
+    };
+    sweep("bp index", &valid, &bp_fields(&valid), 0, &decode);
+}
+
 /// The named inputs: each aborted the process or panicked in a debug
 /// build before the decoders bounded what they read.
 #[test]
@@ -474,5 +625,17 @@ fn crafted_inputs_are_rejected_without_a_large_allocation() {
     lz[14..22].copy_from_slice(&(1u64 << 42).to_le_bytes());
     expect_err("2^42 raw bytes", &lz, &|i| {
         Lz4Reducer.decompress(&a, i).is_ok()
+    });
+
+    // 7. A 13-byte BP index: the frame, one subfile and u32::MAX steps.
+    //    The old reader reserved 24 bytes per claimed step (96 GiB).
+    let data = BpDataset::new("crafted");
+    let mut idx = data.index()[..5].to_vec();
+    idx.extend(1u32.to_le_bytes());
+    idx.extend(u32::MAX.to_le_bytes());
+    assert_eq!(idx.len(), 13);
+    expect_err("u32::MAX steps", &idx, &|i| {
+        std::fs::write(data.0.join("md.idx"), i).unwrap();
+        BpReader::open(&data.0).is_ok()
     });
 }

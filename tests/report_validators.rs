@@ -6,8 +6,7 @@
 //! their own layouts.
 
 use hpdr::bench::{
-    parse_bench_entries, validate_bench_json, BenchReport, CodecResult, PoolBench, ServeOverhead,
-    Throughput,
+    parse_bench_entries, validate_bench_json, BenchReport, CodecResult, ServeOverhead, Throughput,
 };
 use hpdr_flight::{explain_lines, parse_flight_rows, validate_flight_json};
 use hpdr_sim::json::{esc, parse_json, JsonValue};
@@ -57,12 +56,6 @@ fn bench_doc() -> String {
         quick: true,
         threads: 2,
         simd: "scalar".into(),
-        pool: PoolBench {
-            invocations: 32,
-            pool: Duration::from_micros(10),
-            spawn: Duration::from_micros(30),
-            speedup: 3.0,
-        },
         serve: overhead(0.004),
         flight: overhead(0.006),
         results: (1..=2)
