@@ -155,6 +155,11 @@ fn decompress_typed<T: Float>(
     }
     let encoded = r.get_block()?;
     r.expect_exhausted()?;
+    if hpdr_huffman::stream_dict_size(encoded)? != dict_size {
+        return Err(HpdrError::corrupt(
+            "dictionary size disagrees with the embedded stream",
+        ));
+    }
     let symbols = hpdr_huffman::decompress_u32(adapter, encoded)?;
     if symbols.len() != shape.num_elements() {
         return Err(HpdrError::corrupt("symbol count mismatch"));
@@ -162,6 +167,15 @@ fn decompress_typed<T: Float>(
 
     let radius = (dict_size / 2) as i64;
     let escape = dict_size - 1;
+    // The encoder lists outliers in ascending index order, each on an
+    // escape symbol.
+    if outliers.windows(2).any(|w| w[0].0 >= w[1].0)
+        || outliers.iter().any(|&(i, _)| symbols[i as usize] != escape)
+    {
+        return Err(HpdrError::corrupt(
+            "outliers disagree with the escape symbols",
+        ));
+    }
     let mut q: Vec<i64> = symbols
         .iter()
         .map(|&s| if s == escape { 0 } else { s as i64 - radius })

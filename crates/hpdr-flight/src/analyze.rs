@@ -9,12 +9,7 @@
 
 use crate::record::{sort_events, FlightConfig, FlightLog, JobEvent, JobEventKind};
 use hpdr_metrics::StreamingHistogram;
-use hpdr_sim::{Engine, Ns, OpKind, SpanRecord, Trace};
 use std::collections::BTreeMap;
-
-/// Span-op namespace of flight-derived spans — above the cluster base
-/// (`1 << 42`), so `merge_shard_traces` passes them through unchanged.
-pub const FLIGHT_OP_BASE: usize = 1 << 43;
 
 /// One job's causal summary: terminal state plus the six-way additive
 /// latency decomposition (all virtual nanoseconds).
@@ -283,53 +278,10 @@ pub fn analyze(log: &FlightLog, cfg: &FlightConfig, blackbox: Option<Blackbox>) 
     }
 }
 
-/// Bridge a flight log into trace spans: one span per job, op-numbered
-/// in the flight namespace (≥ 2^43, disjoint from job/reject/alert and
-/// cluster spans under `merge_shard_traces`), `ready` at submission,
-/// `start` at dispatch, `end` at the terminal instant.
-pub fn events_to_trace(log: &FlightLog) -> Trace {
-    let mut events = log.events.clone();
-    sort_events(&mut events);
-    let mut by_trace: BTreeMap<u64, Vec<JobEvent>> = BTreeMap::new();
-    for e in &events {
-        by_trace.entry(e.trace).or_default().push(*e);
-    }
-    let spans = by_trace
-        .values()
-        .map(|evs| {
-            let row = analyze_trace(evs);
-            let t0 = evs.first().map_or(0, |e| e.at.0);
-            let start = evs
-                .iter()
-                .rev()
-                .find(|e| matches!(e.kind, JobEventKind::Dispatch { .. }))
-                .map_or(t0, |e| e.at.0);
-            SpanRecord {
-                op: FLIGHT_OP_BASE + row.trace as usize,
-                // Deliberately not the scheduler's "job[…] completed"
-                // shape: job_span_stats must not double-count these.
-                label: format!("flight[{}]={}", row.trace, row.outcome),
-                engine: Engine::Host,
-                queue: None,
-                deps: vec![],
-                kind: OpKind::Fixed,
-                class: None,
-                start: Ns(start.min(row.end)),
-                end: Ns(row.end),
-                bytes: 0,
-                footprint_bytes: 0,
-                ready: Ns(t0),
-                wall_start: Ns::ZERO,
-                wall: Ns::ZERO,
-            }
-        })
-        .collect();
-    Trace::from_spans(spans)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpdr_sim::Ns;
 
     fn ev(at: u64, trace: u64, hop: u32, shard: u32, kind: JobEventKind) -> JobEvent {
         JobEvent {
@@ -504,22 +456,5 @@ mod tests {
         }
         let report = analyze(&log, &FlightConfig::default(), None);
         assert_eq!(report.exemplars(2), vec![2, 3]);
-    }
-
-    #[test]
-    fn span_bridge_emits_flight_namespace_ops() {
-        let log = FlightLog {
-            events: rerouted_stream(),
-            dropped: 0,
-        };
-        let trace = events_to_trace(&log);
-        assert_eq!(trace.spans().len(), 1);
-        let s = &trace.spans()[0];
-        assert_eq!(s.op, FLIGHT_OP_BASE + 1);
-        assert_eq!(s.ready, Ns(100));
-        assert_eq!(s.start, Ns(900));
-        assert_eq!(s.end, Ns(1000));
-        assert!(s.label.contains("completed"));
-        assert!(!s.label.ends_with(" completed"), "{}", s.label);
     }
 }

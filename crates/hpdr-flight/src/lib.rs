@@ -26,10 +26,7 @@ pub mod analyze;
 pub mod record;
 pub mod report;
 
-pub use analyze::{
-    analyze, events_to_trace, sample_hash, Blackbox, BlameRow, FlightReport, JobSummary,
-    FLIGHT_OP_BASE,
-};
+pub use analyze::{analyze, sample_hash, Blackbox, BlameRow, FlightReport, JobSummary};
 pub use record::{
     sort_events, FlightConfig, FlightLog, FlightRecorder, JobEvent, JobEventKind, TraceContext,
 };

@@ -342,7 +342,7 @@ pub fn explain_lines(doc: &str, job: Option<u64>, worst: usize) -> Result<Vec<St
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyze::{analyze, events_to_trace, Blackbox};
+    use crate::analyze::{analyze, Blackbox};
     use crate::record::{FlightConfig, FlightLog, JobEvent, JobEventKind};
     use hpdr_sim::Ns;
 
@@ -473,13 +473,5 @@ mod tests {
         // Trace 9 is sampled (failure), so its timeline is present.
         assert!(lines.iter().any(|l| l.contains("@9 shard=1 hop=1 reroute")));
         assert!(explain_lines(&doc, Some(12345), 0).is_err());
-    }
-
-    #[test]
-    fn span_bridge_roundtrips_through_chrome_trace() {
-        let trace = events_to_trace(&sample_log());
-        let json = hpdr_trace::to_chrome_trace(&trace);
-        let summary = hpdr_trace::validate_chrome_trace(&json).unwrap();
-        assert_eq!(summary.complete_events, trace.spans().len());
     }
 }

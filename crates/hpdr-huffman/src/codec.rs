@@ -374,6 +374,17 @@ pub fn decompress_bytes(adapter: &dyn DeviceAdapter, bytes: &[u8]) -> Result<Vec
     decompress_keys::<u8>(adapter, bytes, 256)
 }
 
+/// The dictionary size a Huffman-X stream records in its header.
+/// Containers that embed a stream and keep their own copy of the size
+/// check the two against each other.
+pub fn stream_dict_size(bytes: &[u8]) -> Result<u32> {
+    let mut r = ByteReader::new(bytes);
+    if r.get_u32()? != MAGIC {
+        return Err(HpdrError::corrupt("bad Huffman magic"));
+    }
+    r.get_u32()
+}
+
 /// A Huffman-X container whose header passed every check.
 struct Stream<'a> {
     n: usize,
@@ -387,11 +398,8 @@ struct Stream<'a> {
 /// Parse and check a container; `max_dict` bounds the dictionary size
 /// representable in the output symbol type.
 fn parse_stream(bytes: &[u8], max_dict: u32) -> Result<Stream<'_>> {
-    let mut r = ByteReader::new(bytes);
-    if r.get_u32()? != MAGIC {
-        return Err(HpdrError::corrupt("bad Huffman magic"));
-    }
-    let dict_size = r.get_u32()?;
+    let dict_size = stream_dict_size(bytes)?;
+    let mut r = ByteReader::new(&bytes[8..]);
     if dict_size > max_dict {
         return Err(HpdrError::invalid(format!(
             "dictionary of {dict_size} does not fit the requested symbol width"

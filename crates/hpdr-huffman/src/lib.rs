@@ -21,7 +21,8 @@ pub mod codec;
 
 pub use codebook::{Code, Codebook, TwoLevelTable, MAX_CODE_LEN};
 pub use codec::{
-    compress_bytes, compress_u32, decompress_bytes, decompress_u32, HuffKey, HuffmanConfig,
+    compress_bytes, compress_u32, decompress_bytes, decompress_u32, stream_dict_size, HuffKey,
+    HuffmanConfig,
 };
 pub mod reducer;
 pub use reducer::ByteHuffmanReducer;

@@ -9,8 +9,8 @@
 //! Prometheus-style text exposition or `hpdr-metrics/v1` JSON — both
 //! byte-identical across runs with the same seed. [`SloTracker`] layers
 //! per-tenant latency objectives and sliding-window error-budget burn
-//! rates on top, firing rising-edge alerts that callers record into
-//! their span traces.
+//! rates on top, firing rising-edge alerts into `slo_alerts_total` and
+//! the metrics document.
 //!
 //! See DESIGN.md §13 for the metrics model and the SLO/burn-rate math.
 

@@ -19,7 +19,7 @@
 //! exposition and JSON so determinism guarantees survive.
 
 use crate::histogram::StreamingHistogram;
-use crate::slo::{SloAlert, SloConfig, SloTracker};
+use crate::slo::{SloConfig, SloTracker};
 use hpdr_sim::json::{esc, parse_json};
 use hpdr_sim::Ns;
 use std::collections::{BTreeMap, VecDeque};
@@ -341,35 +341,30 @@ impl Registry {
         Ns(self.last_scrape.0 + interval.0) <= now
     }
 
-    /// Sample every scrape boundary crossed up to `now`. Returns the
-    /// SLO alerts fired by these scrapes (rising-edge, at most one per
-    /// tenant per excursion) so callers can record them into a trace.
-    pub fn tick(&mut self, now: Ns) -> Vec<SloAlert> {
-        let mut fired = Vec::new();
+    /// Sample every scrape boundary crossed up to `now`. SLO alerts
+    /// fired by these scrapes (rising-edge, at most one per tenant per
+    /// excursion) stay in the tracker and `slo_alerts_total`.
+    pub fn tick(&mut self, now: Ns) {
         let interval = self.cfg.scrape_interval.max(Ns(1));
         let mut next = Ns(self.last_scrape.0 + interval.0);
         while next <= now {
-            fired.extend(self.scrape_at(next));
+            self.scrape_at(next);
             next = Ns(self.last_scrape.0 + interval.0);
         }
-        fired
     }
 
     /// Force one final scrape at `now` (run end), off-boundary if
     /// needed, so the series always cover the full makespan.
-    pub fn flush(&mut self, now: Ns) -> Vec<SloAlert> {
-        let mut fired = self.tick(now);
+    pub fn flush(&mut self, now: Ns) {
+        self.tick(now);
         if now > self.last_scrape || self.scrapes == 0 {
-            fired.extend(self.scrape_at(now.max(self.last_scrape)));
+            self.scrape_at(now.max(self.last_scrape));
         }
-        fired
     }
 
-    fn scrape_at(&mut self, t: Ns) -> Vec<SloAlert> {
-        let mut fired = Vec::new();
+    fn scrape_at(&mut self, t: Ns) {
         if let Some(slo) = self.slo.as_mut() {
-            let (burns, alerts) = slo.scrape(t);
-            fired = alerts;
+            let (burns, fired) = slo.scrape(t);
             for (tenant, burn) in burns {
                 self.gauge_set(&format!("slo_burn_rate{{tenant=\"{tenant}\"}}"), burn);
             }
@@ -394,7 +389,6 @@ impl Registry {
         }
         self.scrapes += 1;
         self.last_scrape = t;
-        fired
     }
 
     /// Prometheus-style text exposition over the non-volatile

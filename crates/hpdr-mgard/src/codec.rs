@@ -3,7 +3,7 @@
 
 use crate::decompose::{decompose, recompose};
 use crate::hierarchy::Hierarchy;
-use crate::quantize::{dequantize, level_bin, quantize, Quantized};
+use crate::quantize::{dequantize, escape_symbol, level_bin, quantize, Quantized};
 use hpdr_core::{
     ByteReader, ByteWriter, ContextCache, ContextKey, DeviceAdapter, Float, FrameHeader, HpdrError,
     KernelClass, Result, Shape,
@@ -264,10 +264,25 @@ pub fn decompress<T: Float>(adapter: &dyn DeviceAdapter, bytes: &[u8]) -> Result
     }
     let encoded = r.get_block()?;
     r.expect_exhausted()?;
+    if hpdr_huffman::stream_dict_size(encoded)? != dict_size {
+        return Err(HpdrError::corrupt(
+            "dictionary size disagrees with the embedded stream",
+        ));
+    }
 
     let symbols = hpdr_huffman::decompress_u32(adapter, encoded)?;
     if symbols.len() != shape.num_elements() {
         return Err(HpdrError::corrupt("symbol count does not match shape"));
+    }
+    // The encoder lists outliers in ascending index order, each on an
+    // escape symbol.
+    let escape = escape_symbol(dict_size);
+    if outliers.windows(2).any(|w| w[0].0 >= w[1].0)
+        || outliers.iter().any(|&(i, _)| symbols[i as usize] != escape)
+    {
+        return Err(HpdrError::corrupt(
+            "outliers disagree with the escape symbols",
+        ));
     }
 
     let key = ContextKey {

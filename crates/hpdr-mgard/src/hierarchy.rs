@@ -61,6 +61,22 @@ impl Hierarchy {
         self.nodes.len()
     }
 
+    /// The [`total_levels`](Self::total_levels) of the hierarchy over
+    /// `shape`, from the dims alone: [`coarsen`] takes a dim of `m > 2`
+    /// nodes to `m / 2 + 1`, so no node list is built. Decoders check a
+    /// stored level count with it before they build a context.
+    pub fn level_count(shape: &Shape) -> usize {
+        let steps = |mut m: usize| {
+            let mut s = 0;
+            while m > 2 {
+                m = m / 2 + 1;
+                s += 1;
+            }
+            s
+        };
+        1 + shape.dims().iter().map(|&m| steps(m)).max().unwrap_or(0)
+    }
+
     /// Index of the finest level (`L`).
     pub fn finest(&self) -> usize {
         self.nodes.len() - 1
@@ -172,6 +188,31 @@ pub fn role_of(pos: usize, len: usize) -> NodeRole {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn level_count_matches_the_built_hierarchy() {
+        for dims in [
+            &[1][..],
+            &[2],
+            &[3],
+            &[4],
+            &[5],
+            &[257],
+            &[33, 12],
+            &[16, 16, 16],
+            &[19, 33, 65],
+            &[2, 3, 10, 8],
+        ] {
+            let shape = Shape::new(dims);
+            assert_eq!(
+                Hierarchy::level_count(&shape),
+                Hierarchy::new(&shape).total_levels(),
+                "{dims:?}"
+            );
+        }
+        // Huge dims cost a loop of about 64 halvings, not a node list.
+        assert_eq!(Hierarchy::level_count(&Shape::new(&[1 << 32, 16, 16])), 33);
+    }
 
     #[test]
     fn coarsen_odd_and_even_lengths() {

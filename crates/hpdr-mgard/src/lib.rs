@@ -27,5 +27,3 @@ pub use codec::{compress, context_cache, decompress, ErrorBound, MgardConfig, Mg
 pub use hierarchy::Hierarchy;
 pub mod reducer;
 pub use reducer::MgardReducer;
-pub mod refactor;
-pub use refactor::{refactor, retrieve, RefactorConfig, Refactored};

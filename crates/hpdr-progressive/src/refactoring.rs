@@ -24,7 +24,7 @@ use hpdr_core::{
 use hpdr_huffman::HuffmanConfig;
 use hpdr_mgard::decompose::{decompose, recompose};
 use hpdr_mgard::quantize::level_bin;
-use hpdr_mgard::{context_cache, MgardContext};
+use hpdr_mgard::{context_cache, Hierarchy, MgardContext};
 
 const MANIFEST_FRAME: FrameHeader =
     FrameHeader::new(0x4850_4D46 /* "HPMF" */, 1, "progressive manifest");
@@ -104,6 +104,12 @@ impl Manifest {
             2f64.powi(rem as i32) - 0.5
         };
         OPERATOR_GAIN * self.bin(level) * quantizer
+    }
+
+    /// Bound reduction bought by `plane` of `level` once the shallower
+    /// planes are held: the [`ComponentInfo::err_drop`] it records.
+    fn err_drop(&self, level: u8, plane: u8) -> f64 {
+        self.level_bound(level as usize, plane) - self.level_bound(level as usize, plane + 1)
     }
 
     /// Total guaranteed L∞ bound when `held[l]` planes of each level
@@ -200,8 +206,10 @@ impl Manifest {
         if !(1..=8).contains(&plane_bits) {
             return Err(HpdrError::corrupt("bad plane bits in progressive manifest"));
         }
+        // The hierarchy the dims imply, counted without building it: a
+        // forged count would otherwise size a context from forged dims.
         let levels = r.get_u8()?;
-        if levels == 0 || levels > 64 {
+        if levels as usize != Hierarchy::level_count(&effective_shape(&shape)) {
             return Err(HpdrError::corrupt(
                 "bad level count in progressive manifest",
             ));
@@ -221,27 +229,29 @@ impl Manifest {
         if n != expected {
             return Err(HpdrError::corrupt("component count mismatch in manifest"));
         }
+        // `to_bytes` writes the components level-major, planes
+        // ascending; the planner relies on finding each one.
         let mut components = Vec::with_capacity(n);
-        for _ in 0..n {
-            let level = r.get_u8()?;
-            let plane = r.get_u8()?;
-            if level >= levels || plane >= *level_planes.get(level as usize).unwrap_or(&0) {
-                return Err(HpdrError::corrupt("component out of range in manifest"));
+        let mut total = 0u64;
+        for (level, &planes) in (0u8..).zip(&level_planes) {
+            for plane in 0..planes {
+                if r.get_u8()? != level || r.get_u8()? != plane {
+                    return Err(HpdrError::corrupt("component out of order in manifest"));
+                }
+                let bytes = r.get_u64()?;
+                total = total
+                    .checked_add(bytes)
+                    .ok_or_else(|| HpdrError::corrupt("component sizes overflow in manifest"))?;
+                components.push(ComponentInfo {
+                    level,
+                    plane,
+                    bytes,
+                    err_drop: r.get_f64()?,
+                });
             }
-            let bytes = r.get_u64()?;
-            let err_drop = r.get_f64()?;
-            if err_drop < 0.0 || !err_drop.is_finite() {
-                return Err(HpdrError::corrupt("bad error contribution in manifest"));
-            }
-            components.push(ComponentInfo {
-                level,
-                plane,
-                bytes,
-                err_drop,
-            });
         }
         r.expect_exhausted()?;
-        Ok(Manifest {
+        let manifest = Manifest {
             dtype_tag,
             shape,
             abs_eb,
@@ -250,7 +260,20 @@ impl Manifest {
             levels,
             level_planes,
             components,
-        })
+        };
+        // The recorded contributions follow from the bound, the plane
+        // width and the plane counts; a forged one of those (a narrower
+        // plane makes the planner skip every component) shows here.
+        if manifest
+            .components
+            .iter()
+            .any(|c| c.err_drop != manifest.err_drop(c.level, c.plane))
+        {
+            return Err(HpdrError::corrupt(
+                "error contribution disagrees with the manifest",
+            ));
+        }
+        Ok(manifest)
     }
 }
 
@@ -358,24 +381,25 @@ impl DecodeState {
         if self.applied[l][plane as usize] {
             return Ok(());
         }
-        if self.mags[l].is_empty() {
-            self.mags[l] = vec![0; nodes];
-            self.signs[l] = vec![false; nodes];
-        }
         let g = self.plane_bits;
         let planes = self.level_planes[l] as u32;
         let shift = g * (planes - 1 - plane as u32);
         let mask = (1u64 << g) - 1;
+        // Plane 0 carries the sign in bit 0. A group wider than the
+        // plane comes from a stream the manifest does not describe.
+        let sign_bit = u32::from(plane == 0);
+        if decoded.iter().any(|&sym| u64::from(sym >> sign_bit) > mask) {
+            return Err(HpdrError::corrupt("component symbol wider than its plane"));
+        }
+        if self.mags[l].is_empty() {
+            self.mags[l] = vec![0; nodes];
+            self.signs[l] = vec![false; nodes];
+        }
         for (i, &sym) in decoded.iter().enumerate() {
-            let (group, sign) = if plane == 0 {
-                ((sym >> 1) as u64 & mask, sym & 1 == 1)
-            } else {
-                (sym as u64 & mask, false)
-            };
             if plane == 0 {
-                self.signs[l][i] = sign;
+                self.signs[l][i] = sym & 1 == 1;
             }
-            self.mags[l][i] |= group << shift;
+            self.mags[l][i] |= u64::from(sym >> sign_bit) << shift;
         }
         self.applied[l][plane as usize] = true;
         Ok(())
@@ -545,8 +569,7 @@ pub fn refactor_progressive<T: Float>(
         components: Vec::with_capacity(infos.len()),
     };
     for (level, plane, bytes) in infos {
-        let err_drop = manifest.level_bound(level as usize, plane)
-            - manifest.level_bound(level as usize, plane + 1);
+        let err_drop = manifest.err_drop(level, plane);
         manifest.components.push(ComponentInfo {
             level,
             plane,

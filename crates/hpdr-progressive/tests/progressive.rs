@@ -12,7 +12,7 @@
 
 use hpdr_core::{CpuParallelAdapter, DeviceAdapter, SerialAdapter, Shape};
 use hpdr_progressive::{
-    plan_fetch, plan_retrieve, refactor_progressive, Manifest, ProgressiveConfig,
+    plan_fetch, plan_retrieve, refactor_progressive, DecodeState, Manifest, ProgressiveConfig,
     ProgressiveReader, Refactoring,
 };
 use proptest::prelude::*;
@@ -195,6 +195,32 @@ fn dtype_mismatch_rejected() {
     let (data, shape) = smooth(&[9, 9]);
     let r = refactor_progressive(&adapter, &data, &shape, &ProgressiveConfig::default()).unwrap();
     assert!(r.retrieve::<f32>(&adapter, 1.0).is_err());
+}
+
+#[test]
+fn component_symbols_wider_than_their_plane_are_rejected() {
+    let adapter = SerialAdapter::new();
+    let (data, shape) = smooth(&[9, 9]);
+    let r = refactor_progressive(&adapter, &data, &shape, &ProgressiveConfig::default()).unwrap();
+    let nodes = hpdr_progressive::level_counts(&r.manifest).unwrap();
+    let mut state = DecodeState::new(&r.manifest);
+    let g = r.manifest.plane_bits;
+    // Plane 0 holds a `g`-bit group above its sign bit, other planes a
+    // bare group: one bit more is a stream the manifest does not describe.
+    for (plane, widest) in [(0u8, (1u32 << (g + 1)) - 1), (1, (1 << g) - 1)] {
+        let c = r
+            .manifest
+            .component_index(0, plane)
+            .expect("level 0 has two planes");
+        let level = r.manifest.components[c].level;
+        let n = nodes[level as usize];
+        assert!(state.apply(level, plane, &vec![widest + 1; n], n).is_err());
+        assert!(
+            !state.is_applied(level, plane),
+            "a rejected plane is not held"
+        );
+        state.apply(level, plane, &vec![widest; n], n).unwrap();
+    }
 }
 
 #[test]

@@ -10,9 +10,9 @@
 //! and cooperative cancellation.
 //!
 //! Everything is driven by virtual time ([`hpdr_sim::Ns`]): per-job
-//! latency and queue wait are derived from trace spans, and a full run
-//! serializes to a schema-validated, byte-reproducible
-//! [`ServeReport`]. The [`loadgen`] module generates deterministic
+//! latency and queue wait come from the one [`JobRecord`] the scheduler
+//! writes per admitted job, and a full run serializes to a
+//! schema-validated, byte-reproducible [`ServeReport`]. The [`loadgen`] module generates deterministic
 //! seeded workloads and reports p50/p95/p99 latency, goodput, and
 //! rejection rate, plus a batched-vs-serial scheduler microbench.
 //!

@@ -4,7 +4,7 @@
 //! (open-loop) arrivals or a closed loop with one outstanding request
 //! per tenant, a fixed job mix (sides 8/12/16, 80% compress, uniform
 //! codecs, a sprinkle of priorities, deadlines and cancellations), and
-//! a schema-validated JSON report with trace-derived p50/p95/p99
+//! a schema-validated JSON report with record-derived p50/p95/p99
 //! latency, goodput and rejection rate. The report also embeds a
 //! batching microbench: the same job prefix replayed one-at-a-time
 //! (`Policy::Serial`) versus continuously batched, whose goodput ratio

@@ -1,11 +1,12 @@
-//! Serve reports: schema-validated JSON over trace-derived metrics.
+//! Serve reports: schema-validated JSON over the scheduler's job
+//! records.
 //!
-//! Latency percentiles and rejection counts are computed from the
-//! per-job trace spans (not from side counters): a completed job's
-//! latency is `end − ready` of its span, its queue wait is
-//! `start − ready`, and every rejected submission leaves a zero-length
-//! `reject[…]` span. The report carries only virtual-time quantities,
-//! so the same seed and job stream serialize byte-identically.
+//! Latency percentiles come from the [`JobRecord`] the scheduler writes
+//! for each admitted job at its terminal transition: a completed job's
+//! latency is `finished − arrival`, its queue wait `started − arrival`.
+//! Rejection counts come from the admission counters. The report
+//! carries only virtual-time quantities, so the same seed and job
+//! stream serialize byte-identically.
 //!
 //! The validator enforces the **zero-lost-jobs invariant**:
 //! `admitted == completed + timed_out + cancelled + failed` and
@@ -16,7 +17,7 @@ use crate::histogram::StreamingHistogram;
 use crate::job::{JobOutcome, JobRecord};
 use crate::scheduler::{Policy, ServeOutcome};
 use hpdr_sim::json::{need_f64, need_u64, parse_json, JsonValue};
-use hpdr_sim::{Ns, Trace};
+use hpdr_sim::Ns;
 
 /// Schema identifier embedded in every serve report.
 pub const SERVE_SCHEMA: &str = "hpdr-serve/v1";
@@ -107,16 +108,14 @@ pub struct ServeReport {
     /// Not serialized: the pool counter is process-global, so parallel
     /// runs in one process would perturb each other's deltas.
     pub pool_jobs: u64,
-    /// End-to-end latency of completed jobs (trace-derived).
+    /// End-to-end latency of completed jobs.
     pub latency: LatencySummary,
-    /// Queue wait (dispatch − arrival) of completed jobs (trace-derived).
+    /// Queue wait (dispatch − arrival) of completed jobs.
     pub queue_wait: LatencySummary,
     pub per_tenant: Vec<TenantRow>,
     pub per_device: Vec<DeviceRow>,
     /// Per-job terminal records (not serialized).
     pub records: Vec<JobRecord>,
-    /// One span per admitted job plus one per rejection (not serialized).
-    pub trace: Trace,
     /// The metrics registry of the run (when `ServeConfig::metrics` was
     /// set): scrape series, exposition, SLO attainment.
     pub metrics: Option<hpdr_metrics::Registry>,
@@ -128,31 +127,27 @@ pub struct ServeReport {
 
 impl ServeReport {
     /// Build the report from a scheduler outcome. Latency percentiles
-    /// and the rejection count come from the trace spans.
+    /// come from the completed jobs' records, the rejection count from
+    /// the admission counters.
     pub fn build(policy: Policy, outcome: ServeOutcome) -> ServeReport {
-        let job_stats = hpdr_trace::job_span_stats(&outcome.trace);
         let mut latency = StreamingHistogram::new();
         let mut wait = StreamingHistogram::new();
-        for &l in &job_stats.latencies {
-            latency.record(l);
-        }
-        for &w in &job_stats.waits {
-            wait.record(w);
-        }
-        let rejected = job_stats.rejected;
-        debug_assert_eq!(rejected, outcome.admission.rejected());
-        debug_assert_eq!(
-            job_stats.open, 0,
-            "every admitted job's Begin span must have its End recorded"
-        );
+        let rejected = outcome.admission.rejected();
 
         let (mut completed, mut timed_out, mut cancelled, mut failed) = (0u64, 0, 0, 0);
         let mut completed_bytes = 0u64;
+        // Per-tenant latency sum and count over completed jobs.
+        let mut tenant_lat: std::collections::BTreeMap<u32, (u128, u64)> = Default::default();
         for r in &outcome.records {
             match r.outcome {
                 JobOutcome::Completed => {
                     completed += 1;
                     completed_bytes += r.bytes;
+                    latency.record(r.latency().0);
+                    wait.record(r.queue_wait().0);
+                    let e = tenant_lat.entry(r.tenant.0).or_default();
+                    e.0 += r.latency().0 as u128;
+                    e.1 += 1;
                 }
                 JobOutcome::TimedOut => timed_out += 1,
                 JobOutcome::Cancelled => cancelled += 1,
@@ -160,15 +155,6 @@ impl ServeReport {
             }
         }
 
-        // Per-tenant mean latency over completed jobs.
-        let mut tenant_lat: std::collections::BTreeMap<u32, (u128, u64)> = Default::default();
-        for r in &outcome.records {
-            if r.outcome == JobOutcome::Completed {
-                let e = tenant_lat.entry(r.tenant.0).or_default();
-                e.0 += r.latency().0 as u128;
-                e.1 += 1;
-            }
-        }
         let per_tenant = outcome
             .tenants
             .iter()
@@ -228,7 +214,6 @@ impl ServeReport {
             per_tenant,
             per_device,
             records: outcome.records,
-            trace: outcome.trace,
             metrics: outcome.metrics,
             payload_cache: None,
         }

@@ -36,15 +36,9 @@ use hpdr_metrics::{
 };
 use hpdr_pipeline::{run_batch, BatchItem, PipelineOptions};
 use hpdr_progressive::RetrieveBatchItem;
-use hpdr_sim::{BusyHorizon, DeviceId, DeviceSpec, Engine, Ns, OpKind, SpanRecord, Trace};
+use hpdr_sim::{BusyHorizon, DeviceId, DeviceSpec, Ns};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// Span-op namespace for rejection spans: disjoint from job ids (which
-/// count up from 0), so a rejection can never collide with a job span.
-const REJECT_OP_BASE: usize = 1 << 40;
-/// Span-op namespace for SLO burn-rate alert marks.
-const ALERT_OP_BASE: usize = 1 << 41;
 
 /// Failure string recorded on jobs drained by [`Scheduler::fail`]: the
 /// shard died while they were queued or in flight. A cluster front-end
@@ -268,13 +262,13 @@ struct PendingBatch {
 /// Everything a serve run produces (the printable/serializable
 /// [`ServeReport`](crate::report::ServeReport) is built from this).
 pub struct ServeOutcome {
+    /// One record per admitted job, written at its terminal transition
+    /// and sorted by job id.
     pub records: Vec<JobRecord>,
     pub tenants: BTreeMap<u32, TenantStats>,
     pub devices: BTreeMap<usize, DeviceStats>,
     pub admission: Admission,
     pub makespan: Ns,
-    /// One span per terminal job (trace-derived metrics source).
-    pub trace: Trace,
     pub cmm_hits: u64,
     pub cmm_misses: u64,
     /// Contexts resident in the per-device CMM caches at the end.
@@ -312,11 +306,8 @@ pub struct Scheduler {
     admission: Admission,
     tenants: BTreeMap<u32, TenantStats>,
     records: Vec<JobRecord>,
-    spans: Vec<SpanRecord>,
     registry: Option<Registry>,
     ids: MeterIds,
-    reject_seq: usize,
-    alert_seq: usize,
     recorder: Option<FlightRecorder>,
     next_trace: u64,
 }
@@ -347,9 +338,6 @@ impl Scheduler {
             pending: Vec::new(),
             tenants: BTreeMap::new(),
             records: Vec::new(),
-            spans: Vec::new(),
-            reject_seq: 0,
-            alert_seq: 0,
             next_trace: 1,
         }
     }
@@ -439,12 +427,11 @@ impl Scheduler {
         }
         let bytes = req.payload.raw_bytes();
         if bytes == 0 {
-            // Invalid submissions get a rejection span like any other
-            // reject: every submission must leave a span, or span-derived
-            // reject counts drift from the admission counters.
+            // Invalid submissions count as rejections like any other, so
+            // the admission counters account for every submission.
             self.tenants.entry(tenant_id).or_default().rejected += 1;
             self.admission.reject_invalid();
-            self.push_reject_span(&req, bytes);
+            self.count_reject(&req);
             self.flight_event(now, &req, FlightEventKind::Reject);
             return Err(ServeError::InvalidJob("empty payload".into()));
         }
@@ -462,16 +449,6 @@ impl Scheduler {
                         .or_insert_with(|| TenantIds::new(reg, tenant_id));
                     reg.counter_add_id(t.admitted, 1);
                 }
-                self.spans.push(reject_or_job_span(
-                    id.0 as usize,
-                    &req,
-                    bytes,
-                    req.arrival,
-                    req.arrival,
-                    req.arrival,
-                    0,
-                    false,
-                ));
                 self.flight_event(now, &req, FlightEventKind::Admit);
                 self.queue.push(QueuedJob { id, req, bytes });
                 Ok(id)
@@ -479,28 +456,15 @@ impl Scheduler {
             Err(e) => {
                 let tenant = self.tenants.entry(tenant_id).or_default();
                 tenant.rejected += 1;
-                self.push_reject_span(&req, bytes);
+                self.count_reject(&req);
                 self.flight_event(now, &req, FlightEventKind::Reject);
                 Err(e)
             }
         }
     }
 
-    /// Zero-length rejection span in the dedicated op namespace (never
-    /// collides with job ids).
-    fn push_reject_span(&mut self, req: &JobRequest, bytes: u64) {
-        let op = REJECT_OP_BASE + self.reject_seq;
-        self.reject_seq += 1;
-        self.spans.push(reject_or_job_span(
-            op,
-            req,
-            bytes,
-            req.arrival,
-            req.arrival,
-            req.arrival,
-            0,
-            true,
-        ));
+    /// Count a rejected submission in the tenant's metered family.
+    fn count_reject(&mut self, req: &JobRequest) {
         if let Some(reg) = self.registry.as_mut() {
             let tenant = req.tenant.0;
             let t = *self
@@ -656,8 +620,7 @@ impl Scheduler {
     }
 
     /// Refresh the live gauges and let the registry scrape any virtual
-    /// interval boundaries crossed; burn-rate alerts become zero-length
-    /// host spans in the trace.
+    /// interval boundaries crossed.
     fn tick_metrics(&mut self) {
         let Some(reg) = self.registry.as_ref() else {
             return;
@@ -672,10 +635,7 @@ impl Scheduler {
         }
         self.refresh_gauges();
         let clock = self.clock;
-        let alerts = self.registry.as_mut().expect("checked above").tick(clock);
-        for a in alerts {
-            self.push_alert_span(a);
-        }
+        self.registry.as_mut().expect("checked above").tick(clock);
     }
 
     /// Refresh the sampled gauges from live scheduler state. Must run
@@ -700,31 +660,6 @@ impl Scheduler {
             };
             reg.gauge_set(&device_metric("serve_device_busy_fraction", d), busy_frac);
         }
-    }
-
-    /// Mark an SLO burn-rate breach in the trace: a zero-length host
-    /// span at the scrape instant that detected it. The label matches
-    /// neither the `job[` nor the `reject[` pattern, so job-span
-    /// statistics are unaffected.
-    fn push_alert_span(&mut self, alert: hpdr_metrics::SloAlert) {
-        let op = ALERT_OP_BASE + self.alert_seq;
-        self.alert_seq += 1;
-        self.spans.push(SpanRecord {
-            op,
-            label: format!("slo-breach[t{} burn={:.2}]", alert.tenant, alert.burn),
-            engine: Engine::Host,
-            queue: None,
-            deps: vec![],
-            kind: OpKind::Fixed,
-            class: None,
-            start: alert.at,
-            end: alert.at,
-            bytes: 0,
-            footprint_bytes: 0,
-            ready: alert.at,
-            wall_start: Ns::ZERO,
-            wall: Ns::ZERO,
-        });
     }
 
     fn ingest(&mut self, source: &mut dyn JobSource) {
@@ -1027,7 +962,8 @@ impl Scheduler {
         notices
     }
 
-    /// Record a terminal state for an admitted job.
+    /// Record the terminal state of an admitted job: its one
+    /// [`JobRecord`], which every report reads.
     #[allow(clippy::too_many_arguments)]
     fn terminal(
         &mut self,
@@ -1094,28 +1030,6 @@ impl Scheduler {
                 reg.slo_record(req.tenant.0, finished, good);
             }
         }
-        // Update the job's span in place: start = dispatch (or terminal
-        // instant if never launched), end = terminal instant.
-        if let Some(span) = self
-            .spans
-            .iter_mut()
-            .find(|s| s.op == id.0 as usize && !s.label.starts_with("reject"))
-        {
-            span.start = started.unwrap_or(finished);
-            span.end = finished;
-            if let Some(d) = device {
-                span.engine = Engine::Compute(DeviceId(d));
-                span.queue = Some(d);
-            }
-            span.label = format!(
-                "job[{}] t{} {} {} {}",
-                id.0,
-                req.tenant.0,
-                req.payload.kind().name(),
-                req.codec.label(),
-                outcome.name()
-            );
-        }
         self.records.push(JobRecord {
             id,
             tenant: req.tenant,
@@ -1146,16 +1060,9 @@ impl Scheduler {
         // one last refresh so the off-boundary sample sees live state.
         self.clock = self.clock.max(makespan);
         self.refresh_gauges();
-        let alerts = match self.registry.as_mut() {
-            Some(reg) => {
-                let alerts = reg.flush(makespan);
-                record_pool_stats(reg, pool_delta, WorkerPool::global().workers());
-                alerts
-            }
-            None => Vec::new(),
-        };
-        for a in alerts {
-            self.push_alert_span(a);
+        if let Some(reg) = self.registry.as_mut() {
+            reg.flush(makespan);
+            record_pool_stats(reg, pool_delta, WorkerPool::global().workers());
         }
         let mut devices = BTreeMap::new();
         for (d, h) in self.horizons.iter().enumerate() {
@@ -1182,14 +1089,12 @@ impl Scheduler {
             contexts += c.len();
             idle += c.idle_count();
         }
-        self.spans.sort_by_key(|s| (s.ready, s.op));
         ServeOutcome {
             records: self.records,
             tenants: self.tenants,
             devices,
             admission: self.admission,
             makespan,
-            trace: Trace::from_spans(self.spans),
             cmm_hits: hits,
             cmm_misses: misses,
             cmm_contexts: contexts,
@@ -1210,52 +1115,6 @@ fn tenant_metric(family: &str, tenant: u32) -> String {
 /// `family{device="N"}` instrument name.
 fn device_metric(family: &str, device: usize) -> String {
     format!("{family}{{device=\"{device}\"}}")
-}
-
-/// Build the span for a job at submission time (updated in place when
-/// the job reaches a terminal state) or a zero-length rejection span.
-#[allow(clippy::too_many_arguments)]
-fn reject_or_job_span(
-    op: usize,
-    req: &JobRequest,
-    bytes: u64,
-    ready: Ns,
-    start: Ns,
-    end: Ns,
-    device: usize,
-    rejected: bool,
-) -> SpanRecord {
-    let label = if rejected {
-        format!(
-            "reject[t{} {} {}]",
-            req.tenant.0,
-            req.payload.kind().name(),
-            req.codec.label()
-        )
-    } else {
-        format!(
-            "job[?] t{} {} {}",
-            req.tenant.0,
-            req.payload.kind().name(),
-            req.codec.label()
-        )
-    };
-    SpanRecord {
-        op,
-        label,
-        engine: Engine::Compute(DeviceId(device)),
-        queue: Some(device),
-        deps: vec![],
-        kind: OpKind::Kernel,
-        class: Some(req.codec.reducer().kernel_class()),
-        start,
-        end,
-        bytes,
-        footprint_bytes: 0,
-        ready,
-        wall_start: Ns::ZERO,
-        wall: Ns::ZERO,
-    }
 }
 
 /// Convenience: run a job stream through a fresh scheduler.

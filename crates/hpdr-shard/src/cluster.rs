@@ -15,7 +15,7 @@
 //! neither home nor cached triggers a cross-node fetch costed through
 //! the `hpdr-io` filesystem model ([`FetchCostModel`]) — the job waits
 //! out the virtual transfer, the bytes land in the node's cache, and
-//! the exchange shows up in the merged trace as an `xfer[…]` span.
+//! the exchange shows up in the job's flight events.
 //! Concurrent fetches of the same object to the same node coalesce.
 //! Granularity is deliberately coarse: one fetch makes the whole
 //! object resident (components of a set are not tracked separately).
@@ -25,7 +25,7 @@
 //! in-flight jobs; the non-cancelled, non-expired ones — plus any jobs
 //! parked on in-flight transfers targeting the dead node — are
 //! re-placed across the survivors with a bounded per-job retry budget.
-//! Every re-placement leaves a `reroute[…]` span, and the accounting
+//! Every re-placement is counted (and flight-recorded), and the accounting
 //! distinguishes re-routed jobs (the dead shard's `NODE_FAILURE`
 //! records) from real codec failures, so the cluster-level
 //! zero-lost-jobs invariant stays checkable.
@@ -42,14 +42,9 @@ use hpdr_io::{summit_gpfs, FetchCostModel};
 use hpdr_serve::{
     JobPayload, JobRequest, JobSource, PayloadCache, Scheduler, ServeConfig, ServeReport, VecSource,
 };
-use hpdr_sim::{Engine, Ns, OpKind, SpanRecord};
+use hpdr_sim::Ns;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// Span-op namespace for cluster-level spans (`xfer[…]`, `reroute[…]`).
-/// Matches the namespace [`hpdr_trace::merge_shard_traces`] passes
-/// through un-rebased, above every per-shard namespace.
-const CLUSTER_OP_BASE: usize = 1 << 42;
 
 /// Cluster configuration.
 #[derive(Clone)]
@@ -127,8 +122,9 @@ pub struct ClusterOutcome {
     pub remote_fetch_ns: u64,
     /// The failure that actually fired, if any.
     pub failure: Option<(usize, Ns)>,
-    /// Cluster-level spans (`xfer`, `reroute`) for the merged trace.
-    pub extra_spans: Vec<SpanRecord>,
+    /// Latest transfer-ready or re-route instant: cluster-level work
+    /// that can end after every shard's last job.
+    pub last_transfer_or_reroute: Ns,
     /// Causal flight analysis of the merged cluster + shard event logs.
     pub flight: Option<FlightReport>,
 }
@@ -155,8 +151,7 @@ pub struct Cluster {
     remote_fetches: u64,
     remote_fetch_bytes: u64,
     remote_fetch_ns: u64,
-    extra_spans: Vec<SpanRecord>,
-    span_seq: usize,
+    last_transfer_or_reroute: Ns,
     place_seq: u64,
     fired: bool,
     /// Cluster-level flight recorder (placement, transfers, re-routes).
@@ -191,8 +186,7 @@ impl Cluster {
             remote_fetches: 0,
             remote_fetch_bytes: 0,
             remote_fetch_ns: 0,
-            extra_spans: Vec::new(),
-            span_seq: 0,
+            last_transfer_or_reroute: Ns::ZERO,
             place_seq: 0,
             fired: false,
             recorder: cfg.flight.map(FlightRecorder::new),
@@ -337,7 +331,7 @@ impl Cluster {
                     &req,
                     FlightEventKind::Reroute { attempt },
                 );
-                self.push_reroute_span(&req, attempt);
+                self.last_transfer_or_reroute = self.last_transfer_or_reroute.max(self.clock);
                 self.place_and_submit(req, attempt);
             }
         }
@@ -460,7 +454,7 @@ impl Cluster {
                     self.remote_fetches += 1;
                     self.remote_fetch_bytes += fetch_bytes;
                     self.remote_fetch_ns += dur.0;
-                    self.push_xfer_span(target, &key, fetch_bytes, ready);
+                    self.last_transfer_or_reroute = self.last_transfer_or_reroute.max(ready);
                     self.transfers.insert(
                         (target, key),
                         Transfer {
@@ -483,58 +477,6 @@ impl Cluster {
                 // terminal at the cluster level too.
             }
         }
-    }
-
-    fn push_xfer_span(&mut self, target: usize, key: &DataKey, bytes: u64, ready_at: Ns) {
-        let op = CLUSTER_OP_BASE + self.span_seq;
-        self.span_seq += 1;
-        let kind = if key.kind == 1 {
-            "decompress"
-        } else {
-            "retrieve"
-        };
-        self.extra_spans.push(SpanRecord {
-            op,
-            label: format!("xfer[s{target} {kind} {}:{}]", key.codec, key.side),
-            engine: Engine::Host,
-            queue: None,
-            deps: vec![],
-            kind: OpKind::Transfer,
-            class: None,
-            start: self.clock,
-            end: ready_at,
-            bytes,
-            footprint_bytes: 0,
-            ready: self.clock,
-            wall_start: Ns::ZERO,
-            wall: Ns::ZERO,
-        });
-    }
-
-    fn push_reroute_span(&mut self, req: &JobRequest, attempt: u32) {
-        let op = CLUSTER_OP_BASE + self.span_seq;
-        self.span_seq += 1;
-        self.extra_spans.push(SpanRecord {
-            op,
-            label: format!(
-                "reroute[t{} {} {} attempt={attempt}]",
-                req.tenant.0,
-                req.payload.kind().name(),
-                req.codec.label()
-            ),
-            engine: Engine::Host,
-            queue: None,
-            deps: vec![],
-            kind: OpKind::Fixed,
-            class: None,
-            start: self.clock,
-            end: self.clock,
-            bytes: 0,
-            footprint_bytes: 0,
-            ready: self.clock,
-            wall_start: Ns::ZERO,
-            wall: Ns::ZERO,
-        });
     }
 
     fn finish(self) -> ClusterOutcome {
@@ -582,7 +524,7 @@ impl Cluster {
             remote_fetch_bytes: self.remote_fetch_bytes,
             remote_fetch_ns: self.remote_fetch_ns,
             failure: if self.fired { self.cfg.fail } else { None },
-            extra_spans: self.extra_spans,
+            last_transfer_or_reroute: self.last_transfer_or_reroute,
             flight,
         }
     }
@@ -705,13 +647,6 @@ mod tests {
         // Scatter placement must produce at least one off-home data job.
         assert!(report.remote_fetches > 0, "random placement never missed");
         assert!(report.remote_fetch_ns > 0, "fetches must cost virtual time");
-        let xfers = report
-            .trace
-            .spans()
-            .iter()
-            .filter(|s| s.label.starts_with("xfer["))
-            .count();
-        assert_eq!(xfers as u64, report.remote_fetches);
     }
 
     #[test]

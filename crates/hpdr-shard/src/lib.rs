@@ -14,12 +14,12 @@
 //! - **Cross-node exchange** ([`cluster`]): off-home data jobs trigger
 //!   fetches costed through the `hpdr-io` filesystem model; the bytes
 //!   become resident in the node's payload cache (per-shard hit rates
-//!   make locality measurable) and the transfer appears as an `xfer[…]`
-//!   span in the merged trace.
+//!   make locality measurable) and the transfer is counted in the
+//!   report and recorded in the job's flight events.
 //! - **Failure recovery** ([`cluster`]): a shard can be killed mid-run
 //!   on the virtual clock; its queued and in-flight jobs re-route to
-//!   survivors under a bounded retry budget, recorded as `reroute[…]`
-//!   spans and checked by the cluster zero-lost-jobs invariant.
+//!   survivors under a bounded retry budget, counted in the report and
+//!   checked by the cluster zero-lost-jobs invariant.
 //! - **Reporting** ([`report`]): `hpdr-shard/v1` envelope documents
 //!   aggregating the per-shard `hpdr-serve/v1` reports with shard-merged
 //!   latency histograms, placement / steal / retry counters and

@@ -2,11 +2,10 @@
 //!
 //! A [`ClusterReport`] aggregates the per-shard
 //! [`ServeReport`](hpdr_serve::ServeReport)s of one cluster run:
-//! shard-merged latency quantiles (per-shard streaming histograms
-//! merged bucket-wise, not re-sampled), placement / steal / reroute /
-//! retry counters, per-shard cache hit-rates and utilization, and a
-//! merged trace with every shard's spans re-based into disjoint op
-//! namespaces plus the cluster-level `xfer`/`reroute` spans.
+//! latency quantiles over the completed-job records of every shard
+//! (one streaming histogram of the union, not averaged quantiles),
+//! placement / steal / reroute / retry counters, per-shard cache
+//! hit-rates and utilization.
 //!
 //! The envelope `ok` flag is the **cluster zero-lost-jobs invariant**:
 //! every job popped from the logical source reaches exactly one
@@ -19,10 +18,9 @@
 use crate::cluster::ClusterOutcome;
 use hpdr_flight::check_flight;
 use hpdr_metrics::StreamingHistogram;
-use hpdr_serve::{check_serve, LatencySummary, ServeReport};
+use hpdr_serve::{check_serve, JobOutcome, LatencySummary, ServeReport};
 use hpdr_sim::json::{need, need_arr, need_f64, need_u64, parse_json, JsonValue};
-use hpdr_sim::{Ns, Trace};
-use hpdr_trace::merge_shard_traces;
+use hpdr_sim::Ns;
 use hpdr_verify::envelope;
 
 /// Schema identifier embedded in every cluster report.
@@ -75,8 +73,6 @@ pub struct ClusterReport {
     pub latency: LatencySummary,
     pub failure: Option<(usize, Ns)>,
     pub shards: Vec<ShardRow>,
-    /// Merged trace: shard spans re-based per namespace + cluster spans.
-    pub trace: Trace,
     /// Causal flight analysis (embedded as a nested `hpdr-flight/v1`
     /// document; `null` when tracing was off).
     pub flight: Option<hpdr_flight::FlightReport>,
@@ -97,16 +93,13 @@ impl ClusterReport {
             failed_sum += r.failed;
             completed_bytes += r.completed_bytes;
             makespan = makespan.max(r.makespan);
-            let stats = hpdr_trace::job_span_stats(&r.trace);
-            let mut h = StreamingHistogram::new();
-            for &l in &stats.latencies {
-                h.record(l);
+            for rec in &r.records {
+                if rec.outcome == JobOutcome::Completed {
+                    latency_hist.record(rec.latency().0);
+                }
             }
-            latency_hist.merge(&h);
         }
-        for s in &outcome.extra_spans {
-            makespan = makespan.max(s.end);
-        }
+        makespan = makespan.max(outcome.last_transfer_or_reroute);
         // The dead shard's NODE_FAILURE records are re-placements, not
         // real failures; each drained job terminates elsewhere (or in
         // `retries_exhausted`).
@@ -123,9 +116,6 @@ impl ClusterReport {
         } else {
             completed_bytes as f64 / makespan.0 as f64
         };
-
-        let traces: Vec<Trace> = outcome.reports.iter().map(|r| r.trace.clone()).collect();
-        let trace = merge_shard_traces(&traces, outcome.extra_spans);
 
         let shards = outcome
             .reports
@@ -187,7 +177,6 @@ impl ClusterReport {
             latency: LatencySummary::from_histogram(&latency_hist),
             failure: outcome.failure,
             shards,
-            trace,
             flight: outcome.flight,
         }
     }

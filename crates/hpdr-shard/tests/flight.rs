@@ -3,12 +3,14 @@
 //! Drives the seeded quick loadgen through a 4-node cluster with a
 //! mid-run node kill and checks the tentpole invariants end to end:
 //! every analyzed job's six-way breakdown sums exactly to its
-//! end-to-end virtual-time latency (re-routed jobs included), `hpdr
+//! end-to-end virtual-time latency (re-routed jobs included) and the
+//! completed latencies equal the shards' job records', `hpdr
 //! explain --worst N` ranks the true top-N latency jobs, the dead
 //! shard's ring buffer lands in the report as the black-box dump, and
 //! the whole document is byte-identical across same-seed runs.
 
 use hpdr_flight::{explain_lines, validate_flight_json};
+use hpdr_serve::JobOutcome;
 use hpdr_shard::{run_cluster_loadgen, ClusterLoadOptions};
 use hpdr_sim::Ns;
 
@@ -53,6 +55,26 @@ fn breakdowns_sum_exactly_for_every_job_including_rerouted() {
         assert!(row.sampled, "re-routed trace {} must be sampled", row.trace);
         assert!(row.retry > 0, "re-routed trace {} charges retry", row.trace);
     }
+    // The report's per-job source, the shards' job records, gives the
+    // same completed-job latencies as the flight rows, re-routed jobs
+    // included.
+    let mut from_records: Vec<u64> = report
+        .shards
+        .iter()
+        .flat_map(|s| &s.report.records)
+        .filter(|r| r.outcome == JobOutcome::Completed)
+        .map(|r| r.latency().0)
+        .collect();
+    let mut from_flight: Vec<u64> = flight
+        .rows
+        .iter()
+        .filter(|r| r.outcome == "completed")
+        .map(|r| r.latency)
+        .collect();
+    from_records.sort_unstable();
+    from_flight.sort_unstable();
+    assert_eq!(from_records.len() as u64, report.completed);
+    assert_eq!(from_records, from_flight);
 }
 
 #[test]

@@ -30,7 +30,7 @@ pub use chrome::{to_chrome_trace, validate_chrome_trace, ChromeTraceSummary};
 pub use critical::{critical_path, CriticalPath};
 pub use metrics::{
     alloc_contention, batch_digest, batch_digest_with, category_of, engine_name, engine_stats,
-    job_span_stats, latency_histograms, memory_fraction, merge_shard_traces, overlap_ratio,
-    wall_overlap_ratio, BatchDigest, DigestScratch, EngineStats, JobSpanStats, LatencyHistogram,
+    latency_histograms, memory_fraction, overlap_ratio, wall_overlap_ratio, BatchDigest,
+    DigestScratch, EngineStats, LatencyHistogram,
 };
 pub use report::Profile;

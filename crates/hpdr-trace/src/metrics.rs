@@ -394,97 +394,6 @@ pub fn latency_histograms(trace: &Trace) -> Vec<(String, LatencyHistogram)> {
     hists
 }
 
-/// Per-job serving metrics extracted from a serve trace.
-///
-/// The serving scheduler (`hpdr-serve`) emits exactly one span per
-/// admitted job — `ready` is the submission instant, `start` the
-/// dispatch, `end` the terminal instant, and the label ends with the
-/// terminal outcome name — plus one zero-length span per rejected
-/// submission (label prefix `reject[`). This extractor is the single
-/// source of truth for "latency is trace-derived": the serve report
-/// builds its percentile sketches from these samples, never from
-/// scheduler-internal counters.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct JobSpanStats {
-    /// End-to-end latency (terminal − submission) per completed job,
-    /// in span order.
-    pub latencies: Vec<u64>,
-    /// Queue wait (dispatch − submission) per completed job.
-    pub waits: Vec<u64>,
-    /// Rejected submissions (spans labelled `reject[...]`).
-    pub rejected: u64,
-    /// Admitted-job spans that never reached a terminal state (label
-    /// still `job[?] ...`). Must be 0 for any completed serve run —
-    /// every Begin span gets its matching End in place.
-    pub open: u64,
-}
-
-/// Scan a trace for per-job serving spans. Non-job spans (kernel,
-/// transfer, ...) pass through untouched, so the extractor also works
-/// on mixed traces.
-pub fn job_span_stats(trace: &Trace) -> JobSpanStats {
-    let mut stats = JobSpanStats::default();
-    for span in trace.spans() {
-        if span.label.starts_with("reject[") {
-            stats.rejected += 1;
-        } else if span.label.starts_with("job[?]") {
-            stats.open += 1;
-        } else if span.label.ends_with(" completed") {
-            stats.latencies.push(span.end.saturating_sub(span.ready).0);
-            stats.waits.push(span.wait().0);
-        }
-    }
-    stats
-}
-
-/// Serve-trace span-op namespaces (mirrors `hpdr-serve`'s scheduler:
-/// job ops count up from 0, rejects from `1 << 40`, alerts from
-/// `1 << 41`; ops at or above `1 << 42` belong to cluster front-ends).
-const MERGE_NAMESPACE_BASES: [usize; 3] = [0, 1 << 40, 1 << 41];
-const MERGE_CLUSTER_BASE: usize = 1 << 42;
-/// Per-shard op stride inside each namespace: shards stay disjoint as
-/// long as one shard emits fewer than 2^32 spans per namespace.
-const MERGE_SHARD_STRIDE: usize = 1 << 32;
-
-/// Merge per-shard serve traces into one cluster trace.
-///
-/// Each shard's span ops are re-based within their namespace by
-/// `shard_index * 2^32`, so job/reject/alert ops from different shards
-/// never collide while labels (and therefore [`job_span_stats`]) are
-/// untouched — the merged trace's latency samples are exactly the
-/// concatenation of the shards'. `extra` carries cluster-level spans
-/// (cross-node transfers, re-route marks) whose ops must already live
-/// in the cluster namespace (`>= 2^42`); they pass through unchanged.
-/// Spans sort by `(ready, op)`, matching a single scheduler's output.
-pub fn merge_shard_traces(shard_traces: &[Trace], extra: Vec<SpanRecord>) -> Trace {
-    let mut spans: Vec<SpanRecord> = Vec::new();
-    for (shard, trace) in shard_traces.iter().enumerate() {
-        for span in trace.spans() {
-            let mut s = span.clone();
-            if s.op < MERGE_CLUSTER_BASE {
-                let base = MERGE_NAMESPACE_BASES
-                    .iter()
-                    .rev()
-                    .find(|&&b| s.op >= b)
-                    .copied()
-                    .unwrap_or(0);
-                s.op = base + shard * MERGE_SHARD_STRIDE + (s.op - base);
-            }
-            spans.push(s);
-        }
-    }
-    for s in &extra {
-        debug_assert!(
-            s.op >= MERGE_CLUSTER_BASE,
-            "cluster span op {} below the cluster namespace",
-            s.op
-        );
-    }
-    spans.extend(extra);
-    spans.sort_by_key(|s| (s.ready, s.op));
-    Trace::from_spans(spans)
-}
-
 /// Total time alloc/free ops spent queued behind the shared runtime lock
 /// after their data dependencies were satisfied — the paper §III-B
 /// allocator-contention cost that the CMM eliminates (CMM schedules emit
@@ -685,116 +594,5 @@ mod tests {
         b.ready = Ns(0); // ready at 0 but ran at 10 ⇒ 10 ns contention
         let trace = Trace::from_spans(vec![a, b]);
         assert_eq!(alloc_contention(&trace), Ns(10));
-    }
-
-    #[test]
-    fn merge_handles_empty_shard_traces() {
-        // An empty shard still occupies its index: the shard after it
-        // keeps its own stride slot instead of sliding down into the
-        // empty one's.
-        let empty = Trace::from_spans(vec![]);
-        let busy = Trace::from_spans(vec![span(
-            3,
-            Engine::Compute(d0()),
-            0,
-            10,
-            OpKind::Kernel,
-            None,
-        )]);
-        let merged = merge_shard_traces(&[empty, busy], vec![]);
-        assert_eq!(merged.spans().len(), 1);
-        assert_eq!(merged.spans()[0].op, MERGE_SHARD_STRIDE + 3);
-        assert!(merge_shard_traces(&[], vec![]).spans().is_empty());
-    }
-
-    #[test]
-    fn merge_of_a_single_shard_is_the_identity() {
-        // Shard 0's re-base is `base + 0·stride + (op − base)` in every
-        // namespace, so a one-shard cluster trace is span-for-span the
-        // shard's own trace.
-        let spans = vec![
-            span(0, Engine::Compute(d0()), 0, 10, OpKind::Kernel, None),
-            span(7, Engine::Compute(d0()), 10, 20, OpKind::Kernel, None),
-            span(
-                (1 << 40) + 1,
-                Engine::Compute(d0()),
-                20,
-                21,
-                OpKind::Kernel,
-                None,
-            ),
-            span(
-                (1 << 41) + 2,
-                Engine::Compute(d0()),
-                21,
-                22,
-                OpKind::Kernel,
-                None,
-            ),
-        ];
-        let merged = merge_shard_traces(&[Trace::from_spans(spans.clone())], vec![]);
-        assert_eq!(merged.spans().len(), spans.len());
-        for (m, s) in merged.spans().iter().zip(&spans) {
-            assert_eq!(m.op, s.op);
-            assert_eq!(m.label, s.label);
-            assert_eq!((m.start, m.end), (s.start, s.end));
-        }
-    }
-
-    #[test]
-    fn merge_rebase_at_the_stride_boundary() {
-        // The per-shard namespaces are disjoint only while a shard emits
-        // fewer than 2^32 spans per namespace: op `stride − 1` is shard
-        // 0's last private slot, and op `stride` lands exactly on shard
-        // 1's slot 0. The merge keeps both colliding spans (it never
-        // dedupes by op) — the collision is an aliasing hazard for op
-        // lookups, not data loss.
-        let s0 = Trace::from_spans(vec![
-            span(
-                MERGE_SHARD_STRIDE - 1,
-                Engine::Compute(d0()),
-                0,
-                1,
-                OpKind::Kernel,
-                None,
-            ),
-            span(
-                MERGE_SHARD_STRIDE,
-                Engine::Compute(d0()),
-                1,
-                2,
-                OpKind::Kernel,
-                None,
-            ),
-        ]);
-        let s1 = Trace::from_spans(vec![span(
-            0,
-            Engine::Compute(d0()),
-            2,
-            3,
-            OpKind::Kernel,
-            None,
-        )]);
-        let merged = merge_shard_traces(&[s0, s1], vec![]);
-        let ops: Vec<usize> = merged.spans().iter().map(|s| s.op).collect();
-        assert_eq!(merged.spans().len(), 3, "collision must not drop spans");
-        assert!(ops.contains(&(MERGE_SHARD_STRIDE - 1)), "{ops:?}");
-        assert_eq!(
-            ops.iter().filter(|&&o| o == MERGE_SHARD_STRIDE).count(),
-            2,
-            "op `stride` from shard 0 aliases shard 1's op 0: {ops:?}"
-        );
-        // Cluster-namespace ops pass through un-rebased even when they
-        // arrive inside a shard trace.
-        let cluster = Trace::from_spans(vec![span(
-            MERGE_CLUSTER_BASE + 5,
-            Engine::Compute(d0()),
-            0,
-            1,
-            OpKind::Kernel,
-            None,
-        )]);
-        let merged = merge_shard_traces(&[Trace::from_spans(vec![]), cluster], vec![]);
-        assert_eq!(merged.spans()[0].op, MERGE_CLUSTER_BASE + 5);
     }
 }

@@ -584,7 +584,10 @@ pub fn decompress<T: Float>(adapter: &dyn DeviceAdapter, bytes: &[u8]) -> Result
                 // The reader spans the rest of the payload, limited to this
                 // block's bits, so window peeks stay on the fast path.
                 let decoded = BitReader::with_bit_limit(&payload[start..], len as u64 * 8)
-                    .and_then(|mut br| decode_block(&mut br, &ctx, maxbits, planes, &mut s));
+                    .and_then(|mut br| {
+                        decode_block(&mut br, &ctx, maxbits, planes, &mut s)?;
+                        layout.check_end(len, br.bit_pos())
+                    });
                 if let Err(e) = decoded {
                     errors.lock().unwrap().push(e);
                     return;
@@ -624,6 +627,19 @@ impl Layout {
                 maxbits,
             } => (b * block_bytes, *block_bytes, *maxbits),
             Layout::Sized { offsets } => (offsets[b], offsets[b + 1] - offsets[b], 1 << 24),
+        }
+    }
+
+    /// A sized block's coded bits end in its last byte: the encoder pads
+    /// each block to whole bytes and no further, so a block that decodes
+    /// short (a forged precision) or long is rejected. Fixed-rate blocks
+    /// are padded to the rate and may end anywhere.
+    fn check_end(&self, len: usize, bit_pos: u64) -> Result<()> {
+        match self {
+            Layout::Sized { .. } if bit_pos.div_ceil(8) != len as u64 => Err(HpdrError::corrupt(
+                "block size disagrees with its coded bits",
+            )),
+            _ => Ok(()),
         }
     }
 }

@@ -234,9 +234,9 @@ built-in demo script runs when --jobs is omitted, `-` reads stdin).
 Jobs are admitted under a byte-budget controller with bounded-queue
 backpressure, batched into shared pipeline launches, and dispatched
 over the simulated device pool with per-tenant fair scheduling; the
-report (schema hpdr-serve/v1) carries trace-derived latency
-percentiles and enforces that every admitted job reached exactly one
-terminal state.
+report (schema hpdr-serve/v1) carries latency percentiles from the
+per-job records and enforces that every admitted job reached exactly
+one terminal state.
 
 `hpdr loadgen` generates a deterministic seeded workload (Poisson
 open loop, or --closed for one outstanding request per tenant) against
@@ -283,7 +283,7 @@ logical queue on one virtual clock. --policy locality (default) places
 by rendezvous hashing on the job's data key so consumers of one stored
 object land where it lives; --policy random is the seeded scatter
 baseline. Off-home fetches cost virtual transfer time through the
-hpdr-io filesystem model and appear as xfer spans; admission
+hpdr-io filesystem model and appear in the flight events; admission
 backpressure spills to the byte-weighted least-loaded survivor.
 --fail-node <id>@<t_us> kills a shard mid-run: its queued and in-flight
 jobs re-route to survivors under a bounded retry budget, and the report

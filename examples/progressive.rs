@@ -1,6 +1,7 @@
-//! Progressive retrieval: refactor an array once, then reconstruct at
-//! increasing accuracy by fetching one more level segment at a time —
-//! MGARD's "data refactoring" usage (paper intro, refs [23]–[25]).
+//! Progressive retrieval: refactor an array once into per-(level,
+//! bit-plane) components, then reconstruct at tightening tolerances by
+//! fetching only the components each one needs — MGARD's "data
+//! refactoring" usage (paper intro, refs [23]–[25]).
 //!
 //! Also dumps a Chrome-trace JSON of an adaptive pipeline run so the
 //! virtual-time schedule can be inspected in chrome://tracing.
@@ -9,7 +10,7 @@
 //! cargo run --release -p examples-bin --bin progressive
 //! ```
 
-use hpdr::mgard::{refactor, retrieve, RefactorConfig};
+use hpdr::progressive::{refactor_progressive, ProgressiveConfig};
 use hpdr::{Codec, CpuParallelAdapter, MgardConfig, PipelineOptions};
 use hpdr_core::{ArrayMeta, DType, DeviceAdapter};
 use std::sync::Arc;
@@ -25,39 +26,38 @@ fn main() {
         dataset.num_bytes() as f64 / 1e6
     );
 
-    let refactored = refactor(
+    let refactored = refactor_progressive(
         &adapter,
         &values,
         &dataset.shape,
-        &RefactorConfig {
-            rel_bound: 1e-5,
-            dict_size: 8192,
-        },
+        &ProgressiveConfig::default(),
     )
     .expect("refactor");
+    let range = refactored.manifest.range;
 
     println!(
-        "{:>7} {:>12} {:>14} {:>12}",
-        "levels", "bytes read", "of raw", "max error"
+        "{:>9} {:>12} {:>14} {:>12} {:>12}",
+        "tolerance", "bytes read", "of raw", "max error", "bound"
     );
-    for k in 0..refactored.levels {
-        let (approx, _) = retrieve::<f32>(&adapter, &refactored, k).expect("retrieve");
+    for rel in [1e-1, 1e-2, 1e-3, 1e-4, 1e-5] {
+        let r = refactored
+            .retrieve::<f32>(&adapter, rel * range)
+            .expect("retrieve");
         let err = values
             .iter()
-            .zip(&approx)
+            .zip(&r.data)
             .map(|(a, b)| (a - b).abs())
             .fold(0.0f32, f32::max);
-        let bytes = refactored.bytes_up_to(k);
         println!(
-            "{:>4}/{:<2} {:>12} {:>13.1}% {:>12.3e}",
-            k + 1,
-            refactored.levels,
-            bytes,
-            bytes as f64 / dataset.num_bytes() as f64 * 100.0,
-            err
+            "{:>9.0e} {:>12} {:>13.1}% {:>12.3e} {:>12.3e}",
+            rel,
+            r.fetched_bytes,
+            r.fetched_bytes as f64 / dataset.num_bytes() as f64 * 100.0,
+            err,
+            r.bound
         );
     }
-    println!("\neach added level refines the reconstruction; the full set meets the bound.");
+    println!("\neach tighter tolerance fetches more components; every error meets its bound.");
 
     // Bonus: trace an adaptive pipeline run for chrome://tracing.
     let work: Arc<dyn DeviceAdapter> = Arc::new(CpuParallelAdapter::with_defaults());

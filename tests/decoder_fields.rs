@@ -1,15 +1,18 @@
 //! Structure-aware field sweep over decoder inputs: the Huffman-X stream,
-//! the Huffman-X and lz4-like reducer headers, the pipeline container and
-//! the BP index.
+//! the Huffman-X and lz4-like reducer headers, the MGARD-X, cuSZ-like
+//! and ZFP-X containers, the progressive (HPMF) manifest, the pipeline
+//! container and the BP index.
 //!
 //! Every count, length, offset and dim field of a valid input is set in
 //! turn to 0, 1, max − 1, max, 2^32, 2^40 and `u64::MAX` (the values its
 //! width holds), and offsets also to the payload's bit count ± 1. Each
 //! case must return `Err` or the reference output (the bit-at-a-time
 //! decode for Huffman-X streams, a plain read of the format for the BP
-//! index, the original bytes otherwise), with no panic and no abort. A
+//! index, the decode of the unchanged container for the lossy codecs,
+//! a reconstruction within the requested tolerance for the manifest,
+//! the original bytes otherwise), with no panic and no abort. A
 //! counting global allocator checks that no single allocation exceeds
-//! max(1 MiB, 64 × input bytes). The seven inputs that aborted or
+//! max(1 MiB, 64 × input bytes). The eight inputs that aborted or
 //! panicked before decoders bounded their sizes are named cases at the
 //! end.
 
@@ -17,14 +20,16 @@
 // to the system allocator unchanged.
 #![allow(unsafe_code)]
 
-use hpdr_baselines::Lz4Reducer;
+use hpdr_baselines::{Lz4Reducer, SzConfig, SzReducer};
 use hpdr_core::{
     ArrayMeta, ByteReader, CpuParallelAdapter, DType, DeviceAdapter, Reducer, SerialAdapter, Shape,
 };
 use hpdr_huffman::{ByteHuffmanReducer, Codebook, HuffmanConfig};
 use hpdr_io::{BlockInfo, BpReader, BpWriter};
 use hpdr_kernels::BitReader;
+use hpdr_mgard::{MgardConfig, MgardReducer};
 use hpdr_pipeline::{compress_pipelined, decompress_pipelined, Container, PipelineOptions};
+use hpdr_progressive::{refactor_progressive, Manifest, ProgressiveConfig, Refactoring};
 use hpdr_zfp::{ZfpConfig, ZfpReducer};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashMap;
@@ -109,6 +114,14 @@ fn set_field(bytes: &[u8], f: Field, value: u64) -> Vec<u8> {
     let mut out = bytes.to_vec();
     out[f.at..f.at + f.width].copy_from_slice(&value.to_le_bytes()[..f.width]);
     out
+}
+
+fn u32_at(bytes: &[u8], at: usize) -> usize {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize
+}
+
+fn u64_at(bytes: &[u8], at: usize) -> usize {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize
 }
 
 /// The allocation bound for an input of `len` bytes.
@@ -240,12 +253,12 @@ fn huffman_fields(stream: &[u8]) -> (Vec<Field>, u64) {
         bit_offset: true,
     });
     fields.push(field(32, 4));
-    let pairs = u32::from_le_bytes(stream[32..36].try_into().unwrap()) as usize;
+    let pairs = u32_at(stream, 32);
     // Each pair's code length (its symbol is neither a count nor a size).
     fields.extend((0..pairs).map(|p| field(36 + 5 * p + 4, 1)));
     let table = 36 + 5 * pairs;
     fields.push(field(table, 4));
-    let chunks = u32::from_le_bytes(stream[table..table + 4].try_into().unwrap()) as usize;
+    let chunks = u32_at(stream, table);
     fields.extend((0..chunks).map(|c| Field {
         at: table + 4 + 8 * c,
         width: 8,
@@ -335,6 +348,217 @@ fn lz4_reducer_header_fields_decode_to_err_or_the_input() {
         })
     };
     sweep("lz4-like reducer", &container, &fields, 0, &decode);
+}
+
+/// A 16³ NYX density field's raw f32 bytes and metadata.
+fn nyx16() -> (Vec<u8>, ArrayMeta) {
+    let d = hpdr_data::nyx_density(16, 7);
+    let meta = ArrayMeta::new(DType::F32, d.shape.clone());
+    (d.bytes, meta)
+}
+
+/// The rank byte at `rank_at` and the dims after it; returns the fields
+/// and the offset past the dims.
+fn rank_and_dims(c: &[u8], rank_at: usize) -> (Vec<Field>, usize) {
+    let rank = c[rank_at] as usize;
+    let mut fields = vec![field(rank_at, 1)];
+    fields.extend((0..rank).map(|d| field(rank_at + 1 + 8 * d, 8)));
+    (fields, rank_at + 1 + 8 * rank)
+}
+
+/// The quantizer tail MGARD-X and cuSZ-like share, from `at`: the
+/// dictionary size, the outlier count, the first outliers' indices and
+/// the Huffman-X stream's block length.
+fn quantizer_fields(c: &[u8], at: usize) -> Vec<Field> {
+    let outliers = u64_at(c, at + 4);
+    let mut fields = vec![field(at, 4), field(at + 4, 8)];
+    fields.extend((0..outliers.min(4)).map(|k| field(at + 12 + 16 * k, 8)));
+    fields.push(field(at + 12 + 16 * outliers, 8));
+    fields
+}
+
+/// Run `reducer` over its own container's `fields` on a serial and a
+/// 2-thread adapter; the reference is the unchanged container's decode.
+fn sweep_reducer(name: &str, reducer: &dyn Reducer, container: &[u8], fields: &[Field]) {
+    let serial = SerialAdapter::new();
+    let two = CpuParallelAdapter::new(2);
+    let reference = reducer.decompress(&serial, container).unwrap();
+    // Outputs are too long to print: report only that one differed.
+    let check = |got: hpdr_core::Result<(Vec<u8>, ArrayMeta)>| match got {
+        Err(_) => Ok(false),
+        Ok(out) if out == reference => Ok(true),
+        Ok((_, meta)) => Err(format!("decoded a {meta:?} that is not the reference")),
+    };
+    let decode = |input: &[u8]| {
+        let serial = check(reducer.decompress(&serial, input))?;
+        let two = check(reducer.decompress(&two, input))?;
+        Ok(serial && two)
+    };
+    sweep(name, container, fields, 0, &decode);
+}
+
+#[test]
+fn mgard_x_container_fields_decode_to_err_or_the_reference() {
+    let (bytes, meta) = nyx16();
+    // A small dictionary, so the container carries outliers to sweep.
+    let reducer = MgardReducer(MgardConfig {
+        dict_size: 64,
+        ..MgardConfig::relative(1e-4)
+    });
+    let container = reducer
+        .compress(&SerialAdapter::new(), &bytes, &meta)
+        .unwrap();
+    // frame (5 bytes), dtype, rank, dims, abs_eb, levels, then the
+    // quantizer tail.
+    let (mut fields, at) = rank_and_dims(&container, 6);
+    fields.push(field(at + 8, 1));
+    fields.extend(quantizer_fields(&container, at + 9));
+    assert!(u64_at(&container, at + 13) >= 4, "outliers to sweep");
+    sweep_reducer("mgard-x container", &reducer, &container, &fields);
+}
+
+#[test]
+fn cusz_like_container_fields_decode_to_err_or_the_reference() {
+    let (bytes, meta) = nyx16();
+    let reducer = SzReducer(SzConfig {
+        dict_size: 64,
+        ..SzConfig::relative(1e-4)
+    });
+    let container = reducer
+        .compress(&SerialAdapter::new(), &bytes, &meta)
+        .unwrap();
+    // magic, dtype, rank, dims, abs_eb, then the quantizer tail.
+    let (mut fields, at) = rank_and_dims(&container, 5);
+    fields.extend(quantizer_fields(&container, at + 8));
+    assert!(u64_at(&container, at + 12) >= 4, "outliers to sweep");
+    sweep_reducer("cusz-like container", &reducer, &container, &fields);
+}
+
+#[test]
+fn zfp_x_container_fields_decode_to_err_or_the_reference() {
+    let (bytes, meta) = nyx16();
+    for cfg in [
+        ZfpConfig::fixed_rate(12),
+        ZfpConfig::fixed_accuracy(1e-2),
+        ZfpConfig::fixed_precision(20),
+    ] {
+        let reducer = ZfpReducer(cfg);
+        let container = reducer
+            .compress(&SerialAdapter::new(), &bytes, &meta)
+            .unwrap();
+        // magic, version, dtype, rank, dims, then the mode byte and its
+        // parameters.
+        let (mut fields, mode_at) = rank_and_dims(&container, 6);
+        fields.push(field(mode_at, 1));
+        let blocks_at = match container[mode_at] {
+            0 => {
+                // rate, block count, block size, payload block length.
+                fields.extend([field(mode_at + 1, 4), field(mode_at + 13, 4)]);
+                fields.push(field(mode_at + 17, 8));
+                mode_at + 5
+            }
+            mode => {
+                // Fixed accuracy carries an f64 tolerance, fixed precision
+                // a u32 plane count; then the block count, one u32 size
+                // per block and the payload block length.
+                let blocks_at = if mode == 1 {
+                    mode_at + 9
+                } else {
+                    fields.push(field(mode_at + 1, 4));
+                    mode_at + 5
+                };
+                let blocks = u64_at(&container, blocks_at);
+                fields.extend((0..blocks).map(|b| field(blocks_at + 8 + 4 * b, 4)));
+                fields.push(field(blocks_at + 8 + 4 * blocks, 8));
+                blocks_at
+            }
+        };
+        fields.push(field(blocks_at, 8));
+        sweep_reducer(
+            &format!("zfp-x container, {:?}", cfg.mode),
+            &reducer,
+            &container,
+            &fields,
+        );
+    }
+}
+
+/// The 16³ NYX field's values and its progressive refactoring, whose
+/// manifest is 598 bytes.
+fn nyx16_refactoring() -> (Vec<f32>, Refactoring) {
+    let d = hpdr_data::nyx_density(16, 7);
+    let values = d.as_f32();
+    let r = refactor_progressive(
+        &SerialAdapter::new(),
+        &values,
+        &d.shape,
+        &ProgressiveConfig::default(),
+    )
+    .unwrap();
+    assert_eq!(r.manifest.to_bytes().len(), 598);
+    (values, r)
+}
+
+/// Parse `manifest` and retrieve with the original components at each
+/// of `tolerances` (absolute): `Ok(true)` when every retrieval met its
+/// tolerance, `Ok(false)` when the parse or a retrieval returned `Err`,
+/// `Err` when a reconstruction missed its tolerance.
+fn manifest_retrievals(
+    manifest: &[u8],
+    original: &Refactoring,
+    values: &[f32],
+    tolerances: &[f64],
+) -> Verdict {
+    let Ok(manifest) = Manifest::from_bytes(manifest) else {
+        return Ok(false);
+    };
+    let forged = Refactoring {
+        manifest,
+        components: original.components.clone(),
+    };
+    let a = SerialAdapter::new();
+    let mut all = true;
+    for &tol in tolerances {
+        let Ok(got) = forged.retrieve::<f32>(&a, tol) else {
+            all = false;
+            continue;
+        };
+        let err = values
+            .iter()
+            .zip(&got.data)
+            .map(|(v, g)| f64::from((v - g).abs()))
+            .fold(0.0, f64::max);
+        if got.data.len() != values.len() || err > tol {
+            return Err(format!(
+                "tolerance {tol:e}: {} values, max error {err:e}",
+                got.data.len()
+            ));
+        }
+    }
+    Ok(all)
+}
+
+#[test]
+fn progressive_manifest_fields_decode_to_err_or_within_tolerance() {
+    let (values, r) = nyx16_refactoring();
+    let valid = r.manifest.to_bytes();
+    let tolerances = [1e-1, 1e-3, 1e-5].map(|t| t * r.manifest.range);
+    // frame (5 bytes), dtype, rank, dims, abs_eb, range, plane bits,
+    // level count, planes per level, component count, then per
+    // component its level, plane, size and error contribution.
+    let (mut fields, at) = rank_and_dims(&valid, 6);
+    let at = at + 16;
+    fields.extend([field(at, 1), field(at + 1, 1)]);
+    let levels = valid[at + 1] as usize;
+    fields.extend((0..levels).map(|l| field(at + 2 + l, 1)));
+    let count_at = at + 2 + levels;
+    fields.push(field(count_at, 4));
+    for k in 0..u32_at(&valid, count_at) {
+        let c = count_at + 4 + 18 * k;
+        fields.extend([field(c, 1), field(c + 1, 1), field(c + 2, 8)]);
+    }
+    let decode = |input: &[u8]| manifest_retrievals(input, &r, &values, &tolerances);
+    sweep("progressive manifest", &valid, &fields, 0, &decode);
 }
 
 /// Parse and reconstruct a pipeline container with `reducer`.
@@ -491,7 +715,7 @@ fn bp_reference(dir: &Path, idx: &[u8]) -> Option<BpBlocks> {
 
 /// The BP index's count, length, subfile, offset, rank and dim fields.
 fn bp_fields(idx: &[u8]) -> Vec<Field> {
-    let u32_at = |at: usize| u32::from_le_bytes(idx[at..at + 4].try_into().unwrap()) as usize;
+    let u32_at = |at: usize| u32_at(idx, at);
     // After the 5-byte frame: the subfile count and the step count.
     let mut fields = vec![field(5, 4), field(9, 4)];
     let mut at = 13;
@@ -637,5 +861,16 @@ fn crafted_inputs_are_rejected_without_a_large_allocation() {
     expect_err("u32::MAX steps", &idx, &|i| {
         std::fs::write(data.0.join("md.idx"), i).unwrap();
         BpReader::open(&data.0).is_ok()
+    });
+
+    // 8. The 598-byte manifest of 16³ NYX with dims [2^32, 16, 16]: it
+    //    parsed, and the retrieval then built a hierarchy of 2^40 nodes
+    //    (a 32 GiB allocation that aborted the process).
+    let (values, r) = nyx16_refactoring();
+    let mut huge_dims = r.manifest.to_bytes();
+    huge_dims[7..15].copy_from_slice(&(1u64 << 32).to_le_bytes());
+    let tol = [1e-1 * r.manifest.range];
+    expect_err("dims [2^32, 16, 16] manifest", &huge_dims, &|i| {
+        manifest_retrievals(i, &r, &values, &tol) == Ok(true)
     });
 }

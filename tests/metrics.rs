@@ -1,7 +1,7 @@
 //! Integration tests for the metrics layer (`hpdr-metrics`) wired
 //! through the serving stack: histogram merge accuracy, scrape
 //! determinism end-to-end through loadgen, injected SLO burn-rate
-//! breaches, span hygiene at admission, and `job_span_stats` edge
+//! breaches, record hygiene at admission, and the serve report's edge
 //! cases.
 
 use hpdr_core::{ArrayMeta, CpuParallelAdapter, DType, DeviceAdapter, Shape};
@@ -14,8 +14,7 @@ use hpdr_serve::{
     JobRequest, LoadgenOptions, PayloadCache, Policy, Scheduler, ServeCodec, ServeConfig,
     ServeError, ServeReport, TenantId, VecSource,
 };
-use hpdr_sim::{Ns, Trace};
-use hpdr_trace::job_span_stats;
+use hpdr_sim::Ns;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -161,8 +160,7 @@ fn metrics_are_observational_only() {
 
 /// An unattainable 1 ns latency target makes every job "bad", driving
 /// the burn rate to 1/(1−goal) — far past the alert threshold. The
-/// breach must fire alerts, show up in attainment, and land in the
-/// trace as `slo-breach[...]` spans.
+/// breach must fire alerts and show up in attainment.
 #[test]
 fn injected_slo_breach_fires_alerts_into_the_trace() {
     let mut cache = PayloadCache::new();
@@ -192,14 +190,6 @@ fn injected_slo_breach_fires_alerts_into_the_trace() {
         assert!(row.total > 0);
         assert_eq!(row.attainment, 0.0);
     }
-    assert!(
-        outcome
-            .trace
-            .spans()
-            .iter()
-            .any(|s| s.label.starts_with("slo-breach[")),
-        "burn-rate alerts must be recorded as trace spans"
-    );
     validate_metrics_json(&reg.to_json()).expect("valid metrics document");
 
     // The report embeds the registry and still balances.
@@ -208,11 +198,11 @@ fn injected_slo_breach_fires_alerts_into_the_trace() {
     validate_serve_json(&report.to_json()).expect("valid serve report");
 }
 
-// --------------------------------------------------------- span hygiene
+// ------------------------------------------------------- record hygiene
 
 /// Regression: invalid submissions, backpressure rejections and
-/// queued cancellations must all leave balanced spans — no admitted
-/// job's Begin may survive without its matching End.
+/// queued cancellations must all be accounted for — every admitted job
+/// leaves exactly one terminal record, every rejection is counted.
 #[test]
 fn every_begin_span_gets_a_matching_end() {
     let mut cache = PayloadCache::new();
@@ -249,14 +239,12 @@ fn every_begin_span_gets_a_matching_end() {
 
     let mut empty = VecSource::new(Vec::new());
     let outcome = sched.run(&mut empty);
-    let stats = job_span_stats(&outcome.trace);
-    assert_eq!(stats.open, 0, "unmatched Begin span leaked");
-    assert_eq!(
-        stats.rejected, 2,
-        "backpressure and invalid rejects both leave spans"
-    );
-
     let report = ServeReport::build(Policy::Batched, outcome);
+    assert_eq!(
+        report.records.len() as u64,
+        report.admitted,
+        "one record per admitted job"
+    );
     assert_eq!(report.submitted, 4);
     assert_eq!(report.rejected, 2);
     assert_eq!(report.rejected_invalid, 1);
@@ -264,19 +252,25 @@ fn every_begin_span_gets_a_matching_end() {
     validate_serve_json(&report.to_json()).expect("balanced report");
 }
 
-// ----------------------------------------------------- span-stats edges
+// ---------------------------------------------------------- report edges
 
 #[test]
-fn job_span_stats_handles_empty_trace() {
-    let stats = job_span_stats(&Trace::from_spans(Vec::new()));
-    assert_eq!(stats.rejected, 0);
-    assert_eq!(stats.open, 0);
-    assert!(stats.latencies.is_empty());
-    assert!(stats.waits.is_empty());
+fn report_handles_empty_run() {
+    let mut source = VecSource::new(Vec::new());
+    let outcome = serve(ServeConfig::default(), work(), &mut source);
+    let report = ServeReport::build(Policy::Batched, outcome);
+    assert!(report.records.is_empty());
+    assert_eq!(
+        (report.submitted, report.rejected, report.completed),
+        (0, 0, 0)
+    );
+    assert_eq!(report.latency.max, 0);
+    assert_eq!(report.queue_wait.max, 0);
+    validate_serve_json(&report.to_json()).expect("balanced report");
 }
 
 #[test]
-fn job_span_stats_handles_all_cancelled_script() {
+fn report_handles_all_cancelled_script() {
     let mut cache = PayloadCache::new();
     let jobs: Vec<JobRequest> = (0..3)
         .map(|t| {
@@ -287,25 +281,34 @@ fn job_span_stats_handles_all_cancelled_script() {
         .collect();
     let mut source = VecSource::new(jobs);
     let outcome = serve(ServeConfig::default(), work(), &mut source);
-    assert_eq!(outcome.records.len(), 3);
-    let stats = job_span_stats(&outcome.trace);
-    assert_eq!(stats.open, 0, "cancelled jobs still close their spans");
-    assert!(
-        stats.latencies.is_empty(),
+    let report = ServeReport::build(Policy::Batched, outcome);
+    assert_eq!(
+        report.records.len(),
+        3,
+        "cancelled jobs still leave records"
+    );
+    assert_eq!(report.cancelled, 3);
+    assert_eq!(report.completed, 0);
+    assert_eq!(
+        report.latency.max, 0,
         "no completed jobs in an all-cancelled run"
     );
-    assert_eq!(stats.rejected, 0);
+    assert_eq!(report.rejected, 0);
 }
 
 #[test]
-fn job_span_stats_handles_single_job_script() {
+fn report_handles_single_job_script() {
     let mut cache = PayloadCache::new();
     let mut source = VecSource::new(vec![compress_job(&mut cache, 0, 0, 8)]);
     let outcome = serve(ServeConfig::default(), work(), &mut source);
-    let stats = job_span_stats(&outcome.trace);
-    assert_eq!(stats.latencies.len(), 1);
-    assert_eq!(stats.waits.len(), 1);
-    assert_eq!(stats.open, 0);
-    assert_eq!(stats.rejected, 0);
-    assert!(stats.latencies[0] > 0, "latency is virtual-time derived");
+    let report = ServeReport::build(Policy::Batched, outcome);
+    assert_eq!(report.records.len(), 1);
+    assert_eq!(report.completed, 1);
+    assert_eq!(report.rejected, 0);
+    let latency = report.records[0].latency().0;
+    assert!(latency > 0, "latency is virtual-time derived");
+    // One sample: every quantile of the sketch is that sample's bucket.
+    assert_eq!(report.latency.max, latency);
+    assert_eq!(report.latency.mean, latency);
+    assert_eq!(report.queue_wait.max, report.records[0].queue_wait().0);
 }

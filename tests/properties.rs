@@ -221,29 +221,6 @@ proptest! {
     }
 
     #[test]
-    fn refactor_full_retrieval_equals_codec_bound(
-        seed in 0u64..300,
-        rows in 5usize..16,
-        cols in 5usize..16,
-    ) {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let shape = Shape::new(&[rows, cols]);
-        let data: Vec<f64> = (0..rows * cols).map(|_| rng.gen_range(-50.0..50.0)).collect();
-        let adapter = SerialAdapter::new();
-        let cfg = hpdr_mgard::RefactorConfig { rel_bound: 1e-4, dict_size: 8192 };
-        let r = hpdr_mgard::refactor(&adapter, &data, &shape, &cfg).unwrap();
-        let (out, _) = hpdr_mgard::retrieve::<f64>(&adapter, &r, r.levels - 1).unwrap();
-        let range = {
-            let mx = data.iter().cloned().fold(f64::MIN, f64::max);
-            let mn = data.iter().cloned().fold(f64::MAX, f64::min);
-            (mx - mn).max(f64::MIN_POSITIVE)
-        };
-        let err = data.iter().zip(&out).map(|(a, b)| (a - b).abs()).fold(0.0, f64::max);
-        prop_assert!(err <= 1e-4 * range * 1.001, "err {} bound {}", err, 1e-4 * range);
-    }
-
-    #[test]
     fn lorenzo_4d_roundtrip(
         vals in proptest::collection::vec(-1_000_000i64..1_000_000, 16..240),
     ) {

@@ -240,7 +240,7 @@ fn acceptance_loadgen_loses_no_jobs_and_batching_wins() {
         s.completed + s.timed_out + s.cancelled + s.failed,
         "zero lost jobs"
     );
-    assert!(s.latency.p99 > 0, "p99 latency is trace-derived and real");
+    assert!(s.latency.p99 > 0, "p99 latency is record-derived and real");
     assert!(
         report.batching_speedup >= 1.5,
         "continuous batching must beat one-job-at-a-time by >= 1.5x, got {:.3}",
@@ -275,6 +275,41 @@ fn closed_loop_loadgen_balances_too() {
         s.completed + s.timed_out + s.cancelled + s.failed
     );
     validate_loadgen_json(&report.to_json()).expect("valid report");
+}
+
+/// The report's one per-job source agrees with the flight recorder:
+/// completed-job latencies from the `JobRecord`s and from the flight
+/// rows are the same list, on the seed-7 quick stream in both loop
+/// modes.
+#[test]
+fn job_records_and_flight_rows_agree_on_completed_latencies() {
+    for closed in [false, true] {
+        let opts = LoadgenOptions {
+            closed,
+            flight: true,
+            ..LoadgenOptions::quick()
+        };
+        let report = run_loadgen(opts).expect("loadgen runs");
+        let flight = report.flight.as_ref().expect("flight recorder on");
+        assert_eq!(flight.dropped, 0, "the ring kept every event");
+        let mut from_records: Vec<u64> = report
+            .serve
+            .records
+            .iter()
+            .filter(|r| r.outcome == JobOutcome::Completed)
+            .map(|r| r.latency().0)
+            .collect();
+        let mut from_flight: Vec<u64> = flight
+            .rows
+            .iter()
+            .filter(|r| r.outcome == "completed")
+            .map(|r| r.latency)
+            .collect();
+        from_records.sort_unstable();
+        from_flight.sort_unstable();
+        assert!(!from_records.is_empty());
+        assert_eq!(from_records, from_flight, "closed loop: {closed}");
+    }
 }
 
 proptest! {
