@@ -5,11 +5,11 @@
 //! general-purpose byte compressor cannot accelerate float-heavy I/O.
 
 use hpdr_core::{
-    ArrayMeta, ByteReader, ByteWriter, DType, DeviceAdapter, HpdrError, KernelClass, Reducer,
-    Result, Shape,
+    ArrayMeta, ByteReader, ByteWriter, DeviceAdapter, HpdrError, KernelClass, Reducer, Result,
 };
 
-const MAGIC: u32 = 0x4C5A_3442; // "LZ4B"
+/// The bare magic every lz4-like stream starts with (no version byte).
+pub const MAGIC: u32 = 0x4C5A_3442; // "LZ4B"
 const MIN_MATCH: usize = 4;
 const HASH_BITS: u32 = 16;
 const MAX_OFFSET: usize = u16::MAX as usize;
@@ -170,11 +170,7 @@ impl Reducer for Lz4Reducer {
         adapter.charge(KernelClass::Lz4, bytes.len() as u64);
         let mut w = ByteWriter::with_capacity(payload.len() + 64);
         w.put_u32(MAGIC);
-        w.put_u8(meta.dtype.tag());
-        w.put_u8(meta.shape.ndims() as u8);
-        for &d in meta.shape.dims() {
-            w.put_u64(d as u64);
-        }
+        meta.write(&mut w);
         w.put_u64(bytes.len() as u64);
         w.put_block(&payload);
         Ok(w.into_vec())
@@ -189,19 +185,8 @@ impl Reducer for Lz4Reducer {
         if r.get_u32()? != MAGIC {
             return Err(HpdrError::corrupt("bad LZ4-like magic"));
         }
-        let dtype =
-            DType::from_tag(r.get_u8()?).ok_or_else(|| HpdrError::corrupt("unknown dtype"))?;
-        let nd = r.get_u8()? as usize;
-        if !(1..=4).contains(&nd) {
-            return Err(HpdrError::corrupt("bad rank"));
-        }
-        let mut dims = Vec::with_capacity(nd);
-        for _ in 0..nd {
-            dims.push(r.get_u64()? as usize);
-        }
-        let shape = Shape::try_new(&dims)?;
+        let meta = ArrayMeta::read(&mut r)?;
         let raw_len = r.get_u64()? as usize;
-        let meta = ArrayMeta::new(dtype, shape);
         if raw_len != meta.num_bytes() {
             return Err(HpdrError::corrupt("length/metadata mismatch"));
         }
@@ -216,7 +201,7 @@ impl Reducer for Lz4Reducer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpdr_core::SerialAdapter;
+    use hpdr_core::{DType, SerialAdapter, Shape};
 
     #[test]
     fn roundtrip_texty_and_binary() {

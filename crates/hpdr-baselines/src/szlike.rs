@@ -7,12 +7,13 @@
 
 use crate::lorenzo::{lorenzo_forward, lorenzo_inverse};
 use hpdr_core::{
-    ArrayMeta, ByteReader, ByteWriter, DType, DeviceAdapter, Float, HpdrError, KernelClass,
-    Reducer, Result, Shape,
+    ArrayMeta, ByteReader, ByteWriter, DeviceAdapter, Float, HpdrError, KernelClass, Result, Shape,
+    TypedCodec,
 };
-use hpdr_huffman::HuffmanConfig;
+use hpdr_mgard::quantize::{EscapeDict, Quantized};
 
-const MAGIC: u32 = 0x535A_4C4B; // "SZLK"
+/// The bare magic every cuSZ-like stream starts with (no version byte).
+pub const MAGIC: u32 = 0x535A_4C4B; // "SZLK"
 
 /// SZ-like configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -40,6 +41,7 @@ fn compress_typed<T: Float>(
     if cfg.rel_bound <= 0.0 || !cfg.rel_bound.is_finite() {
         return Err(HpdrError::invalid("relative bound must be positive"));
     }
+    let dict = EscapeDict::new(cfg.dict_size)?;
     // min_max doubles as the finiteness check: NaN poisons the pair and
     // infinities propagate into it.
     let (mn, mx) = hpdr_kernels::min_max(adapter, data);
@@ -78,37 +80,23 @@ fn compress_typed<T: Float>(
 
     // Symbolize with escape-coded outliers (SIMD kernel; the outlier
     // positions come back as indices into `q`, still in hand).
-    let radius = (cfg.dict_size / 2) as i64;
-    let escape = cfg.dict_size - 1;
     let mut symbols = vec![0u32; q.len()];
     let mut outlier_pos: Vec<u64> = Vec::new();
-    (hpdr_kernels::kernels().sz_symbolize)(&q, radius, escape, &mut symbols, &mut outlier_pos);
-    let outliers: Vec<(u64, i64)> = outlier_pos.iter().map(|&i| (i, q[i as usize])).collect();
-    let encoded = hpdr_huffman::compress_u32(
-        adapter,
-        &symbols,
-        &HuffmanConfig {
-            dict_size: cfg.dict_size,
-            chunk_elems: 1 << 16,
-        },
-    )?;
-    adapter.charge(KernelClass::Lorenzo, (data.len() * T::BYTES) as u64);
+    (hpdr_kernels::kernels().sz_symbolize)(
+        &q,
+        dict.radius(),
+        dict.escape(),
+        &mut symbols,
+        &mut outlier_pos,
+    );
+    let outliers = outlier_pos.iter().map(|&i| (i, q[i as usize])).collect();
 
-    let mut w = ByteWriter::with_capacity(encoded.len() + 64);
+    let mut w = ByteWriter::new();
     w.put_u32(MAGIC);
-    w.put_u8(T::DTYPE.tag());
-    w.put_u8(shape.ndims() as u8);
-    for &d in shape.dims() {
-        w.put_u64(d as u64);
-    }
+    ArrayMeta::new(T::DTYPE, shape.clone()).write(&mut w);
     w.put_f64(abs_eb);
-    w.put_u32(cfg.dict_size);
-    w.put_u64(outliers.len() as u64);
-    for &(idx, d) in &outliers {
-        w.put_u64(idx);
-        w.put_i64(d);
-    }
-    w.put_block(&encoded);
+    Quantized { symbols, outliers }.write_escaped(adapter, dict, &mut w)?;
+    adapter.charge(KernelClass::Lorenzo, (data.len() * T::BYTES) as u64);
     Ok(w.into_vec())
 }
 
@@ -120,67 +108,23 @@ fn decompress_typed<T: Float>(
     if r.get_u32()? != MAGIC {
         return Err(HpdrError::corrupt("bad SZ-like magic"));
     }
-    if r.get_u8()? != T::DTYPE.tag() {
+    let meta = ArrayMeta::read(&mut r)?;
+    if meta.dtype != T::DTYPE {
         return Err(HpdrError::invalid("dtype mismatch"));
     }
-    let nd = r.get_u8()? as usize;
-    if !(1..=4).contains(&nd) {
-        return Err(HpdrError::corrupt("bad rank"));
-    }
-    let mut dims = Vec::with_capacity(nd);
-    for _ in 0..nd {
-        dims.push(r.get_u64()? as usize);
-    }
-    let shape = Shape::try_new(&dims)?;
+    let shape = meta.shape;
     let abs_eb = r.get_f64()?;
     if abs_eb <= 0.0 || !abs_eb.is_finite() {
         return Err(HpdrError::corrupt("bad error bound"));
     }
-    let dict_size = r.get_u32()?;
-    if dict_size < 16 {
-        return Err(HpdrError::corrupt("bad dict size"));
-    }
-    // Each outlier is a u64 index and an i64 value.
-    let n_out = r.get_count(16)?;
-    if n_out > shape.num_elements() {
-        return Err(HpdrError::corrupt("too many outliers"));
-    }
-    let mut outliers = Vec::with_capacity(n_out);
-    for _ in 0..n_out {
-        let idx = r.get_u64()?;
-        if idx as usize >= shape.num_elements() {
-            return Err(HpdrError::corrupt("outlier index out of range"));
-        }
-        outliers.push((idx, r.get_i64()?));
-    }
-    let encoded = r.get_block()?;
-    r.expect_exhausted()?;
-    if hpdr_huffman::stream_dict_size(encoded)? != dict_size {
-        return Err(HpdrError::corrupt(
-            "dictionary size disagrees with the embedded stream",
-        ));
-    }
-    let symbols = hpdr_huffman::decompress_u32(adapter, encoded)?;
-    if symbols.len() != shape.num_elements() {
-        return Err(HpdrError::corrupt("symbol count mismatch"));
-    }
-
-    let radius = (dict_size / 2) as i64;
-    let escape = dict_size - 1;
-    // The encoder lists outliers in ascending index order, each on an
-    // escape symbol.
-    if outliers.windows(2).any(|w| w[0].0 >= w[1].0)
-        || outliers.iter().any(|&(i, _)| symbols[i as usize] != escape)
-    {
-        return Err(HpdrError::corrupt(
-            "outliers disagree with the escape symbols",
-        ));
-    }
-    let mut q: Vec<i64> = symbols
+    let (quantized, dict) = Quantized::read_escaped(adapter, &mut r, shape.num_elements())?;
+    let (radius, escape) = (dict.radius(), dict.escape());
+    let mut q: Vec<i64> = quantized
+        .symbols
         .iter()
         .map(|&s| if s == escape { 0 } else { s as i64 - radius })
         .collect();
-    for &(idx, d) in &outliers {
+    for &(idx, d) in &quantized.outliers {
         q[idx as usize] = d;
     }
     lorenzo_inverse(&mut q, &shape);
@@ -196,59 +140,34 @@ fn decompress_typed<T: Float>(
 #[derive(Debug, Clone, Copy)]
 pub struct SzReducer(pub SzConfig);
 
-impl Reducer for SzReducer {
-    fn name(&self) -> &'static str {
-        "cusz-like"
-    }
+impl TypedCodec for SzReducer {
+    const NAME: &'static str = "cusz-like";
+    const KERNEL_CLASS: KernelClass = KernelClass::Lorenzo;
+    const FRAME_LEN: usize = 4;
 
-    fn kernel_class(&self) -> KernelClass {
-        KernelClass::Lorenzo
-    }
-
-    fn is_lossless(&self) -> bool {
-        false
-    }
-
-    fn compress(
+    fn compress_typed<T: Float>(
         &self,
         adapter: &dyn DeviceAdapter,
-        bytes: &[u8],
-        meta: &ArrayMeta,
+        data: &[T],
+        shape: &Shape,
     ) -> Result<Vec<u8>> {
-        if bytes.len() != meta.num_bytes() {
-            return Err(HpdrError::invalid("byte length does not match metadata"));
-        }
-        match meta.dtype {
-            DType::F32 => compress_typed(adapter, &f32::bytes_to_vec(bytes), &meta.shape, &self.0),
-            DType::F64 => compress_typed(adapter, &f64::bytes_to_vec(bytes), &meta.shape, &self.0),
-        }
+        compress_typed(adapter, data, shape, &self.0)
     }
 
-    fn decompress(
+    fn decompress_typed<T: Float>(
         &self,
         adapter: &dyn DeviceAdapter,
         stream: &[u8],
-    ) -> Result<(Vec<u8>, ArrayMeta)> {
-        let tag = *stream
-            .get(4)
-            .ok_or_else(|| HpdrError::corrupt("stream too short"))?;
-        match DType::from_tag(tag).ok_or_else(|| HpdrError::corrupt("unknown dtype"))? {
-            DType::F32 => {
-                let (v, shape) = decompress_typed::<f32>(adapter, stream)?;
-                Ok((f32::slice_to_bytes(&v), ArrayMeta::new(DType::F32, shape)))
-            }
-            DType::F64 => {
-                let (v, shape) = decompress_typed::<f64>(adapter, stream)?;
-                Ok((f64::slice_to_bytes(&v), ArrayMeta::new(DType::F64, shape)))
-            }
-        }
+    ) -> Result<(Vec<T>, Shape)> {
+        decompress_typed(adapter, stream)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpdr_core::{CpuParallelAdapter, SerialAdapter};
+    use hpdr_core::{CpuParallelAdapter, DType, Reducer, SerialAdapter};
+    use hpdr_huffman::HuffmanConfig;
 
     fn smooth(n: usize) -> Vec<f32> {
         (0..n * n)
@@ -434,6 +353,40 @@ mod tests {
         for (a, b) in data.iter().zip(&out) {
             assert!((a - b).abs() <= bound, "{a} vs {b}");
         }
+    }
+
+    #[test]
+    fn dictionaries_below_16_symbols_are_rejected_before_quantizing() {
+        let adapter = SerialAdapter::new();
+        let shape = Shape::new(&[16, 16, 16]);
+        let data: Vec<f32> = (0..shape.num_elements())
+            .map(|i| (i as f32 * 0.01).sin() * 10.0 + (i % 7) as f32)
+            .collect();
+        let bytes = f32::slice_to_bytes(&data);
+        let meta = ArrayMeta::new(f32::DTYPE, shape);
+        let cfg = |dict_size| SzConfig {
+            dict_size,
+            ..SzConfig::relative(1e-3)
+        };
+        for dict_size in [0, 1, 8, 15] {
+            let got = SzReducer(cfg(dict_size)).compress(&adapter, &bytes, &meta);
+            assert!(
+                matches!(got, Err(HpdrError::InvalidArgument(_))),
+                "dict_size {dict_size}: {got:?}"
+            );
+        }
+        let r = SzReducer(cfg(16));
+        let c = r.compress(&adapter, &bytes, &meta).unwrap();
+        let (back, m) = r.decompress(&adapter, &c).unwrap();
+        assert_eq!(m, meta);
+        let (mn, mx) = hpdr_kernels::min_max(&adapter, &data);
+        let bound = 1e-3 * (mx - mn) as f64;
+        let err = data
+            .iter()
+            .zip(f32::bytes_to_vec(&back))
+            .map(|(a, b)| (a - b).abs() as f64)
+            .fold(0.0, f64::max);
+        assert!(err <= bound, "err {err} > {bound}");
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The four parallelization abstractions (paper §III-A, Fig. 3) and their
-//! lowering onto the execution models (Table I):
+//! The four parallelization abstractions of paper §III-A (Fig. 3) and
+//! their lowering onto the execution models (Table I):
 //!
 //! | Abstraction   | Execution model | Mapping                     |
 //! |---------------|-----------------|-----------------------------|
@@ -8,9 +8,19 @@
 //! | Map & Process | DEM             | all subsets → whole domain  |
 //! | Global        | DEM             | domain → whole domain       |
 //!
-//! Reduction algorithms (MGARD-X / ZFP-X / Huffman-X) are written purely
-//! in terms of these calls, which is what makes them portable across the
-//! device adapters.
+//! The code that runs each row:
+//! - Locality ([`Locality`]): ZFP-X block groups, Huffman-X chunk
+//!   stages, MGARD-X interpolation rows.
+//! - Iterative ([`Iterative`]): the MGARD-X correction solves.
+//! - Map & Process: `hpdr_mgard::quantize`/`dequantize`, one DEM launch
+//!   over the node-level map, where each node's level picks its bin.
+//! - Global: Huffman-X histogram → codebook → encode, whole-domain
+//!   stages with a barrier between them.
+//!
+//! Only Locality and Iterative need a type. A Map & Process type would
+//! look up each element's subset with a binary search where the
+//! node-level map already names it, and a Global type would only loop
+//! over [`DeviceAdapter::dem`].
 
 use crate::adapter::{DeviceAdapter, ScratchPolicy};
 use crate::error::Result;
@@ -122,69 +132,6 @@ impl Iterative {
     }
 }
 
-/// Map-and-process abstraction: the domain is mapped into `subsets`
-/// (e.g. MGARD level coefficients), each processed with a possibly
-/// different function. Lowered to a single DEM stage across the union.
-#[derive(Debug, Clone)]
-pub struct MapAndProcess {
-    /// Element count per subset.
-    pub subset_sizes: Vec<usize>,
-    prefix: Vec<usize>,
-}
-
-impl MapAndProcess {
-    pub fn new(subset_sizes: Vec<usize>) -> MapAndProcess {
-        let mut prefix = Vec::with_capacity(subset_sizes.len() + 1);
-        let mut acc = 0usize;
-        prefix.push(0);
-        for &s in &subset_sizes {
-            acc += s;
-            prefix.push(acc);
-        }
-        MapAndProcess {
-            subset_sizes,
-            prefix,
-        }
-    }
-
-    pub fn total(&self) -> usize {
-        *self.prefix.last().unwrap()
-    }
-
-    /// Subset owning global element `i`, and the offset within it.
-    pub fn locate(&self, i: usize) -> (usize, usize) {
-        debug_assert!(i < self.total());
-        // partition_point returns the first subset whose end exceeds i.
-        let subset = self.prefix.partition_point(|&p| p <= i) - 1;
-        (subset, i - self.prefix[subset])
-    }
-
-    /// Run `f(subset, index_in_subset)` across all subsets at once.
-    pub fn run(&self, adapter: &dyn DeviceAdapter, f: &(dyn Fn(usize, usize) + Sync)) {
-        let this = self;
-        adapter.dem(self.total(), &move |i| {
-            let (s, j) = this.locate(i);
-            f(s, j);
-        });
-    }
-}
-
-/// One stage of a global pipeline: a whole-domain parallel-for.
-pub struct GlobalStage<'a> {
-    pub name: &'static str,
-    pub items: usize,
-    pub body: &'a (dyn Fn(usize) + Sync),
-}
-
-/// Global pipeline abstraction: all threads process the whole domain with
-/// global synchronization between stages (histogramming, parallel
-/// serialization). Lowered to consecutive DEM stages.
-pub fn global_pipeline(adapter: &dyn DeviceAdapter, stages: &[GlobalStage<'_>]) {
-    for stage in stages {
-        adapter.dem(stage.items, stage.body);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,61 +164,5 @@ mod tests {
             }
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn map_and_process_locates_subsets() {
-        let m = MapAndProcess::new(vec![3, 0, 5, 2]);
-        assert_eq!(m.total(), 10);
-        assert_eq!(m.locate(0), (0, 0));
-        assert_eq!(m.locate(2), (0, 2));
-        assert_eq!(m.locate(3), (2, 0)); // empty subset 1 skipped
-        assert_eq!(m.locate(7), (2, 4));
-        assert_eq!(m.locate(8), (3, 0));
-        assert_eq!(m.locate(9), (3, 1));
-    }
-
-    #[test]
-    fn map_and_process_runs_each_element_once() {
-        let a = CpuParallelAdapter::new(4);
-        let m = MapAndProcess::new(vec![10, 20, 30]);
-        let per_subset: Vec<AtomicUsize> = (0..3).map(|_| AtomicUsize::new(0)).collect();
-        m.run(&a, &|s, _| {
-            per_subset[s].fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(per_subset[0].load(Ordering::Relaxed), 10);
-        assert_eq!(per_subset[1].load(Ordering::Relaxed), 20);
-        assert_eq!(per_subset[2].load(Ordering::Relaxed), 30);
-    }
-
-    #[test]
-    fn global_pipeline_stage_order_is_barriered() {
-        // Stage 2 must observe all of stage 1's writes.
-        let a = CpuParallelAdapter::new(4);
-        let n = 10_000;
-        let data: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        let ok = AtomicUsize::new(0);
-        global_pipeline(
-            &a,
-            &[
-                GlobalStage {
-                    name: "fill",
-                    items: n,
-                    body: &|i| {
-                        data[i].store(i + 1, Ordering::Relaxed);
-                    },
-                },
-                GlobalStage {
-                    name: "check",
-                    items: n,
-                    body: &|i| {
-                        if data[i].load(Ordering::Relaxed) == i + 1 {
-                            ok.fetch_add(1, Ordering::Relaxed);
-                        }
-                    },
-                },
-            ],
-        );
-        assert_eq!(ok.load(Ordering::Relaxed), n);
     }
 }

@@ -68,16 +68,18 @@ impl ByteWriter {
     }
 }
 
-/// A `u32` magic + `u8` version frame shared by the HPDR container
-/// formats (MGARD-X streams, refactor containers, BP metadata indices,
-/// the progressive component manifest). Each format declares one
-/// constant `FrameHeader` and uses it on both sides, so the framing —
-/// and the corruption error wording — stays identical everywhere.
+/// A `u32` magic + `u8` version frame shared by the versioned HPDR
+/// formats: MGARD-X and ZFP-X streams, the BP metadata index and the
+/// progressive component manifest. Each format declares one constant
+/// `FrameHeader` and uses it on both sides, so the framing — and the
+/// corruption error wording — stays identical everywhere. (The
+/// Huffman-X, cuSZ-like, lz4-like and pipeline containers predate it
+/// and start with a bare `u32` magic.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameHeader {
     pub magic: u32,
     pub version: u8,
-    /// Container family name used in error messages ("refactor", …).
+    /// Container family name used in error messages ("MGARD-X", …).
     pub what: &'static str,
 }
 

@@ -2,9 +2,11 @@
 //!
 //! Implements the three bottom layers of the HPDR stack (paper Fig. 2):
 //!
-//! 1. **Parallelization abstractions** ([`abstractions`]): Locality,
-//!    Iterative, Map&Process, Global-Pipeline — the vocabulary reduction
-//!    algorithms are written in.
+//! 1. **Parallelization abstractions** ([`abstractions`]): the Locality
+//!    and Iterative group launches the codecs' block, row and solve
+//!    stages run on; the Map&Process and Global-Pipeline rows run as
+//!    plain adapter launches (the module doc names the code behind each
+//!    Table I row).
 //! 2. **Machine abstraction**: the Group and Domain Execution Models are
 //!    the two entry points of the [`adapter::DeviceAdapter`] trait; the
 //!    Context Memory Model lives in [`cmm`]. (The Host-Device Execution
@@ -13,9 +15,10 @@
 //!    CPU-parallel (OpenMP analogue) and simulated CUDA/HIP devices.
 //!
 //! Plus the shared plumbing every algorithm crate needs: scalar/type
-//! abstractions ([`float`]), shapes ([`shape`]), little-endian stream I/O
-//! ([`bytesio`]), disjoint-write shared slices ([`shared`]) and the error
-//! type ([`error`]).
+//! abstractions ([`float`]), shapes and the array header ([`shape`]),
+//! little-endian stream I/O and the container frame ([`bytesio`]), the
+//! typed codec adapter ([`reducer`]), disjoint-write shared slices
+//! ([`shared`]) and the error type ([`error`]).
 
 pub mod abstractions;
 pub mod adapter;
@@ -29,7 +32,7 @@ pub mod reducer;
 pub mod shape;
 pub mod shared;
 
-pub use abstractions::{global_pipeline, GlobalStage, Iterative, Locality, MapAndProcess};
+pub use abstractions::{Iterative, Locality};
 pub use adapter::{
     AdapterInfo, AdapterKind, CpuParallelAdapter, DeviceAdapter, KernelCharge, ScratchPolicy,
     SerialAdapter,
@@ -40,7 +43,7 @@ pub use error::{HpdrError, LowestError, Result};
 pub use float::{DType, Float};
 pub use gpu_sim::GpuSimAdapter;
 pub use pool::{PoolPanic, PoolStats, WorkerPool};
-pub use reducer::Reducer;
+pub use reducer::{Reducer, TypedCodec};
 pub use shape::{ArrayMeta, Shape};
 pub use shared::SharedSlice;
 

@@ -1,5 +1,7 @@
-//! N-dimensional array shapes (row-major, last dimension fastest).
+//! N-dimensional array shapes (row-major, last dimension fastest) and
+//! the array header every container carries.
 
+use crate::bytesio::{ByteReader, ByteWriter};
 use crate::error::{HpdrError, Result};
 use crate::float::DType;
 
@@ -102,6 +104,17 @@ impl Shape {
     pub fn row_elements(&self) -> usize {
         self.0[1..].iter().product()
     }
+
+    /// The shape MGARD-X, ZFP-X and progressive refactoring process: a
+    /// 4-D shape with its two slowest dims merged into one, any other
+    /// shape unchanged. Decorrelation across the merged boundary is
+    /// lost; the error bound is not.
+    pub fn folded_to_3d(&self) -> Shape {
+        match *self.0.as_slice() {
+            [a, b, c, d] => Shape(vec![a * b, c, d]),
+            _ => self.clone(),
+        }
+    }
 }
 
 impl std::fmt::Display for Shape {
@@ -125,6 +138,40 @@ impl ArrayMeta {
 
     pub fn num_bytes(&self) -> usize {
         self.shape.num_elements() * self.dtype.size()
+    }
+
+    /// Append the array header every HPDR container carries:
+    /// `dtype u8 | rank u8 | dims u64…`.
+    pub fn write(&self, w: &mut ByteWriter) {
+        w.put_u8(self.dtype.tag());
+        w.put_u8(self.shape.ndims() as u8);
+        for &d in self.shape.dims() {
+            w.put_u64(d as u64);
+        }
+    }
+
+    /// Parse an array header written by [`ArrayMeta::write`].
+    /// `CorruptStream` unless the dtype tag is known, the rank is in
+    /// 1..=4, every dim is in 1..=2^40 and [`Shape::try_new`] accepts
+    /// the dims.
+    pub fn read(r: &mut ByteReader<'_>) -> Result<ArrayMeta> {
+        let dtype =
+            DType::from_tag(r.get_u8()?).ok_or_else(|| HpdrError::corrupt("unknown dtype tag"))?;
+        let rank = r.get_u8()?;
+        if !(1..=4).contains(&rank) {
+            return Err(HpdrError::corrupt(format!("bad rank {rank}")));
+        }
+        let mut dims = Vec::with_capacity(rank as usize);
+        for _ in 0..rank {
+            let d = r.get_u64()?;
+            if !(1..=1 << 40).contains(&d) {
+                return Err(HpdrError::corrupt(format!("implausible dimension {d}")));
+            }
+            dims.push(d as usize);
+        }
+        // With the rank and every dim in range, the element-count bound
+        // is the only check left, and it fails as `CorruptStream`.
+        Ok(ArrayMeta::new(dtype, Shape::try_new(&dims)?))
     }
 }
 
@@ -179,6 +226,48 @@ mod tests {
     fn meta_bytes() {
         let m = ArrayMeta::new(DType::F64, Shape::new(&[10, 10]));
         assert_eq!(m.num_bytes(), 800);
+    }
+
+    #[test]
+    fn folding_merges_the_two_slowest_of_four_dims() {
+        assert_eq!(Shape::new(&[2, 3, 5, 7]).folded_to_3d().dims(), &[6, 5, 7]);
+        for dims in [&[9][..], &[4, 2], &[3, 4, 5]] {
+            assert_eq!(Shape::new(dims).folded_to_3d().dims(), dims);
+        }
+    }
+
+    #[test]
+    fn array_header_roundtrips_and_rejects_every_bad_field() {
+        let meta = ArrayMeta::new(DType::F32, Shape::new(&[3, 1 << 10, 2]));
+        let mut w = ByteWriter::new();
+        meta.write(&mut w);
+        let good = w.into_vec();
+        assert_eq!(good.len(), 2 + 3 * 8);
+        let mut r = ByteReader::new(&good);
+        assert_eq!(ArrayMeta::read(&mut r).unwrap(), meta);
+        assert!(r.is_exhausted());
+
+        let patched = |at: usize, bytes: &[u8]| {
+            let mut b = good.clone();
+            b[at..at + bytes.len()].copy_from_slice(bytes);
+            ArrayMeta::read(&mut ByteReader::new(&b))
+        };
+        let corrupt = |got: Result<ArrayMeta>| matches!(got, Err(HpdrError::CorruptStream(_)));
+        // Unknown dtype, ranks 0 and 5, dims 0 and 2^40 + 1, and dims
+        // 2^40 · 2^10 · 2^20, whose element count is past the bound.
+        assert!(corrupt(patched(0, &[2])));
+        assert!(corrupt(patched(1, &[0])));
+        assert!(corrupt(patched(1, &[5])));
+        assert!(corrupt(patched(2, &0u64.to_le_bytes())));
+        assert!(corrupt(patched(2, &((1u64 << 40) + 1).to_le_bytes())));
+        let widest = patched(2, &(1u64 << 40).to_le_bytes()).unwrap();
+        assert_eq!(widest.shape.dims()[0], 1 << 40);
+        let mut huge = good.clone();
+        huge[2..10].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        huge[18..26].copy_from_slice(&(1u64 << 20).to_le_bytes());
+        assert!(corrupt(ArrayMeta::read(&mut ByteReader::new(&huge))));
+        // A truncated header fails cleanly.
+        assert!(corrupt(ArrayMeta::read(&mut ByteReader::new(&good[..9]))));
     }
 
     #[test]

@@ -3,11 +3,12 @@
 
 use crate::codec::{compress_bytes, decompress_bytes, HuffmanConfig};
 use hpdr_core::{
-    ArrayMeta, ByteReader, ByteWriter, DType, DeviceAdapter, HpdrError, KernelClass, Reducer,
-    Result, Shape,
+    ArrayMeta, ByteReader, ByteWriter, DeviceAdapter, HpdrError, KernelClass, Reducer, Result,
 };
 
-const MAGIC: u32 = 0x4855_4658; // "HUFX"
+/// The bare magic every Huffman-X reducer container starts with (no
+/// version byte).
+pub const MAGIC: u32 = 0x4855_4658; // "HUFX"
 
 /// Huffman-X over raw bytes (paper: "Huffman-X provides lossless
 /// compression").
@@ -55,11 +56,7 @@ impl Reducer for ByteHuffmanReducer {
         let encoded = compress_bytes(adapter, bytes, &cfg)?;
         let mut w = ByteWriter::with_capacity(encoded.len() + 64);
         w.put_u32(MAGIC);
-        w.put_u8(meta.dtype.tag());
-        w.put_u8(meta.shape.ndims() as u8);
-        for &d in meta.shape.dims() {
-            w.put_u64(d as u64);
-        }
+        meta.write(&mut w);
         w.put_block(&encoded);
         Ok(w.into_vec())
     }
@@ -73,21 +70,10 @@ impl Reducer for ByteHuffmanReducer {
         if r.get_u32()? != MAGIC {
             return Err(HpdrError::corrupt("bad Huffman-X container magic"));
         }
-        let dtype =
-            DType::from_tag(r.get_u8()?).ok_or_else(|| HpdrError::corrupt("unknown dtype tag"))?;
-        let nd = r.get_u8()? as usize;
-        if !(1..=4).contains(&nd) {
-            return Err(HpdrError::corrupt("bad rank"));
-        }
-        let mut dims = Vec::with_capacity(nd);
-        for _ in 0..nd {
-            dims.push(r.get_u64()? as usize);
-        }
-        let shape = Shape::try_new(&dims)?;
+        let meta = ArrayMeta::read(&mut r)?;
         let encoded = r.get_block()?;
         r.expect_exhausted()?;
         let out = decompress_bytes(adapter, encoded)?;
-        let meta = ArrayMeta::new(dtype, shape);
         if out.len() != meta.num_bytes() {
             return Err(HpdrError::corrupt("decoded length mismatch"));
         }
@@ -98,7 +84,7 @@ impl Reducer for ByteHuffmanReducer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpdr_core::SerialAdapter;
+    use hpdr_core::{DType, SerialAdapter, Shape};
 
     #[test]
     fn lossless_byte_roundtrip() {

@@ -11,7 +11,7 @@
 //! cluster-scale experiments use the virtual filesystem model instead
 //! (`fsmodel`), since nobody has 62 TB of laptop.
 
-use hpdr_core::{ArrayMeta, ByteReader, ByteWriter, DType, FrameHeader, HpdrError, Result, Shape};
+use hpdr_core::{ArrayMeta, ByteReader, ByteWriter, FrameHeader, HpdrError, Result};
 use std::fs;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -143,11 +143,7 @@ impl BpWriter {
                     w.put_u64(b.offset);
                     w.put_u64(b.len);
                     w.put_str(&b.codec);
-                    w.put_u8(b.meta.dtype.tag());
-                    w.put_u8(b.meta.shape.ndims() as u8);
-                    for &d in b.meta.shape.dims() {
-                        w.put_u64(d as u64);
-                    }
+                    b.meta.write(&mut w);
                 }
             }
         }
@@ -184,20 +180,13 @@ impl BpReader {
                     let offset = r.get_u64()?;
                     let len = r.get_u64()?;
                     let codec = r.get_str()?;
-                    let dtype = DType::from_tag(r.get_u8()?)
-                        .ok_or_else(|| HpdrError::corrupt("bad dtype in index"))?;
-                    let nd = r.get_u8()? as usize;
-                    let mut dims = Vec::with_capacity(nd);
-                    for _ in 0..nd {
-                        dims.push(r.get_u64()? as usize);
-                    }
                     blocks.push(BlockInfo {
                         writer,
                         subfile,
                         offset,
                         len,
                         codec,
-                        meta: ArrayMeta::new(dtype, Shape::try_new(&dims)?),
+                        meta: ArrayMeta::read(&mut r)?,
                     });
                 }
                 vars.push((name, blocks));
@@ -250,6 +239,7 @@ impl BpReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpdr_core::{DType, Shape};
 
     fn tmpdir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("hpdr-bp-test-{name}-{}", std::process::id()));

@@ -3,14 +3,14 @@
 
 use crate::decompose::{decompose, recompose};
 use crate::hierarchy::Hierarchy;
-use crate::quantize::{dequantize, escape_symbol, level_bin, quantize, Quantized};
+use crate::quantize::{dequantize, level_bin, quantize, EscapeDict, Quantized};
 use hpdr_core::{
-    ByteReader, ByteWriter, ContextCache, ContextKey, DeviceAdapter, Float, FrameHeader, HpdrError,
-    KernelClass, Result, Shape,
+    ArrayMeta, ByteReader, ByteWriter, ContextCache, ContextKey, DeviceAdapter, Float, FrameHeader,
+    HpdrError, KernelClass, Result, Shape,
 };
-use hpdr_huffman::HuffmanConfig;
 
-const FRAME: FrameHeader = FrameHeader::new(0x4D47_5831 /* "MGX1" */, 1, "MGARD-X");
+/// The frame every MGARD-X stream starts with.
+pub const FRAME: FrameHeader = FrameHeader::new(0x4D47_5831 /* "MGX1" */, 1, "MGARD-X");
 
 /// Error-bound specification.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -98,18 +98,6 @@ pub fn context_cache() -> &'static ContextCache<MgardContext> {
     CACHE.get_or_init(|| ContextCache::new(16))
 }
 
-/// Fold 4D shapes into 3D (merge the two slowest dims), matching the
-/// ZFP-X convention; decorrelation across the merged boundary is
-/// sacrificed, the error bound is not.
-fn effective_shape(shape: &Shape) -> Shape {
-    let d = shape.dims();
-    if d.len() == 4 {
-        Shape::new(&[d[0] * d[1], d[2], d[3]])
-    } else {
-        shape.clone()
-    }
-}
-
 fn resolve_abs_eb<T: Float>(
     adapter: &dyn DeviceAdapter,
     data: &[T],
@@ -152,16 +140,14 @@ pub fn compress<T: Float>(
             data.len()
         )));
     }
-    if cfg.dict_size < 16 {
-        return Err(HpdrError::invalid("dict_size must be at least 16"));
-    }
+    let dict = EscapeDict::new(cfg.dict_size)?;
     for &v in data.iter() {
         if !v.is_finite() {
             return Err(HpdrError::invalid("non-finite value in MGARD input"));
         }
     }
     let abs_eb = resolve_abs_eb(adapter, data, cfg.error_bound)?;
-    let eff = effective_shape(shape);
+    let eff = shape.folded_to_3d();
 
     // CMM lookup: hierarchy + node-level map keyed by shape & device.
     let key = ContextKey {
@@ -185,36 +171,19 @@ pub fn compress<T: Float>(
     } = &mut *ctx;
     decompose(adapter, work, hierarchy);
 
-    // Per-level quantization (Map&Process).
+    // Per-level quantization: one DEM launch over the node-level map,
+    // whose entry gives each coefficient its level's bin.
     let bins: Vec<f64> = (0..levels).map(|l| level_bin(abs_eb, levels, l)).collect();
     let q = quantize(adapter, work, node_levels, &bins, cfg.dict_size);
 
-    // Entropy encoding.
-    let hcfg = HuffmanConfig {
-        dict_size: cfg.dict_size,
-        chunk_elems: 1 << 16,
-    };
-    let encoded = hpdr_huffman::compress_u32(adapter, &q.symbols, &hcfg)?;
-
-    adapter.charge(KernelClass::Mgard, (data.len() * T::BYTES) as u64);
-
-    // Container.
-    let mut w = ByteWriter::with_capacity(encoded.len() + 128);
+    // Container, ending in the Huffman-encoded symbols.
+    let mut w = ByteWriter::new();
     FRAME.write(&mut w);
-    w.put_u8(T::DTYPE.tag());
-    w.put_u8(shape.ndims() as u8);
-    for &d in shape.dims() {
-        w.put_u64(d as u64);
-    }
+    ArrayMeta::new(T::DTYPE, shape.clone()).write(&mut w);
     w.put_f64(abs_eb);
     w.put_u8(levels as u8);
-    w.put_u32(cfg.dict_size);
-    w.put_u64(q.outliers.len() as u64);
-    for &(idx, qi) in &q.outliers {
-        w.put_u64(idx);
-        w.put_i64(qi);
-    }
-    w.put_block(&encoded);
+    q.write_escaped(adapter, dict, &mut w)?;
+    adapter.charge(KernelClass::Mgard, (data.len() * T::BYTES) as u64);
     Ok(w.into_vec())
 }
 
@@ -222,68 +191,18 @@ pub fn compress<T: Float>(
 pub fn decompress<T: Float>(adapter: &dyn DeviceAdapter, bytes: &[u8]) -> Result<(Vec<T>, Shape)> {
     let mut r = ByteReader::new(bytes);
     FRAME.read(&mut r)?;
-    if r.get_u8()? != T::DTYPE.tag() {
+    let meta = ArrayMeta::read(&mut r)?;
+    if meta.dtype != T::DTYPE {
         return Err(HpdrError::invalid("dtype mismatch in MGARD-X stream"));
     }
-    let nd = r.get_u8()? as usize;
-    if !(1..=4).contains(&nd) {
-        return Err(HpdrError::corrupt("bad rank"));
-    }
-    let mut dims = Vec::with_capacity(nd);
-    for _ in 0..nd {
-        let d = r.get_u64()? as usize;
-        if d == 0 || d > (1 << 40) {
-            return Err(HpdrError::corrupt("implausible dimension"));
-        }
-        dims.push(d);
-    }
-    let shape = Shape::try_new(&dims)?;
-    let eff = effective_shape(&shape);
+    let shape = meta.shape;
+    let eff = shape.folded_to_3d();
     let abs_eb = r.get_f64()?;
     if abs_eb <= 0.0 || !abs_eb.is_finite() {
         return Err(HpdrError::corrupt("bad error bound in stream"));
     }
     let levels = r.get_u8()? as usize;
-    let dict_size = r.get_u32()?;
-    if dict_size < 16 {
-        return Err(HpdrError::corrupt("bad dictionary size"));
-    }
-    // Each outlier is a u64 index and an i64 value.
-    let n_out = r.get_count(16)?;
-    if n_out > shape.num_elements() {
-        return Err(HpdrError::corrupt("more outliers than elements"));
-    }
-    let mut outliers = Vec::with_capacity(n_out);
-    for _ in 0..n_out {
-        let idx = r.get_u64()?;
-        let qi = r.get_i64()?;
-        if idx as usize >= shape.num_elements() {
-            return Err(HpdrError::corrupt("outlier index out of range"));
-        }
-        outliers.push((idx, qi));
-    }
-    let encoded = r.get_block()?;
-    r.expect_exhausted()?;
-    if hpdr_huffman::stream_dict_size(encoded)? != dict_size {
-        return Err(HpdrError::corrupt(
-            "dictionary size disagrees with the embedded stream",
-        ));
-    }
-
-    let symbols = hpdr_huffman::decompress_u32(adapter, encoded)?;
-    if symbols.len() != shape.num_elements() {
-        return Err(HpdrError::corrupt("symbol count does not match shape"));
-    }
-    // The encoder lists outliers in ascending index order, each on an
-    // escape symbol.
-    let escape = escape_symbol(dict_size);
-    if outliers.windows(2).any(|w| w[0].0 >= w[1].0)
-        || outliers.iter().any(|&(i, _)| symbols[i as usize] != escape)
-    {
-        return Err(HpdrError::corrupt(
-            "outliers disagree with the escape symbols",
-        ));
-    }
+    let (q, dict) = Quantized::read_escaped(adapter, &mut r, shape.num_elements())?;
 
     let key = ContextKey {
         algorithm: "mgard-x-dec",
@@ -298,13 +217,12 @@ pub fn decompress<T: Float>(adapter: &dyn DeviceAdapter, bytes: &[u8]) -> Result
         return Err(HpdrError::corrupt("level count mismatch with shape"));
     }
     let bins: Vec<f64> = (0..levels).map(|l| level_bin(abs_eb, levels, l)).collect();
-    let q = Quantized { symbols, outliers };
     let MgardContext {
         hierarchy,
         node_levels,
         work,
     } = &mut *ctx;
-    let mut coeffs = dequantize(adapter, &q, node_levels, &bins, dict_size);
+    let mut coeffs = dequantize(adapter, &q, node_levels, &bins, dict.size());
     recompose(adapter, &mut coeffs, hierarchy);
     let _ = work;
 

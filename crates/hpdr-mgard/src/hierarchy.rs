@@ -134,16 +134,6 @@ impl Hierarchy {
         }
         out
     }
-
-    /// Number of coefficients attributed to each level (sums to the total
-    /// element count) — the subset sizes for Map&Process quantization.
-    pub fn level_coefficient_counts(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.total_levels()];
-        for l in self.node_levels() {
-            counts[l as usize] += 1;
-        }
-        counts
-    }
 }
 
 /// Position classification of a fine-list position within one dimension's
@@ -268,7 +258,10 @@ mod tests {
     fn node_levels_partition_all_nodes() {
         let shape = Shape::new(&[9, 5]);
         let h = Hierarchy::new(&shape);
-        let counts = h.level_coefficient_counts();
+        let mut counts = vec![0usize; h.total_levels()];
+        for l in h.node_levels() {
+            counts[l as usize] += 1;
+        }
         assert_eq!(counts.iter().sum::<usize>(), 45);
         // Coarsest level: 2x2 corners.
         assert_eq!(counts[0], 4);

@@ -8,7 +8,9 @@
 //! Quantized integers become Huffman symbols centred on `dict_size / 2`;
 //! codes that fall outside the dictionary are escaped and stored verbatim
 //! in an outlier table (flat index + integer), the standard SZ/MGARD
-//! outlier scheme.
+//! outlier scheme. [`Quantized::write_escaped`] and
+//! [`Quantized::read_escaped`] frame that table and the Huffman-X stream
+//! as the block both MGARD-X and cuSZ-like containers end with.
 //!
 //! Bin allocation is geometric: level `l` gets `δ_l = eb·2^{-(L-l)}/2.5`,
 //! so the finest level (which holds ~2^d/(2^d−1) of all coefficients)
@@ -18,7 +20,8 @@
 //! the total is `Σ_l δ_l/2 · (1+c) ≤ (1+c)·eb/2.5 · Σ 2^{-(L-l)}/1
 //! < 2.2·2·eb/5 = 0.88·eb`.
 
-use hpdr_core::{DeviceAdapter, SharedSlice};
+use hpdr_core::{ByteReader, ByteWriter, DeviceAdapter, HpdrError, Result, SharedSlice};
+use hpdr_huffman::HuffmanConfig;
 use parking_lot::Mutex;
 
 /// Elements per SIMD-kernel tile: big enough to amortize dispatch, small
@@ -45,6 +48,111 @@ pub struct Quantized {
 /// The escape symbol for a dictionary of `dict_size`.
 pub fn escape_symbol(dict_size: u32) -> u32 {
     dict_size - 1
+}
+
+/// A Huffman dictionary size the escape-coded block accepts: at least
+/// 16 symbols. Encoders check it before they quantize.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EscapeDict(u32);
+
+impl EscapeDict {
+    /// `InvalidArgument` for fewer than 16 symbols.
+    pub fn new(dict_size: u32) -> Result<EscapeDict> {
+        if dict_size < 16 {
+            return Err(HpdrError::invalid("dict_size must be at least 16"));
+        }
+        Ok(EscapeDict(dict_size))
+    }
+
+    pub fn size(self) -> u32 {
+        self.0
+    }
+
+    /// The symbol of quantized value 0.
+    pub fn radius(self) -> i64 {
+        (self.0 / 2) as i64
+    }
+
+    pub fn escape(self) -> u32 {
+        escape_symbol(self.0)
+    }
+}
+
+impl Quantized {
+    /// Huffman-encode the symbols and append the escape-coded block:
+    /// `dict_size u32 | outlier count u64 | (index u64, value i64)… |
+    /// Huffman-X block`.
+    pub fn write_escaped(
+        &self,
+        adapter: &dyn DeviceAdapter,
+        dict: EscapeDict,
+        w: &mut ByteWriter,
+    ) -> Result<()> {
+        let cfg = HuffmanConfig {
+            dict_size: dict.0,
+            chunk_elems: 1 << 16,
+        };
+        let encoded = hpdr_huffman::compress_u32(adapter, &self.symbols, &cfg)?;
+        w.put_u32(dict.0);
+        w.put_u64(self.outliers.len() as u64);
+        for &(idx, v) in &self.outliers {
+            w.put_u64(idx);
+            w.put_i64(v);
+        }
+        w.put_block(&encoded);
+        Ok(())
+    }
+
+    /// Read and decode a block written by [`Quantized::write_escaped`]
+    /// for `elements` symbols; the block must end the stream.
+    /// `CorruptStream` unless the dictionary holds at least 16 symbols
+    /// and matches the embedded stream's, the outliers are no more than
+    /// the elements, their indices ascend below `elements` and each sits
+    /// on an escape symbol, and the stream decodes to `elements` symbols.
+    pub fn read_escaped(
+        adapter: &dyn DeviceAdapter,
+        r: &mut ByteReader<'_>,
+        elements: usize,
+    ) -> Result<(Quantized, EscapeDict)> {
+        let dict =
+            EscapeDict::new(r.get_u32()?).map_err(|_| HpdrError::corrupt("bad dictionary size"))?;
+        // Each outlier is a u64 index and an i64 value.
+        let n_out = r.get_count(16)?;
+        if n_out > elements {
+            return Err(HpdrError::corrupt("more outliers than elements"));
+        }
+        let mut outliers = Vec::with_capacity(n_out);
+        for _ in 0..n_out {
+            let idx = r.get_u64()?;
+            let v = r.get_i64()?;
+            if idx >= elements as u64 {
+                return Err(HpdrError::corrupt("outlier index out of range"));
+            }
+            outliers.push((idx, v));
+        }
+        let encoded = r.get_block()?;
+        r.expect_exhausted()?;
+        if hpdr_huffman::stream_dict_size(encoded)? != dict.0 {
+            return Err(HpdrError::corrupt(
+                "dictionary size disagrees with the embedded stream",
+            ));
+        }
+        let symbols = hpdr_huffman::decompress_u32(adapter, encoded)?;
+        if symbols.len() != elements {
+            return Err(HpdrError::corrupt("symbol count does not match shape"));
+        }
+        // The encoders list outliers in ascending index order, each on an
+        // escape symbol.
+        let escape = dict.escape();
+        if outliers.windows(2).any(|w| w[0].0 >= w[1].0)
+            || outliers.iter().any(|&(i, _)| symbols[i as usize] != escape)
+        {
+            return Err(HpdrError::corrupt(
+                "outliers disagree with the escape symbols",
+            ));
+        }
+        Ok((Quantized { symbols, outliers }, dict))
+    }
 }
 
 /// Quantize decomposed coefficients. `node_levels[i]` gives each node's
@@ -210,6 +318,29 @@ mod tests {
         let a = quantize(&SerialAdapter::new(), &coeffs, &levels, &bins, 4096);
         let b = quantize(&CpuParallelAdapter::new(8), &coeffs, &levels, &bins, 4096);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn escaped_block_roundtrips_and_needs_16_symbols() {
+        for d in [0, 1, 15] {
+            assert!(matches!(
+                EscapeDict::new(d),
+                Err(HpdrError::InvalidArgument(_))
+            ));
+        }
+        let adapter = SerialAdapter::new();
+        let coeffs: Vec<f64> = (0..3000).map(|i| (i as f64 * 0.01).sin()).collect();
+        let dict = EscapeDict::new(64).unwrap();
+        let q = quantize(&adapter, &coeffs, &[0; 3000], &[0.01], dict.size());
+        assert!(!q.outliers.is_empty());
+        let mut w = ByteWriter::new();
+        q.write_escaped(&adapter, dict, &mut w).unwrap();
+        let bytes = w.into_vec();
+        let read = |b: &[u8], n| Quantized::read_escaped(&adapter, &mut ByteReader::new(b), n);
+        assert_eq!(read(&bytes, 3000).unwrap(), (q, dict));
+        // The block ends its container and fixes its element count.
+        assert!(read(&bytes, 2999).is_err());
+        assert!(read(&[&bytes[..], &[0]].concat(), 3000).is_err());
     }
 
     #[test]

@@ -1,75 +1,40 @@
-//! [`Reducer`] implementation for MGARD-X.
+//! [`Reducer`](hpdr_core::Reducer) implementation for MGARD-X, through
+//! [`TypedCodec`].
 
 use crate::codec::{compress, decompress, MgardConfig};
-use hpdr_core::{ArrayMeta, DType, DeviceAdapter, Float, HpdrError, KernelClass, Reducer, Result};
+use hpdr_core::{DeviceAdapter, Float, FrameHeader, KernelClass, Result, Shape, TypedCodec};
 
 /// MGARD-X as a byte-level reduction pipeline.
 #[derive(Debug, Clone, Copy)]
 pub struct MgardReducer(pub MgardConfig);
 
-fn peek_dtype(stream: &[u8]) -> Result<DType> {
-    let tag = *stream
-        .get(5)
-        .ok_or_else(|| HpdrError::corrupt("stream too short for header"))?;
-    DType::from_tag(tag).ok_or_else(|| HpdrError::corrupt("unknown dtype tag"))
-}
+impl TypedCodec for MgardReducer {
+    const NAME: &'static str = "mgard-x";
+    const KERNEL_CLASS: KernelClass = KernelClass::Mgard;
+    const FRAME_LEN: usize = FrameHeader::LEN;
 
-impl Reducer for MgardReducer {
-    fn name(&self) -> &'static str {
-        "mgard-x"
-    }
-
-    fn kernel_class(&self) -> KernelClass {
-        KernelClass::Mgard
-    }
-
-    fn is_lossless(&self) -> bool {
-        false
-    }
-
-    fn compress(
+    fn compress_typed<T: Float>(
         &self,
         adapter: &dyn DeviceAdapter,
-        bytes: &[u8],
-        meta: &ArrayMeta,
+        data: &[T],
+        shape: &Shape,
     ) -> Result<Vec<u8>> {
-        if bytes.len() != meta.num_bytes() {
-            return Err(HpdrError::invalid("byte length does not match metadata"));
-        }
-        match meta.dtype {
-            DType::F32 => compress(adapter, &f32::bytes_to_vec(bytes), &meta.shape, &self.0),
-            DType::F64 => compress(adapter, &f64::bytes_to_vec(bytes), &meta.shape, &self.0),
-        }
+        compress(adapter, data, shape, &self.0)
     }
 
-    fn decompress(
+    fn decompress_typed<T: Float>(
         &self,
         adapter: &dyn DeviceAdapter,
         stream: &[u8],
-    ) -> Result<(Vec<u8>, ArrayMeta)> {
-        match peek_dtype(stream)? {
-            DType::F32 => {
-                let (data, shape) = decompress::<f32>(adapter, stream)?;
-                Ok((
-                    f32::slice_to_bytes(&data),
-                    ArrayMeta::new(DType::F32, shape),
-                ))
-            }
-            DType::F64 => {
-                let (data, shape) = decompress::<f64>(adapter, stream)?;
-                Ok((
-                    f64::slice_to_bytes(&data),
-                    ArrayMeta::new(DType::F64, shape),
-                ))
-            }
-        }
+    ) -> Result<(Vec<T>, Shape)> {
+        decompress(adapter, stream)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpdr_core::{SerialAdapter, Shape};
+    use hpdr_core::{ArrayMeta, DType, Reducer, SerialAdapter};
 
     #[test]
     fn byte_level_roundtrip_f32() {

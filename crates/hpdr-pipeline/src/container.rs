@@ -6,7 +6,7 @@
 //! ratio when chunks are small, paper Fig. 14). The container records the
 //! codec, array metadata and per-chunk streams.
 
-use hpdr_core::{ArrayMeta, ByteReader, ByteWriter, DType, HpdrError, Result, Shape};
+use hpdr_core::{ArrayMeta, ByteReader, ByteWriter, HpdrError, Result};
 
 const MAGIC: u32 = 0x4850_4331; // "HPC1"
 
@@ -29,11 +29,7 @@ impl Container {
         let mut w = ByteWriter::with_capacity(self.total_stream_bytes() as usize + 128);
         w.put_u32(MAGIC);
         w.put_str(&self.reducer);
-        w.put_u8(self.meta.dtype.tag());
-        w.put_u8(self.meta.shape.ndims() as u8);
-        for &d in self.meta.shape.dims() {
-            w.put_u64(d as u64);
-        }
+        self.meta.write(&mut w);
         w.put_u32(self.chunks.len() as u32);
         for (rows, stream) in &self.chunks {
             w.put_u64(*rows as u64);
@@ -48,17 +44,7 @@ impl Container {
             return Err(HpdrError::corrupt("bad container magic"));
         }
         let reducer = r.get_str()?;
-        let dtype =
-            DType::from_tag(r.get_u8()?).ok_or_else(|| HpdrError::corrupt("unknown dtype"))?;
-        let nd = r.get_u8()? as usize;
-        if !(1..=4).contains(&nd) {
-            return Err(HpdrError::corrupt("bad rank"));
-        }
-        let mut dims = Vec::with_capacity(nd);
-        for _ in 0..nd {
-            dims.push(r.get_u64()? as usize);
-        }
-        let shape = Shape::try_new(&dims)?;
+        let meta = ArrayMeta::read(&mut r)?;
         // Each chunk is at least its u64 row count and u64 block length.
         let n_chunks = r.get_count_u32(16)?;
         let mut chunks = Vec::with_capacity(n_chunks);
@@ -72,15 +58,15 @@ impl Container {
             chunks.push((rows, stream));
         }
         r.expect_exhausted()?;
-        if total_rows != shape.dims()[0] {
+        let leading = meta.shape.dims()[0];
+        if total_rows != leading {
             return Err(HpdrError::corrupt(format!(
-                "chunk rows {total_rows} do not cover leading dim {}",
-                shape.dims()[0]
+                "chunk rows {total_rows} do not cover leading dim {leading}"
             )));
         }
         Ok(Container {
             reducer,
-            meta: ArrayMeta::new(dtype, shape),
+            meta,
             chunks,
         })
     }
@@ -114,6 +100,7 @@ pub fn fixed_chunks(total_rows: usize, row_bytes: usize, chunk_bytes: usize) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpdr_core::{DType, Shape};
 
     #[test]
     fn roundtrip() {

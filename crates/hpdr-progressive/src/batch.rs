@@ -27,11 +27,7 @@ impl RetrieveBatchItem {
 
 impl ExternalBatchJob for RetrieveBatchItem {
     fn raw_bytes(&self) -> u64 {
-        self.set
-            .manifest
-            .meta()
-            .map(|m| m.num_bytes() as u64)
-            .unwrap_or(0)
+        self.set.manifest.meta.num_bytes() as u64
     }
 
     fn build(

@@ -49,7 +49,7 @@ impl RetrieveJob {
         let manifest = &set.manifest;
         let plan = plan_fetch(manifest, &vec![0; manifest.levels as usize], tolerance);
         let counts = level_counts(manifest)?;
-        let meta = manifest.meta()?;
+        let meta = manifest.meta.clone();
         let max_comp = plan
             .picks
             .iter()

@@ -71,8 +71,7 @@ pub struct ComponentInfo {
 /// reader needs to plan fetches without touching component data.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Manifest {
-    pub dtype_tag: u8,
-    pub shape: Shape,
+    pub meta: ArrayMeta,
     /// Absolute bound at full precision (`rel_bound · range`).
     pub abs_eb: f64,
     /// Data range at refactor time (for relative-tolerance requests).
@@ -144,23 +143,10 @@ impl Manifest {
         self.components.iter().map(|c| c.bytes).sum()
     }
 
-    pub fn dtype(&self) -> Result<DType> {
-        DType::from_tag(self.dtype_tag)
-            .ok_or_else(|| HpdrError::corrupt("bad dtype in progressive manifest"))
-    }
-
-    pub fn meta(&self) -> Result<ArrayMeta> {
-        Ok(ArrayMeta::new(self.dtype()?, self.shape.clone()))
-    }
-
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         MANIFEST_FRAME.write(&mut w);
-        w.put_u8(self.dtype_tag);
-        w.put_u8(self.shape.ndims() as u8);
-        for &d in self.shape.dims() {
-            w.put_u64(d as u64);
-        }
+        self.meta.write(&mut w);
         w.put_f64(self.abs_eb);
         w.put_f64(self.range);
         w.put_u8(self.plane_bits as u8);
@@ -181,19 +167,7 @@ impl Manifest {
     pub fn from_bytes(bytes: &[u8]) -> Result<Manifest> {
         let mut r = ByteReader::new(bytes);
         MANIFEST_FRAME.read(&mut r)?;
-        let dtype_tag = r.get_u8()?;
-        if DType::from_tag(dtype_tag).is_none() {
-            return Err(HpdrError::corrupt("bad dtype in progressive manifest"));
-        }
-        let nd = r.get_u8()? as usize;
-        if !(1..=4).contains(&nd) {
-            return Err(HpdrError::corrupt("bad rank in progressive manifest"));
-        }
-        let mut dims = Vec::with_capacity(nd);
-        for _ in 0..nd {
-            dims.push(r.get_u64()? as usize);
-        }
-        let shape = Shape::try_new(&dims)?;
+        let meta = ArrayMeta::read(&mut r)?;
         let abs_eb = r.get_f64()?;
         if abs_eb <= 0.0 || !abs_eb.is_finite() {
             return Err(HpdrError::corrupt("bad bound in progressive manifest"));
@@ -209,7 +183,7 @@ impl Manifest {
         // The hierarchy the dims imply, counted without building it: a
         // forged count would otherwise size a context from forged dims.
         let levels = r.get_u8()?;
-        if levels as usize != Hierarchy::level_count(&effective_shape(&shape)) {
+        if levels as usize != Hierarchy::level_count(&meta.shape.folded_to_3d()) {
             return Err(HpdrError::corrupt(
                 "bad level count in progressive manifest",
             ));
@@ -252,8 +226,7 @@ impl Manifest {
         }
         r.expect_exhausted()?;
         let manifest = Manifest {
-            dtype_tag,
-            shape,
+            meta,
             abs_eb,
             range,
             plane_bits,
@@ -299,10 +272,6 @@ pub struct Retrieval<T> {
 }
 
 impl Refactoring {
-    pub fn meta(&self) -> Result<ArrayMeta> {
-        self.manifest.meta()
-    }
-
     pub fn total_bytes(&self) -> u64 {
         self.manifest.total_component_bytes()
     }
@@ -438,15 +407,6 @@ impl DecodeState {
     }
 }
 
-pub(crate) fn effective_shape(shape: &Shape) -> Shape {
-    let d = shape.dims();
-    if d.len() == 4 {
-        Shape::new(&[d[0] * d[1], d[2], d[3]])
-    } else {
-        shape.clone()
-    }
-}
-
 fn context_key(dtype: DType, eff: &Shape) -> ContextKey {
     ContextKey {
         algorithm: "hpdr-progressive",
@@ -459,8 +419,8 @@ fn context_key(dtype: DType, eff: &Shape) -> ContextKey {
 
 /// Nodes per level for the manifest's (effective) hierarchy.
 pub fn level_counts(manifest: &Manifest) -> Result<Vec<usize>> {
-    let eff = effective_shape(&manifest.shape);
-    let key = context_key(manifest.dtype()?, &eff);
+    let eff = manifest.meta.shape.folded_to_3d();
+    let key = context_key(manifest.meta.dtype, &eff);
     let ctx = context_cache().get_or_create(&key, || MgardContext::new(&eff));
     let ctx = ctx.lock();
     if ctx.hierarchy.total_levels() != manifest.levels as usize {
@@ -497,7 +457,7 @@ pub fn refactor_progressive<T: Float>(
     let (mn, mx) = hpdr_kernels::min_max(adapter, data);
     let range = (mx.to_f64() - mn.to_f64()).max(f64::MIN_POSITIVE);
     let abs_eb = cfg.rel_bound * range;
-    let eff = effective_shape(shape);
+    let eff = shape.folded_to_3d();
 
     let key = context_key(T::DTYPE, &eff);
     let ctx = context_cache().get_or_create(&key, || MgardContext::new(&eff));
@@ -559,8 +519,7 @@ pub fn refactor_progressive<T: Float>(
     adapter.charge(KernelClass::Mgard, (data.len() * T::BYTES) as u64);
 
     let mut manifest = Manifest {
-        dtype_tag: T::DTYPE.tag(),
-        shape: shape.clone(),
+        meta: ArrayMeta::new(T::DTYPE, shape.clone()),
         abs_eb,
         range,
         plane_bits: g,
@@ -590,11 +549,11 @@ pub fn reconstruct<T: Float>(
     manifest: &Manifest,
     state: &DecodeState,
 ) -> Result<(Vec<T>, Shape)> {
-    if manifest.dtype_tag != T::DTYPE.tag() {
+    if manifest.meta.dtype != T::DTYPE {
         return Err(HpdrError::invalid("dtype mismatch"));
     }
-    let shape = manifest.shape.clone();
-    let eff = effective_shape(&shape);
+    let shape = manifest.meta.shape.clone();
+    let eff = shape.folded_to_3d();
     let key = context_key(T::DTYPE, &eff);
     let ctx = context_cache().get_or_create(&key, || MgardContext::new(&eff));
     let mut ctx = ctx.lock();
@@ -630,7 +589,7 @@ pub fn reconstruct_bytes(
     manifest: &Manifest,
     state: &DecodeState,
 ) -> Result<(Vec<u8>, ArrayMeta)> {
-    let meta = manifest.meta()?;
+    let meta = manifest.meta.clone();
     let bytes = match meta.dtype {
         DType::F32 => {
             let (v, _) = reconstruct::<f32>(adapter, manifest, state)?;

@@ -27,12 +27,12 @@ pub fn write_bp(
     refactoring: &Refactoring,
     aggregators: usize,
 ) -> Result<()> {
-    let meta = refactoring.meta()?;
+    let meta = &refactoring.manifest.meta;
     let mut w = BpWriter::create(dir, aggregators)?;
     w.begin_step();
     w.put(
         MANIFEST_VAR,
-        &meta,
+        meta,
         &refactoring.manifest.to_bytes(),
         "manifest",
     )?;
@@ -44,7 +44,7 @@ pub fn write_bp(
     {
         w.put(
             &Manifest::var_name(c.level, c.plane),
-            &meta,
+            meta,
             blob,
             "huffman-x",
         )?;

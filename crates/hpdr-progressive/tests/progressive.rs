@@ -293,7 +293,7 @@ fn retrieve_dag_matches_direct_reconstruction_and_verifies_clean() {
     let timeline = job_sim.sim.run();
     assert!(timeline.makespan().0 > 0);
     let (bytes, meta) = job_sim.job.finish().unwrap();
-    assert_eq!(meta, r.meta().unwrap());
+    assert_eq!(meta, r.manifest.meta);
     let direct = r.retrieve::<f64>(adapter.as_ref(), tol).unwrap();
     let direct_bytes: Vec<u8> = direct.data.iter().flat_map(|v| v.to_le_bytes()).collect();
     assert_eq!(bytes, direct_bytes);

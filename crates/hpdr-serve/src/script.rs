@@ -300,10 +300,7 @@ impl PayloadCache {
                 p
             }
         };
-        let meta = set
-            .manifest
-            .meta()
-            .map_err(|e| ServeError::InvalidJob(e.to_string()))?;
+        let meta = set.manifest.meta.clone();
         Ok(JobPayload::Retrieve {
             set,
             plan,

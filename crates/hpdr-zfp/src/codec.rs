@@ -16,13 +16,13 @@ use crate::embedded::{decode_ints, encode_ints};
 use crate::negabinary::{int_to_negabinary_slice, negabinary_to_int_slice};
 use crate::transform::{fwd_transform, inv_transform, sequency_order};
 use hpdr_core::{
-    ByteReader, ByteWriter, DeviceAdapter, Float, HpdrError, KernelClass, Locality, Result, Shape,
-    SharedSlice,
+    ArrayMeta, ByteReader, ByteWriter, DeviceAdapter, Float, FrameHeader, HpdrError, KernelClass,
+    Locality, Result, Shape, SharedSlice,
 };
 use hpdr_kernels::{BitReader, BitWriter, BlockGrid};
 
-const MAGIC: u32 = 0x5A46_5058; // "ZFPX"
-const VERSION: u8 = 1;
+/// The frame every ZFP-X stream starts with.
+pub const FRAME: FrameHeader = FrameHeader::new(0x5A46_5058 /* "ZFPX" */, 1, "ZFP-X");
 /// Fixed-point fractional bits (shared by f32/f64 paths; headroom for the
 /// ≤ 2^3 transform gain keeps |coefficients| < 2^61).
 const FRACBITS: i32 = 57;
@@ -92,17 +92,6 @@ impl ZfpConfig {
     }
 }
 
-/// Fold shapes to ZFP's 1–3D block space: a 4D array is treated as a 3D
-/// array with the two slowest dimensions merged.
-fn effective_shape(shape: &Shape) -> Shape {
-    let d = shape.dims();
-    if d.len() == 4 {
-        Shape::new(&[d[0] * d[1], d[2], d[3]])
-    } else {
-        shape.clone()
-    }
-}
-
 struct BlockCtx {
     grid: BlockGrid,
     perm: Vec<usize>,
@@ -111,7 +100,8 @@ struct BlockCtx {
 }
 
 fn block_ctx(shape: &Shape) -> BlockCtx {
-    let eff = effective_shape(shape);
+    // ZFP's block space is 1–3D: a 4D array is blocked as its 3D fold.
+    let eff = shape.folded_to_3d();
     let d = eff.ndims();
     let block_dims = vec![4usize; d];
     let grid = BlockGrid::new(&eff, &block_dims);
@@ -324,13 +314,8 @@ pub fn compress<T: Float>(
     let input_bytes = (data.len() * T::BYTES) as u64;
 
     let mut w = ByteWriter::with_capacity(64 + data.len());
-    w.put_u32(MAGIC);
-    w.put_u8(VERSION);
-    w.put_u8(T::DTYPE.tag());
-    w.put_u8(shape.ndims() as u8);
-    for &dim in shape.dims() {
-        w.put_u64(dim as u64);
-    }
+    FRAME.write(&mut w);
+    ArrayMeta::new(T::DTYPE, shape.clone()).write(&mut w);
 
     match cfg.mode {
         ZfpMode::FixedRate(rate) => {
@@ -479,29 +464,12 @@ pub fn compress<T: Float>(
 /// Decompress a ZFP-X stream. Returns the data and its shape.
 pub fn decompress<T: Float>(adapter: &dyn DeviceAdapter, bytes: &[u8]) -> Result<(Vec<T>, Shape)> {
     let mut r = ByteReader::new(bytes);
-    if r.get_u32()? != MAGIC {
-        return Err(HpdrError::corrupt("bad ZFP-X magic"));
-    }
-    if r.get_u8()? != VERSION {
-        return Err(HpdrError::corrupt("unsupported ZFP-X version"));
-    }
-    let dtype = r.get_u8()?;
-    if dtype != T::DTYPE.tag() {
+    FRAME.read(&mut r)?;
+    let meta = ArrayMeta::read(&mut r)?;
+    if meta.dtype != T::DTYPE {
         return Err(HpdrError::invalid("dtype mismatch in ZFP-X stream"));
     }
-    let nd = r.get_u8()? as usize;
-    if !(1..=4).contains(&nd) {
-        return Err(HpdrError::corrupt("bad rank in ZFP-X stream"));
-    }
-    let mut dims = Vec::with_capacity(nd);
-    for _ in 0..nd {
-        let d = r.get_u64()? as usize;
-        if d == 0 || d > (1 << 40) {
-            return Err(HpdrError::corrupt("implausible dimension"));
-        }
-        dims.push(d);
-    }
-    let shape = Shape::try_new(&dims)?;
+    let shape = meta.shape;
     let ctx = block_ctx(&shape);
     let blocks = ctx.grid.num_blocks();
     // Every header field is checked against the payload before the output

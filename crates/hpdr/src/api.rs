@@ -71,20 +71,18 @@ pub fn reducer_by_name(name: &str) -> Result<Arc<dyn Reducer>> {
     }
 }
 
-/// Identify a stream's codec from its magic bytes.
+/// Identify a stream's codec from the magic its codec exports.
 pub fn detect_codec(stream: &[u8]) -> Option<&'static str> {
-    if stream.len() < 4 {
-        return None;
-    }
-    let magic = u32::from_le_bytes(stream[..4].try_into().unwrap());
-    match magic {
-        0x4D47_5831 => Some("mgard-x"),
-        0x5A46_5058 => Some("zfp-x"),
-        0x4855_4658 => Some("huffman-x"),
-        0x535A_4C4B => Some("cusz-like"),
-        0x4C5A_3442 => Some("nvcomp-lz4-like"),
-        _ => None,
-    }
+    let magic = u32::from_le_bytes(stream.get(..4)?.try_into().ok()?);
+    [
+        (hpdr_mgard::codec::FRAME.magic, "mgard-x"),
+        (hpdr_zfp::codec::FRAME.magic, "zfp-x"),
+        (hpdr_huffman::reducer::MAGIC, "huffman-x"),
+        (hpdr_baselines::szlike::MAGIC, "cusz-like"),
+        (hpdr_baselines::lz4like::MAGIC, "nvcomp-lz4-like"),
+    ]
+    .into_iter()
+    .find_map(|(m, name)| (m == magic).then_some(name))
 }
 
 /// Outcome statistics of one compression call.

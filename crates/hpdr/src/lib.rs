@@ -8,7 +8,7 @@
 //! |---|---|---|
 //! | Device adapters | `hpdr_core::adapter`, `hpdr_core::gpu_sim` | Serial / CPU-parallel / simulated CUDA & HIP devices |
 //! | Machine abstraction | `hpdr_core` (GEM/DEM, CMM), `hpdr_pipeline` (HDEM) | execution models, context memory model, host-device pipeline |
-//! | Parallel abstractions | `hpdr_core::abstractions` | Locality, Iterative, Map&Process, Global |
+//! | Parallel abstractions | `hpdr_core::abstractions` | Locality and Iterative group launches; the Map&Process and Global rows run as plain adapter launches |
 //! | Reduction algorithms | `hpdr_mgard`, `hpdr_zfp`, `hpdr_huffman`, `hpdr_baselines` | MGARD-X, ZFP-X, Huffman-X + cuSZ/LZ4 comparators |
 //! | Pipeline optimization | `hpdr_pipeline` | Fig. 9 overlapped DAG, Algorithm 4 adaptive chunking, multi-GPU |
 //! | I/O integration | `hpdr_io` | BP5-like files, filesystem model, cluster scaling harness |

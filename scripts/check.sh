@@ -14,6 +14,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --workspace --release"
 cargo build --workspace --release
 
+echo "==> repobench builds against the library crates (lock file unchanged)"
+# repobench is a package of its own that depends on the library crates by
+# path and uses some of their internals; nothing else builds it, so a
+# library refactor could break the benchmark unnoticed. --locked fails if
+# repobench/Cargo.lock would change.
+cargo test --release --offline --locked --manifest-path repobench/Cargo.toml -q
+
 echo "==> cargo test --workspace"
 cargo test --workspace --quiet
 
