@@ -14,7 +14,7 @@ use hpdr_pipeline::{
     average_scalability, compress_pipelined, decompress_pipelined, decompress_scalability_sweep,
     fit, scalability_sweep, Container, PipelineOptions,
 };
-use hpdr_sim::{Category, DeviceSpec, Timeline};
+use hpdr_sim::{Category, DeviceId, DeviceSpec};
 use std::sync::Arc;
 
 /// Time steps per GPU in the multi-step experiments (the paper uses 14
@@ -48,25 +48,10 @@ pub fn comparator_codecs() -> Vec<(&'static str, Codec)> {
     ]
 }
 
-fn pct(t: &Timeline, cat: Category) -> f64 {
-    let total: u64 = t.records().iter().map(|r| r.duration().0).sum();
-    if total == 0 {
-        return 0.0;
-    }
-    let part = t.busy_where(|r| {
-        matches!(
-            (cat, r.engine),
-            (Category::H2D, hpdr_sim::Engine::H2D(_))
-                | (Category::D2H, hpdr_sim::Engine::D2H(_))
-                | (Category::Compute, hpdr_sim::Engine::Compute(_))
-                | (Category::MemMgmt, hpdr_sim::Engine::Runtime(_))
-                | (
-                    Category::Host,
-                    hpdr_sim::Engine::Staging(_) | hpdr_sim::Engine::Host
-                )
-        )
-    });
-    part.0 as f64 / total as f64 * 100.0
+/// Busy time per Fig. 1 category of a single-device run, in
+/// [`Category::ALL`] order.
+fn category_busy(rep: &hpdr_pipeline::PipelineReport) -> [hpdr_sim::Ns; 5] {
+    hpdr::trace::digest(&rep.trace, DeviceId(0)).busy
 }
 
 /// Fig. 1: time breakdown of the four non-optimized GPU pipelines on a
@@ -99,14 +84,23 @@ pub fn fig01(scale: &Scale) -> String {
         let (_, _, dreport) =
             decompress_pipelined(&spec, work(), reducer, &container, &opts).expect("fig01 dec");
         for (dir, rep) in [("comp", &creport), ("decomp", &dreport)] {
+            let busy = category_busy(rep);
+            let total: u64 = busy.iter().map(|b| b.0).sum();
+            let pct = |cat: Category| {
+                if total == 0 {
+                    0.0
+                } else {
+                    busy[cat as usize].0 as f64 / total as f64 * 100.0
+                }
+            };
             t.row(vec![
                 name.into(),
                 dir.into(),
-                format!("{:.1}", pct(&rep.timeline, Category::Host)),
-                format!("{:.1}", pct(&rep.timeline, Category::H2D)),
-                format!("{:.1}", pct(&rep.timeline, Category::D2H)),
-                format!("{:.1}", pct(&rep.timeline, Category::Compute)),
-                format!("{:.1}", pct(&rep.timeline, Category::MemMgmt)),
+                format!("{:.1}", pct(Category::Host)),
+                format!("{:.1}", pct(Category::H2D)),
+                format!("{:.1}", pct(Category::D2H)),
+                format!("{:.1}", pct(Category::Compute)),
+                format!("{:.1}", pct(Category::MemMgmt)),
                 format!("{:.1}", rep.memory_fraction * 100.0),
             ]);
         }
@@ -198,9 +192,7 @@ pub fn fig11(scale: &Scale) -> String {
                     &PipelineOptions::fixed(c),
                 )
                 .expect("fig11");
-                let compute_busy = rep
-                    .timeline
-                    .busy_where(|r| matches!(r.engine, hpdr_sim::Engine::Compute(_)));
+                let compute_busy = category_busy(&rep)[Category::Compute as usize];
                 // Label by the realized mean chunk size (row alignment can
                 // round the requested size).
                 let mean_chunk = rep.input_bytes / container.chunks.len() as u64;
@@ -855,4 +847,29 @@ pub fn sample_container(scale: &Scale) -> (Container, Arc<dyn Reducer>, DeviceSp
     )
     .expect("sample container");
     (container, reducer, spec)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hpdr_core::fnv1a;
+
+    /// FNV-1a digests of the bench-scale fig01 and fig11 tables, recorded
+    /// before the figures read their busy times from the trace digest
+    /// (fig01's per-category shares, fig11's compute-engine busy time).
+    /// Never re-recorded to make a change pass.
+    const GOLDEN_FIG01: u64 = 0x9c26fc82314081b0;
+    const GOLDEN_FIG11: u64 = 0x179f49447cadb767;
+
+    #[test]
+    fn fig01_table_matches_golden() {
+        let got = fnv1a(fig01(&Scale::bench()).as_bytes());
+        assert!(got == GOLDEN_FIG01, "digest {got:#018x}");
+    }
+
+    #[test]
+    fn fig11_table_matches_golden() {
+        let got = fnv1a(fig11(&Scale::bench()).as_bytes());
+        assert!(got == GOLDEN_FIG11, "digest {got:#018x}");
+    }
 }

@@ -1,8 +1,7 @@
 //! Shared experiment runners for the HPDR benchmark harness.
 //!
 //! Every table and figure of the paper's evaluation section has a runner
-//! here; the `reproduce` binary prints them all, and each Criterion bench
-//! times the underlying operation of one figure.
+//! here; the `reproduce` binary prints them all.
 //!
 //! ## Scaling discipline
 //!

@@ -16,7 +16,8 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// Fast: suitable for Criterion iterations (sub-second experiments).
+    /// Fast: sub-second experiments (`reproduce --bench-scale`, the
+    /// figure golden tests, the benchmark's smallest field size).
     pub fn bench() -> Scale {
         Scale {
             factor: 8192,

@@ -7,8 +7,8 @@
 
 use crate::registry::{InstrumentId, Registry};
 use hpdr_core::pool::PoolStats;
-use hpdr_sim::{Category, DeviceId, Trace};
-use hpdr_trace::{batch_digest_with, DigestScratch};
+use hpdr_sim::{DeviceId, Trace};
+use hpdr_trace::{digest_with, DigestScratch};
 
 /// Cached handles for one device's batch-trace instruments, plus the
 /// digest's reusable interval buffers. Each handle is created lazily on
@@ -23,32 +23,25 @@ pub struct BatchTraceIds {
     scratch: DigestScratch,
 }
 
-fn category_slot(c: Category) -> usize {
-    match c {
-        Category::H2D => 0,
-        Category::D2H => 1,
-        Category::Compute => 2,
-        Category::MemMgmt => 3,
-        Category::Host => 4,
-    }
-}
-
 /// Fold one batch's span trace into the registry: per-category engine
 /// busy time, the §V-C overlap fraction, and allocator-lock contention,
-/// all labelled by the device the batch ran on. Runs once per launch on
-/// the serving hot path, so the trace is walked exactly once via
-/// [`batch_digest`] and every instrument is touched through a cached
-/// handle in `ids` (keep one [`BatchTraceIds`] per device).
-pub fn record_batch_trace(
-    reg: &mut Registry,
-    trace: &Trace,
-    device: DeviceId,
-    ids: &mut BatchTraceIds,
-) {
-    let dev = device.0;
-    let digest = batch_digest_with(trace, device, &mut ids.scratch);
+/// all labelled `device="{dev}"`, the serve device the batch ran on.
+/// Runs once per launch on the serving hot path, so the trace is walked
+/// exactly once via [`hpdr_trace::digest_with`] and every instrument is
+/// touched through a cached handle in `ids` (keep one [`BatchTraceIds`]
+/// per device).
+///
+/// A batch runs on a one-device simulator of its own, so the overlap is
+/// that simulator's device's, whatever the serve device's index.
+pub fn record_batch_trace(reg: &mut Registry, trace: &Trace, dev: usize, ids: &mut BatchTraceIds) {
+    let sim_device = trace
+        .spans()
+        .iter()
+        .find_map(|s| s.engine.device())
+        .unwrap_or(DeviceId(0));
+    let digest = digest_with(trace, sim_device, &mut ids.scratch);
     for (category, busy) in digest.busy_by_category() {
-        let id = *ids.busy[category_slot(category)].get_or_insert_with(|| {
+        let id = *ids.busy[category as usize].get_or_insert_with(|| {
             let c = format!("{category:?}").to_lowercase();
             reg.counter_handle(&format!(
                 "engine_busy_ns_total{{category=\"{c}\",device=\"{dev}\"}}"
@@ -115,7 +108,7 @@ mod tests {
         ]);
         let mut reg = Registry::new(MetricsConfig::default());
         let mut ids = BatchTraceIds::default();
-        record_batch_trace(&mut reg, &trace, dev, &mut ids);
+        record_batch_trace(&mut reg, &trace, 0, &mut ids);
         assert_eq!(
             reg.counter_value("engine_busy_ns_total{category=\"h2d\",device=\"0\"}"),
             Some(100)
@@ -128,8 +121,15 @@ mod tests {
             .gauge_value("pipeline_overlap_fraction{device=\"0\"}")
             .unwrap();
         assert!(overlap > 0.0, "h2d and compute overlap 50ns");
+        // Serve device 1's batches run on a one-device simulator too: the
+        // gauge reads that device's overlap under serve device 1's label.
+        record_batch_trace(&mut reg, &trace, 1, &mut BatchTraceIds::default());
+        assert_eq!(
+            reg.gauge_value("pipeline_overlap_fraction{device=\"1\"}"),
+            Some(overlap)
+        );
         // Two batches accumulate (handles cached after the first call).
-        record_batch_trace(&mut reg, &trace, dev, &mut ids);
+        record_batch_trace(&mut reg, &trace, 0, &mut ids);
         assert_eq!(
             reg.counter_value("engine_busy_ns_total{category=\"h2d\",device=\"0\"}"),
             Some(200)

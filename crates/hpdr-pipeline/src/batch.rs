@@ -230,10 +230,7 @@ pub fn run_batch(
         }
     }
 
-    sim.set_trace(true);
-    let (timeline, runtime) = timed_run(&mut sim, Payloads::for_adapter(work.as_ref()));
-    let mut trace = sim.take_trace().expect("tracing was enabled");
-    trace.set_runtime_stats(runtime);
+    let trace = timed_run(&mut sim, Payloads::for_adapter(work.as_ref()));
 
     for (state, slot) in jobs.into_iter().zip(outputs.iter_mut()) {
         match state {
@@ -263,7 +260,7 @@ pub fn run_batch(
     Ok((
         results,
         BatchReport {
-            makespan: timeline.makespan(),
+            makespan: trace.makespan(),
             raw_bytes,
             num_chunks: total_chunks,
             trace,

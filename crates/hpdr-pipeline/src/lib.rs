@@ -9,7 +9,8 @@
 //! Pipelines execute on the `hpdr-sim` virtual-time machine: every DMA
 //! and kernel is charged against calibrated engine models while the real
 //! portable kernels run inside op payloads, so the output containers hold
-//! real compressed bytes and the timelines expose real overlap ratios.
+//! real compressed bytes, and each run's span trace, the one record of
+//! its executed ops, gives the overlap ratios and time breakdowns.
 
 pub mod batch;
 pub mod container;

@@ -8,9 +8,9 @@
 //! across devices, matching concurrent host threads launching work.
 
 use crate::container::Container;
-use crate::runner::{CompressJob, DecompressJob, PipelineOptions};
-use hpdr_core::{ArrayMeta, DeviceAdapter, Reducer, Result};
-use hpdr_sim::{DeviceSpec, Ns, Sim, Trace};
+use crate::runner::{timed_run, CompressJob, DecompressJob, Payloads, PipelineOptions};
+use hpdr_core::{ArrayMeta, DeviceAdapter, Reducer, Result, WorkerPool};
+use hpdr_sim::{DeviceId, DeviceSpec, Ns, Sim, Trace};
 use std::sync::Arc;
 
 /// Result of a multi-GPU run.
@@ -28,6 +28,22 @@ pub struct MultiGpuReport {
     /// Span trace of the whole multi-device run (all devices share one
     /// virtual clock, so one trace covers the node).
     pub trace: Trace,
+}
+
+/// Run a multi-device DAG on the serial executor (one participant) and
+/// read every device's overlap off its trace.
+fn run_serially(sim: &mut Sim<'_>, devices: &[DeviceId]) -> (Trace, Vec<Option<f64>>) {
+    let serial = Payloads {
+        pool: WorkerPool::global(),
+        participants: 1,
+    };
+    let trace = timed_run(sim, serial);
+    let mut scratch = hpdr_trace::DigestScratch::default();
+    let overlaps = devices
+        .iter()
+        .map(|&d| hpdr_trace::digest_with(&trace, d, &mut scratch).overlap)
+        .collect();
+    (trace, overlaps)
 }
 
 /// Compress one array per device, all devices sharing a runtime.
@@ -75,14 +91,8 @@ pub fn compress_multi_gpu(
             }
         }
     }
-    sim.set_trace(true);
-    let timeline = sim.run();
-    let trace = sim.take_trace().expect("tracing was enabled");
-    let makespan = timeline.makespan();
-    let overlaps = devices
-        .iter()
-        .map(|&d| hpdr_trace::overlap_ratio(&trace, d))
-        .collect();
+    let (trace, overlaps) = run_serially(&mut sim, &devices);
+    let makespan = trace.makespan();
     let containers: Vec<Container> = jobs
         .into_iter()
         .map(|j| j.finish())
@@ -145,14 +155,8 @@ pub fn decompress_multi_gpu(
     for job in jobs.iter_mut() {
         job.finish_submission(&mut sim);
     }
-    sim.set_trace(true);
-    let timeline = sim.run();
-    let trace = sim.take_trace().expect("tracing was enabled");
-    let makespan = timeline.makespan();
-    let overlaps = devices
-        .iter()
-        .map(|&d| hpdr_trace::overlap_ratio(&trace, d))
-        .collect();
+    let (trace, overlaps) = run_serially(&mut sim, &devices);
+    let makespan = trace.makespan();
     let mut outputs = Vec::with_capacity(n_devices);
     let mut input_bytes = 0u64;
     for job in jobs {

@@ -27,8 +27,8 @@ use crate::container::{fixed_chunks, Container};
 use crate::roofline::{adaptive_chunks, default_sweep, fit, profile_kernel, Roofline};
 use hpdr_core::{ArrayMeta, DeviceAdapter, HpdrError, LowestError, Reducer, Result, WorkerPool};
 use hpdr_sim::{
-    BufId, Cost, DeviceId, DeviceSpec, Effects, Engine, Ns, OpId, OpSpec, QueueId, Sim, Timeline,
-    Trace,
+    BufId, Cost, DeviceId, DeviceSpec, Effects, Engine, Ns, OpId, OpSpec, QueueId, RuntimeStats,
+    Sim, Trace,
 };
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -134,41 +134,40 @@ pub struct PipelineReport {
     pub compressed_bytes: u64,
     /// End-to-end throughput (raw bytes / makespan) in GB/s.
     pub end_to_end_gbps: f64,
-    /// Paper §V-C overlap ratio (None if no DMA occurred), derived from
-    /// the span trace via `hpdr_trace::overlap_ratio`. Virtual time.
+    /// Paper §V-C overlap ratio (None if no DMA occurred), from the span
+    /// trace's `hpdr_trace::Digest`. Virtual time.
     pub overlap: Option<f64>,
     /// Share of payload wall-clock time that ran beside another payload
     /// (None if no payload ran), via `hpdr_trace::wall_overlap_ratio`.
     /// Measured, not modeled: 0 when the payloads ran one at a time.
     pub overlap_wall: Option<f64>,
-    /// Fraction of busy time spent on memory operations (Fig. 1 metric).
+    /// Fraction of busy time spent on memory operations (Fig. 1 metric),
+    /// from the trace's digest.
     pub memory_fraction: f64,
     pub num_chunks: usize,
-    pub timeline: Timeline,
-    /// Span trace of the run (pipeline runs always record one — feed it
-    /// to `hpdr-trace` for Chrome export, critical paths, histograms).
+    /// Span trace of the run, the one record of every executed op: feed
+    /// it to `hpdr-trace` for Chrome export, critical paths, histograms.
     pub trace: Trace,
 }
 
 fn report_from(
-    timeline: Timeline,
     trace: Trace,
     dev: DeviceId,
     input_bytes: u64,
     compressed: u64,
     chunks: usize,
 ) -> PipelineReport {
-    let makespan = timeline.makespan();
+    let makespan = trace.makespan();
+    let digest = hpdr_trace::digest(&trace, dev);
     PipelineReport {
         makespan,
         input_bytes,
         compressed_bytes: compressed,
         end_to_end_gbps: hpdr_sim::gbps(input_bytes, makespan),
-        overlap: hpdr_trace::overlap_ratio(&trace, dev),
+        overlap: digest.overlap,
         overlap_wall: hpdr_trace::wall_overlap_ratio(&trace),
-        memory_fraction: hpdr_trace::memory_fraction(&trace),
+        memory_fraction: digest.memory_fraction(),
         num_chunks: chunks,
-        timeline,
         trace,
     }
 }
@@ -987,32 +986,27 @@ impl Payloads<'static> {
     }
 }
 
-/// Run the sim under a wall clock and a worker-pool stats window, so the
-/// trace carries measured host time and pool activity next to the
-/// modeled virtual times.
-pub(crate) fn timed_run<'a>(
-    sim: &mut Sim<'a>,
-    on: Payloads<'a>,
-) -> (hpdr_sim::Timeline, hpdr_sim::RuntimeStats) {
+/// Run the sim under a wall clock and a worker-pool stats window, and
+/// return its trace with the measured host time and pool activity
+/// attached next to the modeled virtual times.
+pub(crate) fn timed_run<'a>(sim: &mut Sim<'a>, on: Payloads<'a>) -> Trace {
     if on.participants > 1 {
         sim.set_workers(on.pool, on.participants);
     }
     let before = on.pool.stats();
     let t0 = std::time::Instant::now();
-    let timeline = sim.run();
-    let wall = hpdr_sim::Ns(t0.elapsed().as_nanos() as u64);
+    let mut trace = sim.run();
+    let wall = Ns(t0.elapsed().as_nanos() as u64);
     let delta = on.pool.stats().since(before);
-    (
-        timeline,
-        hpdr_sim::RuntimeStats {
-            wall,
-            pool_jobs: delta.jobs,
-            pool_wakeups: delta.wakeups,
-            pool_tasks: delta.tasks,
-            scratch_reuses: delta.scratch_reuses,
-            scratch_allocs: delta.scratch_allocs,
-        },
-    )
+    trace.set_runtime_stats(RuntimeStats {
+        wall,
+        pool_jobs: delta.jobs,
+        pool_wakeups: delta.wakeups,
+        pool_tasks: delta.tasks,
+        scratch_reuses: delta.scratch_reuses,
+        scratch_allocs: delta.scratch_allocs,
+    });
+    trace
 }
 
 /// Compress `input` on a single simulated device with the Fig. 9 pipeline.
@@ -1045,14 +1039,10 @@ pub(crate) fn compress_on(
     for k in 0..job.num_chunks() {
         job.submit_chunk(&mut sim, k);
     }
-    sim.set_trace(true);
-    let (timeline, runtime) = timed_run(&mut sim, on);
-    let mut trace = sim.take_trace().expect("tracing was enabled");
-    trace.set_runtime_stats(runtime);
+    let trace = timed_run(&mut sim, on);
     let chunks = job.num_chunks();
     let container = job.finish()?;
     let report = report_from(
-        timeline,
         trace,
         dev,
         input_bytes,
@@ -1090,14 +1080,11 @@ pub(crate) fn decompress_on(
         job.submit_chunk(&mut sim, k);
     }
     job.finish_submission(&mut sim);
-    sim.set_trace(true);
-    let (timeline, runtime) = timed_run(&mut sim, on);
-    let mut trace = sim.take_trace().expect("tracing was enabled");
-    trace.set_runtime_stats(runtime);
+    let trace = timed_run(&mut sim, on);
     let chunks = job.num_chunks();
     let compressed = container.total_stream_bytes();
     let (bytes, meta) = job.finish()?;
-    let report = report_from(timeline, trace, dev, bytes.len() as u64, compressed, chunks);
+    let report = report_from(trace, dev, bytes.len() as u64, compressed, chunks);
     Ok((bytes, meta, report))
 }
 
@@ -1165,7 +1152,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(96))]
         /// The serial executor is the oracle: over the shipped configs,
         /// every codec and both adapter kinds, the concurrent executor
-        /// gives the same container bytes, outputs and timelines.
+        /// gives the same container bytes, outputs and spans.
         #[test]
         fn concurrent_executor_matches_the_serial_one(
             mode in 0usize..3,
@@ -1359,15 +1346,13 @@ mod tests {
         }
         job.finish_submission(&mut sim);
         let _ = reducer.output.set(Arc::downgrade(&job.output));
-        sim.set_trace(true);
-        timed_run(
+        let trace = timed_run(
             &mut sim,
             Payloads {
                 pool: &pool,
                 participants: 2,
             },
         );
-        let trace = sim.take_trace().unwrap();
         let (out, _) = job.finish().unwrap();
         assert_eq!(out, expect);
         let wall_start = |label: &str| {

@@ -290,8 +290,8 @@ fn retrieve_dag_matches_direct_reconstruction_and_verifies_clean() {
 
     // Executing the DAG reproduces the direct path byte-for-byte.
     let mut job_sim = Sim2::build(&adapter, &r, tol);
-    let timeline = job_sim.sim.run();
-    assert!(timeline.makespan().0 > 0);
+    let trace = job_sim.sim.run();
+    assert!(trace.makespan().0 > 0);
     let (bytes, meta) = job_sim.job.finish().unwrap();
     assert_eq!(meta, r.manifest.meta);
     let direct = r.retrieve::<f64>(adapter.as_ref(), tol).unwrap();

@@ -36,7 +36,7 @@ use hpdr_metrics::{
 };
 use hpdr_pipeline::{run_batch, BatchItem, PipelineOptions};
 use hpdr_progressive::RetrieveBatchItem;
-use hpdr_sim::{BusyHorizon, DeviceId, DeviceSpec, Ns};
+use hpdr_sim::{BusyHorizon, DeviceSpec, Ns};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -865,7 +865,7 @@ impl Scheduler {
                         .batch_bytes
                         .get_or_insert_with(|| reg.hist_handle("serve_batch_bytes"));
                     reg.hist_record_id(bb, live.iter().map(|q| q.bytes).sum::<u64>());
-                    record_batch_trace(reg, &report.trace, DeviceId(d), &mut ids.batch_trace[d]);
+                    record_batch_trace(reg, &report.trace, d, &mut ids.batch_trace[d]);
                 }
                 (
                     results

@@ -135,8 +135,7 @@ pub(crate) struct Exec {
     pub wall_start: Ns,
     /// Wall-clock duration of the payload (zero without one).
     pub wall: Ns,
-    /// Live bytes of the op's declared buffers after it ran (when
-    /// tracing).
+    /// Live bytes of the op's declared buffers after it ran.
     pub footprint: u64,
     /// The accesses the payload performed (audit mode only).
     pub observed: Option<Effects>,
@@ -155,8 +154,6 @@ pub(crate) enum Guard {
 /// The fixed inputs of one run, shared by both executors.
 pub(crate) struct Run<'r> {
     pub specs: &'r [OpSpec],
-    /// Sample each op's footprint (tracing is on).
-    pub footprints: bool,
     pub guard: Guard,
     pub t0: Instant,
 }
@@ -182,7 +179,7 @@ impl Run<'_> {
         let exec = Exec {
             wall_start: Ns(t.duration_since(self.t0).as_nanos() as u64),
             wall,
-            footprint: self.footprint(pool, &spec.effects),
+            footprint: pool.footprint(&spec.effects),
             observed,
         };
         (exec, panic)
@@ -191,16 +188,8 @@ impl Run<'_> {
     /// What an op without a payload measured.
     fn bare(&self, i: usize, pool: &MemPool) -> Exec {
         Exec {
-            footprint: self.footprint(pool, &self.specs[i].effects),
+            footprint: pool.footprint(&self.specs[i].effects),
             ..Exec::default()
-        }
-    }
-
-    fn footprint(&self, pool: &MemPool, effects: &Effects) -> u64 {
-        if self.footprints {
-            pool.footprint(effects)
-        } else {
-            0
         }
     }
 }
@@ -439,17 +428,14 @@ mod tests {
             if let Some(w) = workers {
                 sim.set_workers(w, 2);
             }
-            sim.set_trace(true);
-            let tl = sim.run();
-            let trace = sim.take_trace().unwrap();
+            let trace = sim.run();
             let spans: Vec<_> = trace
                 .spans()
                 .iter()
                 .map(|s| (s.start, s.end, s.ready, s.bytes, s.footprint_bytes))
                 .collect();
-            let records: Vec<_> = tl.records().iter().map(|r| (r.start, r.end)).collect();
             let bytes: Vec<Vec<u8>> = outs.iter().map(|&b| sim.take_buffer(b)).collect();
-            (records, spans, bytes)
+            (spans, bytes)
         };
         let threads = Threads::default();
         assert_eq!(run(None), run(Some(&threads)));
@@ -481,9 +467,7 @@ mod tests {
             );
         }
         sim.set_workers(&threads, 2);
-        sim.set_trace(true);
-        sim.run();
-        let trace = sim.take_trace().unwrap();
+        let trace = sim.run();
         let [a, b] = [&trace.spans()[0], &trace.spans()[1]];
         assert!(a.wall_start < b.wall_start + b.wall && b.wall_start < a.wall_start + a.wall);
     }

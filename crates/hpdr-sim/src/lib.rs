@@ -31,7 +31,6 @@ pub mod mem;
 pub mod sim;
 pub mod spec;
 pub mod time;
-pub mod timeline;
 pub mod trace;
 pub mod verify;
 
@@ -46,6 +45,5 @@ pub use spec::{
     a100, all_gpus, mi250x, rtx3090, v100, Arch, DeviceSpec, KernelClass, ThroughputModel,
 };
 pub use time::{gbps, Ns};
-pub use timeline::{Category, OpRecord, Timeline};
-pub use trace::{Recorder, RuntimeStats, SpanEvent, SpanRecord, Trace};
+pub use trace::{Category, RuntimeStats, SpanRecord, Trace};
 pub use verify::{analyze, Dag, DagOp, Hazard, OpKind, VerifyReport};

@@ -25,8 +25,7 @@ use crate::exec::{self, Exec, Guard, Run, Workers};
 use crate::mem::{BufId, MemPool};
 use crate::spec::{DeviceSpec, KernelClass};
 use crate::time::Ns;
-use crate::timeline::{OpRecord, Timeline};
-use crate::trace::{Recorder, SpanEvent, Trace};
+use crate::trace::{SpanRecord, Trace};
 use crate::verify::{self, Dag, DagOp, OpKind};
 
 /// Handle to a simulated device.
@@ -156,9 +155,6 @@ pub struct Sim<'a> {
     /// Run the static hazard analyzer before executing (defaults to on in
     /// debug builds — i.e. on under `cargo test`, off in release benches).
     verify_enabled: bool,
-    /// Span recorder; present only while tracing is enabled so a disabled
-    /// recorder costs one `Option` check per op and changes nothing else.
-    recorder: Option<Recorder>,
     /// Shadow-access auditing: record what each payload actually touches
     /// instead of enforcing the declaration ([`Sim::set_audit`]).
     audit_enabled: bool,
@@ -185,7 +181,6 @@ impl<'a> Sim<'a> {
             pool: MemPool::new(),
             host_copy_gbps: 18.0,
             verify_enabled: cfg!(debug_assertions),
-            recorder: None,
             audit_enabled: false,
             observed: Vec::new(),
             workers: None,
@@ -194,27 +189,10 @@ impl<'a> Sim<'a> {
 
     /// Run payloads on up to `participants` threads of `workers` when the
     /// DAG lets two large kernel payloads overlap ([`crate::exec`]).
-    /// Outputs, timelines and traces are identical to the serial
-    /// executor's, apart from measured wall-clock times.
+    /// Outputs and traces are identical to the serial executor's, apart
+    /// from the spans' measured wall-clock times.
     pub fn set_workers(&mut self, workers: &'a dyn Workers, participants: usize) {
         self.workers = Some((workers, participants));
-    }
-
-    /// Enable or disable span tracing for the next [`Sim::run`]. Tracing
-    /// never changes scheduling: virtual times are identical on and off.
-    pub fn set_trace(&mut self, on: bool) {
-        if on {
-            if self.recorder.is_none() {
-                self.recorder = Some(Recorder::new());
-            }
-        } else {
-            self.recorder = None;
-        }
-    }
-
-    /// Take the trace recorded by the last [`Sim::run`], if tracing was on.
-    pub fn take_trace(&mut self) -> Option<Trace> {
-        self.recorder.take().map(Recorder::into_trace)
     }
 
     /// Enable or disable pre-execution schedule verification.
@@ -425,9 +403,10 @@ impl<'a> Sim<'a> {
     /// and panics with a full report if any hazard is found — nothing
     /// executes against the memory pool on a broken schedule.
     ///
-    /// Returns the resulting [`Timeline`]; the memory pool stays available
-    /// via [`Sim::pool`] / [`Sim::take_buffer`] for output extraction.
-    pub fn run(&mut self) -> Timeline {
+    /// Returns the run's [`Trace`], one span per op in submission order;
+    /// the memory pool stays available via [`Sim::pool`] /
+    /// [`Sim::take_buffer`] for output extraction.
+    pub fn run(&mut self) -> Trace {
         let dag = (self.verify_enabled || self.workers.is_some()).then(|| self.dag());
         if let Some(dag) = dag.as_ref().filter(|_| self.verify_enabled) {
             let report = verify::analyze(dag);
@@ -440,7 +419,6 @@ impl<'a> Sim<'a> {
                 .unzip();
         let run = Run {
             specs: &specs,
-            footprints: self.recorder.is_some(),
             guard: if self.audit_enabled {
                 Guard::Record
             } else if cfg!(debug_assertions) {
@@ -483,17 +461,17 @@ impl<'a> Sim<'a> {
         self.schedule(specs, &execs)
     }
 
-    /// Virtual start/end times of the executed ops, in submission order.
-    fn schedule(&mut self, specs: Vec<OpSpec>, execs: &[Exec]) -> Timeline {
+    /// The span of every executed op, with its virtual start and end
+    /// times, in submission order.
+    fn schedule(&self, specs: Vec<OpSpec>, execs: &[Exec]) -> Trace {
         use std::collections::HashMap;
         let mut engine_free: HashMap<Engine, Ns> = HashMap::new();
         let mut queue_tail: Vec<Ns> = vec![Ns::ZERO; self.queues];
-        let mut ends: Vec<Ns> = Vec::with_capacity(specs.len());
-        let mut records: Vec<OpRecord> = Vec::with_capacity(specs.len());
+        let mut spans: Vec<SpanRecord> = Vec::with_capacity(specs.len());
         for (op, (spec, e)) in specs.into_iter().zip(execs).enumerate() {
             let mut ready = Ns::ZERO;
             for d in &spec.deps {
-                ready = ready.max(ends[d.0]);
+                ready = ready.max(spans[d.0].end);
             }
             let mut start = ready;
             if let Some(q) = spec.queue {
@@ -508,38 +486,24 @@ impl<'a> Sim<'a> {
             if let Some(q) = spec.queue {
                 queue_tail[q.0] = end;
             }
-            ends.push(end);
-            if let Some(rec) = &mut self.recorder {
-                rec.emit(SpanEvent::Begin {
-                    op,
-                    t: start,
-                    label: spec.label.clone(),
-                    engine: spec.engine,
-                    queue: spec.queue.map(|q| q.0),
-                    deps: spec.deps.iter().map(|d| d.0).collect(),
-                    kind: kind_of(&spec.cost),
-                    class,
-                    bytes,
-                    ready,
-                });
-                rec.emit(SpanEvent::End {
-                    op,
-                    t: end,
-                    footprint_bytes: e.footprint,
-                    wall_start: e.wall_start,
-                    wall: e.wall,
-                });
-            }
-            records.push(OpRecord {
+            spans.push(SpanRecord {
+                op,
                 label: spec.label,
                 engine: spec.engine,
+                queue: spec.queue.map(|q| q.0),
+                deps: spec.deps.iter().map(|d| d.0).collect(),
+                kind: kind_of(&spec.cost),
+                class,
                 start,
                 end,
                 bytes,
-                class,
+                footprint_bytes: e.footprint,
+                ready,
+                wall_start: e.wall_start,
+                wall: e.wall,
             });
         }
-        Timeline::new(records)
+        Trace::from_spans(spans)
     }
 
     /// Move a buffer's contents out of the pool after a run.
@@ -599,11 +563,11 @@ mod tests {
             None,
         );
         let tl = sim.run();
-        assert_eq!(tl.record(a).start, Ns(0));
-        assert_eq!(tl.record(a).end, Ns(100));
+        assert_eq!(tl.spans()[a.0].start, Ns(0));
+        assert_eq!(tl.spans()[a.0].end, Ns(100));
         // Same queue ⇒ b waits even though it's a different engine.
-        assert_eq!(tl.record(b).start, Ns(100));
-        assert_eq!(tl.record(b).end, Ns(150));
+        assert_eq!(tl.spans()[b.0].start, Ns(100));
+        assert_eq!(tl.spans()[b.0].end, Ns(150));
     }
 
     #[test]
@@ -634,8 +598,8 @@ mod tests {
             None,
         );
         let tl = sim.run();
-        assert_eq!(tl.record(a).start, Ns(0));
-        assert_eq!(tl.record(b).start, Ns(0)); // fully overlapped
+        assert_eq!(tl.spans()[a.0].start, Ns(0));
+        assert_eq!(tl.spans()[b.0].start, Ns(0)); // fully overlapped
     }
 
     #[test]
@@ -659,8 +623,8 @@ mod tests {
         let a = mk(&mut sim, q1);
         let b = mk(&mut sim, q2);
         let tl = sim.run();
-        assert_eq!(tl.record(a).end, Ns(100));
-        assert_eq!(tl.record(b).start, Ns(100)); // one kernel at a time
+        assert_eq!(tl.spans()[a.0].end, Ns(100));
+        assert_eq!(tl.spans()[b.0].start, Ns(100)); // one kernel at a time
     }
 
     #[test]
@@ -691,7 +655,7 @@ mod tests {
             None,
         );
         let tl = sim.run();
-        assert_eq!(tl.record(b).start, Ns(300));
+        assert_eq!(tl.spans()[b.0].start, Ns(300));
     }
 
     #[test]
@@ -706,10 +670,10 @@ mod tests {
         let (_, b) = sim.alloc_timed(q1, d1, 1024, "alloc1");
         let tl = sim.run();
         let lat = v100().alloc_latency;
-        assert_eq!(tl.record(a).end, lat);
+        assert_eq!(tl.spans()[a.0].end, lat);
         // Second device's alloc is blocked behind the shared runtime lock.
-        assert_eq!(tl.record(b).start, lat);
-        assert_eq!(tl.record(b).end, lat + lat);
+        assert_eq!(tl.spans()[b.0].start, lat);
+        assert_eq!(tl.spans()[b.0].end, lat + lat);
     }
 
     #[test]
@@ -724,8 +688,8 @@ mod tests {
         let (_, a) = sim.alloc_timed(q0, d0, 1024, "alloc0");
         let (_, b) = sim.alloc_timed(q1, d1, 1024, "alloc1");
         let tl = sim.run();
-        assert_eq!(tl.record(a).start, Ns(0));
-        assert_eq!(tl.record(b).start, Ns(0));
+        assert_eq!(tl.spans()[a.0].start, Ns(0));
+        assert_eq!(tl.spans()[b.0].start, Ns(0));
     }
 
     #[test]
@@ -804,7 +768,7 @@ mod tests {
         assert!(!obs[1].had_payload);
         assert!(obs[1].observed.is_empty());
         // Auditing changes neither virtual timing nor data movement.
-        assert_eq!(tl.record(a).start, Ns(0));
+        assert_eq!(tl.spans()[a.0].start, Ns(0));
         assert_eq!(sim.take_buffer(dst), vec![1, 2, 3, 4]);
     }
 
@@ -824,7 +788,7 @@ mod tests {
             None,
         );
         let tl = sim.run();
-        let dur = tl.record(a).end - tl.record(a).start;
+        let dur = tl.spans()[a.0].end - tl.spans()[a.0].start;
         let expect = v100().h2d.duration(bytes);
         assert_eq!(dur, expect);
         // ~1.5 ms for 64 MiB at 45 GB/s.
@@ -915,47 +879,28 @@ mod tests {
     fn trace_records_all_ops_with_scheduler_times() {
         let (mut sim, dev, q) = one_device();
         mixed_op_schedule(&mut sim, dev, q);
-        sim.set_trace(true);
-        let tl = sim.run();
-        let trace = sim.take_trace().expect("tracing was on");
+        let trace = sim.run();
         assert_eq!(trace.len(), 3);
         for (i, span) in trace.spans().iter().enumerate() {
             assert_eq!(span.op, i);
-            assert_eq!(span.start, tl.record(OpId(i)).start);
-            assert_eq!(span.end, tl.record(OpId(i)).end);
         }
-        // The kernel became ready when the h2d finished.
-        assert_eq!(trace.spans()[1].ready, tl.record(OpId(0)).end);
-        assert_eq!(trace.spans()[1].deps, vec![0]);
+        let [h2d, kernel, free] = [&trace.spans()[0], &trace.spans()[1], &trace.spans()[2]];
+        assert_eq!((h2d.start, h2d.end), (Ns::ZERO, v100().h2d.duration(256)));
+        // The kernel became ready when the h2d finished, and ran at once.
+        assert_eq!(kernel.ready, h2d.end);
+        assert_eq!(kernel.start, h2d.end);
+        assert_eq!(kernel.deps, vec![0]);
+        assert_eq!(kernel.class, Some(KernelClass::Huffman));
+        assert_eq!(kernel.kind, OpKind::Kernel);
+        // The free queues behind the h2d on `q` and waits for the kernel.
+        assert_eq!(free.start, kernel.end);
         // h2d footprint: its 256-byte destination buffer was live.
-        assert_eq!(trace.spans()[0].footprint_bytes, 256);
+        assert_eq!(h2d.footprint_bytes, 256);
         // free footprint: the buffer is gone by the time the free ends.
-        assert_eq!(trace.spans()[2].footprint_bytes, 0);
-        assert_eq!(trace.makespan(), tl.makespan());
-    }
-
-    #[test]
-    fn tracing_does_not_change_virtual_times() {
-        let build = |trace: bool| {
-            let (mut sim, dev, q) = one_device();
-            mixed_op_schedule(&mut sim, dev, q);
-            sim.set_trace(trace);
-            sim.run()
-        };
-        let off = build(false);
-        let on = build(true);
-        assert_eq!(off.makespan(), on.makespan());
-        for i in 0..3 {
-            assert_eq!(off.record(OpId(i)).start, on.record(OpId(i)).start);
-            assert_eq!(off.record(OpId(i)).end, on.record(OpId(i)).end);
-        }
-    }
-
-    #[test]
-    fn take_trace_is_none_when_tracing_off() {
-        let (mut sim, dev, q) = one_device();
-        mixed_op_schedule(&mut sim, dev, q);
-        sim.run();
-        assert!(sim.take_trace().is_none());
+        assert_eq!(free.footprint_bytes, 0);
+        // The kernel carried no payload, so no wall-clock time.
+        assert_eq!((kernel.wall_start, kernel.wall), (Ns::ZERO, Ns::ZERO));
+        assert_eq!(trace.makespan(), free.end);
+        assert_eq!(trace.devices(), vec![dev]);
     }
 }

@@ -1,61 +1,63 @@
-//! Structured span events emitted by the scheduler (the tracing
-//! backbone of `hpdr-trace`).
+//! The span trace: the one record of a [`crate::Sim::run`].
 //!
-//! When tracing is enabled ([`crate::Sim::set_trace`]), every executed
-//! op emits a begin event at its virtual start time and an end event at
-//! its virtual end time into a [`Recorder`] — an append-only event
-//! buffer, so the recording cost is one `Vec` push per event and zero
-//! when disabled. [`Recorder::into_trace`] pairs the events into
-//! [`SpanRecord`]s.
-//!
-//! A span carries everything the observability layer needs and the
-//! [`crate::timeline::Timeline`] does not keep: the submission index,
-//! queue, explicit dependencies, op kind, declared buffer footprint and
-//! the *ready* time (when the op's explicit dependencies were all
-//! satisfied — the gap to `start` is engine/queue contention, e.g.
-//! allocator-lock wait on [`crate::Engine::Runtime`] ops).
+//! The scheduler writes one [`SpanRecord`] per op, in submission order,
+//! as it computes the op's virtual start and end. A span carries the
+//! submission index, engine, queue, explicit dependencies, op kind and
+//! kernel class, the bytes moved, the declared buffer footprint, the
+//! *ready* time (when the op's explicit dependencies were all satisfied;
+//! the gap to `start` is engine/queue contention, e.g. allocator-lock
+//! wait on [`crate::Engine::Runtime`] ops) and the measured wall-clock
+//! time of its payload.
 
 use crate::sim::Engine;
 use crate::spec::KernelClass;
 use crate::time::Ns;
 use crate::verify::OpKind;
 
-/// One scheduler event. Begin carries the op metadata; End carries the
-/// buffer footprint, which is sampled after the op's payload ran (so
-/// dynamically-sized outputs, e.g. compressed streams, are reflected).
-#[derive(Debug, Clone)]
-pub enum SpanEvent {
-    Begin {
-        op: usize,
-        t: Ns,
-        label: String,
-        engine: Engine,
-        queue: Option<usize>,
-        deps: Vec<usize>,
-        kind: OpKind,
-        class: Option<KernelClass>,
-        bytes: u64,
-        /// When all explicit dependencies had finished.
-        ready: Ns,
-    },
-    End {
-        op: usize,
-        t: Ns,
-        /// Total live bytes of the device buffers the op declared it
-        /// touches, sampled after its payload executed.
-        footprint_bytes: u64,
-        /// When the op's payload started on the wall clock, from the
-        /// start of the run (zero for ops without a payload). Measured,
-        /// like `wall`.
-        wall_start: Ns,
-        /// Real elapsed wall-clock time of the op's payload on the host
-        /// (zero for ops without a payload). Unlike the virtual times,
-        /// this is measured, not modeled.
-        wall: Ns,
-    },
+/// High-level categories for time-breakdown reporting (paper Fig. 1).
+/// The discriminants follow [`Category::ALL`], so `category as usize`
+/// indexes arrays kept in that order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Category {
+    H2D,
+    D2H,
+    Compute,
+    MemMgmt,
+    Host,
 }
 
-/// One completed op span, paired from a begin/end event.
+impl Category {
+    pub const ALL: [Category; 5] = [
+        Category::H2D,
+        Category::D2H,
+        Category::Compute,
+        Category::MemMgmt,
+        Category::Host,
+    ];
+
+    /// The category an engine's busy time counts under.
+    pub fn of(engine: Engine) -> Category {
+        match engine {
+            Engine::H2D(_) => Category::H2D,
+            Engine::D2H(_) => Category::D2H,
+            Engine::Compute(_) => Category::Compute,
+            Engine::Runtime(_) => Category::MemMgmt,
+            Engine::Staging(_) | Engine::Host => Category::Host,
+        }
+    }
+
+    pub fn name(self) -> &'static str {
+        match self {
+            Category::H2D => "H2D copy",
+            Category::D2H => "D2H copy",
+            Category::Compute => "compute",
+            Category::MemMgmt => "mem mgmt",
+            Category::Host => "host",
+        }
+    }
+}
+
+/// One executed op.
 #[derive(Debug, Clone)]
 pub struct SpanRecord {
     /// Submission index (equals the op's [`crate::OpId`]).
@@ -97,103 +99,6 @@ impl SpanRecord {
     }
 }
 
-/// Low-overhead event sink: an append-only buffer filled by
-/// [`crate::Sim::run`] when tracing is on.
-#[derive(Debug, Default)]
-pub struct Recorder {
-    events: Vec<SpanEvent>,
-}
-
-impl Recorder {
-    pub fn new() -> Recorder {
-        Recorder::default()
-    }
-
-    pub fn emit(&mut self, event: SpanEvent) {
-        self.events.push(event);
-    }
-
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Pair begin/end events into spans, in submission order.
-    ///
-    /// Panics if an op has a begin without an end (a truncated stream —
-    /// cannot happen for recorders filled by [`crate::Sim::run`]).
-    pub fn into_trace(self) -> Trace {
-        let mut spans: Vec<SpanRecord> = Vec::with_capacity(self.events.len() / 2);
-        let mut open: Vec<Option<usize>> = Vec::new();
-        for event in self.events {
-            match event {
-                SpanEvent::Begin {
-                    op,
-                    t,
-                    label,
-                    engine,
-                    queue,
-                    deps,
-                    kind,
-                    class,
-                    bytes,
-                    ready,
-                } => {
-                    if open.len() <= op {
-                        open.resize(op + 1, None);
-                    }
-                    open[op] = Some(spans.len());
-                    spans.push(SpanRecord {
-                        op,
-                        label,
-                        engine,
-                        queue,
-                        deps,
-                        kind,
-                        class,
-                        start: t,
-                        end: t,
-                        bytes,
-                        footprint_bytes: 0,
-                        ready,
-                        wall_start: Ns::ZERO,
-                        wall: Ns::ZERO,
-                    });
-                }
-                SpanEvent::End {
-                    op,
-                    t,
-                    footprint_bytes,
-                    wall_start,
-                    wall,
-                } => {
-                    let idx = open
-                        .get(op)
-                        .copied()
-                        .flatten()
-                        .unwrap_or_else(|| panic!("end event for op {op} without a begin"));
-                    spans[idx].end = t;
-                    spans[idx].footprint_bytes = footprint_bytes;
-                    spans[idx].wall_start = wall_start;
-                    spans[idx].wall = wall;
-                    open[op] = None;
-                }
-            }
-        }
-        assert!(
-            open.iter().all(Option::is_none),
-            "trace has begin events without matching ends"
-        );
-        Trace {
-            spans,
-            runtime: None,
-        }
-    }
-}
-
 /// Execution-runtime counters for one traced run: real wall-clock time
 /// plus persistent-worker-pool activity. Filled in by the pipeline layer
 /// (this crate models devices and cannot depend on the pool), so the
@@ -214,7 +119,7 @@ pub struct RuntimeStats {
     pub scratch_allocs: u64,
 }
 
-/// A completed recording: one span per executed op, in submission order.
+/// The record of one run: one span per executed op, in submission order.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
     spans: Vec<SpanRecord>,
@@ -222,7 +127,8 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Build a trace directly from spans (fixtures and tests).
+    /// Build a trace from spans in submission order: the result of
+    /// [`crate::Sim::run`], or a test fixture.
     pub fn from_spans(spans: Vec<SpanRecord>) -> Trace {
         Trace {
             spans,
@@ -273,58 +179,69 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::DeviceId;
+    use crate::effects::Effects;
+    use crate::mem::MemPool;
+    use crate::sim::{Cost, DeviceId, OpSpec, Sim};
+    use crate::spec::v100;
 
-    fn begin(op: usize, t: u64) -> SpanEvent {
-        SpanEvent::Begin {
-            op,
-            t: Ns(t),
-            label: format!("op{op}"),
-            engine: Engine::Compute(DeviceId(0)),
-            queue: Some(0),
-            deps: vec![],
-            kind: OpKind::Kernel,
-            class: Some(KernelClass::Other),
-            bytes: 10,
-            ready: Ns(t),
-        }
-    }
-
+    /// The scheduler is the recorder: each op's begin (ready, start) and
+    /// end (end, footprint, wall time) land in that op's one span, in
+    /// submission order, even when a later op finishes first.
     #[test]
     fn recorder_pairs_begin_end() {
-        let mut r = Recorder::new();
-        r.emit(begin(0, 0));
-        r.emit(SpanEvent::End {
-            op: 0,
-            t: Ns(100),
-            footprint_bytes: 64,
-            wall_start: Ns::ZERO,
-            wall: Ns(7),
-        });
-        r.emit(begin(1, 50));
-        r.emit(SpanEvent::End {
-            op: 1,
-            t: Ns(150),
-            footprint_bytes: 0,
-            wall_start: Ns::ZERO,
-            wall: Ns::ZERO,
-        });
-        let trace = r.into_trace();
+        let mut sim = Sim::new();
+        let rt = sim.add_runtime();
+        let dev = sim.add_device(v100(), rt);
+        let buf = sim.create_buffer(dev, 64);
+        let (q0, q1) = (sim.add_queue(), sim.add_queue());
+        let op = |engine, queue, ns, label: &str, effects| OpSpec {
+            engine,
+            queue: Some(queue),
+            deps: vec![],
+            cost: Cost::Fixed(Ns(ns)),
+            label: label.into(),
+            effects,
+        };
+        sim.push(
+            op(Engine::H2D(dev), q0, 100, "copy", Effects::write(buf)),
+            Some(Box::new(move |pool: &mut MemPool| {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+                pool.get_mut(buf).fill(1);
+            })),
+        );
+        sim.push(
+            op(Engine::Compute(dev), q1, 30, "kernel", Effects::none()),
+            None,
+        );
+        let trace = sim.run();
         assert_eq!(trace.len(), 2);
-        assert_eq!(trace.spans()[0].duration(), Ns(100));
-        assert_eq!(trace.spans()[0].footprint_bytes, 64);
-        assert_eq!(trace.spans()[0].wall, Ns(7));
-        assert_eq!(trace.spans()[1].start, Ns(50));
-        assert_eq!(trace.makespan(), Ns(150));
-        assert_eq!(trace.devices(), vec![DeviceId(0)]);
+        let [copy, kernel] = [&trace.spans()[0], &trace.spans()[1]];
+        assert_eq!((copy.op, copy.label.as_str()), (0, "copy"));
+        assert_eq!(
+            (copy.ready, copy.start, copy.end),
+            (Ns::ZERO, Ns::ZERO, Ns(100))
+        );
+        assert_eq!(copy.duration(), Ns(100));
+        assert_eq!(copy.footprint_bytes, 64);
+        assert!(copy.wall >= Ns(1_000_000), "wall {}", copy.wall);
+        assert_eq!((kernel.op, kernel.label.as_str()), (1, "kernel"));
+        assert_eq!((kernel.start, kernel.end), (Ns::ZERO, Ns(30)));
+        assert_eq!(kernel.footprint_bytes, 0);
+        assert_eq!((kernel.wall_start, kernel.wall), (Ns::ZERO, Ns::ZERO));
+        assert_eq!(trace.makespan(), Ns(100));
+        assert_eq!(trace.devices(), vec![dev]);
     }
 
     #[test]
-    #[should_panic(expected = "without matching ends")]
-    fn unmatched_begin_panics() {
-        let mut r = Recorder::new();
-        r.emit(begin(0, 0));
-        r.into_trace();
+    fn categories_index_in_all_order() {
+        for (i, c) in Category::ALL.into_iter().enumerate() {
+            assert_eq!(c as usize, i);
+        }
+        assert_eq!(Category::of(Engine::Staging(DeviceId(0))), Category::Host);
+        assert_eq!(
+            Category::of(Engine::Runtime(crate::sim::RuntimeId(0))),
+            Category::MemMgmt
+        );
     }
 
     #[test]

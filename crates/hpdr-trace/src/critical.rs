@@ -12,7 +12,6 @@
 //! that bound end-to-end time. Shortening any op *off* this path cannot
 //! improve the run.
 
-use crate::metrics::category_of;
 use hpdr_sim::{Category, Ns, Trace};
 use std::collections::HashMap;
 
@@ -162,12 +161,7 @@ pub fn critical_path(trace: &Trace) -> CriticalPath {
         let s = &spans[index_of[op]];
         let d = s.duration();
         length += d;
-        let cat = category_of(s.engine);
-        for entry in by_category.iter_mut() {
-            if entry.0 == cat {
-                entry.1 += d;
-            }
-        }
+        by_category[Category::of(s.engine) as usize].1 += d;
     }
 
     CriticalPath {

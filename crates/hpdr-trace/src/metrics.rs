@@ -2,6 +2,7 @@
 //! §V-C overlap ratio, the Fig. 1 memory-op share, per-op-class latency
 //! histograms, and allocator contention.
 
+use crate::timeline::{intersection, merge_in_place, total};
 use hpdr_sim::{Category, DeviceId, Engine, Ns, OpKind, SpanRecord, Trace};
 
 /// Stable human-readable engine name (also used for Perfetto thread
@@ -15,78 +16,6 @@ pub fn engine_name(e: Engine) -> String {
         Engine::Runtime(r) => format!("runtime{}.alloc", r.0),
         Engine::Host => "host".to_string(),
     }
-}
-
-/// The Fig. 1 category of an engine (same mapping as
-/// `Timeline::breakdown`).
-pub fn category_of(e: Engine) -> Category {
-    match e {
-        Engine::H2D(_) => Category::H2D,
-        Engine::D2H(_) => Category::D2H,
-        Engine::Compute(_) => Category::Compute,
-        Engine::Runtime(_) => Category::MemMgmt,
-        Engine::Staging(_) | Engine::Host => Category::Host,
-    }
-}
-
-/// Merge possibly-overlapping intervals into a disjoint sorted list,
-/// in place (no allocation beyond the input's own buffer).
-fn merge_in_place(iv: &mut Vec<(Ns, Ns)>) {
-    iv.sort_unstable();
-    let mut w = 0;
-    for i in 0..iv.len() {
-        let (s, e) = iv[i];
-        if s >= e {
-            continue;
-        }
-        if w > 0 && s <= iv[w - 1].1 {
-            iv[w - 1].1 = iv[w - 1].1.max(e);
-        } else {
-            iv[w] = (s, e);
-            w += 1;
-        }
-    }
-    iv.truncate(w);
-}
-
-/// Merge possibly-overlapping intervals into a disjoint sorted list.
-fn merge(mut iv: Vec<(Ns, Ns)>) -> Vec<(Ns, Ns)> {
-    merge_in_place(&mut iv);
-    iv
-}
-
-fn total(iv: &[(Ns, Ns)]) -> Ns {
-    iv.iter().map(|&(s, e)| e - s).sum()
-}
-
-/// Total length of the intersection of two disjoint sorted interval lists.
-fn intersection(a: &[(Ns, Ns)], b: &[(Ns, Ns)]) -> Ns {
-    let (mut i, mut j) = (0, 0);
-    let mut acc = Ns::ZERO;
-    while i < a.len() && j < b.len() {
-        let s = a[i].0.max(b[j].0);
-        let e = a[i].1.min(b[j].1);
-        if s < e {
-            acc += e - s;
-        }
-        if a[i].1 <= b[j].1 {
-            i += 1;
-        } else {
-            j += 1;
-        }
-    }
-    acc
-}
-
-fn engine_intervals(trace: &Trace, engine: Engine) -> Vec<(Ns, Ns)> {
-    merge(
-        trace
-            .spans()
-            .iter()
-            .filter(|s| s.engine == engine)
-            .map(|s| (s.start, s.end))
-            .collect(),
-    )
 }
 
 /// Busy/utilization summary for one engine.
@@ -141,27 +70,8 @@ pub fn engine_stats(trace: &Trace) -> Vec<EngineStats> {
     stats
 }
 
-/// Paper §V-C overlap ratio for one device, from the trace: the fraction
-/// of DMA time during which the device was concurrently doing anything
-/// else (compute or the opposite-direction DMA). `None` if the device
-/// performed no DMA. This replaces and generalizes
-/// `Timeline::overlap_ratio` — same definition, computed from spans.
-pub fn overlap_ratio(trace: &Trace, dev: DeviceId) -> Option<f64> {
-    let h2d = engine_intervals(trace, Engine::H2D(dev));
-    let d2h = engine_intervals(trace, Engine::D2H(dev));
-    let compute = engine_intervals(trace, Engine::Compute(dev));
-    let dma_total = total(&h2d) + total(&d2h);
-    if dma_total.is_zero() {
-        return None;
-    }
-    let other_for_h2d = merge([compute.clone(), d2h.clone()].concat());
-    let other_for_d2h = merge([compute, h2d.clone()].concat());
-    let overlapped = intersection(&h2d, &other_for_h2d) + intersection(&d2h, &other_for_d2h);
-    Some(overlapped.0 as f64 / dma_total.0 as f64)
-}
-
 /// Share of payload wall-clock time that ran beside another payload: the
-/// measured counterpart of [`overlap_ratio`], over the spans'
+/// measured counterpart of [`Digest::overlap`], over the spans'
 /// `[wall_start, wall_start + wall)` intervals. 0 when the payloads ran
 /// one at a time; `None` when no payload ran.
 pub fn wall_overlap_ratio(trace: &Trace) -> Option<f64> {
@@ -186,47 +96,52 @@ pub fn wall_overlap_ratio(trace: &Trace) -> Option<f64> {
     (total > 0).then(|| beside as f64 / total as f64)
 }
 
-/// One-pass digest of a batch trace for live metering: per-category
-/// busy time, the §V-C overlap ratio for one device, and allocator
-/// contention. Identical numbers to [`engine_stats`] +
-/// [`overlap_ratio`] + [`alloc_contention`], but a single walk over
-/// the spans instead of a dozen — this runs once per batch launch on
-/// the serving hot path, where the separate passes showed up as
-/// measurable metering overhead.
+/// The numbers derived from a trace, in one pass over its spans: busy
+/// time per Fig. 1 category, the paper §V-C overlap ratio of one device,
+/// and allocator contention. This is their only implementation: the
+/// pipeline and multi-GPU reports, [`crate::Profile`], the serve
+/// metering and the bench figures all read them from here.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct BatchDigest {
-    /// Busy ns per Fig. 1 category, indexed by
-    /// [`BatchDigest::CATEGORIES`] order.
+pub struct Digest {
+    /// Busy ns per Fig. 1 category, in [`Category::ALL`] order (the sum
+    /// of span durations: ops on one engine never overlap).
     pub busy: [Ns; 5],
-    /// Overlap ratio for the requested device (`None` if it did no DMA).
+    /// Overlap ratio of the requested device: the fraction of its DMA
+    /// time during which it was doing anything else (compute or the
+    /// opposite-direction DMA). `None` if the device did no DMA.
     pub overlap: Option<f64>,
-    /// Total alloc/free queueing behind the runtime lock.
+    /// Time alloc/free ops queued behind the shared runtime lock after
+    /// their data dependencies were satisfied: the paper §III-B
+    /// allocator-contention cost that the CMM eliminates (CMM schedules
+    /// emit no per-call alloc/free ops, so theirs is zero).
     pub contention: Ns,
 }
 
-impl BatchDigest {
-    /// Index order of the `busy` array.
-    pub const CATEGORIES: [Category; 5] = [
-        Category::H2D,
-        Category::D2H,
-        Category::Compute,
-        Category::MemMgmt,
-        Category::Host,
-    ];
-
+impl Digest {
     /// Categories that actually ran, with their busy time.
     pub fn busy_by_category(&self) -> impl Iterator<Item = (Category, Ns)> + '_ {
-        Self::CATEGORIES
-            .iter()
+        Category::ALL
+            .into_iter()
             .zip(self.busy)
             .filter(|(_, b)| !b.is_zero())
-            .map(|(c, b)| (*c, b))
+    }
+
+    /// Fraction of busy time spent on memory operations (H2D + D2H +
+    /// host staging copies + mem-mgmt, i.e. everything but compute): the
+    /// paper's Fig. 1 "34–89%" metric.
+    pub fn memory_fraction(&self) -> f64 {
+        let all: Ns = self.busy.iter().copied().sum();
+        if all.is_zero() {
+            0.0
+        } else {
+            (all - self.busy[Category::Compute as usize]).0 as f64 / all.0 as f64
+        }
     }
 }
 
-/// Reusable buffers for [`batch_digest_with`]: interval lists stay
-/// allocated across batches, so the steady-state digest does no heap
-/// work — it runs once per launch on the serving hot path.
+/// Reusable buffers for [`digest_with`]: interval lists stay allocated
+/// across calls, so the steady-state digest does no heap work. It runs
+/// once per launch on the serving hot path.
 #[derive(Debug, Clone, Default)]
 pub struct DigestScratch {
     h2d: Vec<(Ns, Ns)>,
@@ -235,27 +150,22 @@ pub struct DigestScratch {
     other: Vec<(Ns, Ns)>,
 }
 
-/// Compute a [`BatchDigest`] in one pass over the trace.
-pub fn batch_digest(trace: &Trace, dev: DeviceId) -> BatchDigest {
-    batch_digest_with(trace, dev, &mut DigestScratch::default())
+/// Compute a [`Digest`] of `trace`, with the overlap ratio of `dev`.
+pub fn digest(trace: &Trace, dev: DeviceId) -> Digest {
+    digest_with(trace, dev, &mut DigestScratch::default())
 }
 
-/// [`batch_digest`] with caller-owned scratch buffers (keep one
+/// [`digest`] with caller-owned scratch buffers (keep one
 /// [`DigestScratch`] per device and the per-batch digest is
 /// allocation-free after warm-up).
-pub fn batch_digest_with(trace: &Trace, dev: DeviceId, s: &mut DigestScratch) -> BatchDigest {
+pub fn digest_with(trace: &Trace, dev: DeviceId, s: &mut DigestScratch) -> Digest {
     s.h2d.clear();
     s.d2h.clear();
     s.compute.clear();
     let mut busy = [Ns::ZERO; 5];
     let mut contention = Ns::ZERO;
     for sp in trace.spans() {
-        let cat = category_of(sp.engine);
-        let slot = BatchDigest::CATEGORIES
-            .iter()
-            .position(|c| *c == cat)
-            .expect("mapped");
-        busy[slot] += sp.duration();
+        busy[Category::of(sp.engine) as usize] += sp.duration();
         match sp.engine {
             Engine::H2D(d) if d == dev => s.h2d.push((sp.start, sp.end)),
             Engine::D2H(d) if d == dev => s.d2h.push((sp.start, sp.end)),
@@ -283,31 +193,10 @@ pub fn batch_digest_with(trace: &Trace, dev: DeviceId, s: &mut DigestScratch) ->
         overlapped += intersection(&s.d2h, &s.other);
         Some(overlapped.0 as f64 / dma_total.0 as f64)
     };
-    BatchDigest {
+    Digest {
         busy,
         overlap,
         contention,
-    }
-}
-
-/// Fraction of total busy time spent on memory operations (H2D + D2H +
-/// host staging copies + mem-mgmt) — the paper's Fig. 1 "34–89%" metric,
-/// computed from spans.
-pub fn memory_fraction(trace: &Trace) -> f64 {
-    let mut mem = Ns::ZERO;
-    let mut all = Ns::ZERO;
-    for s in trace.spans() {
-        let d = s.duration();
-        all += d;
-        match category_of(s.engine) {
-            Category::H2D | Category::D2H | Category::MemMgmt | Category::Host => mem += d,
-            Category::Compute => {}
-        }
-    }
-    if all.is_zero() {
-        0.0
-    } else {
-        mem.0 as f64 / all.0 as f64
     }
 }
 
@@ -394,21 +283,8 @@ pub fn latency_histograms(trace: &Trace) -> Vec<(String, LatencyHistogram)> {
     hists
 }
 
-/// Total time alloc/free ops spent queued behind the shared runtime lock
-/// after their data dependencies were satisfied — the paper §III-B
-/// allocator-contention cost that the CMM eliminates (CMM schedules emit
-/// no per-call alloc/free ops, so their contention is zero).
-pub fn alloc_contention(trace: &Trace) -> Ns {
-    trace
-        .spans()
-        .iter()
-        .filter(|s| matches!(s.engine, Engine::Runtime(_)))
-        .map(|s| s.wait())
-        .sum()
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use hpdr_sim::{KernelClass, RuntimeId};
 
@@ -493,53 +369,78 @@ mod tests {
         assert_eq!(h2d.busy, Ns(80));
     }
 
+    /// A trace of `(engine, start, end)` spans; kind and class do not
+    /// enter the digest.
+    pub(crate) fn trace(spans: &[(Engine, u64, u64)]) -> Trace {
+        Trace::from_spans(
+            spans
+                .iter()
+                .enumerate()
+                .map(|(op, &(e, start, end))| span(op, e, start, end, OpKind::Fixed, None))
+                .collect(),
+        )
+    }
+
+    /// Spans and the number the digest must derive from them.
+    type Case = (&'static [(Engine, u64, u64)], f64);
+
+    pub(crate) const H2D: Engine = Engine::H2D(DeviceId(0));
+    pub(crate) const D2H: Engine = Engine::D2H(DeviceId(0));
+    pub(crate) const COMPUTE: Engine = Engine::Compute(DeviceId(0));
+    const STAGING: Engine = Engine::Staging(DeviceId(0));
+    pub(crate) const RUNTIME: Engine = Engine::Runtime(RuntimeId(0));
+
     #[test]
     fn overlap_counts_dma_under_compute() {
-        // H2D [0,100); compute [50,150) ⇒ 50 of 100 DMA ns overlapped.
-        let trace = Trace::from_spans(vec![
-            span(0, Engine::H2D(d0()), 0, 100, OpKind::Transfer, None),
-            span(
-                1,
-                Engine::Compute(d0()),
-                50,
-                150,
-                OpKind::Kernel,
-                Some(KernelClass::Zfp),
+        let cases: [Case; 3] = [
+            // H2D [0,100); compute [50,150) ⇒ 50 of 100 DMA ns overlapped.
+            (&[(H2D, 0, 100), (COMPUTE, 50, 150)], 0.5),
+            // One kernel across the gap of two copies: [5,10) and [20,25).
+            (&[(H2D, 0, 10), (H2D, 20, 30), (COMPUTE, 5, 25)], 0.5),
+            // Touching and overlapping kernels coalesce before the
+            // intersection: [0,12) and [20,21) hide 13 of 30 H2D ns.
+            (
+                &[
+                    (H2D, 0, 30),
+                    (COMPUTE, 5, 10),
+                    (COMPUTE, 0, 5),
+                    (COMPUTE, 8, 12),
+                    (COMPUTE, 20, 21),
+                ],
+                13.0 / 30.0,
             ),
-        ]);
-        let r = overlap_ratio(&trace, d0()).unwrap();
-        assert!((r - 0.5).abs() < 1e-12);
-        // No DMA on device 1.
-        assert!(overlap_ratio(&trace, DeviceId(1)).is_none());
+        ];
+        for (spans, want) in cases {
+            let t = trace(spans);
+            assert_eq!(digest(&t, d0()).overlap, Some(want), "{spans:?}");
+            // No DMA on device 1.
+            assert_eq!(digest(&t, DeviceId(1)).overlap, None);
+        }
     }
 
     #[test]
     fn opposite_direction_dma_counts_as_overlap() {
-        let trace = Trace::from_spans(vec![
-            span(0, Engine::H2D(d0()), 0, 100, OpKind::Transfer, None),
-            span(1, Engine::D2H(d0()), 0, 100, OpKind::Transfer, None),
-        ]);
-        let r = overlap_ratio(&trace, d0()).unwrap();
-        assert!((r - 1.0).abs() < 1e-12);
+        let cases: [Case; 2] = [
+            (&[(H2D, 0, 100), (D2H, 0, 100)], 1.0),
+            // 50 ns of each 100 ns copy runs beside the other.
+            (&[(H2D, 0, 100), (D2H, 50, 150)], 0.5),
+        ];
+        for (spans, want) in cases {
+            assert_eq!(digest(&trace(spans), d0()).overlap, Some(want), "{spans:?}");
+        }
     }
 
     #[test]
     fn memory_fraction_fig1_style() {
         // 60 memory ns (h2d 30 + alloc 10 + staging 20) vs 40 compute ns.
-        let trace = Trace::from_spans(vec![
-            span(0, Engine::H2D(d0()), 0, 30, OpKind::Transfer, None),
-            span(1, Engine::Runtime(RuntimeId(0)), 0, 10, OpKind::Alloc, None),
-            span(2, Engine::Staging(d0()), 0, 20, OpKind::HostCopy, None),
-            span(
-                3,
-                Engine::Compute(d0()),
-                30,
-                70,
-                OpKind::Kernel,
-                Some(KernelClass::Huffman),
-            ),
+        let t = trace(&[
+            (H2D, 0, 30),
+            (RUNTIME, 0, 10),
+            (STAGING, 0, 20),
+            (COMPUTE, 30, 70),
         ]);
-        assert!((memory_fraction(&trace) - 0.6).abs() < 1e-12);
+        assert!((digest(&t, d0()).memory_fraction() - 0.6).abs() < 1e-12);
+        assert_eq!(Digest::default().memory_fraction(), 0.0);
     }
 
     #[test]
@@ -581,18 +482,14 @@ mod tests {
 
     #[test]
     fn alloc_contention_sums_runtime_waits() {
-        let mut a = span(0, Engine::Runtime(RuntimeId(0)), 0, 10, OpKind::Alloc, None);
-        let mut b = span(
-            1,
-            Engine::Runtime(RuntimeId(0)),
-            10,
-            20,
-            OpKind::Alloc,
-            None,
-        );
-        a.ready = Ns(0);
-        b.ready = Ns(0); // ready at 0 but ran at 10 ⇒ 10 ns contention
-        let trace = Trace::from_spans(vec![a, b]);
-        assert_eq!(alloc_contention(&trace), Ns(10));
+        let mut spans = trace(&[(RUNTIME, 0, 10), (RUNTIME, 10, 20), (COMPUTE, 30, 40)])
+            .spans()
+            .to_vec();
+        // Everything was ready at 0: the second alloc queued 10 ns behind
+        // the first; the kernel's wait is not allocator contention.
+        for s in &mut spans {
+            s.ready = Ns::ZERO;
+        }
+        assert_eq!(digest(&Trace::from_spans(spans), d0()).contention, Ns(10));
     }
 }

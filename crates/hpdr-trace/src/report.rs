@@ -3,8 +3,8 @@
 
 use crate::critical::{critical_path, CriticalPath};
 use crate::metrics::{
-    alloc_contention, engine_stats, latency_histograms, memory_fraction, overlap_ratio,
-    wall_overlap_ratio, EngineStats, LatencyHistogram,
+    digest_with, engine_stats, latency_histograms, wall_overlap_ratio, DigestScratch, EngineStats,
+    LatencyHistogram,
 };
 use hpdr_sim::{DeviceId, Ns, RuntimeStats, Trace};
 use std::fmt::Write as _;
@@ -44,7 +44,7 @@ impl Profile {
     /// into a non-zero exit).
     pub fn from_trace(trace: &Trace) -> Result<Profile, String> {
         if trace.is_empty() {
-            return Err("trace is empty — was tracing enabled?".into());
+            return Err("trace is empty: the run executed no ops".into());
         }
         let engines = engine_stats(trace);
         for e in &engines {
@@ -65,17 +65,21 @@ impl Profile {
                 critical.length, critical.makespan
             ));
         }
+        // Busy time and contention cover every span; only the overlap
+        // is per device.
+        let mut scratch = DigestScratch::default();
+        let whole = digest_with(trace, DeviceId(0), &mut scratch);
         Ok(Profile {
             makespan: trace.makespan(),
             engines,
             overlap: trace
                 .devices()
                 .into_iter()
-                .map(|d| (d, overlap_ratio(trace, d)))
+                .map(|d| (d, digest_with(trace, d, &mut scratch).overlap))
                 .collect(),
             overlap_wall: wall_overlap_ratio(trace),
-            memory_fraction: memory_fraction(trace),
-            alloc_contention: alloc_contention(trace),
+            memory_fraction: whole.memory_fraction(),
+            alloc_contention: whole.contention,
             critical,
             histograms: latency_histograms(trace),
             wall_total: Ns(trace.spans().iter().map(|s| s.wall.0).sum()),

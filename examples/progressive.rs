@@ -75,7 +75,7 @@ fn main() {
     std::fs::write(&path, hpdr::trace::to_chrome_trace(&report.trace)).expect("write trace");
     println!(
         "\npipeline schedule ({} ops, makespan {}) written to {} — open in chrome://tracing",
-        report.timeline.len(),
+        report.trace.len(),
         report.makespan,
         path.display()
     );

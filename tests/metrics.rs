@@ -1,20 +1,21 @@
 //! Integration tests for the metrics layer (`hpdr-metrics`) wired
 //! through the serving stack: histogram merge accuracy, scrape
-//! determinism end-to-end through loadgen, injected SLO burn-rate
-//! breaches, record hygiene at admission, and the serve report's edge
-//! cases.
+//! determinism end-to-end through loadgen, the overlap gauge of every
+//! serve device, injected SLO burn-rate breaches, record hygiene at
+//! admission, and the serve report's edge cases.
 
 use hpdr_core::{ArrayMeta, CpuParallelAdapter, DType, DeviceAdapter, Shape};
 use hpdr_metrics::{
     bucket_width, exact_quantile, validate_metrics_json, MetricsConfig, SloConfig,
     StreamingHistogram,
 };
+use hpdr_pipeline::{run_batch, BatchItem};
 use hpdr_serve::{
     run_loadgen, serve, validate_loadgen_json, validate_serve_json, AdmissionConfig, JobPayload,
     JobRequest, LoadgenOptions, PayloadCache, Policy, Scheduler, ServeCodec, ServeConfig,
     ServeError, ServeReport, TenantId, VecSource,
 };
-use hpdr_sim::Ns;
+use hpdr_sim::{DeviceId, Ns};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -154,6 +155,48 @@ fn metrics_are_observational_only() {
     assert_eq!(off.serve.latency.p99, on.serve.latency.p99);
     assert!(off.serve.metrics.is_none());
     assert!(on.serve.metrics.is_some());
+}
+
+/// Every serve device's batches run on a one-device simulator of their
+/// own, so device 1's batch traces hold that simulator's device, like
+/// device 0's. Its overlap gauge must read that device's overlap, under
+/// its own label.
+#[test]
+fn every_serve_device_reports_its_batch_overlap() {
+    let mut cache = PayloadCache::new();
+    // One job per batch: device 0 takes the 32³ job, device 1 the 24³ one.
+    let sides = [32, 24];
+    let jobs = sides
+        .iter()
+        .enumerate()
+        .map(|(tenant, &side)| compress_job(&mut cache, tenant as u32, 0, side))
+        .collect();
+    let cfg = ServeConfig {
+        devices: 2,
+        max_batch_jobs: 1,
+        metrics: Some(MetricsConfig::default()),
+        ..ServeConfig::default()
+    };
+    let outcome = serve(cfg.clone(), work(), &mut VecSource::new(jobs));
+    let devices: Vec<Option<usize>> = outcome.records.iter().map(|r| r.device).collect();
+    assert_eq!(devices, vec![Some(0), Some(1)]);
+    let reg = outcome.metrics.as_ref().expect("registry installed");
+    let mut overlaps = Vec::new();
+    for (dev, side) in sides.into_iter().enumerate() {
+        let (input, meta) = cache.input(side);
+        let item = BatchItem::Compress {
+            reducer: ServeCodec::Zfp { rate: 16 }.reducer(),
+            input,
+            meta,
+        };
+        let (_, batch) = run_batch(&cfg.spec, work(), vec![item], &cfg.pipeline).expect("batch");
+        let want = hpdr::trace::digest(&batch.trace, DeviceId(0)).overlap;
+        assert!(want.is_some(), "the batch moved bytes over DMA");
+        let gauge = reg.gauge_value(&format!("pipeline_overlap_fraction{{device=\"{dev}\"}}"));
+        assert_eq!(gauge, want, "device {dev}");
+        overlaps.push(want);
+    }
+    assert_ne!(overlaps[0], overlaps[1], "the two batches differ");
 }
 
 // ------------------------------------------------------------ SLO burn

@@ -1,9 +1,13 @@
 //! Byte-identity pins for every deterministic report document: FNV-1a
 //! digests of what `hpdr::cli::run` emits for `verify`, `audit`,
-//! `trace`, `retrieve`, `serve`, `loadgen` and `cluster`. The constants
-//! were recorded from the emitters as they stood before the reports
-//! moved onto one JSON layer, so they show that every emitter kept its
-//! bytes; they are never to be re-recorded to make a change pass.
+//! `trace`, `profile --figure fig1`, `retrieve`, `serve`, `loadgen` and
+//! `cluster`. The constants were recorded from the emitters as they
+//! stood before the reports moved onto one JSON layer, so they show that
+//! every emitter kept its bytes; the `profile --figure fig1 --json`
+//! digest was recorded the same way before the trace-derived numbers
+//! moved onto one digest (`hpdr_trace::Digest`), when `Sim::run` still
+//! returned a separate timeline. They are never to be re-recorded to
+//! make a change pass.
 //!
 //! Every output goes under a per-test temp dir: without `--out`,
 //! `loadgen` and `cluster` write into the working directory.
@@ -13,8 +17,9 @@ use std::path::PathBuf;
 
 /// `verify --json`, `audit --json`.
 const GOLDEN_VERIFY_AUDIT: [u64; 2] = [0x32407f1f3d9389f4, 0x9b28493e5b8e03d1];
-/// `trace --out`.
-const GOLDEN_TRACE: [u64; 1] = [0xd651755d7539f210];
+/// `trace --out`, then `profile --figure fig1 --json` (the four
+/// comparators' memory-op shares in both directions).
+const GOLDEN_TRACE: [u64; 2] = [0xd651755d7539f210, 0xa44737ec6f72ea95];
 /// `retrieve --side 16 --tolerance 1e-1`, then `--tolerance 1e-3 --refine 1e-5`.
 const GOLDEN_RETRIEVE: [u64; 2] = [0x1963a30077e4c879, 0x248c54c8e794492a];
 /// `serve --json --flight-out`: the serve document, the flight document.
@@ -83,7 +88,8 @@ fn trace_document_matches_golden() {
     let dir = Scratch::new("trace");
     let out = dir.path("trace.json");
     run(&["trace", "--out", &out]);
-    let got = [file_digest(&out)];
+    let fig1 = run(&["profile", "--figure", "fig1", "--json"]);
+    let got = [file_digest(&out), fnv1a(fig1[0].as_bytes())];
     assert!(got == GOLDEN_TRACE, "digests:\n{}", render(&got));
 }
 

@@ -1,13 +1,12 @@
 //! Cross-crate tests of the `hpdr-trace` observability subsystem:
 //! overlap-regression ordering on the Fig. 13 settings, the
 //! critical-path == makespan property over the shipped configuration
-//! matrix, and zero-behavior-change when tracing is off.
+//! matrix, and the trace digest against a per-nanosecond brute force.
 
 use hpdr::{ArrayMeta, Codec, CpuParallelAdapter, DType, MgardConfig, Shape};
 use hpdr_core::{DeviceAdapter, Reducer};
-use hpdr_pipeline::{
-    compress_pipelined, decompress_pipelined, plan_compress, PipelineMode, PipelineOptions,
-};
+use hpdr_pipeline::{compress_pipelined, decompress_pipelined, PipelineMode, PipelineOptions};
+use hpdr_sim::{Category, DeviceId, Engine, Ns, OpKind, RuntimeId, SpanRecord, Trace};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -160,34 +159,81 @@ proptest! {
     }
 }
 
-/// Acceptance: with the recorder off, the schedule's virtual times are
-/// bit-for-bit identical — tracing is observation only.
-#[test]
-fn tracing_off_changes_nothing() {
-    let spec = hpdr::sim::v100().scaled(64);
-    let (input, meta) = nyx_input();
-    let reducer = Codec::Mgard(MgardConfig::relative(1e-2)).reducer();
-    let opts = PipelineOptions::default();
-    let plan = |traced: bool| {
-        let mut sim = plan_compress(
-            &spec,
-            work(),
-            Arc::clone(&reducer),
-            Arc::clone(&input),
-            &meta,
-            &opts,
-        )
-        .expect("plan");
-        sim.set_trace(traced);
-        let timeline = sim.run();
-        (timeline.makespan(), sim.take_trace())
-    };
-    let (makespan_off, trace_off) = plan(false);
-    let (makespan_on, trace_on) = plan(true);
-    assert_eq!(makespan_off, makespan_on);
-    assert!(trace_off.is_none());
-    let trace = trace_on.expect("tracing was enabled");
-    assert_eq!(trace.makespan(), makespan_on);
-    // And the spans cover the same schedule the timeline reports.
-    assert!(!trace.is_empty());
+/// Every engine kind of two devices, plus the shared runtime and the host.
+const ENGINES: [Engine; 10] = [
+    Engine::H2D(DeviceId(0)),
+    Engine::D2H(DeviceId(0)),
+    Engine::Compute(DeviceId(0)),
+    Engine::Staging(DeviceId(0)),
+    Engine::H2D(DeviceId(1)),
+    Engine::D2H(DeviceId(1)),
+    Engine::Compute(DeviceId(1)),
+    Engine::Staging(DeviceId(1)),
+    Engine::Runtime(RuntimeId(0)),
+    Engine::Host,
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The one digest against a brute force: per-category busy time is
+    /// the sum of durations, each device's overlap is counted nanosecond
+    /// by nanosecond, and contention is the runtime spans' summed wait.
+    /// Spans live below 64 ns, so touching, overlapping and zero-length
+    /// spans are common; one engine's spans may overlap too, which real
+    /// schedules never do but the digest must still merge.
+    #[test]
+    fn digest_matches_brute_force(
+        raw in proptest::collection::vec((0usize..10, 0u64..48, 0u64..16, 0u64..4), 0..=12),
+    ) {
+        let spans: Vec<SpanRecord> = raw
+            .iter()
+            .enumerate()
+            .map(|(op, &(e, start, len, wait))| SpanRecord {
+                op,
+                label: format!("op{op}"),
+                engine: ENGINES[e],
+                queue: None,
+                deps: Vec::new(),
+                kind: OpKind::Fixed,
+                class: None,
+                start: Ns(start),
+                end: Ns(start + len),
+                bytes: 0,
+                footprint_bytes: 0,
+                ready: Ns(start.saturating_sub(wait)),
+                wall_start: Ns::ZERO,
+                wall: Ns::ZERO,
+            })
+            .collect();
+        let trace = Trace::from_spans(spans.clone());
+        let busy_of = |c: Category| -> Ns {
+            spans.iter().filter(|s| Category::of(s.engine) == c).map(|s| s.duration()).sum()
+        };
+        let contention: Ns = spans
+            .iter()
+            .filter(|s| matches!(s.engine, Engine::Runtime(_)))
+            .map(|s| s.wait())
+            .sum();
+        for dev in [DeviceId(0), DeviceId(1)] {
+            let d = hpdr::trace::digest(&trace, dev);
+            prop_assert_eq!(d.busy, Category::ALL.map(busy_of));
+            prop_assert_eq!(d.contention, contention);
+            let busy_at = |engine: Engine, t: u64| {
+                spans.iter().any(|s| s.engine == engine && s.start.0 <= t && t < s.end.0)
+            };
+            let (mut dma, mut overlapped) = (0u64, 0u64);
+            for t in 0..64 {
+                let h2d = busy_at(Engine::H2D(dev), t);
+                let d2h = busy_at(Engine::D2H(dev), t);
+                let compute = busy_at(Engine::Compute(dev), t);
+                dma += u64::from(h2d) + u64::from(d2h);
+                overlapped += u64::from(h2d && (compute || d2h)) + u64::from(d2h && (compute || h2d));
+            }
+            prop_assert_eq!(d.overlap.is_none(), dma == 0, "{:?}: {:?}", dev, d.overlap);
+            if dma > 0 {
+                prop_assert_eq!(d.overlap, Some(overlapped as f64 / dma as f64));
+            }
+        }
+    }
 }
