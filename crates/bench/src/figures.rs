@@ -531,9 +531,16 @@ pub fn fig16(scale: &Scale) -> String {
         ));
     }
     for (name, reducer, opts) in cases {
-        let mk = || Arc::clone(&input);
-        let comp = scalability_sweep(&spec, 6, work(), Arc::clone(&reducer), mk, &meta, &opts)
-            .expect("fig16 comp");
+        let comp = scalability_sweep(
+            &spec,
+            6,
+            work(),
+            Arc::clone(&reducer),
+            Arc::clone(&input),
+            &meta,
+            &opts,
+        )
+        .expect("fig16 comp");
         // Build a container once for the decompression sweep.
         let (container, _) = compress_pipelined(
             &spec,
@@ -860,6 +867,12 @@ mod tests {
     /// Never re-recorded to make a change pass.
     const GOLDEN_FIG01: u64 = 0x9c26fc82314081b0;
     const GOLDEN_FIG11: u64 = 0x179f49447cadb767;
+    /// Digests of the bench-scale fig10 and fig13 tables (single-device
+    /// compress and decompress launches), recorded before every launch
+    /// went through one chunk-job path, in debug, release and under
+    /// `HPDR_FORCE_SCALAR=1`. Never re-recorded to make a change pass.
+    const GOLDEN_FIG10: u64 = 0x4de9222c950b0a02;
+    const GOLDEN_FIG13: u64 = 0xcf86177d385d2cde;
 
     #[test]
     fn fig01_table_matches_golden() {
@@ -871,5 +884,17 @@ mod tests {
     fn fig11_table_matches_golden() {
         let got = fnv1a(fig11(&Scale::bench()).as_bytes());
         assert!(got == GOLDEN_FIG11, "digest {got:#018x}");
+    }
+
+    #[test]
+    fn fig10_table_matches_golden() {
+        let got = fnv1a(fig10(&Scale::bench()).as_bytes());
+        assert!(got == GOLDEN_FIG10, "digest {got:#018x}");
+    }
+
+    #[test]
+    fn fig13_table_matches_golden() {
+        let got = fnv1a(fig13(&Scale::bench()).as_bytes());
+        assert!(got == GOLDEN_FIG13, "digest {got:#018x}");
     }
 }

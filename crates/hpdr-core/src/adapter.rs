@@ -273,11 +273,6 @@ impl CpuParallelAdapter {
     pub fn with_defaults() -> CpuParallelAdapter {
         Self::new(crate::pool::default_threads())
     }
-
-    pub fn named(mut self, name: &str) -> CpuParallelAdapter {
-        self.name = name.to_string();
-        self
-    }
 }
 
 impl DeviceAdapter for CpuParallelAdapter {

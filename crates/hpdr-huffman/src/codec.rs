@@ -108,15 +108,6 @@ impl Default for HuffmanConfig {
     }
 }
 
-impl HuffmanConfig {
-    pub fn config_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.put_u32(self.dict_size);
-        w.put_u64(self.chunk_elems as u64);
-        w.into_vec()
-    }
-}
-
 /// Compress a symbol stream. All `keys` must be `< cfg.dict_size`.
 pub fn compress_u32(
     adapter: &dyn DeviceAdapter,

@@ -122,7 +122,7 @@ pub fn measure_codec_profile(
         system.gpus_per_node,
         work,
         reducer.clone(),
-        || Arc::clone(&sample),
+        sample,
         meta,
         opts,
     )?;

@@ -5,9 +5,11 @@ use crate::decompose::{decompose, recompose};
 use crate::hierarchy::Hierarchy;
 use crate::quantize::{dequantize, level_bin, quantize, EscapeDict, Quantized};
 use hpdr_core::{
-    ArrayMeta, ByteReader, ByteWriter, ContextCache, ContextKey, DeviceAdapter, Float, FrameHeader,
-    HpdrError, KernelClass, Result, Shape,
+    ArrayMeta, ByteReader, ByteWriter, ContextCache, ContextKey, DType, DeviceAdapter, Float,
+    FrameHeader, HpdrError, KernelClass, Result, Shape,
 };
+use parking_lot::Mutex;
+use std::sync::Arc;
 
 /// The frame every MGARD-X stream starts with.
 pub const FRAME: FrameHeader = FrameHeader::new(0x4D47_5831 /* "MGX1" */, 1, "MGARD-X");
@@ -52,22 +54,6 @@ impl MgardConfig {
             ..Default::default()
         }
     }
-
-    pub fn config_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        match self.error_bound {
-            ErrorBound::Relative(e) => {
-                w.put_u8(0);
-                w.put_f64(e);
-            }
-            ErrorBound::Absolute(e) => {
-                w.put_u8(1);
-                w.put_f64(e);
-            }
-        }
-        w.put_u32(self.dict_size);
-        w.into_vec()
-    }
 }
 
 /// Reusable per-shape reduction context (the CMM payload): hierarchy and
@@ -96,6 +82,23 @@ impl MgardContext {
 pub fn context_cache() -> &'static ContextCache<MgardContext> {
     static CACHE: std::sync::OnceLock<ContextCache<MgardContext>> = std::sync::OnceLock::new();
     CACHE.get_or_init(|| ContextCache::new(16))
+}
+
+/// The cached context of arrays of `shape`. Its hierarchy and node-level
+/// map depend on the folded 3-D shape alone, so a compression, a
+/// decompression and a progressive refactoring or retrieval of one shape
+/// share one context, whatever their dtype or configuration.
+pub fn context_for(shape: &Shape) -> Arc<Mutex<MgardContext>> {
+    let eff = shape.folded_to_3d();
+    let key = ContextKey {
+        algorithm: "mgard-x",
+        // The working copy is f64 whatever the input's dtype.
+        dtype: DType::F64,
+        shape: eff.dims().to_vec(),
+        config_hash: 0,
+        device: 0,
+    };
+    context_cache().get_or_create(&key, || MgardContext::new(&eff))
 }
 
 fn resolve_abs_eb<T: Float>(
@@ -147,17 +150,9 @@ pub fn compress<T: Float>(
         }
     }
     let abs_eb = resolve_abs_eb(adapter, data, cfg.error_bound)?;
-    let eff = shape.folded_to_3d();
 
-    // CMM lookup: hierarchy + node-level map keyed by shape & device.
-    let key = ContextKey {
-        algorithm: "mgard-x",
-        dtype: T::DTYPE,
-        shape: eff.dims().to_vec(),
-        config_hash: hpdr_core::fnv1a(&cfg.config_bytes()),
-        device: 0,
-    };
-    let ctx = context_cache().get_or_create(&key, || MgardContext::new(&eff));
+    // CMM lookup: hierarchy + node-level map keyed by shape.
+    let ctx = context_for(shape);
     let mut ctx = ctx.lock();
     let levels = ctx.hierarchy.total_levels();
 
@@ -196,7 +191,6 @@ pub fn decompress<T: Float>(adapter: &dyn DeviceAdapter, bytes: &[u8]) -> Result
         return Err(HpdrError::invalid("dtype mismatch in MGARD-X stream"));
     }
     let shape = meta.shape;
-    let eff = shape.folded_to_3d();
     let abs_eb = r.get_f64()?;
     if abs_eb <= 0.0 || !abs_eb.is_finite() {
         return Err(HpdrError::corrupt("bad error bound in stream"));
@@ -204,14 +198,7 @@ pub fn decompress<T: Float>(adapter: &dyn DeviceAdapter, bytes: &[u8]) -> Result
     let levels = r.get_u8()? as usize;
     let (q, dict) = Quantized::read_escaped(adapter, &mut r, shape.num_elements())?;
 
-    let key = ContextKey {
-        algorithm: "mgard-x-dec",
-        dtype: T::DTYPE,
-        shape: eff.dims().to_vec(),
-        config_hash: 0,
-        device: 0,
-    };
-    let ctx = context_cache().get_or_create(&key, || MgardContext::new(&eff));
+    let ctx = context_for(&shape);
     let mut ctx = ctx.lock();
     if ctx.hierarchy.total_levels() != levels {
         return Err(HpdrError::corrupt("level count mismatch with shape"));

@@ -23,7 +23,9 @@ pub mod hierarchy;
 pub mod operators;
 pub mod quantize;
 
-pub use codec::{compress, context_cache, decompress, ErrorBound, MgardConfig, MgardContext};
+pub use codec::{
+    compress, context_cache, context_for, decompress, ErrorBound, MgardConfig, MgardContext,
+};
 pub use hierarchy::Hierarchy;
 pub mod reducer;
 pub use reducer::MgardReducer;

@@ -5,69 +5,78 @@
 //! are paid once, and so chunks of *different* jobs overlap on the
 //! device's H2D/compute/D2H engines exactly like chunks of one large
 //! array do in Fig. 9. This module provides that launch primitive:
-//! [`run_batch`] submits every job's chunk DAG round-robin into one
-//! simulator (the multi-GPU dispatcher's interleave pattern, collapsed
-//! onto a single device) and returns per-job results plus the shared
-//! span trace, so callers can attribute virtual time back to each job.
+//! [`run_batch`] builds every member's [`ChunkJob`] in one simulator,
+//! submits them together (the multi-GPU dispatcher's interleave,
+//! collapsed onto a single device) and returns per-job results plus the
+//! shared span trace, so callers can attribute virtual time back to each
+//! job.
 
 use crate::container::Container;
-use crate::runner::{timed_run, CompressJob, DecompressJob, Payloads, PipelineOptions};
-use hpdr_core::{ArrayMeta, DeviceAdapter, HpdrError, Reducer, Result};
+use crate::runner::{
+    node, submit, timed_run, ChunkJob, CompressJob, DecompressJob, Payloads, PipelineOptions,
+};
+use hpdr_core::{ArrayMeta, DeviceAdapter, Reducer, Result};
 use hpdr_sim::{DeviceId, DeviceSpec, Ns, Sim, Trace};
 use std::sync::Arc;
 
-/// A job type foreign to this crate that rides in a shared launch —
-/// e.g. progressive retrieval from `hpdr-progressive` (which sits
-/// *above* this crate in the dependency graph, so the batch primitive
-/// takes it through this trait instead of naming it). The item builds
-/// its own op DAG into the shared simulator and surfaces restored
-/// bytes like a decompress job.
-pub trait ExternalBatchJob {
+/// A launch member's job, built in the launch's simulator.
+type MemberJob<'a> = Box<dyn ChunkJob<'a> + 'a>;
+
+type Build<'a> = Box<
+    dyn FnOnce(
+            &mut Sim<'a>,
+            DeviceId,
+            Arc<dyn DeviceAdapter>,
+            &PipelineOptions,
+        ) -> Result<MemberJob<'a>>
+        + 'a,
+>;
+
+/// One job in a shared launch: its uncompressed size and how to build
+/// its [`ChunkJob`] on the launch's device.
+pub struct BatchItem<'a> {
     /// Bytes on the uncompressed side (the goodput numerator).
-    fn raw_bytes(&self) -> u64;
-    /// Construct the job's per-launch state in the shared simulator.
-    fn build(
-        &self,
-        sim: &mut Sim,
-        dev: DeviceId,
-        work: Arc<dyn DeviceAdapter>,
-    ) -> Result<Box<dyn SubmittedBatchJob>>;
+    raw_bytes: u64,
+    build: Build<'a>,
 }
 
-/// An external job after construction: chunk submission hooks mirror
-/// [`CompressJob`]/[`DecompressJob`] so `run_batch` interleaves it
-/// round-robin like any native job.
-pub trait SubmittedBatchJob {
-    fn num_chunks(&self) -> usize;
-    fn submit_chunk(&mut self, sim: &mut Sim, k: usize);
-    /// Trailing ops after the last chunk (gather/output stages).
-    fn finish_submission(&mut self, sim: &mut Sim);
-    /// Collect the restored bytes after `sim.run()`.
-    fn finish(self: Box<Self>) -> Result<(Vec<u8>, ArrayMeta)>;
-}
+impl<'a> BatchItem<'a> {
+    /// A member whose job `build` constructs: how a crate above this one
+    /// (progressive retrieval) adds a job kind.
+    pub fn new(
+        raw_bytes: u64,
+        build: impl FnOnce(
+                &mut Sim<'a>,
+                DeviceId,
+                Arc<dyn DeviceAdapter>,
+                &PipelineOptions,
+            ) -> Result<MemberJob<'a>>
+            + 'a,
+    ) -> BatchItem<'a> {
+        BatchItem {
+            raw_bytes,
+            build: Box::new(build),
+        }
+    }
 
-/// One job in a shared launch.
-pub enum BatchItem {
-    Compress {
+    pub fn compress(
         reducer: Arc<dyn Reducer>,
         input: Arc<Vec<u8>>,
         meta: ArrayMeta,
-    },
-    Decompress {
-        reducer: Arc<dyn Reducer>,
-        container: Container,
-    },
-    External(Box<dyn ExternalBatchJob>),
-}
+    ) -> BatchItem<'a> {
+        BatchItem::new(input.len() as u64, move |sim, dev, work, opts| {
+            let job = CompressJob::new(sim, dev, reducer, work, input, meta, *opts)?;
+            Ok(Box::new(job))
+        })
+    }
 
-impl BatchItem {
-    /// Bytes on the uncompressed side (the goodput numerator).
-    pub fn raw_bytes(&self) -> u64 {
-        match self {
-            BatchItem::Compress { input, .. } => input.len() as u64,
-            BatchItem::Decompress { container, .. } => container.meta.num_bytes() as u64,
-            BatchItem::External(job) => job.raw_bytes(),
-        }
+    /// Reconstruct `container`, which the launch borrows.
+    pub fn decompress(reducer: Arc<dyn Reducer>, container: &'a Container) -> BatchItem<'a> {
+        let raw_bytes = container.meta.num_bytes() as u64;
+        BatchItem::new(raw_bytes, move |sim, dev, work, opts| {
+            let job = DecompressJob::new(sim, dev, reducer, work, container, *opts)?;
+            Ok(Box::new(job))
+        })
     }
 }
 
@@ -102,170 +111,41 @@ impl BatchReport {
     }
 }
 
-enum JobState<'a> {
-    Compress(CompressJob),
-    Decompress(DecompressJob<'a>),
-    External(Box<dyn SubmittedBatchJob>),
-    /// Construction failed; the error is already in the output slot.
-    Failed,
-}
-
-impl JobState<'_> {
-    fn num_chunks(&self) -> usize {
-        match self {
-            JobState::Compress(j) => j.num_chunks(),
-            JobState::Decompress(job) => job.num_chunks(),
-            JobState::External(job) => job.num_chunks(),
-            JobState::Failed => 0,
-        }
-    }
-}
-
 /// Run `items` as one shared launch on a single simulated device.
 ///
-/// Per-job failures (bad metadata, corrupt stream) land in that job's
-/// result slot without sinking the rest of the batch; only systemic
-/// failures (a poisoned simulator) return `Err` at the top level.
-pub fn run_batch(
+/// A job that cannot be built (bad metadata, wrong codec) keeps its
+/// error in its own result slot and submits nothing; a job that fails at
+/// run time (corrupt stream) reports it in its slot too. Neither sinks
+/// the rest of the batch.
+pub fn run_batch<'a>(
     spec: &DeviceSpec,
     work: Arc<dyn DeviceAdapter>,
-    items: Vec<BatchItem>,
+    items: Vec<BatchItem<'a>>,
     opts: &PipelineOptions,
-) -> Result<(Vec<Result<BatchOutput>>, BatchReport)> {
-    if items.is_empty() {
-        return Ok((
-            Vec::new(),
-            BatchReport {
-                makespan: Ns::ZERO,
-                raw_bytes: 0,
-                num_chunks: 0,
-                trace: Trace::default(),
-            },
-        ));
-    }
-    let raw_bytes: u64 = items.iter().map(BatchItem::raw_bytes).sum();
-    let mut sim = Sim::new();
-    let rt = sim.add_runtime();
-    let dev = sim.add_device(spec.clone(), rt);
-
-    let mut outputs: Vec<Option<Result<BatchOutput>>> = Vec::with_capacity(items.len());
-    let mut jobs: Vec<JobState> = Vec::with_capacity(items.len());
-    for item in &items {
-        match item {
-            BatchItem::Compress {
-                reducer,
-                input,
-                meta,
-            } => match CompressJob::new(
-                &mut sim,
-                dev,
-                Arc::clone(reducer),
-                Arc::clone(&work),
-                Arc::clone(input),
-                meta.clone(),
-                *opts,
-            ) {
-                Ok(job) => {
-                    jobs.push(JobState::Compress(job));
-                    outputs.push(None);
-                }
-                Err(e) => {
-                    jobs.push(JobState::Failed);
-                    outputs.push(Some(Err(e)));
-                }
-            },
-            BatchItem::Decompress { reducer, container } => match DecompressJob::new(
-                &mut sim,
-                dev,
-                Arc::clone(reducer),
-                Arc::clone(&work),
-                container,
-                *opts,
-            ) {
-                Ok(job) => {
-                    jobs.push(JobState::Decompress(job));
-                    outputs.push(None);
-                }
-                Err(e) => {
-                    jobs.push(JobState::Failed);
-                    outputs.push(Some(Err(e)));
-                }
-            },
-            BatchItem::External(ext) => match ext.build(&mut sim, dev, Arc::clone(&work)) {
-                Ok(job) => {
-                    jobs.push(JobState::External(job));
-                    outputs.push(None);
-                }
-                Err(e) => {
-                    jobs.push(JobState::Failed);
-                    outputs.push(Some(Err(e)));
-                }
-            },
-        }
-    }
-
-    // Round-robin chunk submission across jobs — the interleave that
-    // lets job B's H2D ride under job A's compute.
-    let max_chunks = jobs.iter().map(JobState::num_chunks).max().unwrap_or(0);
-    let mut total_chunks = 0usize;
-    for k in 0..max_chunks {
-        for state in &mut jobs {
-            if k >= state.num_chunks() {
-                continue;
-            }
-            total_chunks += 1;
-            match state {
-                JobState::Compress(job) => job.submit_chunk(&mut sim, k),
-                JobState::Decompress(job) => job.submit_chunk(&mut sim, k),
-                JobState::External(job) => job.submit_chunk(&mut sim, k),
-                JobState::Failed => unreachable!("failed jobs have zero chunks"),
-            }
-        }
-    }
-    for state in &mut jobs {
-        match state {
-            JobState::Decompress(job) => job.finish_submission(&mut sim),
-            JobState::External(job) => job.finish_submission(&mut sim),
-            _ => {}
-        }
-    }
-
-    let trace = timed_run(&mut sim, Payloads::for_adapter(work.as_ref()));
-
-    for (state, slot) in jobs.into_iter().zip(outputs.iter_mut()) {
-        match state {
-            JobState::Compress(job) => {
-                *slot = Some(job.finish().map(BatchOutput::Compressed));
-            }
-            JobState::Decompress(job) => {
-                *slot = Some(
-                    job.finish()
-                        .map(|(bytes, meta)| BatchOutput::Restored(bytes, meta)),
-                );
-            }
-            JobState::External(job) => {
-                *slot = Some(
-                    job.finish()
-                        .map(|(bytes, meta)| BatchOutput::Restored(bytes, meta)),
-                );
-            }
-            JobState::Failed => debug_assert!(slot.is_some()),
-        }
-    }
-    let results = outputs
+) -> (Vec<Result<BatchOutput>>, BatchReport) {
+    let raw_bytes = items.iter().map(|item| item.raw_bytes).sum();
+    let (mut sim, devices) = node(spec, 1);
+    let mut jobs: Vec<Result<MemberJob<'a>>> = items
         .into_iter()
-        .map(|slot| slot.ok_or_else(|| HpdrError::invalid("batch job produced no result")))
-        .map(|r| r.and_then(|inner| inner))
+        .map(|item| (item.build)(&mut sim, devices[0], Arc::clone(&work), opts))
         .collect();
-    Ok((
-        results,
-        BatchReport {
-            makespan: trace.makespan(),
-            raw_bytes,
-            num_chunks: total_chunks,
-            trace,
-        },
-    ))
+    let mut built: Vec<_> = jobs
+        .iter_mut()
+        .filter_map(|job| job.as_deref_mut().ok())
+        .collect();
+    let num_chunks = submit(&mut sim, &mut built);
+    let trace = timed_run(&mut sim, Payloads::for_adapter(work.as_ref()));
+    let results = jobs
+        .into_iter()
+        .map(|job| job.and_then(|job| job.finish()))
+        .collect();
+    let report = BatchReport {
+        makespan: trace.makespan(),
+        raw_bytes,
+        num_chunks,
+        trace,
+    };
+    (results, report)
 }
 
 #[cfg(test)]
@@ -298,13 +178,9 @@ mod tests {
         let inputs: Vec<_> = (0..3).map(|s| item(16, s)).collect();
         let items = inputs
             .iter()
-            .map(|(input, meta)| BatchItem::Compress {
-                reducer: zfp(),
-                input: Arc::clone(input),
-                meta: meta.clone(),
-            })
+            .map(|(input, meta)| BatchItem::compress(zfp(), Arc::clone(input), meta.clone()))
             .collect();
-        let (results, report) = run_batch(&spec, work(), items, &opts).unwrap();
+        let (results, report) = run_batch(&spec, work(), items, &opts);
         assert_eq!(results.len(), 3);
         assert!(report.makespan > Ns::ZERO);
         assert!(report.num_chunks >= 3);
@@ -341,17 +217,10 @@ mod tests {
         )
         .unwrap();
         let items = vec![
-            BatchItem::Compress {
-                reducer: zfp(),
-                input: Arc::clone(&input),
-                meta: meta.clone(),
-            },
-            BatchItem::Decompress {
-                reducer: zfp(),
-                container,
-            },
+            BatchItem::compress(zfp(), Arc::clone(&input), meta.clone()),
+            BatchItem::decompress(zfp(), &container),
         ];
-        let (mut results, report) = run_batch(&spec, work(), items, &opts).unwrap();
+        let (mut results, report) = run_batch(&spec, work(), items, &opts);
         assert_eq!(report.raw_bytes, 2 * input.len() as u64);
         let BatchOutput::Restored(bytes, rmeta) = results.pop().unwrap().unwrap() else {
             panic!("expected restored output");
@@ -370,19 +239,12 @@ mod tests {
         let opts = PipelineOptions::fixed(16 * 1024);
         let (input, meta) = item(8, 1);
         let bad_meta = ArrayMeta::new(DType::F64, meta.shape.clone()); // wrong byte count
+        let huffman = || Arc::new(ByteHuffmanReducer::default());
         let items = vec![
-            BatchItem::Compress {
-                reducer: Arc::new(ByteHuffmanReducer::default()),
-                input: Arc::clone(&input),
-                meta: bad_meta,
-            },
-            BatchItem::Compress {
-                reducer: Arc::new(ByteHuffmanReducer::default()),
-                input: Arc::clone(&input),
-                meta,
-            },
+            BatchItem::compress(huffman(), Arc::clone(&input), bad_meta),
+            BatchItem::compress(huffman(), Arc::clone(&input), meta),
         ];
-        let (results, _) = run_batch(&spec, work(), items, &opts).unwrap();
+        let (results, _) = run_batch(&spec, work(), items, &opts);
         assert!(results[0].is_err());
         assert!(results[1].is_ok());
     }
@@ -394,8 +256,7 @@ mod tests {
             work(),
             Vec::new(),
             &PipelineOptions::default(),
-        )
-        .unwrap();
+        );
         assert!(results.is_empty());
         assert_eq!(report.makespan, Ns::ZERO);
     }
@@ -409,13 +270,9 @@ mod tests {
         let inputs: Vec<_> = (0..6).map(|s| item(12, s)).collect();
         let items = inputs
             .iter()
-            .map(|(input, meta)| BatchItem::Compress {
-                reducer: zfp(),
-                input: Arc::clone(input),
-                meta: meta.clone(),
-            })
+            .map(|(input, meta)| BatchItem::compress(zfp(), Arc::clone(input), meta.clone()))
             .collect();
-        let (_, shared) = run_batch(&spec, work(), items, &opts).unwrap();
+        let (_, shared) = run_batch(&spec, work(), items, &opts);
         let solo_total: Ns = inputs
             .iter()
             .map(|(input, meta)| {

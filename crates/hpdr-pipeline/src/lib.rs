@@ -11,6 +11,14 @@
 //! portable kernels run inside op payloads, so the output containers hold
 //! real compressed bytes, and each run's span trace, the one record of
 //! its executed ops, gives the overlap ratios and time breakdowns.
+//!
+//! Every launch goes through one job interface, [`ChunkJob`]: a
+//! reduction, a reconstruction, or (from `hpdr-progressive`) a
+//! progressive retrieval. One submission loop interleaves any set of
+//! jobs into one simulator, so a single-device run ([`plan`]), a shared
+//! serving launch ([`run_batch`]) and a multi-GPU node build their DAGs
+//! one way, and every job rotates its chunks over queues and buffer sets
+//! with [`Rotation`].
 
 pub mod batch;
 pub mod container;
@@ -18,9 +26,7 @@ pub mod multigpu;
 pub mod roofline;
 pub mod runner;
 
-pub use batch::{
-    run_batch, BatchItem, BatchOutput, BatchReport, ExternalBatchJob, SubmittedBatchJob,
-};
+pub use batch::{run_batch, BatchItem, BatchOutput, BatchReport};
 pub use container::{fixed_chunks, Container};
 pub use multigpu::{
     average_scalability, compress_multi_gpu, decompress_multi_gpu, decompress_scalability_sweep,
@@ -28,8 +34,8 @@ pub use multigpu::{
 };
 pub use roofline::{adaptive_chunks, default_sweep, fit, profile_kernel, theta, Roofline};
 pub use runner::{
-    compress_pipelined, decompress_pipelined, plan_compress, plan_decompress, PipelineMode,
-    PipelineOptions, PipelineReport,
+    compress_pipelined, decompress_pipelined, plan, plan_compress, plan_decompress, ChunkJob,
+    PipelineMode, PipelineOptions, PipelineReport, Rotation,
 };
 
 #[cfg(test)]
@@ -306,24 +312,22 @@ mod tests {
     #[test]
     fn multigpu_cmm_scales_better_than_no_cmm() {
         let (input, meta) = nyx_small();
-        let mk = || Arc::clone(&input);
         let good = scalability_sweep(
             &v100(),
             4,
             work(),
             mgard(),
-            mk,
+            Arc::clone(&input),
             &meta,
             &PipelineOptions::fixed(32 * 1024),
         )
         .unwrap();
-        let mk2 = || Arc::clone(&input);
         let bad = scalability_sweep(
             &v100(),
             4,
             work(),
             mgard(),
-            mk2,
+            input,
             &meta,
             &PipelineOptions {
                 cmm: false,

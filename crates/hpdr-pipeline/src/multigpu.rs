@@ -5,10 +5,13 @@
 //! HPDR performs no per-chunk allocator traffic and scales near-ideally;
 //! with it disabled (the comparators' behaviour), the shared lock
 //! throttles every device. Chunk submissions are interleaved round-robin
-//! across devices, matching concurrent host threads launching work.
+//! across devices by `submit`, matching concurrent host threads
+//! launching work.
 
 use crate::container::Container;
-use crate::runner::{timed_run, CompressJob, DecompressJob, Payloads, PipelineOptions};
+use crate::runner::{
+    node, submit, timed_run, ChunkJob, CompressJob, DecompressJob, Payloads, PipelineOptions,
+};
 use hpdr_core::{ArrayMeta, DeviceAdapter, Reducer, Result, WorkerPool};
 use hpdr_sim::{DeviceId, DeviceSpec, Ns, Sim, Trace};
 use std::sync::Arc;
@@ -30,20 +33,52 @@ pub struct MultiGpuReport {
     pub trace: Trace,
 }
 
-/// Run a multi-device DAG on the serial executor (one participant) and
-/// read every device's overlap off its trace.
-fn run_serially(sim: &mut Sim<'_>, devices: &[DeviceId]) -> (Trace, Vec<Option<f64>>) {
+/// Build job `i` on device `i` of an `n`-device node, submit them all,
+/// run the DAG on the serial executor (one participant), and read every
+/// device's overlap off the trace.
+fn run_node<'a, J: ChunkJob<'a>>(
+    spec: &DeviceSpec,
+    n: usize,
+    mut new_job: impl FnMut(&mut Sim<'a>, DeviceId, usize) -> Result<J>,
+) -> Result<(Vec<J>, Trace, Vec<Option<f64>>)> {
+    let (mut sim, devices) = node(spec, n);
+    let mut jobs = devices
+        .iter()
+        .enumerate()
+        .map(|(i, &dev)| new_job(&mut sim, dev, i))
+        .collect::<Result<Vec<J>>>()?;
+    submit(&mut sim, &mut jobs.iter_mut().collect::<Vec<_>>());
     let serial = Payloads {
         pool: WorkerPool::global(),
         participants: 1,
     };
-    let trace = timed_run(sim, serial);
+    let trace = timed_run(&mut sim, serial);
     let mut scratch = hpdr_trace::DigestScratch::default();
     let overlaps = devices
         .iter()
         .map(|&d| hpdr_trace::digest_with(&trace, d, &mut scratch).overlap)
         .collect();
-    (trace, overlaps)
+    Ok((jobs, trace, overlaps))
+}
+
+impl MultiGpuReport {
+    fn new(
+        input_bytes: u64,
+        compressed_bytes: u64,
+        trace: Trace,
+        overlaps: Vec<Option<f64>>,
+    ) -> MultiGpuReport {
+        let makespan = trace.makespan();
+        MultiGpuReport {
+            input_bytes,
+            compressed_bytes,
+            makespan,
+            aggregate_gbps: hpdr_sim::gbps(input_bytes, makespan),
+            num_devices: overlaps.len(),
+            overlaps,
+            trace,
+        }
+    }
 }
 
 /// Compress one array per device, all devices sharing a runtime.
@@ -58,58 +93,19 @@ pub fn compress_multi_gpu(
     opts: &PipelineOptions,
 ) -> Result<(Vec<Container>, MultiGpuReport)> {
     assert_eq!(inputs.len(), n_devices, "one input per device");
-    let mut sim = Sim::new();
-    let rt = sim.add_runtime();
-    let devices: Vec<_> = (0..n_devices)
-        .map(|_| sim.add_device(spec.clone(), rt))
-        .collect();
-    let input_bytes: u64 = inputs.iter().map(|i| i.len() as u64).sum();
-
-    let mut jobs: Vec<CompressJob> = devices
-        .iter()
-        .zip(inputs)
-        .map(|(&dev, input)| {
-            CompressJob::new(
-                &mut sim,
-                dev,
-                Arc::clone(&reducer),
-                Arc::clone(&work),
-                input,
-                meta.clone(),
-                *opts,
-            )
-        })
-        .collect::<Result<_>>()?;
-
-    // Round-robin interleaved submission across devices (concurrent host
-    // threads each driving one GPU).
-    let max_chunks = jobs.iter().map(|j| j.num_chunks()).max().unwrap_or(0);
-    for k in 0..max_chunks {
-        for job in jobs.iter_mut() {
-            if k < job.num_chunks() {
-                job.submit_chunk(&mut sim, k);
-            }
-        }
-    }
-    let (trace, overlaps) = run_serially(&mut sim, &devices);
-    let makespan = trace.makespan();
+    let input_bytes = inputs.iter().map(|i| i.len() as u64).sum();
+    let (jobs, trace, overlaps) = run_node(spec, n_devices, |sim, dev, i| {
+        let (reducer, work) = (Arc::clone(&reducer), Arc::clone(&work));
+        let input = Arc::clone(&inputs[i]);
+        CompressJob::new(sim, dev, reducer, work, input, meta.clone(), *opts)
+    })?;
     let containers: Vec<Container> = jobs
         .into_iter()
-        .map(|j| j.finish())
+        .map(CompressJob::into_container)
         .collect::<Result<_>>()?;
     let compressed_bytes = containers.iter().map(|c| c.total_stream_bytes()).sum();
-    Ok((
-        containers,
-        MultiGpuReport {
-            input_bytes,
-            compressed_bytes,
-            makespan,
-            aggregate_gbps: hpdr_sim::gbps(input_bytes, makespan),
-            overlaps,
-            num_devices: n_devices,
-            trace,
-        },
-    ))
+    let report = MultiGpuReport::new(input_bytes, compressed_bytes, trace, overlaps);
+    Ok((containers, report))
 }
 
 /// Reconstruct one container per device, all devices sharing a runtime.
@@ -118,67 +114,46 @@ pub fn decompress_multi_gpu(
     n_devices: usize,
     work: Arc<dyn DeviceAdapter>,
     reducer: Arc<dyn Reducer>,
-    containers: &[Container],
+    containers: &[&Container],
     opts: &PipelineOptions,
 ) -> Result<(Vec<Vec<u8>>, MultiGpuReport)> {
     assert_eq!(containers.len(), n_devices, "one container per device");
-    let mut sim = Sim::new();
-    let rt = sim.add_runtime();
-    let devices: Vec<_> = (0..n_devices)
-        .map(|_| sim.add_device(spec.clone(), rt))
-        .collect();
-    let compressed_bytes: u64 = containers.iter().map(|c| c.total_stream_bytes()).sum();
-
-    let mut jobs: Vec<DecompressJob> = devices
-        .iter()
-        .zip(containers)
-        .map(|(&dev, container)| {
-            DecompressJob::new(
-                &mut sim,
-                dev,
-                Arc::clone(&reducer),
-                Arc::clone(&work),
-                container,
-                *opts,
-            )
-        })
+    let compressed_bytes = containers.iter().map(|c| c.total_stream_bytes()).sum();
+    let (jobs, trace, overlaps) = run_node(spec, n_devices, |sim, dev, i| {
+        let (reducer, work) = (Arc::clone(&reducer), Arc::clone(&work));
+        DecompressJob::new(sim, dev, reducer, work, containers[i], *opts)
+    })?;
+    let outputs: Vec<Vec<u8>> = jobs
+        .into_iter()
+        .map(|job| job.into_output().map(|(bytes, _)| bytes))
         .collect::<Result<_>>()?;
-
-    let max_chunks = jobs.iter().map(|j| j.num_chunks()).max().unwrap_or(0);
-    for k in 0..max_chunks {
-        for job in jobs.iter_mut() {
-            if k < job.num_chunks() {
-                job.submit_chunk(&mut sim, k);
-            }
-        }
-    }
-    for job in jobs.iter_mut() {
-        job.finish_submission(&mut sim);
-    }
-    let (trace, overlaps) = run_serially(&mut sim, &devices);
-    let makespan = trace.makespan();
-    let mut outputs = Vec::with_capacity(n_devices);
-    let mut input_bytes = 0u64;
-    for job in jobs {
-        let (bytes, _) = job.finish()?;
-        input_bytes += bytes.len() as u64;
-        outputs.push(bytes);
-    }
-    Ok((
-        outputs,
-        MultiGpuReport {
-            input_bytes,
-            compressed_bytes,
-            makespan,
-            aggregate_gbps: hpdr_sim::gbps(input_bytes, makespan),
-            overlaps,
-            num_devices: n_devices,
-            trace,
-        },
-    ))
+    let input_bytes = outputs.iter().map(|o| o.len() as u64).sum();
+    let report = MultiGpuReport::new(input_bytes, compressed_bytes, trace, overlaps);
+    Ok((outputs, report))
 }
 
-/// Fig. 16's decompression counterpart of [`scalability_sweep`].
+/// Scalability study: run 1..=max_devices and report
+/// `(devices, aggregate_gbps, real_to_ideal_ratio)` — the paper's
+/// Fig. 16 metric, where ideal speed is `single-device × N`. Every device
+/// compresses `input`.
+pub fn scalability_sweep(
+    spec: &DeviceSpec,
+    max_devices: usize,
+    work: Arc<dyn DeviceAdapter>,
+    reducer: Arc<dyn Reducer>,
+    input: Arc<Vec<u8>>,
+    meta: &ArrayMeta,
+    opts: &PipelineOptions,
+) -> Result<Vec<(usize, f64, f64)>> {
+    sweep(max_devices, |n| {
+        let (work, reducer) = (Arc::clone(&work), Arc::clone(&reducer));
+        let inputs = vec![Arc::clone(&input); n];
+        compress_multi_gpu(spec, n, work, reducer, inputs, meta, opts).map(|(_, r)| r)
+    })
+}
+
+/// Fig. 16's decompression counterpart of [`scalability_sweep`]: every
+/// device reconstructs `container`.
 pub fn decompress_scalability_sweep(
     spec: &DeviceSpec,
     max_devices: usize,
@@ -187,57 +162,25 @@ pub fn decompress_scalability_sweep(
     container: &Container,
     opts: &PipelineOptions,
 ) -> Result<Vec<(usize, f64, f64)>> {
-    let mut out = Vec::new();
-    let mut single = 0.0f64;
-    for n in 1..=max_devices {
-        let containers: Vec<Container> = (0..n).map(|_| container.clone()).collect();
-        let (_, report) = decompress_multi_gpu(
-            spec,
-            n,
-            Arc::clone(&work),
-            Arc::clone(&reducer),
-            &containers,
-            opts,
-        )?;
-        if n == 1 {
-            single = report.aggregate_gbps;
-        }
-        let ideal = single * n as f64;
-        out.push((n, report.aggregate_gbps, report.aggregate_gbps / ideal));
-    }
-    Ok(out)
+    sweep(max_devices, |n| {
+        let (work, reducer) = (Arc::clone(&work), Arc::clone(&reducer));
+        decompress_multi_gpu(spec, n, work, reducer, &vec![container; n], opts).map(|(_, r)| r)
+    })
 }
 
-/// Scalability study: run 1..=max_devices and report
-/// `(devices, aggregate_gbps, real_to_ideal_ratio)` — the paper's
-/// Fig. 16 metric, where ideal speed is `single-device × N`.
-pub fn scalability_sweep(
-    spec: &DeviceSpec,
+fn sweep(
     max_devices: usize,
-    work: Arc<dyn DeviceAdapter>,
-    reducer: Arc<dyn Reducer>,
-    make_input: impl Fn() -> Arc<Vec<u8>>,
-    meta: &ArrayMeta,
-    opts: &PipelineOptions,
+    mut run: impl FnMut(usize) -> Result<MultiGpuReport>,
 ) -> Result<Vec<(usize, f64, f64)>> {
     let mut out = Vec::new();
     let mut single = 0.0f64;
     for n in 1..=max_devices {
-        let inputs: Vec<Arc<Vec<u8>>> = (0..n).map(|_| make_input()).collect();
-        let (_, report) = compress_multi_gpu(
-            spec,
-            n,
-            Arc::clone(&work),
-            Arc::clone(&reducer),
-            inputs,
-            meta,
-            opts,
-        )?;
+        let gbps = run(n)?.aggregate_gbps;
         if n == 1 {
-            single = report.aggregate_gbps;
+            single = gbps;
         }
         let ideal = single * n as f64;
-        out.push((n, report.aggregate_gbps, report.aggregate_gbps / ideal));
+        out.push((n, gbps, gbps / ideal));
     }
     Ok(out)
 }

@@ -23,6 +23,7 @@
 //! compressed bytes); engine occupancy is charged from the device's
 //! calibrated cost models.
 
+use crate::batch::BatchOutput;
 use crate::container::{fixed_chunks, Container};
 use crate::roofline::{adaptive_chunks, default_sweep, fit, profile_kernel, Roofline};
 use hpdr_core::{ArrayMeta, DeviceAdapter, HpdrError, LowestError, Reducer, Result, WorkerPool};
@@ -221,14 +222,244 @@ fn chunk_schedule(
     }
 }
 
-/// State shared between the DAG payloads of one device's compression run.
-pub(crate) struct CompressJob {
-    pub dev: DeviceId,
+/// One chunked HDEM job on one device: a reduction, a reconstruction or
+/// a progressive retrieval. `submit` interleaves any set of them into
+/// one [`Sim`], so single-device runs, plans, shared launches and
+/// multi-GPU nodes all build their DAGs one way.
+pub trait ChunkJob<'a> {
+    /// Chunks the job submits (a retrieval's components).
+    fn num_chunks(&self) -> usize;
+    /// Submit chunk `k`'s ops; a job's chunks are submitted in order.
+    fn submit_chunk(&mut self, sim: &mut Sim<'a>, k: usize);
+    /// Submit the ops that follow the last chunk (none by default).
+    fn finish_submission(&mut self, _sim: &mut Sim<'a>) {}
+    /// Collect the job's output after `sim.run()`.
+    fn finish(self: Box<Self>) -> Result<BatchOutput>;
+}
+
+/// Submit chunk `k` of every job before chunk `k + 1` of any job, then
+/// each job's trailing ops, in list order; return the chunks submitted.
+/// With one job this is chunk order; with many it lets one job's H2D
+/// ride under another's compute, as concurrent host threads would.
+pub(crate) fn submit<'a, J>(sim: &mut Sim<'a>, jobs: &mut [&mut J]) -> usize
+where
+    J: ChunkJob<'a> + ?Sized,
+{
+    let rounds = jobs.iter().map(|job| job.num_chunks()).max().unwrap_or(0);
+    let mut submitted = 0;
+    for k in 0..rounds {
+        for job in jobs.iter_mut().filter(|job| k < job.num_chunks()) {
+            job.submit_chunk(sim, k);
+            submitted += 1;
+        }
+    }
+    for job in jobs.iter_mut() {
+        job.finish_submission(sim);
+    }
+    submitted
+}
+
+/// A simulator of `n` devices of `spec` sharing one runtime: a dense
+/// multi-GPU node, or with `n = 1` one device of its own.
+pub(crate) fn node<'a>(spec: &DeviceSpec, n: usize) -> (Sim<'a>, Vec<DeviceId>) {
+    let mut sim = Sim::new();
+    let rt = sim.add_runtime();
+    let devices = (0..n).map(|_| sim.add_device(spec.clone(), rt)).collect();
+    (sim, devices)
+}
+
+/// Build one job on a device of its own and submit it **without
+/// executing it**: run the simulator for the job's output, or hand its
+/// schedule to [`hpdr_sim::Sim::dag`] for offline verification.
+pub fn plan<'a, J: ChunkJob<'a>>(
+    spec: &DeviceSpec,
+    build: impl FnOnce(&mut Sim<'a>, DeviceId) -> Result<J>,
+) -> Result<(Sim<'a>, J)> {
+    let (mut sim, devices) = node(spec, 1);
+    let mut job = build(&mut sim, devices[0])?;
+    submit(&mut sim, &mut [&mut job]);
+    Ok((sim, job))
+}
+
+/// How one job's chunks rotate over its three queues and its buffer sets
+/// (Fig. 9): chunk `k` runs on queue `k mod 3` with buffer set
+/// `k mod sets`, and with anti-dependencies its H2D waits for the op that
+/// last read that set, `sets` chunks earlier.
+pub struct Rotation {
     queues: [QueueId; 3],
+    sets: usize,
+    serial: bool,
+    anti_deps: bool,
+}
+
+impl Rotation {
+    /// Three new queues in `sim`, and two buffer sets with
+    /// anti-dependencies or three without. `serial` sends every chunk
+    /// through the first queue and set, with no anti-dependencies.
+    pub fn new(sim: &mut Sim, two_buffers: bool, serial: bool) -> Rotation {
+        Rotation {
+            queues: [sim.add_queue(), sim.add_queue(), sim.add_queue()],
+            sets: if two_buffers { 2 } else { 3 },
+            serial,
+            anti_deps: two_buffers && !serial,
+        }
+    }
+
+    /// Buffer sets the job allocates.
+    pub fn sets(&self) -> usize {
+        self.sets
+    }
+
+    pub fn queue(&self, k: usize) -> QueueId {
+        self.queues[if self.serial { 0 } else { k % 3 }]
+    }
+
+    pub fn set(&self, k: usize) -> usize {
+        if self.serial {
+            0
+        } else {
+            k % self.sets
+        }
+    }
+
+    /// Chunk `k`'s H2D dependencies: the op that last read its buffer
+    /// set, from `readers` (each earlier chunk's, once submitted).
+    pub fn anti_dep(&self, k: usize, readers: &[OpId]) -> Vec<OpId> {
+        match k.checked_sub(self.sets) {
+            Some(prev) if self.anti_deps => readers.get(prev).copied().into_iter().collect(),
+            _ => Vec::new(),
+        }
+    }
+}
+
+/// What the chunks of one reduction or reconstruction share: the device,
+/// the rotation over queues and buffer sets, and the ops the options add
+/// around each chunk's transfers and kernel.
+struct Lanes {
+    dev: DeviceId,
+    rotation: Rotation,
     in_bufs: Vec<BufId>,
     out_bufs: Vec<BufId>,
+    opts: PipelineOptions,
+}
+
+impl Lanes {
+    /// Queues and buffer sets: input buffers of `in_bytes`, output
+    /// buffers sized by what the kernels produce.
+    fn new(sim: &mut Sim, dev: DeviceId, opts: PipelineOptions, in_bytes: usize) -> Lanes {
+        let rotation = Rotation::new(sim, opts.two_buffers, opts.serial_queue);
+        let in_bufs = (0..rotation.sets)
+            .map(|_| sim.create_buffer(dev, in_bytes))
+            .collect();
+        let out_bufs = (0..rotation.sets)
+            .map(|_| sim.create_buffer(dev, 0))
+            .collect();
+        Lanes {
+            dev,
+            rotation,
+            in_bufs,
+            out_bufs,
+            opts,
+        }
+    }
+
+    /// Chunk `k`'s queue, input buffer and output buffer.
+    fn at(&self, k: usize) -> (QueueId, BufId, BufId) {
+        let j = self.rotation.set(k);
+        (self.rotation.queue(k), self.in_bufs[j], self.out_bufs[j])
+    }
+
+    fn runtime_op(
+        &self,
+        sim: &mut Sim,
+        label: String,
+        queue: Option<QueueId>,
+        deps: Vec<OpId>,
+        cost: &Cost,
+    ) -> OpId {
+        let engine = Engine::Runtime(sim.device_runtime(self.dev));
+        let op = OpSpec {
+            engine,
+            queue,
+            deps,
+            cost: cost.clone(),
+            label,
+            effects: Effects::none(),
+        };
+        sim.push(op, None)
+    }
+
+    /// CMM off: chunk `k` is a fresh invocation. It frees the previous
+    /// invocation's workspaces lazily once `prev` (that invocation's last
+    /// op) is done, then allocates its own through the shared runtime
+    /// (timing ops; the backing store is preallocated).
+    fn invocation(&self, sim: &mut Sim, k: usize, q: QueueId, prev: Option<OpId>) {
+        if self.opts.cmm {
+            return;
+        }
+        let device = self.dev;
+        let (free, alloc) = (Cost::Free { device }, Cost::Alloc { device });
+        if let Some(prev) = prev {
+            // One synchronizing free: cudaFree holds the allocator lock
+            // while waiting for the device's pending work, so every later
+            // lock request (from any device) queues behind it.
+            self.runtime_op(sim, format!("syncfree[{k}]"), Some(q), vec![prev], &free);
+            for f in 0..NOCMM_ALLOCS {
+                self.runtime_op(sim, format!("free[{k}.{f}]"), None, vec![prev], &free);
+            }
+        }
+        for a in 0..NOCMM_ALLOCS / 2 {
+            self.runtime_op(sim, format!("alloc[{k}.{a}]"), Some(q), vec![], &alloc);
+        }
+    }
+
+    /// CMM off: workspace allocations `label[k.a]` issued mid-pipeline,
+    /// each holding the shared allocator's FIFO slot until `deps`
+    /// complete — the cross-device contention the CMM removes. Returns
+    /// the last, which the next stage waits for.
+    fn allocs(&self, sim: &mut Sim, label: &str, k: usize, deps: &[OpId]) -> Option<OpId> {
+        if self.opts.cmm {
+            return None;
+        }
+        let alloc = Cost::Alloc { device: self.dev };
+        let mut last = None;
+        for a in 0..NOCMM_ALLOCS / 2 {
+            let label = format!("{label}[{k}.{a}]");
+            last = Some(self.runtime_op(sim, label, None, deps.to_vec(), &alloc));
+        }
+        last
+    }
+
+    /// Host staging on: a pageable host copy `label[k]` of `bytes`
+    /// after `deps`.
+    fn stage(
+        &self,
+        sim: &mut Sim,
+        label: &str,
+        k: usize,
+        q: QueueId,
+        deps: Vec<OpId>,
+        bytes: Arc<AtomicU64>,
+    ) {
+        if self.opts.host_staging {
+            let op = OpSpec {
+                engine: Engine::Staging(self.dev),
+                queue: Some(q),
+                deps,
+                cost: Cost::HostCopy { bytes },
+                label: format!("{label}[{k}]"),
+                effects: Effects::none(),
+            };
+            sim.push(op, None);
+        }
+    }
+}
+
+/// State shared between the DAG payloads of one device's compression run.
+pub(crate) struct CompressJob {
+    lanes: Lanes,
     /// `(row_start, rows)` per chunk.
-    pub chunks: Vec<(usize, usize)>,
+    chunks: Vec<(usize, usize)>,
     input: Arc<Vec<u8>>,
     meta: ArrayMeta,
     reducer: Arc<dyn Reducer>,
@@ -236,7 +467,6 @@ pub(crate) struct CompressJob {
     results: Arc<Mutex<Vec<Option<Vec<u8>>>>>,
     error: Arc<LowestError>,
     s_ops: Vec<OpId>,
-    opts: PipelineOptions,
     row_bytes: usize,
 }
 
@@ -263,18 +493,9 @@ impl CompressJob {
             chunks.push((start, rows));
             start += rows;
         }
-        let n_buf = if opts.two_buffers { 2 } else { 3 };
-        let queues = [sim.add_queue(), sim.add_queue(), sim.add_queue()];
-        let in_bufs: Vec<BufId> = (0..n_buf)
-            .map(|_| sim.create_buffer(dev, max_chunk_bytes))
-            .collect();
-        let out_bufs: Vec<BufId> = (0..n_buf).map(|_| sim.create_buffer(dev, 0)).collect();
         let n = chunks.len();
         Ok(CompressJob {
-            dev,
-            queues,
-            in_bufs,
-            out_bufs,
+            lanes: Lanes::new(sim, dev, opts, max_chunk_bytes),
             chunks,
             input,
             meta,
@@ -283,108 +504,57 @@ impl CompressJob {
             results: Arc::new(Mutex::new(vec![None; n])),
             error: Arc::new(LowestError::default()),
             s_ops: Vec::with_capacity(n),
-            opts,
             row_bytes,
         })
     }
 
-    pub fn num_chunks(&self) -> usize {
+    /// Collect the container after `sim.run()`.
+    pub fn into_container(self) -> Result<Container> {
+        if let Some(e) = self.error.take() {
+            return Err(e);
+        }
+        let results = Arc::try_unwrap(self.results)
+            .map_err(|_| HpdrError::invalid("pipeline results still shared"))?
+            .into_inner();
+        let mut chunks = Vec::with_capacity(results.len());
+        for ((_, rows), stream) in self.chunks.iter().zip(results) {
+            let stream =
+                stream.ok_or_else(|| HpdrError::invalid("chunk payload never executed"))?;
+            chunks.push((*rows, stream));
+        }
+        Ok(Container {
+            reducer: self.reducer.name().to_string(),
+            meta: self.meta,
+            chunks,
+        })
+    }
+}
+
+impl<'a> ChunkJob<'a> for CompressJob {
+    fn num_chunks(&self) -> usize {
         self.chunks.len()
     }
 
-    /// Submit chunk `k`'s ops (H2D → Reduce → Serialize/D2H).
-    pub fn submit_chunk(&mut self, sim: &mut Sim, k: usize) {
+    /// Chunk `k`'s ops (H2D → Reduce → Serialize/D2H).
+    fn submit_chunk(&mut self, sim: &mut Sim<'a>, k: usize) {
         let (row_start, rows) = self.chunks[k];
-        let q = if self.opts.serial_queue {
-            self.queues[0]
-        } else {
-            self.queues[k % 3]
-        };
-        let n_buf = self.in_bufs.len();
-        let j = if self.opts.serial_queue { 0 } else { k % n_buf };
         let chunk_bytes = rows * self.row_bytes;
         let byte_start = row_start * self.row_bytes;
-        let rt = sim.device_runtime(self.dev);
-
-        // CMM off: per-call workspace allocations through the shared
-        // runtime (timing ops; the backing store is preallocated). The
-        // previous invocation's workspaces are freed lazily here.
-        if !self.opts.cmm {
-            if k > 0 {
-                let prev_s = self.s_ops[k - 1];
-                // One synchronizing free: cudaFree holds the allocator
-                // lock while waiting for the device's pending work, so
-                // every later lock request (from any device) queues
-                // behind it.
-                sim.push(
-                    OpSpec {
-                        engine: Engine::Runtime(rt),
-                        queue: Some(q),
-                        deps: vec![prev_s],
-                        cost: Cost::Free { device: self.dev },
-                        label: format!("syncfree[{k}]"),
-                        effects: Effects::none(),
-                    },
-                    None,
-                );
-                for f in 0..NOCMM_ALLOCS {
-                    sim.push(
-                        OpSpec {
-                            engine: Engine::Runtime(rt),
-                            queue: None,
-                            deps: vec![prev_s],
-                            cost: Cost::Free { device: self.dev },
-                            label: format!("free[{k}.{f}]"),
-                            effects: Effects::none(),
-                        },
-                        None,
-                    );
-                }
-            }
-            for a in 0..NOCMM_ALLOCS / 2 {
-                sim.push(
-                    OpSpec {
-                        engine: Engine::Runtime(rt),
-                        queue: Some(q),
-                        deps: vec![],
-                        cost: Cost::Alloc { device: self.dev },
-                        label: format!("alloc[{k}.{a}]"),
-                        effects: Effects::none(),
-                    },
-                    None,
-                );
-            }
-        }
-
+        let lanes = &self.lanes;
+        let dev = lanes.dev;
+        let (q, in_buf, out_buf) = lanes.at(k);
+        lanes.invocation(sim, k, q, self.s_ops.last().copied());
         // Application buffer → reduction (staging) buffer host copy.
-        if self.opts.host_staging {
-            sim.push(
-                OpSpec {
-                    engine: Engine::Staging(self.dev),
-                    queue: Some(q),
-                    deps: vec![],
-                    cost: Cost::HostCopy {
-                        bytes: Arc::new(AtomicU64::new(chunk_bytes as u64)),
-                    },
-                    label: format!("stage-in[{k}]"),
-                    effects: Effects::none(),
-                },
-                None,
-            );
-        }
+        let staged = Arc::new(AtomicU64::new(chunk_bytes as u64));
+        lanes.stage(sim, "stage-in", k, q, vec![], staged);
 
-        // H2D with the Fig. 9 anti-dependency when running two buffers.
-        let mut deps = Vec::new();
-        if self.opts.two_buffers && !self.opts.serial_queue && k >= n_buf {
-            deps.push(self.s_ops[k - n_buf]);
-        }
-        let in_buf = self.in_bufs[j];
+        // H2D, behind the Fig. 9 anti-dependency on its buffer set.
         let input = Arc::clone(&self.input);
         let h2d = sim.push(
             OpSpec {
-                engine: Engine::H2D(self.dev),
+                engine: Engine::H2D(dev),
                 queue: Some(q),
-                deps,
+                deps: lanes.rotation.anti_dep(k, &self.s_ops),
                 cost: Cost::Transfer {
                     bytes: chunk_bytes as u64,
                 },
@@ -397,31 +567,11 @@ impl CompressJob {
             })),
         );
 
-        // Mid-pipeline allocations (workspace sized by the arrived data):
-        // each holds the shared allocator's FIFO slot until the transfer
-        // completes — the cross-device contention the CMM removes.
+        // Workspace sized by the arrived data.
         let mut compute_deps = vec![h2d];
-        if !self.opts.cmm {
-            for a in 0..NOCMM_ALLOCS / 2 {
-                let op = sim.push(
-                    OpSpec {
-                        engine: Engine::Runtime(rt),
-                        queue: None,
-                        deps: vec![h2d],
-                        cost: Cost::Alloc { device: self.dev },
-                        label: format!("midalloc[{k}.{a}]"),
-                        effects: Effects::none(),
-                    },
-                    None,
-                );
-                if a == NOCMM_ALLOCS / 2 - 1 {
-                    compute_deps.push(op);
-                }
-            }
-        }
+        compute_deps.extend(lanes.allocs(sim, "midalloc", k, &[h2d]));
 
         // Reduce.
-        let out_buf = self.out_bufs[j];
         let size_cell = Arc::new(AtomicU64::new(0));
         let chunk_meta = ArrayMeta::new(self.meta.dtype, self.meta.shape.with_leading(rows));
         let reducer = Arc::clone(&self.reducer);
@@ -430,7 +580,7 @@ impl CompressJob {
         let size_for_payload = Arc::clone(&size_cell);
         let compute = sim.push(
             OpSpec {
-                engine: Engine::Compute(self.dev),
+                engine: Engine::Compute(dev),
                 queue: Some(q),
                 deps: compute_deps,
                 cost: Cost::Kernel {
@@ -457,7 +607,7 @@ impl CompressJob {
         let size_for_stage = Arc::clone(&size_cell);
         let s = sim.push(
             OpSpec {
-                engine: Engine::D2H(self.dev),
+                engine: Engine::D2H(dev),
                 queue: Some(q),
                 deps: vec![compute],
                 cost: Cost::TransferDyn { bytes: size_cell },
@@ -469,43 +619,12 @@ impl CompressJob {
             })),
         );
         // Reduction buffer → I/O buffer host copy.
-        if self.opts.host_staging {
-            sim.push(
-                OpSpec {
-                    engine: Engine::Staging(self.dev),
-                    queue: Some(q),
-                    deps: vec![s],
-                    cost: Cost::HostCopy {
-                        bytes: size_for_stage,
-                    },
-                    label: format!("stage-out[{k}]"),
-                    effects: Effects::none(),
-                },
-                None,
-            );
-        }
+        lanes.stage(sim, "stage-out", k, q, vec![s], size_for_stage);
         self.s_ops.push(s);
     }
 
-    /// Collect the container after `sim.run()`.
-    pub fn finish(self) -> Result<Container> {
-        if let Some(e) = self.error.take() {
-            return Err(e);
-        }
-        let results = Arc::try_unwrap(self.results)
-            .map_err(|_| HpdrError::invalid("pipeline results still shared"))?
-            .into_inner();
-        let mut chunks = Vec::with_capacity(results.len());
-        for ((_, rows), stream) in self.chunks.iter().zip(results) {
-            let stream =
-                stream.ok_or_else(|| HpdrError::invalid("chunk payload never executed"))?;
-            chunks.push((*rows, stream));
-        }
-        Ok(Container {
-            reducer: self.reducer.name().to_string(),
-            meta: self.meta,
-            chunks,
-        })
+    fn finish(self: Box<Self>) -> Result<BatchOutput> {
+        self.into_container().map(BatchOutput::Compressed)
     }
 }
 
@@ -543,27 +662,18 @@ impl Output {
 /// State shared between the DAG payloads of one device's reconstruction.
 /// The H2D payloads read the chunk streams straight from the container.
 pub(crate) struct DecompressJob<'a> {
-    pub dev: DeviceId,
-    queues: [QueueId; 3],
-    in_bufs: Vec<BufId>,
-    out_bufs: Vec<BufId>,
+    lanes: Lanes,
     container: &'a Container,
     reducer: Arc<dyn Reducer>,
     work: Arc<dyn DeviceAdapter>,
     output: Arc<Mutex<Output>>,
     error: Arc<LowestError>,
     d2h_ops: Vec<OpId>,
-    /// Deferred output-copy spec when `deser_first` is on.
-    pending_out: Option<PendingOut>,
-    opts: PipelineOptions,
+    /// The chunk whose output copy is not submitted yet, and the op the
+    /// copy waits for (deferred behind the next deserialization when
+    /// `deser_first` is on).
+    pending_out: Option<(usize, OpId)>,
     row_bytes: usize,
-}
-
-struct PendingOut {
-    k: usize,
-    compute: OpId,
-    out_buf: BufId,
-    chunk_bytes: usize,
 }
 
 impl<'a> DecompressJob<'a> {
@@ -590,23 +700,14 @@ impl<'a> DecompressJob<'a> {
             .map(|(_, s)| s.len())
             .max()
             .unwrap_or(1);
-        let n_buf = if opts.two_buffers { 2 } else { 3 };
-        let queues = [sim.add_queue(), sim.add_queue(), sim.add_queue()];
-        let in_bufs: Vec<BufId> = (0..n_buf)
-            .map(|_| sim.create_buffer(dev, max_stream))
-            .collect();
         // Output buffers take each decoded chunk as it is produced: the
         // header's row counts are untrusted, so no device buffer is sized
         // by them, and the host output only within `PRESIZE_RATIO`.
-        let out_bufs: Vec<BufId> = (0..n_buf).map(|_| sim.create_buffer(dev, 0)).collect();
         let presize = meta
             .num_bytes()
             .min(PRESIZE_RATIO.saturating_mul(container.total_stream_bytes() as usize));
         Ok(DecompressJob {
-            dev,
-            queues,
-            in_bufs,
-            out_bufs,
+            lanes: Lanes::new(sim, dev, opts, max_stream),
             container,
             reducer,
             work,
@@ -618,40 +719,36 @@ impl<'a> DecompressJob<'a> {
             error: Arc::new(LowestError::default()),
             d2h_ops: Vec::new(),
             pending_out: None,
-            opts,
             row_bytes,
         })
     }
 
-    pub fn num_chunks(&self) -> usize {
-        self.container.chunks.len()
+    fn chunk_bytes(&self, k: usize) -> usize {
+        self.container.chunks[k].0 * self.row_bytes
     }
 
     fn push_pending_out(&mut self, sim: &mut Sim<'a>) {
-        let Some(p) = self.pending_out.take() else {
+        let Some((k, dep)) = self.pending_out.take() else {
             return;
         };
-        let q = if self.opts.serial_queue {
-            self.queues[0]
-        } else {
-            self.queues[p.k % 3]
-        };
+        let (q, _, out_buf) = self.lanes.at(k);
+        let chunk_bytes = self.chunk_bytes(k);
         let output = Arc::clone(&self.output);
-        let (k, out_buf, chunk_bytes) = (p.k, p.out_buf, p.chunk_bytes);
         let d2h = sim.push(
             OpSpec {
-                engine: Engine::D2H(self.dev),
+                engine: Engine::D2H(self.lanes.dev),
                 queue: Some(q),
-                deps: vec![p.compute],
+                deps: vec![dep],
                 cost: Cost::Transfer {
                     bytes: chunk_bytes as u64,
                 },
-                label: format!("D2Hout[{}]", p.k),
+                label: format!("D2Hout[{k}]"),
                 effects: Effects::read(out_buf),
             },
             Some(Box::new(move |pool| {
                 // A chunk that failed to decode left no output, and the
-                // chunks after it never land; `finish` reports the error.
+                // chunks after it never land; `into_output` reports the
+                // error.
                 let chunk = pool.get(out_buf);
                 if chunk.len() == chunk_bytes {
                     output.lock().land(k, chunk);
@@ -659,115 +756,53 @@ impl<'a> DecompressJob<'a> {
             })),
         );
         // Reduction buffer → application buffer host copy.
-        if self.opts.host_staging {
-            sim.push(
-                OpSpec {
-                    engine: Engine::Staging(self.dev),
-                    queue: Some(q),
-                    deps: vec![d2h],
-                    cost: Cost::HostCopy {
-                        bytes: Arc::new(AtomicU64::new(chunk_bytes as u64)),
-                    },
-                    label: format!("stage-out[{}]", p.k),
-                    effects: Effects::none(),
-                },
-                None,
-            );
-        }
+        let staged = Arc::new(AtomicU64::new(chunk_bytes as u64));
+        self.lanes.stage(sim, "stage-out", k, q, vec![d2h], staged);
         self.d2h_ops.push(d2h);
     }
 
-    /// Submit chunk `k`'s ops (H2D → Deser(D2H) → Reconstruct → D2H).
-    pub fn submit_chunk(&mut self, sim: &mut Sim<'a>, k: usize) {
-        let q = if self.opts.serial_queue {
-            self.queues[0]
-        } else {
-            self.queues[k % 3]
-        };
-        let n_buf = self.in_bufs.len();
-        let j = if self.opts.serial_queue { 0 } else { k % n_buf };
+    /// Collect the raw output bytes after `sim.run()`.
+    pub fn into_output(self) -> Result<(Vec<u8>, ArrayMeta)> {
+        if let Some(e) = self.error.take() {
+            return Err(e);
+        }
+        let out = Arc::try_unwrap(self.output)
+            .map_err(|_| HpdrError::invalid("pipeline output still shared"))?
+            .into_inner();
+        let meta = &self.container.meta;
+        if out.next != self.container.chunks.len() || out.bytes.len() != meta.num_bytes() {
+            return Err(HpdrError::corrupt("chunk outputs do not cover the array"));
+        }
+        Ok((out.bytes, meta.clone()))
+    }
+}
+
+impl<'a> ChunkJob<'a> for DecompressJob<'a> {
+    fn num_chunks(&self) -> usize {
+        self.container.chunks.len()
+    }
+
+    /// Chunk `k`'s ops (H2D → Deser(D2H) → Reconstruct → D2H).
+    fn submit_chunk(&mut self, sim: &mut Sim<'a>, k: usize) {
         let (rows, ref stream) = self.container.chunks[k];
         let stream: &'a [u8] = stream;
         let stream_len = stream.len();
-        let chunk_bytes = rows * self.row_bytes;
-        let rt = sim.device_runtime(self.dev);
-
-        if !self.opts.cmm {
-            // Lazy frees of the previous invocation's workspaces.
-            if let Some(&prev) = self.d2h_ops.last() {
-                sim.push(
-                    OpSpec {
-                        engine: Engine::Runtime(rt),
-                        queue: Some(q),
-                        deps: vec![prev],
-                        cost: Cost::Free { device: self.dev },
-                        label: format!("syncfree[{k}]"),
-                        effects: Effects::none(),
-                    },
-                    None,
-                );
-                for f in 0..NOCMM_ALLOCS {
-                    sim.push(
-                        OpSpec {
-                            engine: Engine::Runtime(rt),
-                            queue: None,
-                            deps: vec![prev],
-                            cost: Cost::Free { device: self.dev },
-                            label: format!("free[{k}.{f}]"),
-                            effects: Effects::none(),
-                        },
-                        None,
-                    );
-                }
-            }
-            for a in 0..NOCMM_ALLOCS / 2 {
-                sim.push(
-                    OpSpec {
-                        engine: Engine::Runtime(rt),
-                        queue: Some(q),
-                        deps: vec![],
-                        cost: Cost::Alloc { device: self.dev },
-                        label: format!("alloc[{k}.{a}]"),
-                        effects: Effects::none(),
-                    },
-                    None,
-                );
-            }
-        }
-
+        let chunk_bytes = self.chunk_bytes(k);
+        let lanes = &self.lanes;
+        let dev = lanes.dev;
+        let (q, in_buf, out_buf) = lanes.at(k);
+        lanes.invocation(sim, k, q, self.d2h_ops.last().copied());
         // I/O buffer → reduction buffer host copy of the compressed data.
-        if self.opts.host_staging {
-            sim.push(
-                OpSpec {
-                    engine: Engine::Staging(self.dev),
-                    queue: Some(q),
-                    deps: vec![],
-                    cost: Cost::HostCopy {
-                        bytes: Arc::new(AtomicU64::new(stream_len as u64)),
-                    },
-                    label: format!("stage-in[{k}]"),
-                    effects: Effects::none(),
-                },
-                None,
-            );
-        }
+        let staged = Arc::new(AtomicU64::new(stream_len as u64));
+        lanes.stage(sim, "stage-in", k, q, vec![], staged);
 
-        // H2D of the compressed chunk, with buffer anti-dependency.
-        let mut deps = Vec::new();
-        if self.opts.two_buffers
-            && !self.opts.serial_queue
-            && k >= n_buf
-            && self.d2h_ops.len() >= k + 1 - n_buf
-        {
-            // Output buffer of chunk k-n_buf must be drained first.
-            deps.push(self.d2h_ops[k - n_buf]);
-        }
-        let in_buf = self.in_bufs[j];
+        // H2D of the compressed chunk, once its buffer set's previous
+        // output has drained.
         let h2d = sim.push(
             OpSpec {
-                engine: Engine::H2D(self.dev),
+                engine: Engine::H2D(dev),
                 queue: Some(q),
-                deps,
+                deps: lanes.rotation.anti_dep(k, &self.d2h_ops),
                 cost: Cost::Transfer {
                     bytes: stream_len as u64,
                 },
@@ -784,7 +819,7 @@ impl<'a> DecompressJob<'a> {
         // the launch-order swap exists because of this op).
         let deser = sim.push(
             OpSpec {
-                engine: Engine::D2H(self.dev),
+                engine: Engine::D2H(dev),
                 queue: Some(q),
                 deps: vec![h2d],
                 cost: Cost::Transfer {
@@ -798,35 +833,16 @@ impl<'a> DecompressJob<'a> {
 
         // With deser_first, the *previous* chunk's output copy is issued
         // only now — after this chunk's deserialization (red arrows).
-        if self.opts.deser_first {
+        if self.lanes.opts.deser_first {
             self.push_pending_out(sim);
         }
+        let lanes = &self.lanes;
 
-        // Mid-pipeline allocations (the output workspace is sized from
-        // the deserialized metadata): each holds the allocator's FIFO
-        // slot while the compressed transfer and header read complete.
+        // The output workspace is sized from the deserialized metadata.
         let mut compute_deps = vec![deser];
-        if !self.opts.cmm {
-            for a in 0..NOCMM_ALLOCS / 2 {
-                let op = sim.push(
-                    OpSpec {
-                        engine: Engine::Runtime(rt),
-                        queue: None,
-                        deps: vec![h2d, deser],
-                        cost: Cost::Alloc { device: self.dev },
-                        label: format!("midalloc[{k}.{a}]"),
-                        effects: Effects::none(),
-                    },
-                    None,
-                );
-                if a == NOCMM_ALLOCS / 2 - 1 {
-                    compute_deps.push(op);
-                }
-            }
-        }
+        compute_deps.extend(lanes.allocs(sim, "midalloc", k, &[h2d, deser]));
 
         // Reconstruct.
-        let out_buf = self.out_bufs[j];
         let reducer = Arc::clone(&self.reducer);
         let work = Arc::clone(&self.work);
         let error = Arc::clone(&self.error);
@@ -834,7 +850,7 @@ impl<'a> DecompressJob<'a> {
         let expect_meta = ArrayMeta::new(meta.dtype, meta.shape.with_leading(rows));
         let compute = sim.push(
             OpSpec {
-                engine: Engine::Compute(self.dev),
+                engine: Engine::Compute(dev),
                 queue: Some(q),
                 deps: compute_deps,
                 cost: Cost::Kernel {
@@ -868,57 +884,21 @@ impl<'a> DecompressJob<'a> {
         // kernels (cuSZ/MGARD-GPU allocate per-stage scratch mid-kernel
         // sequence): they hold the allocator's FIFO slot while this
         // device reconstructs.
-        let mut out_dep = compute;
-        if !self.opts.cmm {
-            for a in 0..NOCMM_ALLOCS / 2 {
-                let op = sim.push(
-                    OpSpec {
-                        engine: Engine::Runtime(rt),
-                        queue: None,
-                        deps: vec![compute],
-                        cost: Cost::Alloc { device: self.dev },
-                        label: format!("outalloc[{k}.{a}]"),
-                        effects: Effects::none(),
-                    },
-                    None,
-                );
-                if a == NOCMM_ALLOCS / 2 - 1 {
-                    out_dep = op;
-                }
-            }
-        }
-        let pending = PendingOut {
-            k,
-            compute: out_dep,
-            out_buf,
-            chunk_bytes,
-        };
-        if self.opts.deser_first {
-            self.pending_out = Some(pending);
-        } else {
-            self.pending_out = Some(pending);
+        let out_dep = lanes.allocs(sim, "outalloc", k, &[compute]);
+        self.pending_out = Some((k, out_dep.unwrap_or(compute)));
+        if !self.lanes.opts.deser_first {
             self.push_pending_out(sim);
         }
     }
 
-    /// Flush the trailing deferred output op (call after the last chunk).
-    pub fn finish_submission(&mut self, sim: &mut Sim<'a>) {
+    /// Flush the trailing deferred output op.
+    fn finish_submission(&mut self, sim: &mut Sim<'a>) {
         self.push_pending_out(sim);
     }
 
-    /// Collect the raw output bytes after `sim.run()`.
-    pub fn finish(self) -> Result<(Vec<u8>, ArrayMeta)> {
-        if let Some(e) = self.error.take() {
-            return Err(e);
-        }
-        let out = Arc::try_unwrap(self.output)
-            .map_err(|_| HpdrError::invalid("pipeline output still shared"))?
-            .into_inner();
-        let meta = &self.container.meta;
-        if out.next != self.container.chunks.len() || out.bytes.len() != meta.num_bytes() {
-            return Err(HpdrError::corrupt("chunk outputs do not cover the array"));
-        }
-        Ok((out.bytes, meta.clone()))
+    fn finish(self: Box<Self>) -> Result<BatchOutput> {
+        let (bytes, meta) = self.into_output()?;
+        Ok(BatchOutput::Restored(bytes, meta))
     }
 }
 
@@ -933,13 +913,9 @@ pub fn plan_compress(
     meta: &ArrayMeta,
     opts: &PipelineOptions,
 ) -> Result<Sim<'static>> {
-    let mut sim = Sim::new();
-    let rt = sim.add_runtime();
-    let dev = sim.add_device(spec.clone(), rt);
-    let mut job = CompressJob::new(&mut sim, dev, reducer, work, input, meta.clone(), *opts)?;
-    for k in 0..job.num_chunks() {
-        job.submit_chunk(&mut sim, k);
-    }
+    let (sim, _) = plan(spec, |sim, dev| {
+        CompressJob::new(sim, dev, reducer, work, input, meta.clone(), *opts)
+    })?;
     Ok(sim)
 }
 
@@ -952,14 +928,9 @@ pub fn plan_decompress<'a>(
     container: &'a Container,
     opts: &PipelineOptions,
 ) -> Result<Sim<'a>> {
-    let mut sim = Sim::new();
-    let rt = sim.add_runtime();
-    let dev = sim.add_device(spec.clone(), rt);
-    let mut job = DecompressJob::new(&mut sim, dev, reducer, work, container, *opts)?;
-    for k in 0..job.num_chunks() {
-        job.submit_chunk(&mut sim, k);
-    }
-    job.finish_submission(&mut sim);
+    let (sim, _) = plan(spec, |sim, dev| {
+        DecompressJob::new(sim, dev, reducer, work, container, *opts)
+    })?;
     Ok(sim)
 }
 
@@ -1031,24 +1002,15 @@ pub(crate) fn compress_on(
     opts: &PipelineOptions,
     on: Payloads<'_>,
 ) -> Result<(Container, PipelineReport)> {
-    let mut sim = Sim::new();
-    let rt = sim.add_runtime();
-    let dev = sim.add_device(spec.clone(), rt);
     let input_bytes = input.len() as u64;
-    let mut job = CompressJob::new(&mut sim, dev, reducer, work, input, meta.clone(), *opts)?;
-    for k in 0..job.num_chunks() {
-        job.submit_chunk(&mut sim, k);
-    }
+    let (mut sim, job) = plan(spec, |sim, dev| {
+        CompressJob::new(sim, dev, reducer, work, input, meta.clone(), *opts)
+    })?;
     let trace = timed_run(&mut sim, on);
-    let chunks = job.num_chunks();
-    let container = job.finish()?;
-    let report = report_from(
-        trace,
-        dev,
-        input_bytes,
-        container.total_stream_bytes(),
-        chunks,
-    );
+    let (dev, chunks) = (job.lanes.dev, job.chunks.len());
+    let container = job.into_container()?;
+    let compressed = container.total_stream_bytes();
+    let report = report_from(trace, dev, input_bytes, compressed, chunks);
     Ok((container, report))
 }
 
@@ -1072,18 +1034,13 @@ pub(crate) fn decompress_on(
     opts: &PipelineOptions,
     on: Payloads<'_>,
 ) -> Result<(Vec<u8>, ArrayMeta, PipelineReport)> {
-    let mut sim = Sim::new();
-    let rt = sim.add_runtime();
-    let dev = sim.add_device(spec.clone(), rt);
-    let mut job = DecompressJob::new(&mut sim, dev, reducer, work, container, *opts)?;
-    for k in 0..job.num_chunks() {
-        job.submit_chunk(&mut sim, k);
-    }
-    job.finish_submission(&mut sim);
+    let (mut sim, job) = plan(spec, |sim, dev| {
+        DecompressJob::new(sim, dev, reducer, work, container, *opts)
+    })?;
     let trace = timed_run(&mut sim, on);
-    let chunks = job.num_chunks();
+    let (dev, chunks) = (job.lanes.dev, container.chunks.len());
+    let (bytes, meta) = job.into_output()?;
     let compressed = container.total_stream_bytes();
-    let (bytes, meta) = job.finish()?;
     let report = report_from(trace, dev, bytes.len() as u64, compressed, chunks);
     Ok((bytes, meta, report))
 }
@@ -1329,22 +1286,10 @@ mod tests {
         // participants, which a pool shared with other tests cannot
         // promise.
         let pool = WorkerPool::new(2);
-        let mut sim = Sim::new();
-        let rt = sim.add_runtime();
-        let dev = sim.add_device(spec.clone(), rt);
-        let mut job = DecompressJob::new(
-            &mut sim,
-            dev,
-            Arc::clone(&reducer) as _,
-            work,
-            &container,
-            opts,
-        )
+        let (mut sim, job) = plan(&spec, |sim, dev| {
+            DecompressJob::new(sim, dev, Arc::clone(&reducer) as _, work, &container, opts)
+        })
         .unwrap();
-        for k in 0..job.num_chunks() {
-            job.submit_chunk(&mut sim, k);
-        }
-        job.finish_submission(&mut sim);
         let _ = reducer.output.set(Arc::downgrade(&job.output));
         let trace = timed_run(
             &mut sim,
@@ -1353,7 +1298,7 @@ mod tests {
                 participants: 2,
             },
         );
-        let (out, _) = job.finish().unwrap();
+        let (out, _) = job.into_output().unwrap();
         assert_eq!(out, expect);
         let wall_start = |label: &str| {
             let span = trace.spans().iter().find(|s| s.label == label).unwrap();

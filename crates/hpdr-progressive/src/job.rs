@@ -4,15 +4,18 @@
 //! auditor certify every progressive plan exactly like the
 //! compress/decompress pipelines.
 //!
-//! Components rotate through two staging buffers and three queues;
-//! `H2D[k]` carries an anti-dependency on `decode[k − 2]` (the op that
-//! last read its buffer), the same Fig. 9 discipline the pipeline
-//! runner uses.
+//! A retrieval is a [`ChunkJob`] whose chunks are its planned
+//! components, so it rides in shared launches and plans like any other
+//! job. Components rotate through two staging buffers and three queues
+//! with the pipeline runner's [`Rotation`]: `H2D[k]` carries an
+//! anti-dependency on `decode[k − 2]` (the op that last read its
+//! buffer), the same Fig. 9 discipline.
 
 use crate::plan::{plan_fetch, FetchPlan};
 use crate::refactoring::{level_counts, reconstruct_bytes, DecodeState, Refactoring};
 use hpdr_core::{ArrayMeta, DeviceAdapter, HpdrError, KernelClass, LowestError, Result};
-use hpdr_sim::{BufId, Cost, DeviceId, DeviceSpec, Effects, Engine, OpId, OpSpec, QueueId, Sim};
+use hpdr_pipeline::{BatchItem, BatchOutput, ChunkJob, Rotation};
+use hpdr_sim::{BufId, Cost, DeviceId, DeviceSpec, Effects, Engine, OpId, OpSpec, Sim};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -20,48 +23,50 @@ type OutputSlot = Arc<Mutex<Option<(Vec<u8>, ArrayMeta)>>>;
 
 /// State shared between the DAG payloads of one retrieval.
 pub struct RetrieveJob {
-    pub dev: DeviceId,
-    queues: [QueueId; 3],
+    dev: DeviceId,
+    rotation: Rotation,
     in_bufs: Vec<BufId>,
     out_buf: BufId,
     set: Arc<Refactoring>,
-    plan: FetchPlan,
+    plan: Arc<FetchPlan>,
     level_counts: Vec<usize>,
     state: Arc<Mutex<DecodeState>>,
     work: Arc<dyn DeviceAdapter>,
     output: OutputSlot,
     error: Arc<LowestError>,
     decode_ops: Vec<OpId>,
-    meta: ArrayMeta,
 }
 
 impl RetrieveJob {
+    /// Fetch and decode the components `plan` picks from `set`, then
+    /// recompose.
     pub fn new(
         sim: &mut Sim,
         dev: DeviceId,
         work: Arc<dyn DeviceAdapter>,
         set: Arc<Refactoring>,
-        tolerance: f64,
+        plan: Arc<FetchPlan>,
     ) -> Result<RetrieveJob> {
-        if tolerance <= 0.0 || !tolerance.is_finite() {
+        if plan.tolerance <= 0.0 || !plan.tolerance.is_finite() {
             return Err(HpdrError::invalid("tolerance must be positive"));
         }
         let manifest = &set.manifest;
-        let plan = plan_fetch(manifest, &vec![0; manifest.levels as usize], tolerance);
         let counts = level_counts(manifest)?;
-        let meta = manifest.meta.clone();
         let max_comp = plan
             .picks
             .iter()
             .map(|&i| set.components[i].len())
             .max()
             .unwrap_or(1);
-        let queues = [sim.add_queue(), sim.add_queue(), sim.add_queue()];
-        let in_bufs = (0..2).map(|_| sim.create_buffer(dev, max_comp)).collect();
-        let out_buf = sim.create_buffer(dev, meta.num_bytes());
+        // Two staging buffers with anti-dependencies, three queues.
+        let rotation = Rotation::new(sim, true, false);
+        let in_bufs = (0..rotation.sets())
+            .map(|_| sim.create_buffer(dev, max_comp))
+            .collect();
+        let out_buf = sim.create_buffer(dev, manifest.meta.num_bytes());
         Ok(RetrieveJob {
             dev,
-            queues,
+            rotation,
             in_bufs,
             out_buf,
             state: Arc::new(Mutex::new(DecodeState::new(manifest))),
@@ -72,45 +77,50 @@ impl RetrieveJob {
             output: Arc::new(Mutex::new(None)),
             error: Arc::new(LowestError::default()),
             decode_ops: Vec::new(),
-            meta,
         })
     }
 
-    pub fn num_components(&self) -> usize {
+    /// A retrieval as a member of a shared launch.
+    pub fn batch_item<'a>(set: Arc<Refactoring>, plan: Arc<FetchPlan>) -> BatchItem<'a> {
+        let raw_bytes = set.manifest.meta.num_bytes() as u64;
+        BatchItem::new(raw_bytes, move |sim, dev, work, _| {
+            Ok(Box::new(RetrieveJob::new(sim, dev, work, set, plan)?))
+        })
+    }
+
+    /// Collect the reconstructed bytes after `sim.run()`.
+    pub fn into_output(self) -> Result<(Vec<u8>, ArrayMeta)> {
+        if let Some(e) = self.error.take() {
+            return Err(e);
+        }
+        self.output
+            .lock()
+            .take()
+            .ok_or_else(|| HpdrError::invalid("retrieval payload never executed"))
+    }
+}
+
+impl<'a> ChunkJob<'a> for RetrieveJob {
+    fn num_chunks(&self) -> usize {
         self.plan.picks.len()
     }
 
-    /// Bytes the plan fetches (the job's transfer volume).
-    pub fn planned_bytes(&self) -> u64 {
-        self.plan.bytes
-    }
-
-    /// Guaranteed bound once the plan completes.
-    pub fn bound(&self) -> f64 {
-        self.plan.bound
-    }
-
-    /// Submit component `k`'s ops (fetch H2D → Huffman decode).
-    pub fn submit_component(&mut self, sim: &mut Sim, k: usize) {
+    /// Component `k`'s ops (fetch H2D → Huffman decode).
+    fn submit_chunk(&mut self, sim: &mut Sim<'a>, k: usize) {
         let idx = self.plan.picks[k];
         let c = self.set.manifest.components[idx].clone();
         let blob_len = self.set.components[idx].len();
-        let q = self.queues[k % 3];
-        let n_buf = self.in_bufs.len();
-        let in_buf = self.in_bufs[k % n_buf];
+        let q = self.rotation.queue(k);
+        let in_buf = self.in_bufs[self.rotation.set(k)];
 
-        // Buffer anti-dependency: the previous tenant of this staging
-        // buffer must have been consumed before we overwrite it.
-        let mut deps = Vec::new();
-        if k >= n_buf {
-            deps.push(self.decode_ops[k - n_buf]);
-        }
+        // The fetch waits until the previous tenant of its staging
+        // buffer has been decoded.
         let set = Arc::clone(&self.set);
         let h2d = sim.push(
             OpSpec {
                 engine: Engine::H2D(self.dev),
                 queue: Some(q),
-                deps,
+                deps: self.rotation.anti_dep(k, &self.decode_ops),
                 cost: Cost::Transfer {
                     bytes: blob_len as u64,
                 },
@@ -151,20 +161,19 @@ impl RetrieveJob {
         self.decode_ops.push(decode);
     }
 
-    /// Submit the trailing recomposition + output copy (call after the
-    /// last component).
-    pub fn finish_submission(&mut self, sim: &mut Sim) {
+    /// The trailing recomposition + output copy.
+    fn finish_submission(&mut self, sim: &mut Sim<'a>) {
         let set = Arc::clone(&self.set);
         let state = Arc::clone(&self.state);
         let work = Arc::clone(&self.work);
         let error = Arc::clone(&self.error);
         let out_buf = self.out_buf;
-        let out_bytes = self.meta.num_bytes();
-        let last = self.num_components();
+        let out_bytes = self.set.manifest.meta.num_bytes();
+        let last = self.plan.picks.len();
         let rec = sim.push(
             OpSpec {
                 engine: Engine::Compute(self.dev),
-                queue: Some(self.queues[0]),
+                queue: Some(self.rotation.queue(0)),
                 deps: self.decode_ops.clone(),
                 cost: Cost::Kernel {
                     class: KernelClass::Mgard,
@@ -184,11 +193,11 @@ impl RetrieveJob {
             })),
         );
         let output = Arc::clone(&self.output);
-        let meta = self.meta.clone();
+        let meta = self.set.manifest.meta.clone();
         sim.push(
             OpSpec {
                 engine: Engine::D2H(self.dev),
-                queue: Some(self.queues[0]),
+                queue: Some(self.rotation.queue(0)),
                 deps: vec![rec],
                 cost: Cost::Transfer {
                     bytes: out_bytes as u64,
@@ -202,15 +211,9 @@ impl RetrieveJob {
         );
     }
 
-    /// Collect the reconstructed bytes after `sim.run()`.
-    pub fn finish(self) -> Result<(Vec<u8>, ArrayMeta)> {
-        if let Some(e) = self.error.take() {
-            return Err(e);
-        }
-        self.output
-            .lock()
-            .take()
-            .ok_or_else(|| HpdrError::invalid("retrieval payload never executed"))
+    fn finish(self: Box<Self>) -> Result<BatchOutput> {
+        let (bytes, meta) = self.into_output()?;
+        Ok(BatchOutput::Restored(bytes, meta))
     }
 }
 
@@ -223,13 +226,9 @@ pub fn plan_retrieve(
     set: Arc<Refactoring>,
     tolerance: f64,
 ) -> Result<Sim<'static>> {
-    let mut sim = Sim::new();
-    let rt = sim.add_runtime();
-    let dev = sim.add_device(spec.clone(), rt);
-    let mut job = RetrieveJob::new(&mut sim, dev, work, set, tolerance)?;
-    for k in 0..job.num_components() {
-        job.submit_component(&mut sim, k);
-    }
-    job.finish_submission(&mut sim);
+    let fetch = Arc::new(plan_fetch(&set.manifest, &[], tolerance));
+    let (sim, _) = hpdr_pipeline::plan(spec, |sim, dev| {
+        RetrieveJob::new(sim, dev, work, set, fetch)
+    })?;
     Ok(sim)
 }

@@ -14,18 +14,17 @@
 //! container serves every reader at the fidelity it needs.
 //!
 //! Retrieval also exists as a scheduled op DAG ([`RetrieveJob`],
-//! [`plan_retrieve`]) with declared buffer effects, so `hpdr verify`
+//! [`plan_retrieve`]) with declared buffer effects: it is one of the
+//! pipeline's chunk jobs (`hpdr_pipeline::ChunkJob`), so `hpdr verify`
 //! and `hpdr audit` certify progressive schedules exactly like the
 //! compress/decompress pipelines, and `hpdr-serve` batches
-//! `JobKind::Retrieve` jobs through the same machinery.
+//! `JobKind::Retrieve` jobs through the same launch path.
 
-pub mod batch;
 pub mod job;
 pub mod plan;
 pub mod refactoring;
 pub mod store;
 
-pub use batch::RetrieveBatchItem;
 pub use job::{plan_retrieve, RetrieveJob};
 pub use plan::{plan_fetch, FetchPlan};
 pub use refactoring::{

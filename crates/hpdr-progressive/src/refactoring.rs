@@ -18,13 +18,13 @@
 //! planner fetches.
 
 use hpdr_core::{
-    ArrayMeta, ByteReader, ByteWriter, ContextKey, DType, DeviceAdapter, Float, FrameHeader,
-    HpdrError, KernelClass, Result, Shape,
+    ArrayMeta, ByteReader, ByteWriter, DType, DeviceAdapter, Float, FrameHeader, HpdrError,
+    KernelClass, Result, Shape,
 };
 use hpdr_huffman::HuffmanConfig;
 use hpdr_mgard::decompose::{decompose, recompose};
 use hpdr_mgard::quantize::level_bin;
-use hpdr_mgard::{context_cache, Hierarchy, MgardContext};
+use hpdr_mgard::{context_for, Hierarchy, MgardContext};
 
 const MANIFEST_FRAME: FrameHeader =
     FrameHeader::new(0x4850_4D46 /* "HPMF" */, 1, "progressive manifest");
@@ -407,21 +407,9 @@ impl DecodeState {
     }
 }
 
-fn context_key(dtype: DType, eff: &Shape) -> ContextKey {
-    ContextKey {
-        algorithm: "hpdr-progressive",
-        dtype,
-        shape: eff.dims().to_vec(),
-        config_hash: 0,
-        device: 0,
-    }
-}
-
 /// Nodes per level for the manifest's (effective) hierarchy.
 pub fn level_counts(manifest: &Manifest) -> Result<Vec<usize>> {
-    let eff = manifest.meta.shape.folded_to_3d();
-    let key = context_key(manifest.meta.dtype, &eff);
-    let ctx = context_cache().get_or_create(&key, || MgardContext::new(&eff));
+    let ctx = context_for(&manifest.meta.shape);
     let ctx = ctx.lock();
     if ctx.hierarchy.total_levels() != manifest.levels as usize {
         return Err(HpdrError::corrupt("level count mismatch with shape"));
@@ -457,10 +445,8 @@ pub fn refactor_progressive<T: Float>(
     let (mn, mx) = hpdr_kernels::min_max(adapter, data);
     let range = (mx.to_f64() - mn.to_f64()).max(f64::MIN_POSITIVE);
     let abs_eb = cfg.rel_bound * range;
-    let eff = shape.folded_to_3d();
 
-    let key = context_key(T::DTYPE, &eff);
-    let ctx = context_cache().get_or_create(&key, || MgardContext::new(&eff));
+    let ctx = context_for(shape);
     let mut ctx = ctx.lock();
     let levels = ctx.hierarchy.total_levels();
     let MgardContext {
@@ -553,16 +539,14 @@ pub fn reconstruct<T: Float>(
         return Err(HpdrError::invalid("dtype mismatch"));
     }
     let shape = manifest.meta.shape.clone();
-    let eff = shape.folded_to_3d();
-    let key = context_key(T::DTYPE, &eff);
-    let ctx = context_cache().get_or_create(&key, || MgardContext::new(&eff));
+    let ctx = context_for(&shape);
     let mut ctx = ctx.lock();
     if ctx.hierarchy.total_levels() != manifest.levels as usize {
         return Err(HpdrError::corrupt("level count mismatch with shape"));
     }
     let levels = manifest.levels as usize;
     let bins: Vec<f64> = (0..levels).map(|l| manifest.bin(l)).collect();
-    let n = eff.num_elements();
+    let n = shape.num_elements();
     let MgardContext {
         hierarchy,
         node_levels,

@@ -13,7 +13,7 @@
 use hpdr_core::{CpuParallelAdapter, DeviceAdapter, SerialAdapter, Shape};
 use hpdr_progressive::{
     plan_fetch, plan_retrieve, refactor_progressive, DecodeState, Manifest, ProgressiveConfig,
-    ProgressiveReader, Refactoring,
+    ProgressiveReader, RetrieveJob,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -289,42 +289,18 @@ fn retrieve_dag_matches_direct_reconstruction_and_verifies_clean() {
     assert!(report.is_clean(), "{}", report.describe(&dag));
 
     // Executing the DAG reproduces the direct path byte-for-byte.
-    let mut job_sim = Sim2::build(&adapter, &r, tol);
-    let trace = job_sim.sim.run();
+    let fetch = Arc::new(plan_fetch(&r.manifest, &[], tol));
+    let (mut sim, job) = hpdr_pipeline::plan(&hpdr_sim::v100(), |sim, dev| {
+        RetrieveJob::new(sim, dev, Arc::clone(&adapter), Arc::clone(&r), fetch)
+    })
+    .unwrap();
+    let trace = sim.run();
     assert!(trace.makespan().0 > 0);
-    let (bytes, meta) = job_sim.job.finish().unwrap();
+    let (bytes, meta) = job.into_output().unwrap();
     assert_eq!(meta, r.manifest.meta);
     let direct = r.retrieve::<f64>(adapter.as_ref(), tol).unwrap();
     let direct_bytes: Vec<u8> = direct.data.iter().flat_map(|v| v.to_le_bytes()).collect();
     assert_eq!(bytes, direct_bytes);
-}
-
-/// Helper pairing a Sim with its RetrieveJob (plan_retrieve consumes
-/// the job internally, so tests that need `finish()` build their own).
-struct Sim2 {
-    sim: hpdr_sim::Sim<'static>,
-    job: hpdr_progressive::RetrieveJob,
-}
-
-impl Sim2 {
-    fn build(adapter: &Arc<dyn DeviceAdapter>, set: &Arc<Refactoring>, tol: f64) -> Sim2 {
-        let mut sim = hpdr_sim::Sim::new();
-        let rt = sim.add_runtime();
-        let dev = sim.add_device(hpdr_sim::v100(), rt);
-        let mut job = hpdr_progressive::RetrieveJob::new(
-            &mut sim,
-            dev,
-            Arc::clone(adapter),
-            Arc::clone(set),
-            tol,
-        )
-        .unwrap();
-        for k in 0..job.num_components() {
-            job.submit_component(&mut sim, k);
-        }
-        job.finish_submission(&mut sim);
-        Sim2 { sim, job }
-    }
 }
 
 proptest! {

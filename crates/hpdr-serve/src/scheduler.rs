@@ -35,7 +35,7 @@ use hpdr_metrics::{
     record_batch_trace, record_pool_stats, BatchTraceIds, InstrumentId, MetricsConfig, Registry,
 };
 use hpdr_pipeline::{run_batch, BatchItem, PipelineOptions};
-use hpdr_progressive::RetrieveBatchItem;
+use hpdr_progressive::RetrieveJob;
 use hpdr_sim::{BusyHorizon, DeviceSpec, Ns};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -824,59 +824,49 @@ impl Scheduler {
             attached.push(ctx);
         }
 
+        // Members share the payloads: inputs and refactorings by `Arc`,
+        // containers by reference, and retrievals run the cached plan.
         let items: Vec<BatchItem> = live
             .iter()
             .map(|q| match &q.req.payload {
-                crate::job::JobPayload::Compress { input, meta } => BatchItem::Compress {
-                    reducer: q.req.codec.reducer(),
-                    input: Arc::clone(input),
-                    meta: meta.clone(),
-                },
-                crate::job::JobPayload::Decompress { container } => BatchItem::Decompress {
-                    reducer: q.req.codec.reducer(),
-                    container: (**container).clone(),
-                },
-                crate::job::JobPayload::Retrieve { set, tolerance, .. } => RetrieveBatchItem {
-                    set: Arc::clone(set),
-                    tolerance: *tolerance,
+                crate::job::JobPayload::Compress { input, meta } => {
+                    BatchItem::compress(q.req.codec.reducer(), Arc::clone(input), meta.clone())
                 }
-                .into_item(),
+                crate::job::JobPayload::Decompress { container } => {
+                    BatchItem::decompress(q.req.codec.reducer(), container)
+                }
+                crate::job::JobPayload::Retrieve { set, plan, .. } => {
+                    RetrieveJob::batch_item(Arc::clone(set), Arc::clone(plan))
+                }
             })
             .collect();
-        let launch = run_batch(
+        let (results, report) = run_batch(
             &self.cfg.spec,
             Arc::clone(&self.work),
             items,
             &self.cfg.pipeline,
         );
-        let (per_job, makespan): (Vec<Result<(), String>>, Ns) = match launch {
-            Ok((results, report)) => {
-                if let Some(reg) = self.registry.as_mut() {
-                    let ids = &mut self.ids;
-                    let dev = *ids.devices[d].get_or_insert_with(|| DeviceMeterIds::new(reg, d));
-                    reg.counter_add_id(dev.batches, 1);
-                    reg.counter_add_id(dev.chunks, report.num_chunks as u64);
-                    reg.gauge_set_id(dev.goodput, report.goodput_gbps());
-                    let bj = *ids
-                        .batch_jobs
-                        .get_or_insert_with(|| reg.hist_handle("serve_batch_jobs"));
-                    reg.hist_record_id(bj, live.len() as u64);
-                    let bb = *ids
-                        .batch_bytes
-                        .get_or_insert_with(|| reg.hist_handle("serve_batch_bytes"));
-                    reg.hist_record_id(bb, live.iter().map(|q| q.bytes).sum::<u64>());
-                    record_batch_trace(reg, &report.trace, d, &mut ids.batch_trace[d]);
-                }
-                (
-                    results
-                        .into_iter()
-                        .map(|r| r.map(|_| ()).map_err(|e| e.to_string()))
-                        .collect(),
-                    report.makespan,
-                )
-            }
-            Err(e) => (vec![Err(e.to_string()); live.len()], Ns::ZERO),
-        };
+        if let Some(reg) = self.registry.as_mut() {
+            let ids = &mut self.ids;
+            let dev = *ids.devices[d].get_or_insert_with(|| DeviceMeterIds::new(reg, d));
+            reg.counter_add_id(dev.batches, 1);
+            reg.counter_add_id(dev.chunks, report.num_chunks as u64);
+            reg.gauge_set_id(dev.goodput, report.goodput_gbps());
+            let bj = *ids
+                .batch_jobs
+                .get_or_insert_with(|| reg.hist_handle("serve_batch_jobs"));
+            reg.hist_record_id(bj, live.len() as u64);
+            let bb = *ids
+                .batch_bytes
+                .get_or_insert_with(|| reg.hist_handle("serve_batch_bytes"));
+            reg.hist_record_id(bb, live.iter().map(|q| q.bytes).sum::<u64>());
+            record_batch_trace(reg, &report.trace, d, &mut ids.batch_trace[d]);
+        }
+        let per_job: Vec<Result<(), String>> = results
+            .into_iter()
+            .map(|r| r.map(|_| ()).map_err(|e| e.to_string()))
+            .collect();
+        let makespan = report.makespan;
         drop(attached); // contexts release (idle in the CMM again)
 
         let service = self.cfg.launch_overhead + setup + makespan;

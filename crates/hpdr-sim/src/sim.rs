@@ -94,12 +94,15 @@ pub enum Cost {
     /// A fixed duration.
     Fixed(Ns),
     /// A host-memory copy (pageable staging between application,
-    /// reduction and I/O buffers — paper §II-B). Engine must be Host;
-    /// rate set by [`Sim::set_host_copy_gbps`]. Size may be dynamic.
+    /// reduction and I/O buffers — paper §II-B) at a constant 18 GB/s.
+    /// Engine must be Host. Size may be dynamic.
     HostCopy {
         bytes: std::sync::Arc<std::sync::atomic::AtomicU64>,
     },
 }
+
+/// Pageable host-memory copy bandwidth (GB/s) of [`Cost::HostCopy`].
+const HOST_COPY_GBPS: f64 = 18.0;
 
 /// Payload executed against the memory pool when the op "runs". It may
 /// borrow anything that outlives the [`Sim`], and it may run on a worker
@@ -150,8 +153,6 @@ pub struct Sim<'a> {
     queues: usize,
     ops: Vec<PendingOp<'a>>,
     pool: MemPool,
-    /// Pageable host-memory copy bandwidth (GB/s) for [`Cost::HostCopy`].
-    host_copy_gbps: f64,
     /// Run the static hazard analyzer before executing (defaults to on in
     /// debug builds — i.e. on under `cargo test`, off in release benches).
     verify_enabled: bool,
@@ -179,7 +180,6 @@ impl<'a> Sim<'a> {
             queues: 0,
             ops: Vec::new(),
             pool: MemPool::new(),
-            host_copy_gbps: 18.0,
             verify_enabled: cfg!(debug_assertions),
             audit_enabled: false,
             observed: Vec::new(),
@@ -217,12 +217,6 @@ impl<'a> Sim<'a> {
         std::mem::take(&mut self.observed)
     }
 
-    /// Override the pageable host-copy bandwidth (default 18 GB/s).
-    pub fn set_host_copy_gbps(&mut self, gbps: f64) {
-        assert!(gbps > 0.0 && gbps.is_finite());
-        self.host_copy_gbps = gbps;
-    }
-
     /// Register a shared runtime (one per simulated node).
     pub fn add_runtime(&mut self) -> RuntimeId {
         let id = RuntimeId(self.runtimes);
@@ -251,10 +245,6 @@ impl<'a> Sim<'a> {
 
     pub fn device_runtime(&self, dev: DeviceId) -> RuntimeId {
         self.devices[dev.0].runtime
-    }
-
-    pub fn num_devices(&self) -> usize {
-        self.devices.len()
     }
 
     /// Create a device buffer (backing store only; charge time separately
@@ -363,7 +353,7 @@ impl<'a> Sim<'a> {
             Cost::Fixed(ns) => (*ns, 0, None),
             Cost::HostCopy { bytes } => {
                 let b = bytes.load(std::sync::atomic::Ordering::SeqCst);
-                (Ns((b as f64 / self.host_copy_gbps).round() as u64), b, None)
+                (Ns((b as f64 / HOST_COPY_GBPS).round() as u64), b, None)
             }
         }
     }

@@ -71,25 +71,6 @@ impl ZfpConfig {
             mode: ZfpMode::FixedPrecision(planes),
         }
     }
-
-    pub fn config_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        match self.mode {
-            ZfpMode::FixedRate(r) => {
-                w.put_u8(0);
-                w.put_u32(r);
-            }
-            ZfpMode::FixedAccuracy(t) => {
-                w.put_u8(1);
-                w.put_f64(t);
-            }
-            ZfpMode::FixedPrecision(p) => {
-                w.put_u8(2);
-                w.put_u32(p);
-            }
-        }
-        w.into_vec()
-    }
 }
 
 struct BlockCtx {

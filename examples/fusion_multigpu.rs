@@ -35,13 +35,12 @@ fn main() {
             PipelineOptions { cmm: false, ..opts },
         ),
     ] {
-        let mk = || Arc::clone(&input);
         let sweep = scalability_sweep(
             &spec,
             6,
             Arc::clone(&work),
             Arc::clone(&reducer),
-            mk,
+            Arc::clone(&input),
             &meta,
             &opts,
         )

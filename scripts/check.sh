@@ -59,14 +59,15 @@ echo "==> hpdr profile (trace smoke: non-empty trace, utilization in (0,1])"
 cargo run --release -p hpdr --bin hpdr -- profile | tail -n 1 | grep -q "invariants ok"
 cargo run --release -p hpdr --bin hpdr -- profile --figure fig1
 
-echo "==> reproduce fig1 fig11 (bench scale: figure tables and validated Chrome traces)"
-# Runs the figures that read the trace digest, in release; reproduce
-# validates each trace before writing it and exits non-zero on an
-# unknown target.
+echo "==> reproduce fig1 fig11 fig16 (bench scale: figure tables and validated Chrome traces)"
+# Runs the figures that read the trace digest, and fig16's multi-GPU
+# nodes, in release; reproduce validates each trace before writing it
+# and exits non-zero on an unknown target.
 cargo run --release -p bench --bin reproduce -- --bench-scale \
-  --trace target/FIGTRACE_ci fig1 fig11 > /dev/null
+  --trace target/FIGTRACE_ci fig1 fig11 fig16 > /dev/null
 test -s target/FIGTRACE_ci/fig1.trace.json
 test -s target/FIGTRACE_ci/fig11.trace.json
+test -s target/FIGTRACE_ci/fig16.trace.json
 
 echo "==> hpdr bench --quick (wall-clock smoke: schema-valid BENCH json)"
 cargo run --release -p hpdr --bin hpdr -- bench --quick --json --label ci \

@@ -184,12 +184,8 @@ fn every_serve_device_reports_its_batch_overlap() {
     let mut overlaps = Vec::new();
     for (dev, side) in sides.into_iter().enumerate() {
         let (input, meta) = cache.input(side);
-        let item = BatchItem::Compress {
-            reducer: ServeCodec::Zfp { rate: 16 }.reducer(),
-            input,
-            meta,
-        };
-        let (_, batch) = run_batch(&cfg.spec, work(), vec![item], &cfg.pipeline).expect("batch");
+        let item = BatchItem::compress(ServeCodec::Zfp { rate: 16 }.reducer(), input, meta);
+        let (_, batch) = run_batch(&cfg.spec, work(), vec![item], &cfg.pipeline);
         let want = hpdr::trace::digest(&batch.trace, DeviceId(0)).overlap;
         assert!(want.is_some(), "the batch moved bytes over DMA");
         let gauge = reg.gauge_value(&format!("pipeline_overlap_fraction{{device=\"{dev}\"}}"));

@@ -4,8 +4,13 @@
 use hpdr::{Codec, MgardConfig};
 use hpdr_core::{ArrayMeta, CpuParallelAdapter, DType, DeviceAdapter, Reducer};
 use hpdr_data::nyx_density;
-use hpdr_pipeline::{average_scalability, compress_multi_gpu, scalability_sweep, PipelineOptions};
+use hpdr_pipeline::{
+    average_scalability, compress_multi_gpu, decompress_multi_gpu, scalability_sweep,
+    PipelineOptions,
+};
 use std::sync::Arc;
+
+mod support;
 
 #[allow(clippy::type_complexity)]
 fn setup() -> (
@@ -76,24 +81,22 @@ fn multi_gpu_runs_are_deterministic() {
 #[test]
 fn cmm_recovers_scalability_lost_to_the_shared_runtime() {
     let (input, meta, work, reducer) = setup();
-    let mk = || Arc::clone(&input);
     let cmm = scalability_sweep(
         &hpdr_sim::spec::v100(),
         6,
         Arc::clone(&work),
         Arc::clone(&reducer),
-        mk,
+        Arc::clone(&input),
         &meta,
         &PipelineOptions::fixed(32 * 1024),
     )
     .unwrap();
-    let mk = || Arc::clone(&input);
     let nocmm = scalability_sweep(
         &hpdr_sim::spec::v100(),
         6,
         work,
         reducer,
-        mk,
+        input,
         &meta,
         &PipelineOptions {
             cmm: false,
@@ -139,4 +142,56 @@ fn aggregate_throughput_grows_with_devices() {
         );
         last = report.aggregate_gbps;
     }
+}
+
+/// Digests of a 3-device node's compress and decompress launches:
+/// containers, outputs, and both span traces without the wall clock.
+fn node_digests(opts: &PipelineOptions) -> [u64; 4] {
+    let (input, meta, work, reducer) = setup();
+    let spec = hpdr_sim::spec::v100();
+    let inputs = vec![Arc::clone(&input); 3];
+    let (containers, comp) = compress_multi_gpu(
+        &spec,
+        3,
+        Arc::clone(&work),
+        Arc::clone(&reducer),
+        inputs,
+        &meta,
+        opts,
+    )
+    .unwrap();
+    let borrowed: Vec<_> = containers.iter().collect();
+    let (outputs, decomp) = decompress_multi_gpu(&spec, 3, work, reducer, &borrowed, opts).unwrap();
+    let bytes: Vec<u8> = containers.iter().flat_map(|c| c.to_bytes()).collect();
+    [
+        hpdr_core::fnv1a(&bytes),
+        hpdr_core::fnv1a(&outputs.concat()),
+        support::spans_digest(&comp.trace),
+        support::spans_digest(&decomp.trace),
+    ]
+}
+
+/// The multi-GPU DAGs, pinned op for op: recorded before every launch
+/// went through one chunk-job path, in debug, release and under
+/// `HPDR_FORCE_SCALAR=1`. Never re-recorded to make a change pass.
+#[test]
+fn multi_gpu_dags_match_golden() {
+    assert_eq!(
+        node_digests(&PipelineOptions::fixed(32 * 1024)),
+        [
+            0x233f30a3b0747f67,
+            0x1c47b0ea7f507e4d,
+            0x2274d6fe6dac59d4,
+            0x3780cf164e592394
+        ]
+    );
+    assert_eq!(
+        node_digests(&PipelineOptions::baseline_per_step(16 * 1024)),
+        [
+            0x61d0f625f5b78c1b,
+            0xc60aa8723f3a77e2,
+            0xf036e410b31f7271,
+            0x992a381b5b0770c4
+        ]
+    );
 }

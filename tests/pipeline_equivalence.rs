@@ -11,6 +11,8 @@ use hpdr_pipeline::{
 };
 use std::sync::Arc;
 
+mod support;
+
 #[allow(clippy::type_complexity)]
 fn setup() -> (
     Arc<Vec<u8>>,
@@ -206,4 +208,55 @@ fn chunked_container_matches_direct_compression_content() {
         offset += rows * row_bytes;
     }
     assert_eq!(offset, input.len());
+}
+
+/// One shared launch of every job kind: two compressions, a
+/// decompression and a progressive retrieval, pinned by the outputs, the
+/// span trace without the wall clock, the chunk count and the raw bytes.
+/// Recorded before every launch went through one chunk-job path, in
+/// debug, release and under `HPDR_FORCE_SCALAR=1`. Never re-recorded to
+/// make a change pass.
+#[test]
+fn mixed_batch_launch_matches_golden() {
+    use hpdr_pipeline::{run_batch, BatchItem, BatchOutput};
+    use hpdr_progressive::{plan_fetch, refactor_progressive, ProgressiveConfig, RetrieveJob};
+    let (input, meta, work, mgard) = setup();
+    let zfp = Codec::Zfp(hpdr::ZfpConfig::fixed_rate(16)).reducer();
+    let spec = hpdr_sim::spec::v100();
+    let opts = PipelineOptions::fixed(32 * 1024);
+    let other = Arc::new(nyx_density(32, 22).bytes.clone());
+    let (container, _) = compress_pipelined(
+        &spec,
+        Arc::clone(&work),
+        Arc::clone(&zfp),
+        Arc::clone(&other),
+        &meta,
+        &opts,
+    )
+    .unwrap();
+    let values = f32::bytes_to_vec(&other);
+    let config = ProgressiveConfig::default();
+    let set = Arc::new(refactor_progressive(work.as_ref(), &values, &meta.shape, &config).unwrap());
+    let plan = Arc::new(plan_fetch(&set.manifest, &[], 1e-3 * set.manifest.range));
+    let items = vec![
+        BatchItem::compress(Arc::clone(&mgard), Arc::clone(&input), meta.clone()),
+        BatchItem::compress(Arc::clone(&zfp), Arc::clone(&other), meta.clone()),
+        BatchItem::decompress(zfp, &container),
+        RetrieveJob::batch_item(set, plan),
+    ];
+    let (results, report) = run_batch(&spec, work, items, &opts);
+    let mut bytes = Vec::new();
+    for r in results {
+        match r.unwrap() {
+            BatchOutput::Compressed(c) => bytes.extend(c.to_bytes()),
+            BatchOutput::Restored(out, _) => bytes.extend(out),
+        }
+    }
+    let got = [
+        hpdr_core::fnv1a(&bytes),
+        support::spans_digest(&report.trace),
+        report.num_chunks as u64,
+        report.raw_bytes,
+    ];
+    assert_eq!(got, [0x4441196406d6a16e, 0x1e6a7aaff564b849, 35, 524288]);
 }
