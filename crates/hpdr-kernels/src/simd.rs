@@ -56,6 +56,9 @@ pub type QuantizeFn = fn(&[f64], &[u8], &[f64], &mut [f64]);
 /// `(syms, levels, bins, radius, escape, out)` — see
 /// [`KernelDispatch::dequantize_vals`].
 pub type DequantizeFn = fn(&[u32], &[u8], &[f64], i64, u32, &mut [f64]);
+/// `(quotients, radius, escape, out, escapes)` — see
+/// [`KernelDispatch::quotient_symbols`].
+pub type SymbolizeFn = fn(&[f64], i64, u32, &mut [u32], &mut Vec<(u64, i64)>);
 
 /// The branch-free kernel dispatch table. One per tier, selected once at
 /// startup; all pointers of a table belong to the same tier.
@@ -84,6 +87,13 @@ pub struct KernelDispatch {
     /// `out[i] = round_ties_even(coeffs[i] / bins[levels[i]])` with the
     /// level index clamped to `bins.len() - 1`.
     pub quantize_quotients: QuantizeFn,
+    /// MGARD symbolizer over integral quotients (`quantize_quotients`
+    /// output): with `q` the quotient saturated to ±9·10^18 (NaN → 0),
+    /// `out[i] = q + radius` when that sum lies in `[0, escape)`;
+    /// otherwise `out[i] = escape` and `(i, q)` is appended to `escapes`.
+    /// Equal lengths. Signature: `(quotients, radius, escape, out,
+    /// escapes)`.
+    pub quotient_symbols: SymbolizeFn,
     /// `out[i] = (syms[i] - radius) * bins[levels[i]]`, escape → `0.0`.
     /// Signature: `(syms, levels, bins, radius, escape, out)`.
     pub dequantize_vals: DequantizeFn,
@@ -231,6 +241,7 @@ static SCALAR_TABLE: KernelDispatch = KernelDispatch {
     code_bits_sum: code_bits_sum_scalar,
     byte_bits_sum: byte_bits_sum_scalar,
     quantize_quotients: quantize_quotients_scalar,
+    quotient_symbols: quotient_symbols_scalar,
     dequantize_vals: dequantize_vals_scalar,
     div_round: div_round_scalar,
     zfp_amax_f32: zfp_amax_f32_scalar,
@@ -445,6 +456,48 @@ fn quantize_quotients_scalar(coeffs: &[f64], levels: &[u8], bins: &[f64], out: &
     let top = bins.len() - 1;
     for i in 0..coeffs.len() {
         out[i] = (coeffs[i] / bins[(levels[i] as usize).min(top)]).round_ties_even();
+    }
+}
+
+/// 2^52 + 2^51: adding it to an integral double of magnitude below 2^51
+/// leaves that integer, two's complement, in the sum's low mantissa bits.
+#[cfg(target_arch = "x86_64")]
+const SYMBOL_MAGIC: f64 = 6_755_399_441_055_744.0;
+
+/// The AVX2 symbolizer needs `-radius` and `escape - radius` exact and
+/// in-range quotients below 2^51; wider radii (never produced by a real
+/// dictionary) take the scalar tier.
+#[cfg(target_arch = "x86_64")]
+const SYMBOL_RADIUS_LIMIT: u64 = 1 << 50;
+
+/// The MGARD symbol of one integral quotient `x`: with `q` the quotient
+/// saturated to ±9·10^18 (NaN → 0), `Ok(q + radius)` when that sum lies
+/// in `[0, escape)`; `Err(q)`, an escape with the quotient its outlier
+/// keeps, otherwise. The one owner of the saturation rule.
+#[inline]
+fn quotient_symbol(x: f64, radius: i64, escape: u32) -> Result<u32, i64> {
+    let q = x.clamp(-9.0e18, 9.0e18) as i64;
+    let s = q + radius;
+    if (0..escape as i64).contains(&s) {
+        Ok(s as u32)
+    } else {
+        Err(q)
+    }
+}
+
+fn quotient_symbols_scalar(
+    quotients: &[f64],
+    radius: i64,
+    escape: u32,
+    out: &mut [u32],
+    escapes: &mut Vec<(u64, i64)>,
+) {
+    assert_eq!(quotients.len(), out.len());
+    for (i, (&x, o)) in quotients.iter().zip(out.iter_mut()).enumerate() {
+        *o = quotient_symbol(x, radius, escape).unwrap_or_else(|q| {
+            escapes.push((i as u64, q));
+            escape
+        });
     }
 }
 
@@ -677,6 +730,7 @@ static SSE2_TABLE: KernelDispatch = KernelDispatch {
     code_bits_sum: code_bits_sum_scalar,
     byte_bits_sum: byte_bits_sum_scalar,
     quantize_quotients: quantize_quotients_scalar,
+    quotient_symbols: quotient_symbols_scalar,
     dequantize_vals: dequantize_vals_scalar,
     div_round: div_round_scalar,
     zfp_amax_f32: zfp_amax_f32_scalar,
@@ -856,6 +910,7 @@ static AVX2_TABLE: KernelDispatch = KernelDispatch {
     code_bits_sum: code_bits_sum_avx2,
     byte_bits_sum: byte_bits_sum_avx2,
     quantize_quotients: quantize_quotients_avx2,
+    quotient_symbols: quotient_symbols_avx2,
     dequantize_vals: dequantize_vals_avx2,
     div_round: div_round_avx2,
     zfp_amax_f32: zfp_amax_f32_avx2,
@@ -1365,6 +1420,80 @@ unsafe fn quantize_quotients_avx2_impl(
     while i < n {
         out[i] = (coeffs[i] / bins[(levels[i] as usize).min(top)]).round_ties_even();
         i += 1;
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+fn quotient_symbols_avx2(
+    quotients: &[f64],
+    radius: i64,
+    escape: u32,
+    out: &mut [u32],
+    escapes: &mut Vec<(u64, i64)>,
+) {
+    if radius.unsigned_abs() >= SYMBOL_RADIUS_LIMIT {
+        quotient_symbols_scalar(quotients, radius, escape, out, escapes);
+        return;
+    }
+    // SAFETY: only reachable through AVX2_TABLE (feature verified).
+    unsafe { quotient_symbols_avx2_impl(quotients, radius, escape, out, escapes) }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn quotient_symbols_avx2_impl(
+    quotients: &[f64],
+    radius: i64,
+    escape: u32,
+    out: &mut [u32],
+    escapes: &mut Vec<(u64, i64)>,
+) {
+    assert_eq!(quotients.len(), out.len());
+    let n = quotients.len();
+    // A lane is a symbol when `-radius <= x < escape - radius`: both
+    // bounds are exact doubles (the wrapper keeps |radius| < 2^50), and
+    // NaN compares false. In range, `x + radius` lies in [0, escape), so
+    // |x| < 2^51 and the magic add puts `x` in the low bits exactly; the
+    // low dword plus the low dword of `radius` is then the symbol, the
+    // value `quotient_symbol` gives. The other lanes (escapes and NaN)
+    // and the tail go through `quotient_symbol`.
+    let mut scalar = |j: usize, out: &mut [u32]| {
+        out[j] = quotient_symbol(quotients[j], radius, escape).unwrap_or_else(|q| {
+            escapes.push((j as u64, q));
+            escape
+        });
+    };
+    let lo = _mm256_set1_pd(-(radius as f64));
+    let hi = _mm256_set1_pd((escape as i64 - radius) as f64);
+    let magic = _mm256_set1_pd(SYMBOL_MAGIC);
+    let rad = _mm_set1_epi32(radius as i32);
+    let pick = _mm256_setr_epi32(0, 2, 4, 6, 0, 0, 0, 0);
+    let mut i = 0;
+    while i + 4 <= n {
+        // SAFETY: i + 4 <= n bounds the 32-byte load and the 4-dword store.
+        let mask = unsafe {
+            let x = _mm256_loadu_pd(quotients.as_ptr().add(i));
+            let ok = _mm256_and_pd(
+                _mm256_cmp_pd(x, lo, _CMP_GE_OQ),
+                _mm256_cmp_pd(x, hi, _CMP_LT_OQ),
+            );
+            let bits = _mm256_castpd_si256(_mm256_add_pd(x, magic));
+            let low = _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(bits, pick));
+            _mm_storeu_si128(
+                out.as_mut_ptr().add(i) as *mut __m128i,
+                _mm_add_epi32(low, rad),
+            );
+            _mm256_movemask_pd(ok) as u32
+        };
+        if mask != 0xF {
+            for lane in (0..4).filter(|lane| mask & (1 << lane) == 0) {
+                scalar(i + lane, out);
+            }
+        }
+        i += 4;
+    }
+    for j in i..n {
+        scalar(j, out);
     }
 }
 

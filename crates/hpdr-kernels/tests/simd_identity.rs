@@ -293,6 +293,28 @@ proptest! {
     }
 
     #[test]
+    fn quotient_symbols_identical(
+        ints in vec(any::<i64>(), 0..200),
+        radius in 0i64..(1 << 31),
+        escape in any::<u32>(),
+        scale in 0u32..64,
+    ) {
+        // Integral quotients of every magnitude, most near the dictionary.
+        let q: Vec<f64> = ints.iter().map(|&v| ((v >> scale) as f64).round_ties_even()).collect();
+        let n = q.len();
+        let mut want = vec![0u32; n];
+        let mut want_out = Vec::new();
+        (scalar_kernels().quotient_symbols)(&q, radius, escape, &mut want, &mut want_out);
+        for k in available_tiers() {
+            let mut got = vec![0u32; n];
+            let mut got_out = Vec::new();
+            (k.quotient_symbols)(&q, radius, escape, &mut got, &mut got_out);
+            prop_assert_eq!(&got, &want, "symbols tier {:?} len {}", k.tier, n);
+            prop_assert_eq!(&got_out, &want_out, "escapes tier {:?} len {}", k.tier, n);
+        }
+    }
+
+    #[test]
     fn slice_ops_identical(cur in vec(any::<i64>(), 0..200), prev_seed in vec(any::<i64>(), 200)) {
         let n = cur.len();
         let prev = &prev_seed[..n];
@@ -355,6 +377,91 @@ fn remainder_tails_every_length_to_three_lanes() {
             let mut got_h = vec![0u64; 257];
             (k.histogram_fill)(&keys, 256, &mut got_h);
             assert_eq!(got_h, want_h, "histogram tier {:?} len {n}", k.tier);
+        }
+    }
+}
+
+/// The symbolizer's edge cases on every tier: ties (quotients rounded to
+/// even from exact halves), ±0, both escape edges, |q| at 2^51 ± 1, sums
+/// past 2^32 whose low 32 bits fall below the escape, ±9·10^18
+/// saturation, ±inf and NaN quotients, each at every lane of a vector.
+#[test]
+fn quotient_symbols_edge_cases_identical() {
+    let (radius, escape) = (4096i64, 8191u32);
+    let r = radius as f64;
+    let two51 = (1u64 << 51) as f64;
+    let two32 = (1u64 << 32) as f64;
+    let mut edges: Vec<f64> = [0.5f64, 1.5, 2.5, -0.5, -1.5, -2.5]
+        .iter()
+        .map(|v| v.round_ties_even())
+        .collect();
+    edges.extend([
+        0.0,
+        -0.0,
+        -r - 1.0,
+        -r,
+        escape as f64 - r - 1.0,
+        escape as f64 - r,
+        two51 - 1.0,
+        two51,
+        two51 + 2.0,
+        -two51 + 1.0,
+        -two51 - 2.0,
+        two32 - r,
+        two32 + 5.0 - r,
+        9.0e18,
+        -9.0e18,
+        9.5e18,
+        -9.5e18,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+    ]);
+    for shift in 0..4 {
+        let q: Vec<f64> = std::iter::repeat_n(3.0, shift)
+            .chain(edges.iter().copied())
+            .collect();
+        let mut want = vec![0u32; q.len()];
+        let mut want_out = Vec::new();
+        (scalar_kernels().quotient_symbols)(&q, radius, escape, &mut want, &mut want_out);
+        let pos = |v: f64| {
+            (shift
+                + edges
+                    .iter()
+                    .position(|&e| e.to_bits() == v.to_bits())
+                    .unwrap()) as u64
+        };
+        let escaped = |v: f64| want_out.iter().find(|&&(i, _)| i == pos(v)).map(|e| e.1);
+        // Ties, ±0, the lower edge, the last in-range value and NaN (q = 0)
+        // are symbols.
+        for sym in [0.0, -0.0, -r, escape as f64 - r - 1.0, f64::NAN] {
+            assert_eq!(escaped(sym), None, "{sym} escaped");
+        }
+        assert_eq!(want[pos(-r) as usize], 0);
+        assert_eq!(want[pos(f64::NAN) as usize], radius as u32);
+        // The rest escape with their saturated quotients, sums past 2^32
+        // included (2^51 is a multiple of 2^32).
+        for (esc, quot) in [
+            (-r - 1.0, -radius - 1),
+            (escape as f64 - r, escape as i64 - radius),
+            (two32 - r, (1i64 << 32) - radius),
+            (two32 + 5.0 - r, (1i64 << 32) + 5 - radius),
+            (two51, 1i64 << 51),
+            (-two51 - 2.0, -(1i64 << 51) - 2),
+            (9.5e18, 9_000_000_000_000_000_000),
+            (f64::INFINITY, 9_000_000_000_000_000_000),
+            (-9.5e18, -9_000_000_000_000_000_000),
+            (f64::NEG_INFINITY, -9_000_000_000_000_000_000),
+        ] {
+            assert_eq!(escaped(esc), Some(quot), "{esc}");
+            assert_eq!(want[pos(esc) as usize], escape);
+        }
+        for k in available_tiers() {
+            let mut got = vec![0u32; q.len()];
+            let mut got_out = Vec::new();
+            (k.quotient_symbols)(&q, radius, escape, &mut got, &mut got_out);
+            assert_eq!(got, want, "symbols tier {:?} shift {shift}", k.tier);
+            assert_eq!(got_out, want_out, "escapes tier {:?} shift {shift}", k.tier);
         }
     }
 }

@@ -101,19 +101,15 @@ pub fn context_for(shape: &Shape) -> Arc<Mutex<MgardContext>> {
     context_cache().get_or_create(&key, || MgardContext::new(&eff))
 }
 
-fn resolve_abs_eb<T: Float>(
-    adapter: &dyn DeviceAdapter,
-    data: &[T],
-    bound: ErrorBound,
-) -> Result<f64> {
+/// The absolute bound of `bound` for data spanning `[mn, mx]`.
+fn resolve_abs_eb(mn: f64, mx: f64, bound: ErrorBound) -> Result<f64> {
     let abs = match bound {
         ErrorBound::Absolute(e) => e,
         ErrorBound::Relative(rel) => {
             if rel <= 0.0 || !rel.is_finite() {
                 return Err(HpdrError::invalid("relative bound must be positive"));
             }
-            let (mn, mx) = hpdr_kernels::min_max(adapter, data);
-            let range = mx.to_f64() - mn.to_f64();
+            let range = mx - mn;
             if range == 0.0 {
                 // Constant data: any positive bound works.
                 rel
@@ -144,12 +140,13 @@ pub fn compress<T: Float>(
         )));
     }
     let dict = EscapeDict::new(cfg.dict_size)?;
-    for &v in data.iter() {
-        if !v.is_finite() {
-            return Err(HpdrError::invalid("non-finite value in MGARD input"));
-        }
+    // One pass gives the range and, as NaN and ±inf reach the min or the
+    // max, the finiteness check.
+    let (mn, mx) = hpdr_kernels::min_max(adapter, data);
+    if !(mn.is_finite() && mx.is_finite()) {
+        return Err(HpdrError::invalid("non-finite value in MGARD input"));
     }
-    let abs_eb = resolve_abs_eb(adapter, data, cfg.error_bound)?;
+    let abs_eb = resolve_abs_eb(mn.to_f64(), mx.to_f64(), cfg.error_bound)?;
 
     // CMM lookup: hierarchy + node-level map keyed by shape.
     let ctx = context_for(shape);

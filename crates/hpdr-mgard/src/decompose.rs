@@ -15,11 +15,12 @@
 //! Each level step starts by building one [`DimGeom`] table per
 //! dimension, so no kernel unravels a flat index or recomputes a weight:
 //! interpolation walks rows of the last dimension with each row's outer
-//! corners prepared once, and the correction solves tiles of [`LANES`]
-//! adjacent lines with the lane index innermost. Every value is computed
-//! by the same floating-point operations, in the same order, as the
-//! per-line reference in [`crate::operators`], so the results are
-//! bit-identical to it (DESIGN.md §5.8).
+//! corners prepared once, new and coarse columns in loops of their own,
+//! and the correction solves tiles of [`LANES`] adjacent lines with the
+//! lane index innermost. Every value is computed by the same
+//! floating-point operations, in the same order, as the per-line
+//! reference in [`crate::operators`], so the results are bit-identical
+//! to it (DESIGN.md §5.8).
 
 use crate::hierarchy::{role_of, Hierarchy, NodeRole};
 use crate::operators::interp_weights;
@@ -29,7 +30,7 @@ use std::ops::Range;
 /// Lines per correction tile — the Iterative abstraction's *B*. One group
 /// solves this many adjacent lines together, lane index innermost, so
 /// every kernel loop runs at unit stride across lanes.
-const LANES: usize = 32;
+const LANES: usize = 64;
 
 /// Elements per interpolation / apply group: enough to amortize a group
 /// dispatch, few enough to balance rows across workers.
@@ -197,6 +198,12 @@ impl<'h> LineOp<'h> {
 struct DimGeom<'h> {
     fine_off: Vec<usize>,
     coarse_off: Vec<usize>,
+    /// The new positions' offsets and interpolation weights, in position
+    /// order: new position `q` is fine position `2q + 1`, between coarse
+    /// slots `q` and `q + 1`.
+    new_off: Vec<usize>,
+    wl: Vec<f64>,
+    wr: Vec<f64>,
     op: LineOp<'h>,
 }
 
@@ -214,6 +221,22 @@ impl DimGeom<'_> {
     fn saturated(&self) -> bool {
         self.n_fine() == self.n_coarse()
     }
+
+    /// The coarse slots and the new positions among fine positions
+    /// `cols`. Coarse slot `k` sits at fine position `min(2k, n − 1)`
+    /// unless the dimension is saturated ([`role_of`]).
+    fn split_cols(&self, cols: Range<usize>) -> (Range<usize>, Range<usize>) {
+        if self.saturated() {
+            return (cols, 0..0);
+        }
+        let coarse_end = if cols.end == self.n_fine() {
+            self.n_coarse()
+        } else {
+            cols.end.div_ceil(2)
+        };
+        let new_end = (cols.end / 2).min(self.new_off.len());
+        (cols.start.div_ceil(2)..coarse_end, cols.start / 2..new_end)
+    }
 }
 
 /// Geometry tables of level step `l → l−1`, one per dimension.
@@ -224,10 +247,22 @@ fn level_geometry(h: &Hierarchy, l: usize) -> Vec<DimGeom<'_>> {
         .enumerate()
         .map(|(d, &stride)| {
             let (fine, coarse) = (h.dim_nodes(l, d), h.dim_nodes(l - 1, d));
+            let op = LineOp::new(fine, coarse);
+            let (mut new_off, mut wl, mut wr) = (Vec::new(), Vec::new(), Vec::new());
+            for (&i, node) in fine.iter().zip(&op.nodes) {
+                if let Node::New { wl: l, wr: r } = *node {
+                    new_off.push(i * stride);
+                    wl.push(l);
+                    wr.push(r);
+                }
+            }
             DimGeom {
                 fine_off: fine.iter().map(|&i| i * stride).collect(),
                 coarse_off: coarse.iter().map(|&i| i * stride).collect(),
-                op: LineOp::new(fine, coarse),
+                new_off,
+                wl,
+                wr,
+                op,
             }
         })
         .collect()
@@ -346,7 +381,9 @@ fn interpolate(
 }
 
 /// Columns `cols` of one row of the coefficient pass, given the row's `N`
-/// outer corners and its own offset `row`.
+/// outer corners and its own offset `row`. New and coarse columns run in
+/// loops of their own over the last dimension's tables, so no column
+/// branches on its role.
 fn interp_row<const N: usize>(
     u_sh: &SharedSlice<'_, f64>,
     corners: &[(usize, f64)],
@@ -365,20 +402,34 @@ fn interp_row<const N: usize>(
             *acc += w * ws * unsafe { u_sh.read(o + at) };
         }
     };
-    for (j, node) in cols.clone().zip(&last.op.nodes[cols]) {
-        let mut acc = 0.0;
-        match *node {
-            Node::Coarse(_) if N == 1 => continue,
-            Node::Coarse(_) => gather(&mut acc, last.fine_off[j], 1.0),
-            Node::New { wl, wr, .. } => {
-                gather(&mut acc, last.fine_off[j - 1], wl);
-                gather(&mut acc, last.fine_off[j + 1], wr);
-            }
-        }
-        let idx = row + last.fine_off[j];
-        // SAFETY: `idx` is the node (row, j), which has a new dimension; no
+    let set = |at: usize, acc: f64| {
+        let idx = row + at;
+        // SAFETY: `idx` is a node of this row with a new dimension; no
         // other group, row or column reads or writes it.
         unsafe { u_sh.write(idx, apply(u_sh.read(idx), acc)) };
+    };
+    let (coarse, new) = last.split_cols(cols);
+    // New columns, between coarse slots `q` and `q + 1`.
+    let sides = last.coarse_off[new.start..].windows(2);
+    for (((&at, &wl), &wr), lr) in last.new_off[new.clone()]
+        .iter()
+        .zip(&last.wl[new.clone()])
+        .zip(&last.wr[new])
+        .zip(sides)
+    {
+        let mut acc = 0.0;
+        gather(&mut acc, lr[0], wl);
+        gather(&mut acc, lr[1], wr);
+        set(at, acc);
+    }
+    // Coarse columns of a row with a new outer dimension; a row without
+    // one is all-coarse there.
+    if N > 1 {
+        for &at in &last.coarse_off[coarse] {
+            let mut acc = 0.0;
+            gather(&mut acc, at, 1.0);
+            set(at, acc);
+        }
     }
 }
 
@@ -449,19 +500,33 @@ fn correction_pass(
             let mut src = [0usize; LANES];
             let mut dst = [0usize; LANES];
             let mut zero = [false; LANES];
-            let mut line = Odometer::new(span.start, &extents);
-            for lane in 0..lanes {
-                for (&d, &p) in others.iter().zip(line.pos()) {
-                    src[lane] += input.off[d][p];
-                    dst[lane] += out_off[d][p];
+            // The tile's lines, a run along the innermost other dimension
+            // at a time: a run shares its outer offsets and roles.
+            let mut lane = 0;
+            while lane < lanes {
+                let at = Odometer::new(span.start + lane, &extents);
+                let (pos, inner) = at.pos().split_at(others.len().saturating_sub(1));
+                let (mut s0, mut d0) = (0, 0);
+                for (&d, &p) in others.iter().zip(pos) {
+                    s0 += input.off[d][p];
+                    d0 += out_off[d][p];
                 }
-                zero[lane] = input.roles.is_some_and(|geo| {
-                    others
-                        .iter()
-                        .zip(line.pos())
-                        .all(|(&d, &p)| geo[d].op.is_coarse(p))
-                });
-                line.advance();
+                let coarse =
+                    |d: usize, p: usize| input.roles.is_some_and(|geo| geo[d].op.is_coarse(p));
+                let outer_coarse =
+                    input.roles.is_some() && others.iter().zip(pos).all(|(&d, &p)| coarse(d, p));
+                let Some((&d, &p0)) = others.last().zip(inner.first()) else {
+                    // A 1-D field: its one line starts at 0.
+                    zero[0] = outer_coarse;
+                    break;
+                };
+                let run = (extents[extents.len() - 1] - p0).min(lanes - lane);
+                for (i, p) in (lane..lane + run).zip(p0..) {
+                    src[i] = s0 + input.off[d][p];
+                    dst[i] = d0 + out_off[d][p];
+                    zero[i] = outer_coarse && coarse(d, p);
+                }
+                lane += run;
             }
             // Whole tile rows when several lanes are adjacent, else line
             // by line (the last dimension, `u` at coarser levels, and a
@@ -629,6 +694,218 @@ mod tests {
     use hpdr_core::{CpuParallelAdapter, SerialAdapter, Shape};
     use proptest::prelude::*;
 
+    /// The per-column row kernel [`interp_row`] replaced: the oracle of
+    /// the coefficient pass.
+    fn interp_row_reference<const N: usize>(
+        u_sh: &SharedSlice<'_, f64>,
+        corners: &[(usize, f64)],
+        row: usize,
+        cols: Range<usize>,
+        last: &DimGeom<'_>,
+        apply: &impl Fn(f64, f64) -> f64,
+    ) {
+        let corners: &[(usize, f64); N] = corners.try_into().expect("N corners");
+        let gather = |acc: &mut f64, at: usize, ws: f64| {
+            for &(o, w) in corners {
+                // SAFETY: corners are all-coarse nodes, which this pass only
+                // reads; every write below targets a node with a new dimension.
+                *acc += w * ws * unsafe { u_sh.read(o + at) };
+            }
+        };
+        for (j, node) in cols.clone().zip(&last.op.nodes[cols]) {
+            let mut acc = 0.0;
+            match *node {
+                Node::Coarse(_) if N == 1 => continue,
+                Node::Coarse(_) => gather(&mut acc, last.fine_off[j], 1.0),
+                Node::New { wl, wr, .. } => {
+                    gather(&mut acc, last.fine_off[j - 1], wl);
+                    gather(&mut acc, last.fine_off[j + 1], wr);
+                }
+            }
+            let idx = row + last.fine_off[j];
+            // SAFETY: `idx` is the node (row, j), which has a new dimension;
+            // no other group, row or column reads or writes it.
+            unsafe { u_sh.write(idx, apply(u_sh.read(idx), acc)) };
+        }
+    }
+
+    /// [`interpolate`] over [`interp_row_reference`].
+    fn interpolate_reference(
+        adapter: &dyn DeviceAdapter,
+        u: &mut [f64],
+        geo: &[DimGeom<'_>],
+        apply: impl Fn(f64, f64) -> f64 + Sync,
+    ) {
+        let (last, outer) = geo.split_last().expect("at least one dimension");
+        let extents: Vec<usize> = outer.iter().map(DimGeom::n_fine).collect();
+        let u_sh = SharedSlice::new(u);
+        for_each_row(adapter, &extents, last.n_fine(), |_, pos, cols| {
+            let mut corners = [(0usize, 1.0f64); 8];
+            let mut n = 1;
+            let mut row = 0;
+            for (g, &p) in outer.iter().zip(pos) {
+                row += g.fine_off[p];
+                match g.op.nodes[p] {
+                    Node::Coarse(_) => corners[..n].iter_mut().for_each(|c| c.0 += g.fine_off[p]),
+                    Node::New { wl, wr, .. } => {
+                        for i in 0..n {
+                            let (o, w) = corners[i];
+                            corners[i] = (o + g.fine_off[p - 1], w * wl);
+                            corners[n + i] = (o + g.fine_off[p + 1], w * wr);
+                        }
+                        n *= 2;
+                    }
+                }
+            }
+            let corners = &corners[..n];
+            match n {
+                1 => interp_row_reference::<1>(&u_sh, corners, row, cols, last, &apply),
+                2 => interp_row_reference::<2>(&u_sh, corners, row, cols, last, &apply),
+                4 => interp_row_reference::<4>(&u_sh, corners, row, cols, last, &apply),
+                _ => interp_row_reference::<8>(&u_sh, corners, row, cols, last, &apply),
+            }
+        });
+    }
+
+    /// The correction pass with its lines set up one lane at a time, as
+    /// before lanes were set up a run at a time: the staged pass's oracle.
+    fn correction_pass_reference(
+        adapter: &dyn DeviceAdapter,
+        input: &PassInput<'_>,
+        k: usize,
+        op: &LineOp<'_>,
+        out_dims: &[usize],
+        out: &mut [f64],
+    ) {
+        let nf = input.off[k].len();
+        let nc = out_dims[k];
+        let out_off = compact_offsets(out_dims);
+        let others: Vec<usize> = (0..out_dims.len()).filter(|&d| d != k).collect();
+        let extents: Vec<usize> = others.iter().map(|&d| input.off[d].len()).collect();
+        let lines: usize = extents.iter().product();
+        let out_sh = SharedSlice::new(out);
+        Iterative::new(lines, LANES)
+            .with_staging(tile_bytes(nf, nc, LANES.min(lines)))
+            .run(adapter, &|span, staging| {
+                let lanes = span.len();
+                let (fine, coarse) =
+                    staging_f64(staging, (nf + nc) * lanes).split_at_mut(nf * lanes);
+                let mut src = [0usize; LANES];
+                let mut dst = [0usize; LANES];
+                let mut zero = [false; LANES];
+                let mut line = Odometer::new(span.start, &extents);
+                for lane in 0..lanes {
+                    for (&d, &p) in others.iter().zip(line.pos()) {
+                        src[lane] += input.off[d][p];
+                        dst[lane] += out_off[d][p];
+                    }
+                    zero[lane] = input.roles.is_some_and(|geo| {
+                        others
+                            .iter()
+                            .zip(line.pos())
+                            .all(|(&d, &p)| geo[d].op.is_coarse(p))
+                    });
+                    line.advance();
+                }
+                for (lane, &at) in src[..lanes].iter().enumerate() {
+                    for (x, &o) in fine[lane..].iter_mut().step_by(lanes).zip(&input.off[k]) {
+                        *x = input.data[at + o];
+                    }
+                }
+                if let Some(geo) = input.roles {
+                    for (p, row) in fine.chunks_exact_mut(lanes).enumerate() {
+                        if geo[k].op.is_coarse(p) {
+                            for (x, &z) in row.iter_mut().zip(&zero) {
+                                if z {
+                                    *x = 0.0;
+                                }
+                            }
+                        }
+                    }
+                }
+                op.apply(lanes, fine, coarse);
+                for (lane, &at) in dst[..lanes].iter().enumerate() {
+                    for (&v, &o) in coarse[lane..].iter().step_by(lanes).zip(&out_off[k]) {
+                        // SAFETY: a position of this lane's own line.
+                        unsafe { out_sh.write(at + o, v) };
+                    }
+                }
+            });
+    }
+
+    /// [`compute_correction`] over [`correction_pass_reference`].
+    fn compute_correction_reference<'b>(
+        adapter: &dyn DeviceAdapter,
+        u: &[f64],
+        geo: &[DimGeom<'_>],
+        bufs: &'b mut [Vec<f64>; 2],
+    ) -> &'b [f64] {
+        let mut dims: Vec<usize> = geo.iter().map(DimGeom::n_fine).collect();
+        let mut latest: Option<usize> = None;
+        for (k, g) in geo.iter().enumerate().filter(|(_, g)| !g.saturated()) {
+            let mut out_dims = dims.clone();
+            out_dims[k] = g.n_coarse();
+            let target = latest.map_or(0, |i| 1 - i);
+            let [a, b] = &mut *bufs;
+            let (out, prev) = if target == 0 { (a, &*b) } else { (b, &*a) };
+            let input = match latest {
+                None => PassInput {
+                    data: u,
+                    off: geo.iter().map(|g| g.fine_off.clone()).collect(),
+                    roles: Some(geo),
+                },
+                Some(_) => PassInput {
+                    data: prev,
+                    off: compact_offsets(&dims),
+                    roles: None,
+                },
+            };
+            let len = out_dims.iter().product();
+            correction_pass_reference(adapter, &input, k, &g.op, &out_dims, &mut out[..len]);
+            dims = out_dims;
+            latest = Some(target);
+        }
+        let i = latest.expect("every level step coarsens some dimension");
+        &bufs[i][..dims.iter().product()]
+    }
+
+    /// [`decompose`] over the reference row kernel and pass.
+    fn decompose_reference(adapter: &dyn DeviceAdapter, u: &mut [f64], h: &Hierarchy) {
+        let mut bufs = correction_buffers(h);
+        for l in (1..=h.finest()).rev() {
+            let geo = level_geometry(h, l);
+            interpolate_reference(adapter, u, &geo, |old, interp| old - interp);
+            let corr = compute_correction_reference(adapter, u, &geo, &mut bufs);
+            apply_on_coarse(adapter, u, &geo, corr, 1.0);
+        }
+    }
+
+    /// [`recompose`] over the reference row kernel and pass.
+    fn recompose_reference(adapter: &dyn DeviceAdapter, u: &mut [f64], h: &Hierarchy) {
+        let mut bufs = correction_buffers(h);
+        for l in 1..=h.finest() {
+            let geo = level_geometry(h, l);
+            let corr = compute_correction_reference(adapter, u, &geo, &mut bufs);
+            apply_on_coarse(adapter, u, &geo, corr, -1.0);
+            interpolate_reference(adapter, u, &geo, |old, interp| old + interp);
+        }
+    }
+
+    /// A value stream with ±0 in a quarter of its draws.
+    fn values(seed: u64) -> impl FnMut() -> f64 {
+        let mut state = seed;
+        move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            match state >> 61 {
+                0 => -0.0,
+                1 => 0.0,
+                _ => (state >> 11) as f64 / (1u64 << 53) as f64 * 200.0 - 100.0,
+            }
+        }
+    }
+
     fn roundtrip_check(shape: &Shape, data: &[f64], tol: f64) {
         let adapter = CpuParallelAdapter::new(4);
         let h = Hierarchy::new(shape);
@@ -784,17 +1061,7 @@ mod tests {
             let l = h.finest() - depth % h.finest();
             let (fine, coarse) = (h.dim_nodes(l, 0), h.dim_nodes(l - 1, 0));
             let op = LineOp::new(fine, coarse);
-            let mut state = seed;
-            let mut value = || {
-                state = state
-                    .wrapping_mul(6_364_136_223_846_793_005)
-                    .wrapping_add(1_442_695_040_888_963_407);
-                match state >> 61 {
-                    0 => -0.0,
-                    1 => 0.0,
-                    _ => (state >> 11) as f64 / (1u64 << 53) as f64 * 200.0 - 100.0,
-                }
-            };
+            let mut value = values(seed);
             for lanes in [1, 3, LANES, LANES + 5] {
                 let tile: Vec<f64> = (0..fine.len() * lanes).map(|_| value()).collect();
                 let mut got = vec![f64::NAN; coarse.len() * lanes];
@@ -813,6 +1080,79 @@ mod tests {
                             w.to_bits(),
                             "n={} l={} lanes={} lane={} c={}", n, l, lanes, lane, c
                         );
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `decompose` and `recompose` equal the per-column row kernel and
+        /// the lane-at-a-time pass bit for bit: random 1–3-D extents (most
+        /// levels end in a short trailing interval), rows past
+        /// `GROUP_ELEMS`, ±0 inputs, and 1, 2 and 4 threads.
+        #[test]
+        #[cfg_attr(miri, ignore)]
+        fn decompose_and_recompose_match_the_reference_kernels(
+            rank in 1usize..4,
+            a in 2usize..40,
+            b in 2usize..40,
+            c in 2usize..40,
+            long in 0usize..3,
+            seed in any::<u64>(),
+        ) {
+            let dims = match (rank, long) {
+                (1, 0) => vec![a * b],
+                (1, _) => vec![GROUP_ELEMS + a * b],
+                (2, 0) => vec![a, b],
+                (2, _) => vec![a % 3 + 1, GROUP_ELEMS + b],
+                _ => vec![a, b, c % 20 + 2],
+            };
+            let shape = Shape::new(&dims);
+            let h = Hierarchy::new(&shape);
+            let mut value = values(seed);
+            let data: Vec<f64> = (0..shape.num_elements()).map(|_| value()).collect();
+            let mut want = data.clone();
+            decompose_reference(&SerialAdapter::new(), &mut want, &h);
+            let mut back = want.clone();
+            recompose_reference(&SerialAdapter::new(), &mut back, &h);
+            let same = |x: &[f64], y: &[f64]| x.iter().zip(y).all(|(x, y)| x.to_bits() == y.to_bits());
+            for threads in [1, 2, 4] {
+                let adapter = CpuParallelAdapter::new(threads);
+                let mut got = data.clone();
+                decompose(&adapter, &mut got, &h);
+                prop_assert!(same(&got, &want), "decompose {:?} threads {}", dims, threads);
+                recompose(&adapter, &mut got, &h);
+                prop_assert!(same(&got, &back), "recompose {:?} threads {}", dims, threads);
+            }
+        }
+    }
+
+    #[test]
+    fn split_cols_matches_the_roles() {
+        for n in 1usize..70 {
+            let h = Hierarchy::new(&Shape::new(&[n]));
+            for l in 1..=h.finest() {
+                let geo = level_geometry(&h, l);
+                let g = &geo[0];
+                let nf = g.n_fine();
+                for start in 0..nf {
+                    for end in start + 1..=nf {
+                        let (coarse, new) = g.split_cols(start..end);
+                        let want_coarse: Vec<usize> = (start..end)
+                            .filter_map(|p| match g.op.nodes[p] {
+                                Node::Coarse(c) => Some(c),
+                                Node::New { .. } => None,
+                            })
+                            .collect();
+                        let want_new: Vec<usize> = (start..end)
+                            .filter(|&p| !g.op.is_coarse(p))
+                            .map(|p| g.fine_off[p])
+                            .collect();
+                        assert_eq!(coarse.collect::<Vec<_>>(), want_coarse, "n={n} l={l}");
+                        assert_eq!(&g.new_off[new], &want_new[..], "n={n} l={l}");
                     }
                 }
             }

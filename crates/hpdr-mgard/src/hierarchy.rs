@@ -101,38 +101,53 @@ impl Hierarchy {
     /// first appears (its coefficient level). Level 0 nodes are the
     /// coarsest values; level `l >= 1` nodes are new at `l`.
     pub fn node_levels(&self) -> Vec<u8> {
-        let dims = self.shape.dims();
-        let nd = dims.len();
-        // Per-dim map: index -> first level containing it.
-        let mut dim_level: Vec<Vec<u8>> = (0..nd).map(|d| vec![0u8; dims[d]]).collect();
-        for d in 0..nd {
-            // Walk from coarsest up; first time an index appears wins.
-            let mut assigned = vec![false; dims[d]];
-            for (l, level) in self.nodes.iter().enumerate() {
-                for &idx in &level[d] {
-                    if !assigned[idx] {
-                        assigned[idx] = true;
-                        dim_level[d][idx] = l as u8;
-                    }
+        let dim_level = self.first_levels();
+        // A node's level is the max of its per-dim levels: a row's outer
+        // level, then the last dimension's table.
+        let (last, outer) = dim_level.split_last().expect("at least one dimension");
+        let mut out = vec![0u8; self.shape.num_elements()];
+        let mut pos = vec![0usize; outer.len()];
+        for row in out.chunks_exact_mut(last.len()) {
+            let base = outer
+                .iter()
+                .zip(&pos)
+                .map(|(t, &p)| t[p])
+                .max()
+                .unwrap_or(0);
+            for (o, &l) in row.iter_mut().zip(last) {
+                *o = base.max(l);
+            }
+            for (p, t) in pos.iter_mut().zip(outer).rev() {
+                *p += 1;
+                if *p < t.len() {
+                    break;
                 }
+                *p = 0;
             }
-            debug_assert!(assigned.into_iter().all(|a| a));
-        }
-        // A node's level is the max of its per-dim levels.
-        let n = self.shape.num_elements();
-        let strides = self.shape.strides();
-        let mut out = vec![0u8; n];
-        for (flat, slot) in out.iter_mut().enumerate() {
-            let mut rem = flat;
-            let mut lvl = 0u8;
-            for d in 0..nd {
-                let idx = rem / strides[d];
-                rem %= strides[d];
-                lvl = lvl.max(dim_level[d][idx]);
-            }
-            *slot = lvl;
         }
         out
+    }
+
+    /// Per dimension, the first level containing each index.
+    fn first_levels(&self) -> Vec<Vec<u8>> {
+        let dims = self.shape.dims();
+        (0..dims.len())
+            .map(|d| {
+                // Walk from coarsest up; first time an index appears wins.
+                let mut level = vec![0u8; dims[d]];
+                let mut assigned = vec![false; dims[d]];
+                for (l, nodes) in self.nodes.iter().enumerate() {
+                    for &idx in &nodes[d] {
+                        if !assigned[idx] {
+                            assigned[idx] = true;
+                            level[idx] = l as u8;
+                        }
+                    }
+                }
+                debug_assert!(assigned.into_iter().all(|a| a));
+                level
+            })
+            .collect()
     }
 }
 
@@ -252,6 +267,48 @@ mod tests {
         assert_eq!(h.dim_nodes(h.finest(), 1).len(), 5);
         assert_eq!(h.dim_nodes(0, 1).len(), 2);
         assert_eq!(h.dim_nodes(0, 0).len(), 2);
+    }
+
+    /// The per-node loop [`Hierarchy::node_levels`] replaced: every flat
+    /// index unravelled by division, the max taken over its axes.
+    fn node_levels_reference(h: &Hierarchy) -> Vec<u8> {
+        let dim_level = h.first_levels();
+        let strides = h.shape.strides();
+        (0..h.shape.num_elements())
+            .map(|flat| {
+                let mut rem = flat;
+                let mut lvl = 0u8;
+                for (table, &stride) in dim_level.iter().zip(&strides) {
+                    lvl = lvl.max(table[rem / stride]);
+                    rem %= stride;
+                }
+                lvl
+            })
+            .collect()
+    }
+
+    #[test]
+    fn node_levels_match_the_per_node_loop() {
+        for dims in [
+            &[1][..],
+            &[2],
+            &[7],
+            &[257],
+            &[1, 9],
+            &[33, 12],
+            &[9, 5],
+            &[19, 33, 65],
+            &[16, 1, 5],
+            &[17, 17, 17],
+        ] {
+            let h = Hierarchy::new(&Shape::new(dims));
+            assert_eq!(h.node_levels(), node_levels_reference(&h), "{dims:?}");
+        }
+        // 4-D shapes reach the codec folded to 3-D.
+        for dims in [&[2, 3, 10, 8][..], &[5, 4, 9, 11]] {
+            let h = Hierarchy::new(&Shape::new(dims).folded_to_3d());
+            assert_eq!(h.node_levels(), node_levels_reference(&h), "{dims:?}");
+        }
     }
 
     #[test]

@@ -175,36 +175,33 @@ pub fn quantize(
         let sym_sh = SharedSlice::new(&mut symbols);
         let chunks = adapter.info().threads.clamp(1, 64);
         let chunk = n.div_ceil(chunks);
-        // The division + round-ties-even inner loop runs through the SIMD
-        // dispatch table over L1-sized tiles; the scalar finish handles
-        // saturation, symbol mapping, and outlier escapes. Oversubscribed
-        // launches stay scalar (see `kernels_for_par`).
-        let quotients = hpdr_kernels::kernels_for_par(chunks).quantize_quotients;
+        // Both halves run through the SIMD dispatch table over L1-sized
+        // tiles: the division + round-ties-even quotients, then the
+        // symbolizer, which lists each escape with its saturated quotient
+        // (the outlier kept). Oversubscribed launches stay scalar (see
+        // `kernels_for_par`).
+        let kernels = hpdr_kernels::kernels_for_par(chunks);
+        let (quotients, symbolize) = (kernels.quantize_quotients, kernels.quotient_symbols);
         adapter.dem(chunks, &|c| {
             let lo = (c * chunk).min(n);
             let hi = ((c + 1) * chunk).min(n);
+            // SAFETY: chunks write disjoint index ranges.
+            let syms = unsafe { sym_sh.slice_mut(lo, hi - lo) };
             let mut local_outliers: Vec<(u64, i64)> = Vec::new();
+            let mut escapes: Vec<(u64, i64)> = Vec::new();
             let mut tile = [0.0f64; TILE];
-            let mut t = lo;
-            while t < hi {
-                let te = (t + TILE).min(hi);
-                let w = te - t;
-                quotients(&coeffs[t..te], &node_levels[t..te], bins, &mut tile[..w]);
-                for (j, &quot) in tile[..w].iter().enumerate() {
-                    let i = t + j;
-                    // Saturate impossible magnitudes rather than wrapping.
-                    let q = quot.clamp(-9.0e18, 9.0e18) as i64;
-                    let sym = q + radius;
-                    let v = if sym >= 0 && (sym as u32) < escape {
-                        sym as u32
-                    } else {
-                        local_outliers.push((i as u64, q));
-                        escape
-                    };
-                    // Safety: chunks write disjoint index ranges.
-                    unsafe { sym_sh.write(i, v) };
-                }
-                t = te;
+            for (k, out) in syms.chunks_mut(TILE).enumerate() {
+                let t = lo + k * TILE;
+                let tile = &mut tile[..out.len()];
+                quotients(
+                    &coeffs[t..t + out.len()],
+                    &node_levels[t..t + out.len()],
+                    bins,
+                    tile,
+                );
+                escapes.clear();
+                symbolize(tile, radius, escape, out, &mut escapes);
+                local_outliers.extend(escapes.iter().map(|&(j, q)| (t as u64 + j, q)));
             }
             if !local_outliers.is_empty() {
                 outliers.lock().extend(local_outliers);
@@ -268,6 +265,85 @@ mod tests {
     use super::*;
     use hpdr_core::{CpuParallelAdapter, SerialAdapter};
 
+    /// The per-element quantizer the tiled kernels must equal: a symbol
+    /// when the saturated quotient plus the radius lies in `[0, escape)`,
+    /// an outlier otherwise.
+    fn quantize_reference(
+        coeffs: &[f64],
+        node_levels: &[u8],
+        bins: &[f64],
+        dict_size: u32,
+    ) -> Quantized {
+        let radius = (dict_size / 2) as i64;
+        let escape = escape_symbol(dict_size);
+        let top = bins.len() - 1;
+        let mut outliers = Vec::new();
+        let mut symbols = Vec::new();
+        for (i, (&c, &l)) in coeffs.iter().zip(node_levels).enumerate() {
+            let quot = (c / bins[(l as usize).min(top)]).round_ties_even();
+            // Saturate impossible magnitudes rather than wrapping.
+            let q = quot.clamp(-9.0e18, 9.0e18) as i64;
+            let sym = q + radius;
+            symbols.push(if (0..escape as i64).contains(&sym) {
+                sym as u32
+            } else {
+                outliers.push((i as u64, q));
+                escape
+            });
+        }
+        Quantized { symbols, outliers }
+    }
+
+    #[test]
+    fn symbols_and_outliers_match_the_per_element_quantizer() {
+        let radius = 2048.0;
+        // Ties, ±0, both escape edges, sums past 2^32 whose low 32 bits
+        // fall below the escape, |q| around 2^51, saturation, ±inf and NaN
+        // quotients, spread over tiles and chunk edges.
+        let specials = [
+            0.5,
+            1.5,
+            -2.5,
+            0.0,
+            -0.0,
+            -radius - 1.0,
+            -radius,
+            4095.0 - radius - 1.0,
+            4095.0 - radius,
+            (1u64 << 32) as f64,
+            (1u64 << 32) as f64 + 3.0 - radius,
+            (1u64 << 51) as f64 - 1.0,
+            (1u64 << 51) as f64 + 2.0,
+            -((1u64 << 51) as f64) - 2.0,
+            9.0e18,
+            -9.5e18,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        let n = 5 * TILE + 37;
+        let coeffs: Vec<f64> = (0..n)
+            .map(|i| match i % 7 {
+                0 => specials[(i / 7) % specials.len()],
+                _ => ((i as f64) * 0.37).sin() * 3000.0,
+            })
+            .collect();
+        let levels: Vec<u8> = (0..n).map(|i| (i % 3) as u8).collect();
+        let bins = [1.0, 0.5, 2.0];
+        let want = quantize_reference(&coeffs, &levels, &bins, 4096);
+        assert!(!want.outliers.is_empty());
+        for threads in [1, 2, 4] {
+            let got = quantize(
+                &CpuParallelAdapter::new(threads),
+                &coeffs,
+                &levels,
+                &bins,
+                4096,
+            );
+            assert_eq!(got, want, "threads {threads}");
+        }
+    }
+
     #[test]
     fn quantize_error_within_half_bin() {
         let adapter = SerialAdapter::new();
@@ -308,6 +384,21 @@ mod tests {
         assert!((back[4567] + 1e9).abs() < 1.0);
         // Outliers sorted by index regardless of thread interleaving.
         assert!(q.outliers.windows(2).all(|w| w[0].0 < w[1].0));
+    }
+
+    #[test]
+    fn quotients_past_u32_escape_and_restore() {
+        // `q + radius` at 2^32 + 3 has low 32 bits below the escape; it is
+        // still an outlier and restores exactly.
+        let big = (1u64 << 32) as f64 + 3.0 - 2048.0;
+        let coeffs = [(1u64 << 32) as f64, big, 5000.0, 7.0];
+        for threads in [1, 4] {
+            let adapter = CpuParallelAdapter::new(threads);
+            let q = quantize(&adapter, &coeffs, &[0; 4], &[1.0], 4096);
+            assert_eq!(q.outliers.len(), 3, "threads {threads}");
+            let back = dequantize(&adapter, &q, &[0; 4], &[1.0], 4096);
+            assert_eq!(back, coeffs, "threads {threads}");
+        }
     }
 
     #[test]
