@@ -167,7 +167,6 @@ impl TypedCodec for SzReducer {
 mod tests {
     use super::*;
     use hpdr_core::{CpuParallelAdapter, DType, Reducer, SerialAdapter};
-    use hpdr_huffman::HuffmanConfig;
 
     fn smooth(n: usize) -> Vec<f32> {
         (0..n * n)
@@ -262,78 +261,6 @@ mod tests {
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f64::max);
         assert!(err <= 1e-4 * range, "err {err}");
-    }
-
-    /// Stage-level timing for the 32³ bench point. Run manually:
-    /// `cargo test -p hpdr-baselines --release profile_sz_stages -- --ignored --nocapture`
-    #[test]
-    #[ignore = "profiling harness, run manually with --nocapture"]
-    fn profile_sz_stages_32cube() {
-        let adapter = SerialAdapter::new();
-        let n = 32usize * 32 * 32;
-        let data: Vec<f32> = (0..n)
-            .map(|i| {
-                let x = (i % 32) as f32 / 32.0;
-                let y = ((i / 32) % 32) as f32 / 32.0;
-                let z = (i / 1024) as f32 / 32.0;
-                (5.0 * x).sin() + (3.0 * y).cos() + (2.0 * z).sin()
-            })
-            .collect();
-        let shape = Shape::new(&[32, 32, 32]);
-        let cfg = SzConfig::relative(1e-3);
-        let reps = 200;
-        let best = |label: &str, f: &mut dyn FnMut()| {
-            let mut min = std::time::Duration::MAX;
-            for _ in 0..reps {
-                let t0 = std::time::Instant::now();
-                f();
-                min = min.min(t0.elapsed());
-            }
-            println!("{label:>14}: {:>9.1} us", min.as_secs_f64() * 1e6);
-        };
-
-        let (mn, mx) = hpdr_kernels::min_max(&adapter, &data);
-        best("min_max", &mut || {
-            std::hint::black_box(hpdr_kernels::min_max(&adapter, &data));
-        });
-        let range = (mx.to_f64() - mn.to_f64()).max(f64::MIN_POSITIVE);
-        let twoe = 2.0 * cfg.rel_bound * range;
-        let mut q = vec![0i64; n];
-        best("dual-quant", &mut || {
-            (hpdr_kernels::kernels().sz_quantize_f32)(&data, twoe, &mut q);
-            std::hint::black_box(&q);
-        });
-        best("lorenzo", &mut || {
-            let mut l = q.clone();
-            lorenzo_forward(&mut l, &shape);
-            std::hint::black_box(&l);
-        });
-        let mut l = q.clone();
-        lorenzo_forward(&mut l, &shape);
-        let radius = (cfg.dict_size / 2) as i64;
-        let escape = cfg.dict_size - 1;
-        let mut symbols = vec![0u32; n];
-        best("symbolize", &mut || {
-            let mut outliers: Vec<u64> = Vec::new();
-            (hpdr_kernels::kernels().sz_symbolize)(&l, radius, escape, &mut symbols, &mut outliers);
-            std::hint::black_box(&outliers);
-        });
-        best("huffman-u32", &mut || {
-            let e = hpdr_huffman::compress_u32(
-                &adapter,
-                &symbols,
-                &HuffmanConfig {
-                    dict_size: cfg.dict_size,
-                    chunk_elems: 1 << 16,
-                },
-            )
-            .unwrap();
-            std::hint::black_box(&e);
-        });
-        best("full compress", &mut || {
-            let c = compress_typed(&adapter, &data, &shape, &cfg).unwrap();
-            std::hint::black_box(&c);
-        });
     }
 
     #[test]

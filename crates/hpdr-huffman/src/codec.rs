@@ -722,72 +722,6 @@ mod tests {
         assert_eq!(out, keys);
     }
 
-    /// Stage-level profile of the byte-compress hot path, and of its
-    /// decode, on a 32³-f32-sized input (131072 bytes, two chunks). Run
-    /// with:
-    ///   cargo test --release -p hpdr-huffman --lib -- --ignored profile --nocapture
-    #[test]
-    #[ignore = "profiling harness, run manually with --nocapture"]
-    fn profile_compress_bytes_stages() {
-        use std::time::Instant;
-        // Byte stream shaped like a smooth f32 field's raw bytes: highly
-        // skewed exponent/sign bytes, near-uniform mantissa bytes.
-        let bytes: Vec<u8> = (0..32768usize)
-            .flat_map(|i| {
-                let x = (i as f32 * 0.003).sin() * (i as f32 * 0.0007).cos() + 1.5;
-                x.to_le_bytes()
-            })
-            .collect();
-        let n = bytes.len();
-        // The byte reducer's configuration.
-        let cfg = HuffmanConfig {
-            dict_size: 256,
-            ..HuffmanConfig::default()
-        };
-        let a = SerialAdapter::new();
-        let reps = 300usize;
-
-        let best = |label: &str, f: &mut dyn FnMut()| {
-            let mut min = std::time::Duration::MAX;
-            for _ in 0..reps {
-                let t0 = Instant::now();
-                f();
-                min = min.min(t0.elapsed());
-            }
-            println!(
-                "{label:>12}: {:>9.1} us  ({:.2} ns/sym)",
-                min.as_secs_f64() * 1e6,
-                min.as_secs_f64() * 1e9 / n as f64
-            );
-        };
-
-        best("histogram", &mut || {
-            std::hint::black_box(u8::histogram(&a, &bytes, cfg.dict_size as usize));
-        });
-        let (freqs, _) = u8::histogram(&a, &bytes, cfg.dict_size as usize);
-        best("codebook", &mut || {
-            std::hint::black_box(Codebook::from_frequencies(&freqs).unwrap());
-        });
-        let book = Codebook::from_frequencies(&freqs).unwrap();
-        let tables = EncodeTables::new(&book, cfg.dict_size);
-        best("bits_sum", &mut || {
-            std::hint::black_box(u8::bits_sum(&bytes, &tables.lens));
-        });
-        let total_bits = u8::bits_sum(&bytes, &tables.lens);
-        let mut payload = vec![0u8; (total_bits as usize).div_ceil(8)];
-        best("pack", &mut || {
-            pack_chunk(&bytes, &tables, &mut payload);
-            std::hint::black_box(&payload);
-        });
-        best("full", &mut || {
-            std::hint::black_box(compress_bytes(&a, &bytes, &cfg).unwrap());
-        });
-        let stream = compress_bytes(&a, &bytes, &cfg).unwrap();
-        best("decode", &mut || {
-            std::hint::black_box(decompress_bytes(&a, &stream).unwrap());
-        });
-    }
-
     #[test]
     #[cfg_attr(miri, ignore)]
     fn roundtrip_skewed_distribution() {

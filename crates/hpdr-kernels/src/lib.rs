@@ -5,15 +5,13 @@
 //! [`hpdr_core::DeviceAdapter`] trait so they run unchanged on every
 //! adapter:
 //!
-//! * [`scan`] — exclusive/inclusive prefix sums (serialization offsets);
 //! * [`histogram`] — replicated-private-copy histograms;
-//! * [`sort`] — radix and device-parallel sorts;
-//! * [`reduce`] — min/max/sum/max-abs-diff reductions;
+//! * [`sort`] — the codebook's radix sort;
+//! * [`reduce`] — the min/max reduction (range and finiteness check);
 //! * [`bitstream`] — portable LSB-first bit streams;
-//! * [`pack`] — parallel variable-length bit packing (atomic-OR scheme);
 //! * [`blocks`] — n-dimensional block gather/scatter with edge padding;
-//! * [`simd`] — runtime-dispatched SIMD kernel tiers (scalar/SSE2/AVX2)
-//!   for the codec hot loops, byte-identical across tiers.
+//! * [`simd`] — runtime-dispatched kernel tiers (scalar/AVX2) for the
+//!   codec hot loops, byte-identical across tiers.
 //
 // Kernels write disjoint index sets of shared outputs through
 // `hpdr_core::SharedSlice` (each call site documents its disjointness
@@ -24,17 +22,13 @@
 pub mod bitstream;
 pub mod blocks;
 pub mod histogram;
-pub mod pack;
 pub mod reduce;
-pub mod scan;
 pub mod simd;
 pub mod sort;
 
 pub use bitstream::{BitReader, BitWriter};
 pub use blocks::BlockGrid;
 pub use histogram::{histogram_u32, histogram_u8};
-pub use pack::pack_bits;
-pub use reduce::{max_abs, max_abs_diff, min_max, sum_f64};
-pub use scan::{exclusive_scan, exclusive_scan_serial, inclusive_scan_serial};
+pub use reduce::min_max;
 pub use simd::{kernels, kernels_for_par, KernelDispatch, SimdTier};
-pub use sort::{parallel_sort_u64, radix_sort_by_key};
+pub use sort::radix_sort_by_key;

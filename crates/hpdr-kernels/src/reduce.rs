@@ -1,4 +1,4 @@
-//! Device-parallel reductions (min/max/sum) over float slices.
+//! Device-parallel min/max reduction over float slices.
 
 use hpdr_core::{DeviceAdapter, Float, SharedSlice};
 
@@ -83,60 +83,6 @@ pub fn min_max<T: Float>(adapter: &dyn DeviceAdapter, data: &[T]) -> (T, T) {
     )
 }
 
-/// Maximum absolute value.
-pub fn max_abs<T: Float>(adapter: &dyn DeviceAdapter, data: &[T]) -> T {
-    chunked_reduce(
-        adapter,
-        data,
-        T::ZERO,
-        |chunk| {
-            let mut m = T::ZERO;
-            for &v in chunk {
-                m = m.maxf(v.abs());
-            }
-            m
-        },
-        |a, b| a.maxf(b),
-    )
-}
-
-/// Sum in f64 accumulation.
-pub fn sum_f64<T: Float>(adapter: &dyn DeviceAdapter, data: &[T]) -> f64 {
-    chunked_reduce(
-        adapter,
-        data,
-        0.0f64,
-        |chunk| chunk.iter().map(|v| v.to_f64()).sum::<f64>(),
-        |a, b| a + b,
-    )
-}
-
-/// Maximum absolute pointwise difference between two equal-length slices —
-/// the error-bound verification primitive used across the test suite.
-pub fn max_abs_diff<T: Float>(adapter: &dyn DeviceAdapter, a: &[T], b: &[T]) -> f64 {
-    assert_eq!(a.len(), b.len(), "length mismatch in max_abs_diff");
-    if a.is_empty() {
-        return 0.0;
-    }
-    let chunks = adapter.info().threads.clamp(1, 64);
-    let chunk = a.len().div_ceil(chunks);
-    let mut partial = vec![0.0f64; chunks];
-    {
-        let partial_sh = SharedSlice::new(&mut partial);
-        adapter.dem(chunks, &|c| {
-            let lo = c * chunk;
-            let hi = ((c + 1) * chunk).min(a.len());
-            let mut m = 0.0f64;
-            for i in lo..hi {
-                m = m.max((a[i].to_f64() - b[i].to_f64()).abs());
-            }
-            // Safety: each chunk id writes only its own slot.
-            unsafe { partial_sh.write(c, m) };
-        });
-    }
-    partial.into_iter().fold(0.0, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,36 +104,5 @@ mod tests {
         let adapter = SerialAdapter::new();
         assert_eq!(min_max::<f32>(&adapter, &[]), (0.0, 0.0));
         assert_eq!(min_max(&adapter, &[42.0f32]), (42.0, 42.0));
-    }
-
-    #[test]
-    fn max_abs_works() {
-        let adapter = SerialAdapter::new();
-        assert_eq!(max_abs(&adapter, &[1.0f32, -7.5, 3.0]), 7.5);
-        assert_eq!(max_abs::<f64>(&adapter, &[]), 0.0);
-    }
-
-    #[test]
-    fn sum_matches() {
-        let adapter = CpuParallelAdapter::new(4);
-        let data = vec![0.5f32; 10_000];
-        assert!((sum_f64(&adapter, &data) - 5_000.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn max_abs_diff_detects_worst_case() {
-        let adapter = CpuParallelAdapter::new(4);
-        let a: Vec<f64> = (0..5_000).map(|i| i as f64).collect();
-        let mut b = a.clone();
-        b[4321] += 0.75;
-        assert!((max_abs_diff(&adapter, &a, &b) - 0.75).abs() < 1e-12);
-        assert_eq!(max_abs_diff::<f64>(&adapter, &[], &[]), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn max_abs_diff_length_mismatch_panics() {
-        let adapter = SerialAdapter::new();
-        max_abs_diff(&adapter, &[1.0f32], &[1.0, 2.0]);
     }
 }

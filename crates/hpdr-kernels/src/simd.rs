@@ -11,14 +11,16 @@
 //!
 //! Tiers:
 //! * `Scalar` — portable reference implementation, the only tier on
-//!   non-x86-64 targets, under Miri, and when `HPDR_FORCE_SCALAR=1`.
-//! * `Sse2` — baseline x86-64: 2×i64 lanes for negabinary/slice
-//!   arithmetic, 4-way bank-interleaved histograms (store-to-load
-//!   dependency breaking); gather-based kernels stay scalar.
-//! * `Avx2` — 4×i64 / 4×f64 lanes for the ZFP transform, the 64×64
-//!   bit-plane transpose, negabinary, quantization (with
-//!   `_mm256_i32gather_*` table lookups), prefix scans, and Huffman
-//!   bit counting.
+//!   non-x86-64 targets, under Miri, on x86-64 hosts without AVX2, and
+//!   when `HPDR_FORCE_SCALAR=1`.
+//! * `Avx2` — hand-written intrinsics (4×i64 / 4×f64 lanes, gathers) and
+//!   4-way banked histograms only where they measurably beat the scalar
+//!   body compiled for AVX2: the ZFP transform, block amax and
+//!   fixed-point conversion, the bit-plane transpose, the SZ and MGARD
+//!   symbolizers, SZ quantization, dequantization, min/max, Huffman bit
+//!   counting and the line diff/prefix sum. Negabinary conversion, slice
+//!   add/sub and the quantizer quotients run their scalar body compiled
+//!   once more with AVX2 enabled (DESIGN.md §16 has the measurements).
 //!
 //! Every `unsafe` block carries a SAFETY argument per the workspace
 //! `undocumented_unsafe_blocks` lint; the overarching invariant is that
@@ -37,7 +39,6 @@ pub const NBMASK: u64 = 0xAAAA_AAAA_AAAA_AAAA;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimdTier {
     Scalar,
-    Sse2,
     Avx2,
 }
 
@@ -45,7 +46,6 @@ impl SimdTier {
     pub fn name(self) -> &'static str {
         match self {
             SimdTier::Scalar => "scalar",
-            SimdTier::Sse2 => "sse2",
             SimdTier::Avx2 => "avx2",
         }
     }
@@ -97,8 +97,6 @@ pub struct KernelDispatch {
     /// `out[i] = (syms[i] - radius) * bins[levels[i]]`, escape → `0.0`.
     /// Signature: `(syms, levels, bins, radius, escape, out)`.
     pub dequantize_vals: DequantizeFn,
-    /// `out[i] = round_ties_even(src[i] / divisor)`.
-    pub div_round: fn(&[f64], f64, &mut [f64]),
     /// Max |v| over the slice; NaN if any element is NaN (infinities
     /// propagate through the max), so `result.is_finite()` doubles as the
     /// block's finiteness check.
@@ -138,7 +136,7 @@ pub struct KernelDispatch {
 
 /// The table selected for this process: `HPDR_FORCE_SCALAR=1` (or any
 /// non-`0` value) forces the scalar tier; Miri always gets scalar;
-/// otherwise the best tier the CPU supports.
+/// otherwise AVX2 when the CPU has it, else scalar.
 pub fn kernels() -> &'static KernelDispatch {
     static CHOICE: OnceLock<&'static KernelDispatch> = OnceLock::new();
     CHOICE.get_or_init(detect)
@@ -148,17 +146,13 @@ fn force_scalar() -> bool {
     matches!(std::env::var("HPDR_FORCE_SCALAR"), Ok(v) if !v.is_empty() && v != "0")
 }
 
-#[allow(unreachable_code)] // the non-x86 / Miri tail is the x86 fallthrough
 fn detect() -> &'static KernelDispatch {
     if force_scalar() {
         return &SCALAR_TABLE;
     }
     #[cfg(all(target_arch = "x86_64", not(miri)))]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return &AVX2_TABLE;
-        }
-        return &SSE2_TABLE;
+    if std::arch::is_x86_feature_detected!("avx2") {
+        return &AVX2_TABLE;
     }
     &SCALAR_TABLE
 }
@@ -174,8 +168,6 @@ pub fn scalar_kernels() -> &'static KernelDispatch {
 pub fn kernels_for_tier(tier: SimdTier) -> Option<&'static KernelDispatch> {
     match tier {
         SimdTier::Scalar => Some(&SCALAR_TABLE),
-        #[cfg(all(target_arch = "x86_64", not(miri)))]
-        SimdTier::Sse2 => Some(&SSE2_TABLE),
         #[cfg(all(target_arch = "x86_64", not(miri)))]
         SimdTier::Avx2 => {
             if std::arch::is_x86_feature_detected!("avx2") {
@@ -219,7 +211,7 @@ fn host_parallelism() -> usize {
 
 /// Every tier runnable on this machine (scalar first).
 pub fn available_tiers() -> Vec<&'static KernelDispatch> {
-    [SimdTier::Scalar, SimdTier::Sse2, SimdTier::Avx2]
+    [SimdTier::Scalar, SimdTier::Avx2]
         .into_iter()
         .filter_map(kernels_for_tier)
         .collect()
@@ -243,7 +235,6 @@ static SCALAR_TABLE: KernelDispatch = KernelDispatch {
     quantize_quotients: quantize_quotients_scalar,
     quotient_symbols: quotient_symbols_scalar,
     dequantize_vals: dequantize_vals_scalar,
-    div_round: div_round_scalar,
     zfp_amax_f32: zfp_amax_f32_scalar,
     zfp_amax_f64: zfp_amax_f64_scalar,
     zfp_fixedpoint_f32: zfp_fixedpoint_f32_scalar,
@@ -271,6 +262,7 @@ pub fn negabinary_to_int(u: u64) -> i64 {
     (u ^ NBMASK).wrapping_sub(NBMASK) as i64
 }
 
+#[inline(always)] // also the AVX2 tier's body
 fn negabinary_fwd_scalar(src: &[i64], dst: &mut [u64]) {
     assert_eq!(src.len(), dst.len());
     for (d, &s) in dst.iter_mut().zip(src) {
@@ -278,6 +270,7 @@ fn negabinary_fwd_scalar(src: &[i64], dst: &mut [u64]) {
     }
 }
 
+#[inline(always)] // also the AVX2 tier's body
 fn negabinary_inv_scalar(src: &[u64], dst: &mut [i64]) {
     assert_eq!(src.len(), dst.len());
     for (d, &s) in dst.iter_mut().zip(src) {
@@ -449,6 +442,7 @@ fn byte_bits_sum_scalar(bytes: &[u8], lens: &[u32]) -> u64 {
         .sum()
 }
 
+#[inline(always)] // also the AVX2 tier's body
 fn quantize_quotients_scalar(coeffs: &[f64], levels: &[u8], bins: &[f64], out: &mut [f64]) {
     assert_eq!(coeffs.len(), levels.len());
     assert_eq!(coeffs.len(), out.len());
@@ -519,13 +513,6 @@ fn dequantize_vals_scalar(
         } else {
             (syms[i] as i64 - radius) as f64 * bins[(levels[i] as usize).min(top)]
         };
-    }
-}
-
-fn div_round_scalar(src: &[f64], divisor: f64, out: &mut [f64]) {
-    assert_eq!(src.len(), out.len());
-    for (o, &s) in out.iter_mut().zip(src) {
-        *o = (s / divisor).round_ties_even();
     }
 }
 
@@ -636,6 +623,7 @@ fn sz_symbolize_scalar(
     }
 }
 
+#[inline(always)] // also the AVX2 tier's body
 fn slice_sub_scalar(cur: &mut [i64], prev: &[i64]) {
     assert_eq!(cur.len(), prev.len());
     for (c, &p) in cur.iter_mut().zip(prev) {
@@ -643,6 +631,7 @@ fn slice_sub_scalar(cur: &mut [i64], prev: &[i64]) {
     }
 }
 
+#[inline(always)] // also the AVX2 tier's body
 fn slice_add_scalar(cur: &mut [i64], prev: &[i64]) {
     assert_eq!(cur.len(), prev.len());
     for (c, &p) in cur.iter_mut().zip(prev) {
@@ -663,7 +652,7 @@ fn line_prefix_sum_scalar(p: &mut [i64]) {
 }
 
 // ---------------------------------------------------------------------------
-// Banked histograms (shared by the SSE2 and AVX2 tiers)
+// Banked histograms (AVX2 tier)
 // ---------------------------------------------------------------------------
 //
 // A serial histogram's `row[slot] += 1` chain stalls on store-to-load
@@ -712,188 +701,6 @@ fn byte_histogram_fill_banked(bytes: &[u8], row: &mut [u64]) {
 }
 
 // ---------------------------------------------------------------------------
-// SSE2 tier (x86-64 baseline: no runtime detection needed)
-// ---------------------------------------------------------------------------
-
-#[cfg(target_arch = "x86_64")]
-static SSE2_TABLE: KernelDispatch = KernelDispatch {
-    tier: SimdTier::Sse2,
-    negabinary_fwd: negabinary_fwd_sse2,
-    negabinary_inv: negabinary_inv_sse2,
-    // Gather-style and shift-heavy kernels fall back to scalar on the
-    // SSE2 tier — SSE2 lacks 64-bit arithmetic shifts and gathers.
-    bit_transpose64: bit_transpose64_scalar,
-    zfp_fwd_transform: zfp_fwd_transform_scalar,
-    zfp_inv_transform: zfp_inv_transform_scalar,
-    histogram_fill: histogram_fill_banked,
-    byte_histogram_fill: byte_histogram_fill_banked,
-    code_bits_sum: code_bits_sum_scalar,
-    byte_bits_sum: byte_bits_sum_scalar,
-    quantize_quotients: quantize_quotients_scalar,
-    quotient_symbols: quotient_symbols_scalar,
-    dequantize_vals: dequantize_vals_scalar,
-    div_round: div_round_scalar,
-    zfp_amax_f32: zfp_amax_f32_scalar,
-    zfp_amax_f64: zfp_amax_f64_scalar,
-    zfp_fixedpoint_f32: zfp_fixedpoint_f32_scalar,
-    zfp_fixedpoint_f64: zfp_fixedpoint_f64_scalar,
-    min_max_f32: min_max_f32_scalar,
-    min_max_f64: min_max_f64_scalar,
-    sz_quantize_f32: sz_quantize_f32_scalar,
-    sz_quantize_f64: sz_quantize_f64_scalar,
-    sz_symbolize: sz_symbolize_scalar,
-    slice_sub: slice_sub_sse2,
-    slice_add: slice_add_sse2,
-    line_backward_diff: line_backward_diff_sse2,
-    line_prefix_sum: line_prefix_sum_scalar,
-};
-
-#[cfg(target_arch = "x86_64")]
-fn negabinary_fwd_sse2(src: &[i64], dst: &mut [u64]) {
-    // SAFETY: SSE2 is part of the x86-64 baseline, so the target feature
-    // is always present on this architecture.
-    unsafe { negabinary_fwd_sse2_impl(src, dst) }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn negabinary_fwd_sse2_impl(src: &[i64], dst: &mut [u64]) {
-    assert_eq!(src.len(), dst.len());
-    let n = src.len();
-    let mask = _mm_set1_epi64x(NBMASK as i64);
-    let mut i = 0;
-    while i + 2 <= n {
-        // SAFETY: i + 2 <= n bounds both the 16-byte load and store;
-        // loadu/storeu have no alignment requirement.
-        unsafe {
-            let v = _mm_loadu_si128(src.as_ptr().add(i) as *const __m128i);
-            let nb = _mm_xor_si128(_mm_add_epi64(v, mask), mask);
-            _mm_storeu_si128(dst.as_mut_ptr().add(i) as *mut __m128i, nb);
-        }
-        i += 2;
-    }
-    while i < n {
-        dst[i] = int_to_negabinary(src[i]);
-        i += 1;
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-fn negabinary_inv_sse2(src: &[u64], dst: &mut [i64]) {
-    // SAFETY: SSE2 is part of the x86-64 baseline.
-    unsafe { negabinary_inv_sse2_impl(src, dst) }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn negabinary_inv_sse2_impl(src: &[u64], dst: &mut [i64]) {
-    assert_eq!(src.len(), dst.len());
-    let n = src.len();
-    let mask = _mm_set1_epi64x(NBMASK as i64);
-    let mut i = 0;
-    while i + 2 <= n {
-        // SAFETY: i + 2 <= n bounds the unaligned 16-byte load and store.
-        unsafe {
-            let v = _mm_loadu_si128(src.as_ptr().add(i) as *const __m128i);
-            let x = _mm_sub_epi64(_mm_xor_si128(v, mask), mask);
-            _mm_storeu_si128(dst.as_mut_ptr().add(i) as *mut __m128i, x);
-        }
-        i += 2;
-    }
-    while i < n {
-        dst[i] = negabinary_to_int(src[i]);
-        i += 1;
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-fn slice_sub_sse2(cur: &mut [i64], prev: &[i64]) {
-    // SAFETY: SSE2 is part of the x86-64 baseline.
-    unsafe { slice_sub_sse2_impl(cur, prev) }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn slice_sub_sse2_impl(cur: &mut [i64], prev: &[i64]) {
-    assert_eq!(cur.len(), prev.len());
-    let n = cur.len();
-    let mut i = 0;
-    while i + 2 <= n {
-        // SAFETY: i + 2 <= n bounds both unaligned accesses; `cur` and
-        // `prev` are distinct slices (&mut aliasing rules).
-        unsafe {
-            let c = _mm_loadu_si128(cur.as_ptr().add(i) as *const __m128i);
-            let p = _mm_loadu_si128(prev.as_ptr().add(i) as *const __m128i);
-            _mm_storeu_si128(cur.as_mut_ptr().add(i) as *mut __m128i, _mm_sub_epi64(c, p));
-        }
-        i += 2;
-    }
-    while i < n {
-        cur[i] = cur[i].wrapping_sub(prev[i]);
-        i += 1;
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-fn slice_add_sse2(cur: &mut [i64], prev: &[i64]) {
-    // SAFETY: SSE2 is part of the x86-64 baseline.
-    unsafe { slice_add_sse2_impl(cur, prev) }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn slice_add_sse2_impl(cur: &mut [i64], prev: &[i64]) {
-    assert_eq!(cur.len(), prev.len());
-    let n = cur.len();
-    let mut i = 0;
-    while i + 2 <= n {
-        // SAFETY: i + 2 <= n bounds both unaligned accesses.
-        unsafe {
-            let c = _mm_loadu_si128(cur.as_ptr().add(i) as *const __m128i);
-            let p = _mm_loadu_si128(prev.as_ptr().add(i) as *const __m128i);
-            _mm_storeu_si128(cur.as_mut_ptr().add(i) as *mut __m128i, _mm_add_epi64(c, p));
-        }
-        i += 2;
-    }
-    while i < n {
-        cur[i] = cur[i].wrapping_add(prev[i]);
-        i += 1;
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-fn line_backward_diff_sse2(p: &mut [i64]) {
-    // SAFETY: SSE2 is part of the x86-64 baseline.
-    unsafe { line_backward_diff_sse2_impl(p) }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn line_backward_diff_sse2_impl(p: &mut [i64]) {
-    // Walk high→low so every load of p[i-1] sees the original value; the
-    // chunk at [i-2, i) reads [i-3, i-1), which is stored only by later
-    // (lower) iterations.
-    let n = p.len();
-    let mut i = n;
-    while i >= 3 {
-        // SAFETY: i >= 3 keeps both windows [i-2, i) and [i-3, i-1)
-        // inside the slice; loads happen before the store of this chunk.
-        unsafe {
-            let cur = _mm_loadu_si128(p.as_ptr().add(i - 2) as *const __m128i);
-            let prev = _mm_loadu_si128(p.as_ptr().add(i - 3) as *const __m128i);
-            _mm_storeu_si128(
-                p.as_mut_ptr().add(i - 2) as *mut __m128i,
-                _mm_sub_epi64(cur, prev),
-            );
-        }
-        i -= 2;
-    }
-    for j in (1..i).rev() {
-        p[j] = p[j].wrapping_sub(p[j - 1]);
-    }
-}
-
-// ---------------------------------------------------------------------------
 // AVX2 tier
 // ---------------------------------------------------------------------------
 
@@ -912,7 +719,6 @@ static AVX2_TABLE: KernelDispatch = KernelDispatch {
     quantize_quotients: quantize_quotients_avx2,
     quotient_symbols: quotient_symbols_avx2,
     dequantize_vals: dequantize_vals_avx2,
-    div_round: div_round_avx2,
     zfp_amax_f32: zfp_amax_f32_avx2,
     zfp_amax_f64: zfp_amax_f64_avx2,
     zfp_fixedpoint_f32: zfp_fixedpoint_f32_avx2,
@@ -945,61 +751,59 @@ fn shl1_epi64(v: __m256i) -> __m256i {
     _mm256_add_epi64(v, v)
 }
 
-#[cfg(target_arch = "x86_64")]
-fn negabinary_fwd_avx2(src: &[i64], dst: &mut [u64]) {
-    // SAFETY: this pointer is only installed in AVX2_TABLE, which is
-    // selected after `is_x86_feature_detected!("avx2")` succeeds.
-    unsafe { negabinary_fwd_avx2_impl(src, dst) }
-}
+// These entries run their `#[inline(always)]` scalar body inside a
+// function with AVX2 enabled: hand-written intrinsics measured no faster
+// than that (DESIGN.md §16).
 
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn negabinary_fwd_avx2_impl(src: &[i64], dst: &mut [u64]) {
-    assert_eq!(src.len(), dst.len());
-    let n = src.len();
-    let mask = _mm256_set1_epi64x(NBMASK as i64);
-    let mut i = 0;
-    while i + 4 <= n {
-        // SAFETY: i + 4 <= n bounds the unaligned 32-byte load and store.
-        unsafe {
-            let v = _mm256_loadu_si256(src.as_ptr().add(i) as *const __m256i);
-            let nb = _mm256_xor_si256(_mm256_add_epi64(v, mask), mask);
-            _mm256_storeu_si256(dst.as_mut_ptr().add(i) as *mut __m256i, nb);
-        }
-        i += 4;
+fn negabinary_fwd_avx2(src: &[i64], dst: &mut [u64]) {
+    #[target_feature(enable = "avx2")]
+    fn body(src: &[i64], dst: &mut [u64]) {
+        negabinary_fwd_scalar(src, dst)
     }
-    while i < n {
-        dst[i] = int_to_negabinary(src[i]);
-        i += 1;
-    }
+    // SAFETY: this pointer is only installed in AVX2_TABLE, which is
+    // selected after `is_x86_feature_detected!("avx2")` succeeds.
+    unsafe { body(src, dst) }
 }
 
 #[cfg(target_arch = "x86_64")]
 fn negabinary_inv_avx2(src: &[u64], dst: &mut [i64]) {
+    #[target_feature(enable = "avx2")]
+    fn body(src: &[u64], dst: &mut [i64]) {
+        negabinary_inv_scalar(src, dst)
+    }
     // SAFETY: only reachable through AVX2_TABLE (feature verified).
-    unsafe { negabinary_inv_avx2_impl(src, dst) }
+    unsafe { body(src, dst) }
 }
 
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn negabinary_inv_avx2_impl(src: &[u64], dst: &mut [i64]) {
-    assert_eq!(src.len(), dst.len());
-    let n = src.len();
-    let mask = _mm256_set1_epi64x(NBMASK as i64);
-    let mut i = 0;
-    while i + 4 <= n {
-        // SAFETY: i + 4 <= n bounds the unaligned 32-byte load and store.
-        unsafe {
-            let v = _mm256_loadu_si256(src.as_ptr().add(i) as *const __m256i);
-            let x = _mm256_sub_epi64(_mm256_xor_si256(v, mask), mask);
-            _mm256_storeu_si256(dst.as_mut_ptr().add(i) as *mut __m256i, x);
-        }
-        i += 4;
+fn quantize_quotients_avx2(coeffs: &[f64], levels: &[u8], bins: &[f64], out: &mut [f64]) {
+    #[target_feature(enable = "avx2")]
+    fn body(coeffs: &[f64], levels: &[u8], bins: &[f64], out: &mut [f64]) {
+        quantize_quotients_scalar(coeffs, levels, bins, out)
     }
-    while i < n {
-        dst[i] = negabinary_to_int(src[i]);
-        i += 1;
+    // SAFETY: only reachable through AVX2_TABLE (feature verified).
+    unsafe { body(coeffs, levels, bins, out) }
+}
+
+#[cfg(target_arch = "x86_64")]
+fn slice_sub_avx2(cur: &mut [i64], prev: &[i64]) {
+    #[target_feature(enable = "avx2")]
+    fn body(cur: &mut [i64], prev: &[i64]) {
+        slice_sub_scalar(cur, prev)
     }
+    // SAFETY: only reachable through AVX2_TABLE (feature verified).
+    unsafe { body(cur, prev) }
+}
+
+#[cfg(target_arch = "x86_64")]
+fn slice_add_avx2(cur: &mut [i64], prev: &[i64]) {
+    #[target_feature(enable = "avx2")]
+    fn body(cur: &mut [i64], prev: &[i64]) {
+        slice_add_scalar(cur, prev)
+    }
+    // SAFETY: only reachable through AVX2_TABLE (feature verified).
+    unsafe { body(cur, prev) }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -1377,53 +1181,6 @@ unsafe fn byte_bits_sum_avx2_impl(bytes: &[u8], lens: &[u32]) -> u64 {
 }
 
 #[cfg(target_arch = "x86_64")]
-fn quantize_quotients_avx2(coeffs: &[f64], levels: &[u8], bins: &[f64], out: &mut [f64]) {
-    // SAFETY: only reachable through AVX2_TABLE (feature verified).
-    unsafe { quantize_quotients_avx2_impl(coeffs, levels, bins, out) }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn quantize_quotients_avx2_impl(
-    coeffs: &[f64],
-    levels: &[u8],
-    bins: &[f64],
-    out: &mut [f64],
-) {
-    assert_eq!(coeffs.len(), levels.len());
-    assert_eq!(coeffs.len(), out.len());
-    assert!(!bins.is_empty());
-    let n = coeffs.len();
-    let top = bins.len() - 1;
-    let mut i = 0;
-    while i + 4 <= n {
-        // Level indices are clamped scalar-side, so the gather below
-        // stays inside `bins` unconditionally.
-        let idx = _mm_setr_epi32(
-            (levels[i] as usize).min(top) as i32,
-            (levels[i + 1] as usize).min(top) as i32,
-            (levels[i + 2] as usize).min(top) as i32,
-            (levels[i + 3] as usize).min(top) as i32,
-        );
-        // SAFETY: i + 4 <= n bounds the load/store; gather indices are
-        // clamped to bins.len() - 1.
-        unsafe {
-            let b = _mm256_i32gather_pd(bins.as_ptr(), idx, 8);
-            let c = _mm256_loadu_pd(coeffs.as_ptr().add(i));
-            let q = _mm256_div_pd(c, b);
-            // Round-to-nearest-even matches `f64::round_ties_even`.
-            let r = _mm256_round_pd(q, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-            _mm256_storeu_pd(out.as_mut_ptr().add(i), r);
-        }
-        i += 4;
-    }
-    while i < n {
-        out[i] = (coeffs[i] / bins[(levels[i] as usize).min(top)]).round_ties_even();
-        i += 1;
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
 fn quotient_symbols_avx2(
     quotients: &[f64],
     radius: i64,
@@ -1572,35 +1329,6 @@ unsafe fn dequantize_vals_avx2_impl(
         } else {
             (syms[i] as i64 - radius) as f64 * bins[(levels[i] as usize).min(top)]
         };
-        i += 1;
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-fn div_round_avx2(src: &[f64], divisor: f64, out: &mut [f64]) {
-    // SAFETY: only reachable through AVX2_TABLE (feature verified).
-    unsafe { div_round_avx2_impl(src, divisor, out) }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn div_round_avx2_impl(src: &[f64], divisor: f64, out: &mut [f64]) {
-    assert_eq!(src.len(), out.len());
-    let n = src.len();
-    let d = _mm256_set1_pd(divisor);
-    let mut i = 0;
-    while i + 4 <= n {
-        // SAFETY: i + 4 <= n bounds the unaligned load and store.
-        unsafe {
-            let v = _mm256_loadu_pd(src.as_ptr().add(i));
-            let q = _mm256_div_pd(v, d);
-            let r = _mm256_round_pd(q, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-            _mm256_storeu_pd(out.as_mut_ptr().add(i), r);
-        }
-        i += 4;
-    }
-    while i < n {
-        out[i] = (src[i] / divisor).round_ties_even();
         i += 1;
     }
 }
@@ -2007,66 +1735,6 @@ unsafe fn sz_symbolize_avx2_impl(
 }
 
 #[cfg(target_arch = "x86_64")]
-fn slice_sub_avx2(cur: &mut [i64], prev: &[i64]) {
-    // SAFETY: only reachable through AVX2_TABLE (feature verified).
-    unsafe { slice_sub_avx2_impl(cur, prev) }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn slice_sub_avx2_impl(cur: &mut [i64], prev: &[i64]) {
-    assert_eq!(cur.len(), prev.len());
-    let n = cur.len();
-    let mut i = 0;
-    while i + 4 <= n {
-        // SAFETY: i + 4 <= n bounds both unaligned accesses.
-        unsafe {
-            let c = _mm256_loadu_si256(cur.as_ptr().add(i) as *const __m256i);
-            let p = _mm256_loadu_si256(prev.as_ptr().add(i) as *const __m256i);
-            _mm256_storeu_si256(
-                cur.as_mut_ptr().add(i) as *mut __m256i,
-                _mm256_sub_epi64(c, p),
-            );
-        }
-        i += 4;
-    }
-    while i < n {
-        cur[i] = cur[i].wrapping_sub(prev[i]);
-        i += 1;
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-fn slice_add_avx2(cur: &mut [i64], prev: &[i64]) {
-    // SAFETY: only reachable through AVX2_TABLE (feature verified).
-    unsafe { slice_add_avx2_impl(cur, prev) }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn slice_add_avx2_impl(cur: &mut [i64], prev: &[i64]) {
-    assert_eq!(cur.len(), prev.len());
-    let n = cur.len();
-    let mut i = 0;
-    while i + 4 <= n {
-        // SAFETY: i + 4 <= n bounds both unaligned accesses.
-        unsafe {
-            let c = _mm256_loadu_si256(cur.as_ptr().add(i) as *const __m256i);
-            let p = _mm256_loadu_si256(prev.as_ptr().add(i) as *const __m256i);
-            _mm256_storeu_si256(
-                cur.as_mut_ptr().add(i) as *mut __m256i,
-                _mm256_add_epi64(c, p),
-            );
-        }
-        i += 4;
-    }
-    while i < n {
-        cur[i] = cur[i].wrapping_add(prev[i]);
-        i += 1;
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
 fn line_backward_diff_avx2(p: &mut [i64]) {
     // SAFETY: only reachable through AVX2_TABLE (feature verified).
     unsafe { line_backward_diff_avx2_impl(p) }
@@ -2457,16 +2125,62 @@ mod tests {
 
     #[test]
     fn ties_round_to_even() {
-        let src = [0.5, 1.5, 2.5, -0.5, -1.5, -2.5, 3.5];
-        for k in available_tiers() {
-            let mut out = vec![0.0f64; src.len()];
-            (k.div_round)(&src, 1.0, &mut out);
-            assert_eq!(
-                out,
-                vec![0.0, 2.0, 2.0, -0.0, -2.0, -2.0, 4.0],
-                "tier {:?}",
-                k.tier
-            );
+        // Exact ±k.5 ties, signed zeros, infinities and NaN through the
+        // quantizer at unit bin width, slid across every lane offset.
+        let cases = [
+            0.5,
+            1.5,
+            2.5,
+            3.5,
+            -0.5,
+            -1.5,
+            -2.5,
+            -3.5,
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        let want = [
+            0.0,
+            2.0,
+            2.0,
+            4.0,
+            -0.0,
+            -2.0,
+            -2.0,
+            -4.0,
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for off in 0..=8 {
+            let src: Vec<f64> = std::iter::repeat_n(7.0, off).chain(cases).collect();
+            let levels = vec![0u8; src.len()];
+            let run = |k: &KernelDispatch| {
+                let mut out = vec![0.0f64; src.len()];
+                (k.quantize_quotients)(&src, &levels, &[1.0], &mut out);
+                out
+            };
+            let reference = run(scalar_kernels());
+            for (got, want) in reference[off..].iter().zip(want) {
+                assert!(
+                    got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                    "offset {off}: got {got}, want {want}"
+                );
+            }
+            for k in available_tiers() {
+                assert_eq!(
+                    bits(&run(k)),
+                    bits(&reference),
+                    "tier {:?} offset {off}",
+                    k.tier
+                );
+            }
         }
     }
 }

@@ -2,10 +2,7 @@
 //!
 //! Codebook generation sorts (frequency, symbol) pairs (paper Alg. 2
 //! line 2). Dictionary sizes are small (≤ 64 Ki symbols), but we provide
-//! an LSD radix sort so the operation stays O(n) and deterministic, plus
-//! a parallel merge path for large key arrays used in tests/benches.
-
-use hpdr_core::DeviceAdapter;
+//! an LSD radix sort so the operation stays O(n) and deterministic.
 
 /// Stable LSD radix sort of `(key, value)` pairs by `key`, ascending.
 pub fn radix_sort_by_key(pairs: &mut Vec<(u64, u32)>) {
@@ -40,71 +37,9 @@ pub fn radix_sort_by_key(pairs: &mut Vec<(u64, u32)>) {
     *pairs = src;
 }
 
-/// Device-parallel sort of a `u64` slice: chunks are sorted with DEM
-/// parallelism, then merged on the host (k-way via repeated two-way).
-pub fn parallel_sort_u64(adapter: &dyn DeviceAdapter, data: &mut Vec<u64>) {
-    let n = data.len();
-    if n <= 1 {
-        return;
-    }
-    let chunks = adapter.info().threads.clamp(1, 64);
-    let chunk = n.div_ceil(chunks);
-    {
-        use hpdr_core::SharedSlice;
-        let data_sh = SharedSlice::new(data.as_mut_slice());
-        adapter.dem(chunks, &|c| {
-            let lo = c * chunk;
-            let hi = ((c + 1) * chunk).min(n);
-            if lo < hi {
-                // Safety: chunks sort disjoint ranges in place.
-                let range = unsafe { data_sh.slice_mut(lo, hi - lo) };
-                range.sort_unstable();
-            }
-        });
-    }
-    // Host-side merge of sorted runs.
-    let mut runs: Vec<Vec<u64>> = (0..chunks)
-        .filter_map(|c| {
-            let lo = c * chunk;
-            let hi = ((c + 1) * chunk).min(n);
-            (lo < hi).then(|| data[lo..hi].to_vec())
-        })
-        .collect();
-    while runs.len() > 1 {
-        let mut next = Vec::with_capacity(runs.len().div_ceil(2));
-        let mut it = runs.into_iter();
-        while let Some(a) = it.next() {
-            match it.next() {
-                Some(b) => next.push(merge_two(&a, &b)),
-                None => next.push(a),
-            }
-        }
-        runs = next;
-    }
-    *data = runs.pop().unwrap_or_default();
-}
-
-fn merge_two(a: &[u64], b: &[u64]) -> Vec<u64> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        if a[i] <= b[j] {
-            out.push(a[i]);
-            i += 1;
-        } else {
-            out.push(b[j]);
-            j += 1;
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpdr_core::CpuParallelAdapter;
 
     #[test]
     fn radix_sorts_ascending() {
@@ -132,28 +67,5 @@ mod tests {
         let mut one = vec![(7u64, 1u32)];
         radix_sort_by_key(&mut one);
         assert_eq!(one, vec![(7, 1)]);
-    }
-
-    #[test]
-    fn parallel_sort_matches_std() {
-        let adapter = CpuParallelAdapter::new(4);
-        let mut data: Vec<u64> = (0..50_000u64)
-            .map(|i| i.wrapping_mul(0x9E3779B97F4A7C15) % 1_000_003)
-            .collect();
-        let mut expect = data.clone();
-        expect.sort_unstable();
-        parallel_sort_u64(&adapter, &mut data);
-        assert_eq!(data, expect);
-    }
-
-    #[test]
-    fn parallel_sort_small() {
-        let adapter = CpuParallelAdapter::new(8);
-        for n in [0usize, 1, 2, 3, 17] {
-            let mut data: Vec<u64> = (0..n as u64).rev().collect();
-            parallel_sort_u64(&adapter, &mut data);
-            let expect: Vec<u64> = (0..n as u64).collect();
-            assert_eq!(data, expect);
-        }
     }
 }

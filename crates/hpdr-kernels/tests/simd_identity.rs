@@ -165,21 +165,6 @@ proptest! {
     }
 
     #[test]
-    fn div_round_identical(src in vec(any::<f64>(), 0..200), div in any::<f64>()) {
-        let divisor = div.abs().max(1e-9);
-        let n = src.len();
-        let mut want = vec![0.0f64; n];
-        (scalar_kernels().div_round)(&src, divisor, &mut want);
-        for k in available_tiers() {
-            let mut got = vec![0.0f64; n];
-            (k.div_round)(&src, divisor, &mut got);
-            let wb: Vec<u64> = want.iter().map(|v| v.to_bits()).collect();
-            let gb: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
-            prop_assert_eq!(gb, wb, "tier {:?} len {}", k.tier, n);
-        }
-    }
-
-    #[test]
     fn zfp_amax_identical(src in vec(any::<f64>(), 0..200), poison in any::<u8>()) {
         // Occasionally inject NaN/inf — the contract defines both.
         let mut src = src;

@@ -81,6 +81,9 @@ struct Instrument {
     /// `(sample, trace)` of the worst histogram sample recorded with an
     /// exemplar: the flight-recorder trace id a latency spike links to.
     exemplar: Option<(u64, u64)>,
+    /// Ring series of scrape instants and values, created at the first
+    /// scrape that samples this (non-volatile, scalar) instrument.
+    series: Option<VecDeque<(Ns, f64)>>,
 }
 
 /// A stable handle to one instrument. Updating through a handle is a
@@ -93,15 +96,15 @@ pub struct InstrumentId(usize);
 
 /// The per-run instrument registry.
 ///
-/// Instruments live in a slab (`Vec`) addressed by [`InstrumentId`];
-/// `index` maps names to slots and fixes the deterministic name-sorted
-/// order every scrape, exposition and JSON rendering walks in.
+/// Instruments live in a slab (`Vec`) addressed by [`InstrumentId`],
+/// each with its own ring series; `index` maps names to slots and fixes
+/// the deterministic name-sorted order every exposition and JSON
+/// rendering walks in.
 #[derive(Debug)]
 pub struct Registry {
     cfg: MetricsConfig,
     instruments: Vec<Instrument>,
     index: BTreeMap<String, usize>,
-    series: BTreeMap<String, VecDeque<(Ns, f64)>>,
     scrapes: u64,
     last_scrape: Ns,
     slo: Option<SloTracker>,
@@ -114,7 +117,6 @@ impl Registry {
             cfg,
             instruments: Vec::new(),
             index: BTreeMap::new(),
-            series: BTreeMap::new(),
             scrapes: 0,
             last_scrape: Ns::ZERO,
         }
@@ -142,6 +144,7 @@ impl Registry {
                     value: default,
                     volatile,
                     exemplar: None,
+                    series: None,
                 });
                 self.index.insert(name.to_string(), i);
                 i
@@ -265,15 +268,6 @@ impl Registry {
         }
     }
 
-    /// Bucket-wise merge another sketch into a histogram instrument —
-    /// how per-device sketches aggregate into one registry family.
-    pub fn hist_merge(&mut self, name: &str, other: &StreamingHistogram) {
-        let inst = self.entry(name, false, Value::Hist(StreamingHistogram::new()));
-        if let Value::Hist(h) = &mut inst.value {
-            h.merge(other);
-        }
-    }
-
     fn lookup(&self, name: &str) -> Option<&Instrument> {
         Some(&self.instruments[*self.index.get(name)?])
     }
@@ -301,12 +295,14 @@ impl Registry {
 
     /// Ring series of a scalar instrument (scrape instants + values).
     pub fn series(&self, name: &str) -> Option<&VecDeque<(Ns, f64)>> {
-        self.series.get(name)
+        self.lookup(name)?.series.as_ref()
     }
 
     /// Names of all instruments that have a series.
     pub fn series_names(&self) -> impl Iterator<Item = &str> {
-        self.series.keys().map(String::as_str)
+        self.ordered()
+            .filter(|(_, inst)| inst.series.is_some())
+            .map(|(name, _)| name)
     }
 
     pub fn scrape_count(&self) -> u64 {
@@ -373,15 +369,14 @@ impl Registry {
             }
         }
         let cap = self.cfg.series_capacity.max(1);
-        for (name, &i) in &self.index {
-            let inst = &self.instruments[i];
+        for inst in &mut self.instruments {
             if inst.volatile {
                 continue;
             }
             let Some(v) = inst.value.scalar() else {
                 continue;
             };
-            let ring = self.series.entry(name.clone()).or_default();
+            let ring = inst.series.get_or_insert_with(VecDeque::new);
             if ring.len() == cap {
                 ring.pop_front();
             }
@@ -500,8 +495,8 @@ impl Registry {
         s.push_str(&format!("  \"histograms\": {},\n", obj(hists)));
 
         let series: Vec<String> = self
-            .series
-            .iter()
+            .ordered()
+            .filter_map(|(name, inst)| Some((name, inst.series.as_ref()?)))
             .map(|(name, ring)| {
                 let points: Vec<String> = ring
                     .iter()
@@ -578,7 +573,7 @@ impl Registry {
                     h.quantile(0.99)
                 ),
             };
-            let tail_str = match self.series.get(name) {
+            let tail_str = match &inst.series {
                 Some(ring) if !ring.is_empty() => {
                     let skip = ring.len().saturating_sub(tail);
                     ring.iter()
@@ -822,19 +817,5 @@ mod tests {
         // Plain recording leaves no exemplar behind.
         r.hist_record("plain", 5);
         assert_eq!(r.exemplar("plain"), None);
-    }
-
-    #[test]
-    fn hist_merge_aggregates_per_device_sketches() {
-        let mut r = reg();
-        let mut dev0 = StreamingHistogram::new();
-        let mut dev1 = StreamingHistogram::new();
-        dev0.record(100);
-        dev1.record(300);
-        r.hist_merge("lat", &dev0);
-        r.hist_merge("lat", &dev1);
-        let h = r.histogram("lat").unwrap();
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.max(), 300);
     }
 }

@@ -437,12 +437,12 @@ pub fn refactor_progressive<T: Float>(
     if !(1..=8).contains(&cfg.plane_bits) {
         return Err(HpdrError::invalid("plane_bits must be in 1..=8"));
     }
-    for &v in data {
-        if !v.is_finite() {
-            return Err(HpdrError::invalid("non-finite input"));
-        }
-    }
+    // NaN and ±inf reach the min or the max, so the pair is the
+    // finiteness check.
     let (mn, mx) = hpdr_kernels::min_max(adapter, data);
+    if !(mn.is_finite() && mx.is_finite()) {
+        return Err(HpdrError::invalid("non-finite input"));
+    }
     let range = (mx.to_f64() - mn.to_f64()).max(f64::MIN_POSITIVE);
     let abs_eb = cfg.rel_bound * range;
 

@@ -10,7 +10,7 @@
 //! * the retrieval op DAG verifies clean and reproduces the direct
 //!   reconstruction byte-for-byte.
 
-use hpdr_core::{CpuParallelAdapter, DeviceAdapter, SerialAdapter, Shape};
+use hpdr_core::{CpuParallelAdapter, DeviceAdapter, HpdrError, SerialAdapter, Shape};
 use hpdr_progressive::{
     plan_fetch, plan_retrieve, refactor_progressive, DecodeState, Manifest, ProgressiveConfig,
     ProgressiveReader, RetrieveJob,
@@ -195,6 +195,33 @@ fn dtype_mismatch_rejected() {
     let (data, shape) = smooth(&[9, 9]);
     let r = refactor_progressive(&adapter, &data, &shape, &ProgressiveConfig::default()).unwrap();
     assert!(r.retrieve::<f32>(&adapter, 1.0).is_err());
+}
+
+#[test]
+fn non_finite_input_is_rejected_at_any_position() {
+    let serial = SerialAdapter::new();
+    let parallel = CpuParallelAdapter::new(2);
+    let (data, shape) = smooth(&[9, 9]);
+    let n = data.len();
+    let cfg = ProgressiveConfig::default();
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        for at in [0, n / 2, n - 1] {
+            for adapter in [&serial as &dyn DeviceAdapter, &parallel] {
+                let mut f64s = data.clone();
+                f64s[at] = bad;
+                let f32s: Vec<f32> = f64s.iter().map(|&v| v as f32).collect();
+                for err in [
+                    refactor_progressive(adapter, &f64s, &shape, &cfg).err(),
+                    refactor_progressive(adapter, &f32s, &shape, &cfg).err(),
+                ] {
+                    match err {
+                        Some(HpdrError::InvalidArgument(m)) => assert_eq!(m, "non-finite input"),
+                        other => panic!("{bad} at {at}: {other:?}"),
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[test]

@@ -616,130 +616,6 @@ mod tests {
         (data, shape)
     }
 
-    /// Stage-level profile of the fixed-rate encode hot path at 32³.
-    /// Run with:
-    ///   cargo test --release -p hpdr-zfp --lib -- --ignored profile --nocapture
-    /// (and again under HPDR_FORCE_SCALAR=1 to see the per-stage SIMD
-    /// effect). Not a correctness test — it only prints timings.
-    #[test]
-    #[ignore = "profiling harness, run manually with --nocapture"]
-    fn profile_fixed_rate_stages_32cube() {
-        use std::time::Instant;
-        let (data, shape) = smooth_3d(32);
-        let ctx = block_ctx(&shape);
-        let blocks = ctx.grid.num_blocks();
-        let rate = 16u32;
-        let maxbits = rate * ctx.n as u32 - HEADER_BITS;
-        let reps = 200usize;
-
-        let best = |label: &str, f: &mut dyn FnMut()| {
-            let mut min = std::time::Duration::MAX;
-            for _ in 0..reps {
-                let t0 = Instant::now();
-                f();
-                min = min.min(t0.elapsed());
-            }
-            println!(
-                "{label:>18}: {:>9.1} us  ({:.1} ns/block)",
-                min.as_secs_f64() * 1e6,
-                min.as_secs_f64() * 1e9 / blocks as f64
-            );
-            min
-        };
-
-        // Pre-gather every block so later stages can be timed in isolation.
-        let mut gathered = vec![0f32; blocks * ctx.n];
-        for b in 0..blocks {
-            ctx.grid
-                .gather(&data, b, &mut gathered[b * ctx.n..(b + 1) * ctx.n]);
-        }
-        let mut vals = vec![0f32; ctx.n];
-        best("gather", &mut || {
-            for b in 0..blocks {
-                ctx.grid.gather(&data, b, &mut vals);
-                std::hint::black_box(&vals);
-            }
-        });
-        // Fixed-point conversion (amax scan + scale + round).
-        let mut s = BlockScratch::new(ctx.n);
-        best("amax+fixedpoint", &mut || {
-            for b in 0..blocks {
-                let vals = &gathered[b * ctx.n..(b + 1) * ctx.n];
-                let amax = block_amax(vals);
-                let emax = if amax > 0.0 { amax.exponent() } else { 0 };
-                let scale = 2f64.powi(FRACBITS - emax);
-                block_fixedpoint(vals, scale, &mut s.q);
-                std::hint::black_box(&s.q);
-            }
-        });
-        // Pre-compute per-block fixed-point inputs for the transform stage.
-        let mut qs = vec![0i64; blocks * ctx.n];
-        for b in 0..blocks {
-            let vals = &gathered[b * ctx.n..(b + 1) * ctx.n];
-            let amax = block_amax(vals);
-            let emax = if amax > 0.0 { amax.exponent() } else { 0 };
-            let scale = 2f64.powi(FRACBITS - emax);
-            block_fixedpoint(vals, scale, &mut qs[b * ctx.n..(b + 1) * ctx.n]);
-        }
-        best("fwd_transform", &mut || {
-            for b in 0..blocks {
-                s.q.copy_from_slice(&qs[b * ctx.n..(b + 1) * ctx.n]);
-                fwd_transform(&mut s.q, ctx.d);
-                std::hint::black_box(&s.q);
-            }
-        });
-        // Transformed blocks for the reorder/negabinary stage.
-        let mut ts = qs.clone();
-        for b in 0..blocks {
-            fwd_transform(&mut ts[b * ctx.n..(b + 1) * ctx.n], ctx.d);
-        }
-        best("perm+negabinary", &mut || {
-            for b in 0..blocks {
-                let q = &ts[b * ctx.n..(b + 1) * ctx.n];
-                for (slot, &i) in ctx.perm.iter().enumerate() {
-                    s.qp[slot] = q[i];
-                }
-                int_to_negabinary_slice(&s.qp, &mut s.nb);
-                std::hint::black_box(&s.nb);
-            }
-        });
-        // Negabinary words for the embedded coder stage.
-        let mut nbs = vec![0u64; blocks * ctx.n];
-        for b in 0..blocks {
-            let q = &ts[b * ctx.n..(b + 1) * ctx.n];
-            for (slot, &i) in ctx.perm.iter().enumerate() {
-                s.qp[slot] = q[i];
-            }
-            int_to_negabinary_slice(&s.qp, &mut nbs[b * ctx.n..(b + 1) * ctx.n]);
-        }
-        let mut bw = BitWriter::with_bit_capacity((rate as usize) * ctx.n);
-        best("encode_ints", &mut || {
-            for b in 0..blocks {
-                bw.clear();
-                bw.write_bits(0x1_2345, HEADER_BITS);
-                encode_ints(&mut bw, maxbits, 0, &nbs[b * ctx.n..(b + 1) * ctx.n]);
-                std::hint::black_box(&bw);
-            }
-        });
-        let cfg = ZfpConfig::fixed_rate(rate);
-        let a = SerialAdapter::new();
-        best("full compress", &mut || {
-            std::hint::black_box(compress(&a, &data, &shape, &cfg).unwrap());
-        });
-        // Byte-level path the bench actually times (adds bytes_to_vec +
-        // container assembly on top of `compress`).
-        let bytes = f32::slice_to_bytes(&data);
-        best("bytes_to_vec", &mut || {
-            std::hint::black_box(f32::bytes_to_vec(&bytes));
-        });
-        let meta = hpdr_core::ArrayMeta::new(hpdr_core::DType::F32, shape.clone());
-        let red = crate::reducer::ZfpReducer(cfg);
-        use hpdr_core::Reducer as _;
-        best("reducer bytes", &mut || {
-            std::hint::black_box(red.compress(&a, &bytes, &meta).unwrap());
-        });
-    }
-
     #[test]
     #[cfg_attr(miri, ignore)]
     fn fixed_rate_size_is_exact() {

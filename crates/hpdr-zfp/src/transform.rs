@@ -6,64 +6,11 @@
 //! transform is *near*-orthogonal, not bit-reversible). Fixed-point
 //! headroom below the float mantissa absorbs the roundoff.
 
-/// Forward lift of one 4-vector at stride `s` starting at `p[0]`.
-///
-/// Arithmetic is wrapping: well-formed inputs never overflow (fixed-point
-/// headroom), and corrupt-stream decoding must degrade to garbage values
-/// rather than panic.
-#[inline]
-pub fn fwd_lift(p: &mut [i64], base: usize, s: usize) {
-    let (mut x, mut y, mut z, mut w) = (p[base], p[base + s], p[base + 2 * s], p[base + 3 * s]);
-    // Pairwise average/difference ladder (zfp decorrelating transform).
-    x = x.wrapping_add(w);
-    x >>= 1;
-    w = w.wrapping_sub(x);
-    z = z.wrapping_add(y);
-    z >>= 1;
-    y = y.wrapping_sub(z);
-    x = x.wrapping_add(z);
-    x >>= 1;
-    z = z.wrapping_sub(x);
-    w = w.wrapping_add(y);
-    w >>= 1;
-    y = y.wrapping_sub(w);
-    w = w.wrapping_add(y >> 1);
-    y = y.wrapping_sub(w >> 1);
-    p[base] = x;
-    p[base + s] = y;
-    p[base + 2 * s] = z;
-    p[base + 3 * s] = w;
-}
-
-/// Inverse lift of one 4-vector at stride `s`.
-#[inline]
-pub fn inv_lift(p: &mut [i64], base: usize, s: usize) {
-    let (mut x, mut y, mut z, mut w) = (p[base], p[base + s], p[base + 2 * s], p[base + 3 * s]);
-    y = y.wrapping_add(w >> 1);
-    w = w.wrapping_sub(y >> 1);
-    y = y.wrapping_add(w);
-    w = w.wrapping_shl(1);
-    w = w.wrapping_sub(y);
-    z = z.wrapping_add(x);
-    x = x.wrapping_shl(1);
-    x = x.wrapping_sub(z);
-    y = y.wrapping_add(z);
-    z = z.wrapping_shl(1);
-    z = z.wrapping_sub(y);
-    w = w.wrapping_add(x);
-    x = x.wrapping_shl(1);
-    x = x.wrapping_sub(w);
-    p[base] = x;
-    p[base + s] = y;
-    p[base + 2 * s] = z;
-    p[base + 3 * s] = w;
-}
-
 /// Forward transform of a 4^d block (row-major, d = 1..=3).
 ///
-/// Dispatches through [`hpdr_kernels::simd`] — the SIMD tiers run the
-/// identical wrapping-integer ladder 4 vectors at a time (byte-identical
-/// results); [`fwd_lift`] above stays as the per-vector reference.
+/// Dispatches through [`hpdr_kernels::simd`]: every tier runs the same
+/// wrapping lift ladder (a corrupt stream decodes to garbage rather than
+/// panicking), byte-identical across tiers.
 pub fn fwd_transform(block: &mut [i64], d: usize) {
     (hpdr_kernels::kernels().zfp_fwd_transform)(block, d)
 }
@@ -98,8 +45,8 @@ mod tests {
 
     fn roundtrip_error(vals: [i64; 4]) -> i64 {
         let mut p = vals.to_vec();
-        fwd_lift(&mut p, 0, 1);
-        inv_lift(&mut p, 0, 1);
+        fwd_transform(&mut p, 1);
+        inv_transform(&mut p, 1);
         vals.iter()
             .zip(&p)
             .map(|(a, b)| (a - b).abs())
@@ -125,8 +72,8 @@ mod tests {
     fn lift_exact_on_smooth_ramp() {
         let mut p = vec![0i64, 8, 16, 24];
         let orig = p.clone();
-        fwd_lift(&mut p, 0, 1);
-        inv_lift(&mut p, 0, 1);
+        fwd_transform(&mut p, 1);
+        inv_transform(&mut p, 1);
         let err: i64 = orig
             .iter()
             .zip(&p)
@@ -140,7 +87,7 @@ mod tests {
     fn fwd_concentrates_energy_on_smooth_data() {
         // A linear ramp should decorrelate to (mean, slope-ish, ~0, ~0).
         let mut p: Vec<i64> = vec![1000, 2000, 3000, 4000];
-        fwd_lift(&mut p, 0, 1);
+        fwd_transform(&mut p, 1);
         assert!(p[0].abs() > p[2].abs());
         assert!(p[0].abs() > p[3].abs());
         // The quadratic/cubic coefficients vanish on linear input.

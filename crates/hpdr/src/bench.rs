@@ -122,8 +122,9 @@ pub struct BenchReport {
     pub label: String,
     pub quick: bool,
     pub threads: usize,
-    /// SIMD tier the kernel dispatch selected for this run
-    /// ("scalar", "sse2", or "avx2").
+    /// SIMD tier the kernel dispatch selected for this run ("scalar" or
+    /// "avx2"; documents recorded before the SSE2 tier went may say
+    /// "sse2").
     pub simd: String,
     pub serve: ServeOverhead,
     /// Flight-recorder overhead, measured with the same paired
