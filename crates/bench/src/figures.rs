@@ -13,7 +13,7 @@ use hpdr_io::{
 use hpdr_pipeline::container::ROW_ALIGN;
 use hpdr_pipeline::{
     average_scalability, compress_pipelined, decompress_pipelined, decompress_scalability_sweep,
-    fit, scalability_sweep, Container, PipelineOptions,
+    fit, scalability_sweep, PipelineOptions,
 };
 use hpdr_sim::{Category, DeviceId, DeviceSpec};
 use std::sync::Arc;
@@ -780,31 +780,6 @@ pub fn ablations(scale: &Scale) -> String {
     out
 }
 
-/// Run everything (the `reproduce all` entry point).
-pub fn run_all(scale: &Scale) -> String {
-    let mut out = String::new();
-    for section in [
-        crate::tables::table1(),
-        crate::tables::table2(),
-        crate::tables::table3(scale),
-        fig01(scale),
-        fig10(scale),
-        fig11(scale),
-        fig12(scale),
-        fig13(scale),
-        fig14(scale),
-        fig15(scale),
-        fig16(scale),
-        fig17(scale),
-        fig18(scale),
-        ablations(scale),
-    ] {
-        out.push_str(&section);
-        out.push('\n');
-    }
-    out
-}
-
 /// Span trace of one representative run of a figure's experiment, used
 /// by `reproduce --trace <dir>` to emit a Perfetto-loadable trace per
 /// figure. Analytic sections (tables, the I/O-model figures) return
@@ -843,23 +818,6 @@ pub fn figure_trace(scale: &Scale, target: &str) -> Option<hpdr_sim::Trace> {
         }
         _ => None,
     }
-}
-
-/// Compress a small container for bench reuse.
-pub fn sample_container(scale: &Scale) -> (Container, Arc<dyn Reducer>, DeviceSpec) {
-    let spec = scale.spec(&hpdr_sim::spec::v100());
-    let (input, meta) = scale.nyx(14);
-    let reducer = Codec::Mgard(MgardConfig::relative(1e-2)).reducer();
-    let (container, _) = compress_pipelined(
-        &spec,
-        work(),
-        Arc::clone(&reducer),
-        input,
-        &meta,
-        &scale.fixed(),
-    )
-    .expect("sample container");
-    (container, reducer, spec)
 }
 
 #[cfg(test)]

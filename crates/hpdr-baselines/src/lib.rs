@@ -7,10 +7,11 @@
 //! * [`lz4like`] — "nvCOMP-LZ4 v2.2" analogue: greedy hash-table LZ77
 //!   (lossless, ~1.1× on float data);
 //!
-//! plus the MGARD-GPU / ZFP-CUDA comparators, which reuse the portable
-//! kernels but run them through the *non-optimized* pipeline (no
-//! transfer overlap, per-call allocations) — see
-//! `hpdr-pipeline::runner::PipelineMode::None` with CMM disabled.
+//! The MGARD-GPU / ZFP-CUDA comparators need no crate of their own: they
+//! run the portable kernels under the non-optimized schedules (no
+//! transfer overlap, per-call allocations, CMM off),
+//! `hpdr_pipeline::PipelineOptions::baseline_unoptimized` and
+//! `baseline_per_step`.
 
 pub mod lorenzo;
 pub mod lz4like;

@@ -22,62 +22,29 @@
 //! node-level map already names it, and a Global type would only loop
 //! over [`DeviceAdapter::dem`].
 
-use crate::adapter::{DeviceAdapter, ScratchPolicy};
-use crate::error::Result;
+use crate::adapter::DeviceAdapter;
 use std::ops::Range;
 
 /// Locality abstraction: the input domain is decomposed into `blocks`
-/// blocks (with algorithm-chosen size/halo handled inside the body); a
-/// group of threads cooperatively executes `f` on each block with
-/// exclusive staging memory.
+/// blocks (with algorithm-chosen size/halo handled inside the body), and
+/// a group executes `f` on each block. No codec's block body needs
+/// staging, so a Locality group asks GEM for none.
 #[derive(Debug, Clone, Copy)]
 pub struct Locality {
     pub blocks: usize,
-    /// Bytes of per-block fast-memory staging.
-    pub staging_bytes: usize,
-    /// Staging initialization contract (zeroed by default; see
-    /// [`ScratchPolicy`] for when `Dirty` is sound).
-    pub policy: ScratchPolicy,
 }
 
 impl Locality {
     pub fn new(blocks: usize) -> Locality {
-        Locality {
-            blocks,
-            staging_bytes: 0,
-            policy: ScratchPolicy::Zeroed,
-        }
+        Locality { blocks }
     }
 
-    pub fn with_staging(mut self, bytes: usize) -> Locality {
-        self.staging_bytes = bytes;
-        self
-    }
-
-    /// Opt out of per-block staging zeroing. The block body must fully
-    /// overwrite any staging byte before reading it.
-    pub fn with_dirty_staging(mut self) -> Locality {
-        self.policy = ScratchPolicy::Dirty;
-        self
-    }
-
-    /// Run `f(block_id, staging)` for every block. Lowered to GEM.
-    /// Re-raises worker panics; see [`Locality::try_run`].
-    pub fn run(&self, adapter: &dyn DeviceAdapter, f: &(dyn Fn(usize, &mut [u8]) + Sync)) {
-        if let Err(e) = self.try_run(adapter, f) {
+    /// Run `f(block_id)` for every block. Lowered to GEM; re-raises
+    /// worker panics.
+    pub fn run(&self, adapter: &dyn DeviceAdapter, f: &(dyn Fn(usize) + Sync)) {
+        if let Err(e) = adapter.try_gem(self.blocks, 0, &|b, _| f(b)) {
             panic!("{e}");
         }
-    }
-
-    /// Run `f(block_id, staging)` for every block, surfacing worker
-    /// panics as [`HpdrError::WorkerPanic`](crate::HpdrError::WorkerPanic)
-    /// with the failing block index.
-    pub fn try_run(
-        &self,
-        adapter: &dyn DeviceAdapter,
-        f: &(dyn Fn(usize, &mut [u8]) + Sync),
-    ) -> Result<()> {
-        adapter.try_gem(self.blocks, self.staging_bytes, self.policy, f)
     }
 }
 
@@ -101,9 +68,9 @@ impl Iterative {
         }
     }
 
-    /// Give every group `bytes` of per-worker staging. Staging is handed
-    /// over dirty ([`ScratchPolicy::Dirty`]): the group body must
-    /// overwrite any staging byte before reading it.
+    /// Give every group `bytes` of per-worker staging, handed over as
+    /// [`DeviceAdapter::try_gem`] does: the group body must write any
+    /// staging byte before reading it.
     pub fn with_staging(mut self, bytes: usize) -> Iterative {
         self.staging_bytes = bytes;
         self
@@ -125,8 +92,7 @@ impl Iterative {
             let start = g * batch;
             f(start..(start + batch).min(vectors), staging);
         };
-        let staging = self.staging_bytes;
-        if let Err(e) = adapter.try_gem(self.groups(), staging, ScratchPolicy::Dirty, &body) {
+        if let Err(e) = adapter.try_gem(self.groups(), self.staging_bytes, &body) {
             panic!("{e}");
         }
     }
@@ -142,8 +108,7 @@ mod tests {
     fn locality_runs_every_block() {
         let a = SerialAdapter::new();
         let n = AtomicUsize::new(0);
-        Locality::new(13).with_staging(8).run(&a, &|_, st| {
-            assert_eq!(st.len(), 8);
+        Locality::new(13).run(&a, &|_| {
             n.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(n.load(Ordering::Relaxed), 13);

@@ -25,31 +25,6 @@ use hpdr_sim::{KernelClass, Ns};
 use parking_lot::Mutex;
 use std::time::Instant;
 
-/// Staging-memory initialization contract for GEM execution.
-///
-/// Worker scratch arenas are **persistent** (allocated once per pool
-/// worker, reused across every subsequent GEM call), so "what's in the
-/// staging buffer when my group body starts?" is a real contract:
-///
-/// * [`ScratchPolicy::Zeroed`] — the runtime zero-fills the staging slice
-///   before every group body invocation. This matches GPU shared-memory
-///   semantics only by convention (CUDA shared memory is *not* zeroed);
-///   it is the safe default and what [`DeviceAdapter::gem`] promises.
-/// * [`ScratchPolicy::Dirty`] — the group body receives whatever bytes
-///   the worker's arena currently holds (typically the previous group's
-///   leavings; zeros only on a freshly grown arena). Algorithms that
-///   fully overwrite their staging before reading it opt in to skip the
-///   per-group `memset`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScratchPolicy {
-    /// Zero the staging slice before each group body runs.
-    #[default]
-    Zeroed,
-    /// Hand each group the arena as-is; the body must not read bytes it
-    /// has not written this invocation.
-    Dirty,
-}
-
 /// Which family of adapter this is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AdapterKind {
@@ -84,25 +59,17 @@ pub struct AdapterInfo {
     pub threads: usize,
 }
 
-/// One recorded [`DeviceAdapter::charge`] call — the adapter-level view
-/// of kernel activity, consumed by the observability layer when a trace
-/// of the surrounding pipeline isn't available (standalone kernel runs).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct KernelCharge {
-    pub class: KernelClass,
-    pub bytes: u64,
-    /// Virtual duration charged for the call.
-    pub dur: Ns,
-}
-
 /// Portable execution interface for the HPDR parallel abstractions.
 pub trait DeviceAdapter: Send + Sync {
     fn info(&self) -> AdapterInfo;
 
     /// Execute the Group Execution Model: `groups` independent groups,
     /// each invoked exactly once with `staging_bytes` of exclusive
-    /// scratch ("faster memory tier" in paper Fig. 3), initialized per
-    /// `policy` (see [`ScratchPolicy`] for the dirty-scratch contract).
+    /// scratch ("faster memory tier" in paper Fig. 3).
+    ///
+    /// Staging is not initialized, as GPU shared memory is not: a group
+    /// gets it as the worker's previous group left it (zeros only on a
+    /// freshly grown arena), so the body writes a byte before reading it.
     ///
     /// A panicking group body is reported as
     /// [`HpdrError::WorkerPanic`](crate::HpdrError::WorkerPanic) with the
@@ -112,7 +79,6 @@ pub trait DeviceAdapter: Send + Sync {
         &self,
         groups: usize,
         staging_bytes: usize,
-        policy: ScratchPolicy,
         body: &(dyn Fn(usize, &mut [u8]) + Sync),
     ) -> Result<()>;
 
@@ -121,14 +87,6 @@ pub trait DeviceAdapter: Send + Sync {
     /// in the body surface as `HpdrError::WorkerPanic` (see
     /// [`DeviceAdapter::try_gem`]).
     fn try_dem(&self, n: usize, body: &(dyn Fn(usize) + Sync)) -> Result<()>;
-
-    /// Infallible GEM with [`ScratchPolicy::Zeroed`] staging — the
-    /// historical API. Re-raises worker panics on the calling thread.
-    fn gem(&self, groups: usize, staging_bytes: usize, body: &(dyn Fn(usize, &mut [u8]) + Sync)) {
-        if let Err(e) = self.try_gem(groups, staging_bytes, ScratchPolicy::Zeroed, body) {
-            panic!("{e}");
-        }
-    }
 
     /// Infallible DEM — the historical API. Re-raises worker panics on
     /// the calling thread.
@@ -152,13 +110,6 @@ pub trait DeviceAdapter: Send + Sync {
     /// Whether [`DeviceAdapter::clock_elapsed`] reports virtual time.
     fn uses_virtual_time(&self) -> bool {
         false
-    }
-
-    /// The kernel charges recorded since construction, in call order.
-    /// Empty on adapters that don't keep a log (the CPU adapters charge
-    /// nothing).
-    fn kernel_log(&self) -> Vec<KernelCharge> {
-        Vec::new()
     }
 }
 
@@ -217,17 +168,10 @@ impl DeviceAdapter for SerialAdapter {
         &self,
         groups: usize,
         staging_bytes: usize,
-        policy: ScratchPolicy,
         body: &(dyn Fn(usize, &mut [u8]) + Sync),
     ) -> Result<()> {
         WorkerPool::global()
-            .run_with_scratch(
-                1,
-                groups,
-                staging_bytes,
-                policy == ScratchPolicy::Zeroed,
-                body,
-            )
+            .run_with_scratch(1, groups, staging_bytes, body)
             .map_err(Into::into)
     }
 
@@ -288,17 +232,10 @@ impl DeviceAdapter for CpuParallelAdapter {
         &self,
         groups: usize,
         staging_bytes: usize,
-        policy: ScratchPolicy,
         body: &(dyn Fn(usize, &mut [u8]) + Sync),
     ) -> Result<()> {
         WorkerPool::global()
-            .run_with_scratch(
-                self.threads,
-                groups,
-                staging_bytes,
-                policy == ScratchPolicy::Zeroed,
-                body,
-            )
+            .run_with_scratch(self.threads, groups, staging_bytes, body)
             .map_err(Into::into)
     }
 
@@ -325,13 +262,14 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn exercise(adapter: &dyn DeviceAdapter) {
-        // GEM: all groups run once with zeroed staging.
+        // GEM: all groups run once with their own staging.
         let count = AtomicUsize::new(0);
-        adapter.gem(17, 32, &|_, staging| {
-            assert_eq!(staging.len(), 32);
-            assert!(staging.iter().all(|&b| b == 0));
-            count.fetch_add(1, Ordering::Relaxed);
-        });
+        adapter
+            .try_gem(17, 32, &|_, staging| {
+                assert_eq!(staging.len(), 32);
+                count.fetch_add(1, Ordering::Relaxed);
+            })
+            .unwrap();
         assert_eq!(count.load(Ordering::Relaxed), 17);
         // DEM: all items run once.
         let count = AtomicUsize::new(0);
@@ -369,7 +307,7 @@ mod tests {
     fn try_gem_propagates_panic_and_stays_usable() {
         let a = CpuParallelAdapter::new(4);
         let err = a
-            .try_gem(16, 8, ScratchPolicy::Zeroed, &|g, _| {
+            .try_gem(16, 8, &|g, _| {
                 if g == 3 {
                     panic!("injected");
                 }
@@ -403,8 +341,8 @@ mod tests {
     fn dirty_policy_skips_zeroing_on_serial() {
         let a = SerialAdapter::new();
         // Serial adapter runs groups in order on one participant, so the
-        // dirty arena deterministically carries the previous group's fill.
-        a.try_gem(4, 8, ScratchPolicy::Dirty, &|g, st| {
+        // staging deterministically carries the previous group's fill.
+        a.try_gem(4, 8, &|g, st| {
             if g > 0 {
                 assert!(st.iter().all(|&b| b == g as u8));
             }

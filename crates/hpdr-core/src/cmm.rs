@@ -7,6 +7,10 @@
 //! caches contexts in a hash map keyed by the data characteristics of the
 //! call, so repeated reductions with similar inputs reuse persistent
 //! allocations and perform **zero** allocator operations.
+//!
+//! MGARD-X keeps its contexts here (`hpdr_mgard::context_cache`); the
+//! serve scheduler keeps a `ContextCache<()>` per device, recording only
+//! which contexts the device holds, to count hits and misses.
 
 use crate::float::DType;
 use parking_lot::Mutex;
@@ -55,9 +59,10 @@ pub struct ContextCache<C> {
 }
 
 impl<C> ContextCache<C> {
-    /// A cache holding at most `capacity` contexts (evicting arbitrarily
-    /// beyond that — contexts are interchangeable across "similar" calls,
-    /// so precise LRU is not needed for the paper's workloads).
+    /// A cache holding at most `capacity` contexts (evicting an
+    /// arbitrary one, in hash order, beyond that — contexts are
+    /// interchangeable across "similar" calls, so precise LRU is not
+    /// needed for the paper's workloads). `usize::MAX` never evicts.
     pub fn new(capacity: usize) -> ContextCache<C> {
         ContextCache {
             map: Mutex::new(HashMap::new()),
@@ -93,28 +98,6 @@ impl<C> ContextCache<C> {
     /// Drop every cached context.
     pub fn clear(&self) {
         self.map.lock().clear();
-    }
-
-    /// Cached contexts not currently attached to any caller — i.e. the
-    /// cache itself holds the only strong reference. A scheduler that
-    /// releases contexts correctly (including on cancellation/timeout)
-    /// sees `idle_count() == len()` whenever no job is in flight.
-    pub fn idle_count(&self) -> usize {
-        self.map
-            .lock()
-            .values()
-            .filter(|ctx| Arc::strong_count(ctx) == 1)
-            .count()
-    }
-
-    /// Evict one specific context (e.g. after the job family that used
-    /// it was cancelled). Returns whether the key was present.
-    pub fn remove(&self, key: &ContextKey) -> bool {
-        let removed = self.map.lock().remove(key).is_some();
-        if removed {
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        removed
     }
 
     pub fn len(&self) -> usize {
@@ -176,31 +159,6 @@ mod tests {
         cache.get_or_create(&key(0, &[2]), || 0);
         cache.get_or_create(&key(0, &[3]), || 0);
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache.stats().evictions, 1);
-    }
-
-    #[test]
-    fn idle_count_tracks_attachment() {
-        let cache: ContextCache<u32> = ContextCache::new(4);
-        let k1 = key(0, &[1]);
-        let k2 = key(0, &[2]);
-        let held = cache.get_or_create(&k1, || 0);
-        cache.get_or_create(&k2, || 0);
-        // k1 is attached (we hold an Arc), k2 is idle.
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.idle_count(), 1);
-        drop(held);
-        assert_eq!(cache.idle_count(), 2);
-    }
-
-    #[test]
-    fn remove_evicts_one_key() {
-        let cache: ContextCache<u32> = ContextCache::new(4);
-        let k = key(0, &[1]);
-        cache.get_or_create(&k, || 0);
-        assert!(cache.remove(&k));
-        assert!(!cache.remove(&k));
-        assert!(cache.is_empty());
         assert_eq!(cache.stats().evictions, 1);
     }
 

@@ -8,11 +8,10 @@
 //! charges the same cost model through `hpdr-sim` ops so overlap is
 //! modeled device-wide.
 
-use crate::adapter::{AdapterInfo, AdapterKind, DeviceAdapter, KernelCharge, ScratchPolicy};
+use crate::adapter::{AdapterInfo, AdapterKind, DeviceAdapter};
 use crate::error::Result;
 use crate::pool::{default_threads, WorkerPool};
 use hpdr_sim::{Arch, DeviceSpec, KernelClass, Ns};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Device adapter backed by a simulated GPU.
@@ -21,8 +20,6 @@ pub struct GpuSimAdapter {
     threads: usize,
     accumulated: AtomicU64,
     mark: AtomicU64,
-    charges: AtomicU64,
-    log: Mutex<Vec<KernelCharge>>,
 }
 
 impl GpuSimAdapter {
@@ -32,8 +29,6 @@ impl GpuSimAdapter {
             threads: default_threads(),
             accumulated: AtomicU64::new(0),
             mark: AtomicU64::new(0),
-            charges: AtomicU64::new(0),
-            log: Mutex::new(Vec::new()),
         }
     }
 
@@ -44,11 +39,6 @@ impl GpuSimAdapter {
 
     pub fn spec(&self) -> &DeviceSpec {
         &self.spec
-    }
-
-    /// Number of kernel charges since construction (diagnostics).
-    pub fn charge_count(&self) -> u64 {
-        self.charges.load(Ordering::Relaxed)
     }
 
     /// Total virtual kernel time since construction.
@@ -73,18 +63,11 @@ impl DeviceAdapter for GpuSimAdapter {
         &self,
         groups: usize,
         staging_bytes: usize,
-        policy: ScratchPolicy,
         body: &(dyn Fn(usize, &mut [u8]) + Sync),
     ) -> Result<()> {
         // Groups → SMs/CUs; staging → shared memory (Table II).
         WorkerPool::global()
-            .run_with_scratch(
-                self.threads,
-                groups,
-                staging_bytes,
-                policy == ScratchPolicy::Zeroed,
-                body,
-            )
+            .run_with_scratch(self.threads, groups, staging_bytes, body)
             .map_err(Into::into)
     }
 
@@ -98,8 +81,6 @@ impl DeviceAdapter for GpuSimAdapter {
     fn charge(&self, class: KernelClass, bytes: u64) {
         let dur = self.spec.kernel_duration(class, bytes);
         self.accumulated.fetch_add(dur.0, Ordering::Relaxed);
-        self.charges.fetch_add(1, Ordering::Relaxed);
-        self.log.lock().push(KernelCharge { class, bytes, dur });
     }
 
     fn clock_reset(&self) {
@@ -113,10 +94,6 @@ impl DeviceAdapter for GpuSimAdapter {
 
     fn uses_virtual_time(&self) -> bool {
         true
-    }
-
-    fn kernel_log(&self) -> Vec<KernelCharge> {
-        self.log.lock().clone()
     }
 }
 
@@ -135,7 +112,6 @@ mod tests {
         assert_eq!(a.clock_elapsed(), expect);
         a.charge(KernelClass::Zfp, 1 << 26);
         assert_eq!(a.clock_elapsed(), Ns(expect.0 * 2));
-        assert_eq!(a.charge_count(), 2);
     }
 
     #[test]
@@ -151,10 +127,11 @@ mod tests {
     fn executes_real_work() {
         let a = GpuSimAdapter::new(a100()).with_threads(4);
         let count = AtomicUsize::new(0);
-        a.gem(32, 64, &|_, st| {
+        a.try_gem(32, 64, &|_, st| {
             assert_eq!(st.len(), 64);
             count.fetch_add(1, Ordering::Relaxed);
-        });
+        })
+        .unwrap();
         assert_eq!(count.load(Ordering::Relaxed), 32);
         let count = AtomicUsize::new(0);
         a.dem(5000, &|_| {
@@ -170,24 +147,6 @@ mod tests {
         assert_eq!(a.info().kind, AdapterKind::CudaSim);
         let h = GpuSimAdapter::new(hpdr_sim::spec::mi250x());
         assert_eq!(h.info().kind, AdapterKind::HipSim);
-    }
-
-    #[test]
-    fn kernel_log_records_charges_in_order() {
-        let a = GpuSimAdapter::new(v100());
-        a.charge(KernelClass::Mgard, 1 << 20);
-        a.charge(KernelClass::Huffman, 1 << 16);
-        let log = a.kernel_log();
-        assert_eq!(log.len(), 2);
-        assert_eq!(log[0].class, KernelClass::Mgard);
-        assert_eq!(log[0].bytes, 1 << 20);
-        assert_eq!(
-            log[0].dur,
-            v100().kernel_duration(KernelClass::Mgard, 1 << 20)
-        );
-        assert_eq!(log[1].class, KernelClass::Huffman);
-        // CPU adapters keep no log.
-        assert!(crate::SerialAdapter::new().kernel_log().is_empty());
     }
 
     #[test]

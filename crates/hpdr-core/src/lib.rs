@@ -8,7 +8,8 @@
 //!    plain adapter launches (the module doc names the code behind each
 //!    Table I row).
 //! 2. **Machine abstraction**: the Group and Domain Execution Models are
-//!    the two entry points of the [`adapter::DeviceAdapter`] trait; the
+//!    the two entry points of the [`adapter::DeviceAdapter`] trait (GEM
+//!    staging comes uninitialized, as GPU shared memory does); the
 //!    Context Memory Model lives in [`cmm`]. (The Host-Device Execution
 //!    Model is the `hpdr-pipeline` crate.)
 //! 3. **Device adapters** ([`adapter`], [`gpu_sim`]): Serial,
@@ -33,10 +34,7 @@ pub mod shape;
 pub mod shared;
 
 pub use abstractions::{Iterative, Locality};
-pub use adapter::{
-    AdapterInfo, AdapterKind, CpuParallelAdapter, DeviceAdapter, KernelCharge, ScratchPolicy,
-    SerialAdapter,
-};
+pub use adapter::{AdapterInfo, AdapterKind, CpuParallelAdapter, DeviceAdapter, SerialAdapter};
 pub use bytesio::{ByteReader, ByteWriter, FrameHeader};
 pub use cmm::{fnv1a, CmmStats, ContextCache, ContextKey};
 pub use error::{HpdrError, LowestError, Result};

@@ -10,10 +10,9 @@
 //!   `grain`-sized chunks off a shared atomic counter, the OpenMP
 //!   `schedule(dynamic, grain)` analogue, exactly as before.
 //! * **Scratch arenas persist** — each worker owns one reusable staging
-//!   buffer (the GEM "faster memory tier"), grown on demand and re-zeroed
-//!   per group only when the caller asks for [`zeroed`] semantics. The
-//!   old code allocated *and* zero-filled a fresh buffer per worker per
-//!   call.
+//!   buffer (the GEM "faster memory tier"), grown on demand and handed to
+//!   each group as the previous group left it. The old code allocated
+//!   *and* zero-filled a fresh buffer per worker per call.
 //! * **Panics propagate as values** — a panicking body poisons the job
 //!   (remaining chunks are abandoned), and the submitter gets back
 //!   [`PoolPanic`] with the failing group index instead of the process
@@ -38,8 +37,6 @@
 //! thread — dynamic scheduling makes that a pure performance fallback,
 //! never a correctness change, and it keeps the single-job-slot design
 //! deadlock-free.
-//!
-//! [`zeroed`]: WorkerPool::run_with_scratch
 
 #![allow(unsafe_code)]
 
@@ -141,7 +138,6 @@ struct Job {
     n: usize,
     grain: usize,
     scratch_bytes: usize,
-    zero_scratch: bool,
     /// Next un-claimed index (dynamic schedule counter).
     next: AtomicUsize,
     /// Participants currently executing this job.
@@ -210,8 +206,8 @@ fn execute(shared: &Shared, job: &Job, scratch: &mut Vec<u8>) {
     let want = job.scratch_bytes;
     if matches!(job.body, BodyPtr::Scratch(_)) {
         if scratch.len() < want {
-            // `resize` zero-fills the grown tail, so even `Dirty` callers
-            // see deterministic zeros on a fresh arena.
+            // `resize` zero-fills the grown tail, so a fresh arena holds
+            // deterministic zeros.
             scratch.resize(want, 0);
             shared.scratch_allocs.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -243,11 +239,7 @@ fn execute(shared: &Shared, job: &Job, scratch: &mut Vec<u8>) {
                 // SAFETY: as above.
                 let f = unsafe { &*p };
                 while current.get() < end {
-                    let slice = &mut scratch[..want];
-                    if job.zero_scratch {
-                        slice.fill(0);
-                    }
-                    f(current.get(), slice);
+                    f(current.get(), &mut scratch[..want]);
                     current.set(current.get() + 1);
                 }
             }
@@ -368,23 +360,20 @@ impl WorkerPool {
                 body,
             )
         };
-        self.submit(workers, n, grain, 0, false, BodyPtr::Plain(erased))
+        self.submit(workers, n, grain, 0, BodyPtr::Plain(erased))
     }
 
     /// GEM-style parallel for with persistent per-worker scratch arenas.
     /// Each group id `0..groups` runs exactly once with `scratch_bytes`
-    /// of staging exclusive to its worker for the duration of the body.
-    ///
-    /// When `zero_scratch` is true every group observes zeroed staging;
-    /// when false the arena is handed over *dirty* (whatever the worker's
-    /// previous group left there — deterministic zeros only on a freshly
-    /// grown arena). See `DeviceAdapter::try_gem` for the contract.
+    /// of staging exclusive to its worker for the duration of the body,
+    /// holding whatever the worker's previous group left there
+    /// (deterministic zeros only on a freshly grown arena). See
+    /// `DeviceAdapter::try_gem` for the contract.
     pub fn run_with_scratch(
         &self,
         workers: usize,
         groups: usize,
         scratch_bytes: usize,
-        zero_scratch: bool,
         body: &(dyn Fn(usize, &mut [u8]) + Sync),
     ) -> Result<(), PoolPanic> {
         // SAFETY: lifetime erasure only, as in `run`.
@@ -394,14 +383,7 @@ impl WorkerPool {
                 *const (dyn Fn(usize, &mut [u8]) + Sync),
             >(body)
         };
-        self.submit(
-            workers,
-            groups,
-            1,
-            scratch_bytes,
-            zero_scratch,
-            BodyPtr::Scratch(erased),
-        )
+        self.submit(workers, groups, 1, scratch_bytes, BodyPtr::Scratch(erased))
     }
 
     fn submit(
@@ -410,7 +392,6 @@ impl WorkerPool {
         n: usize,
         grain: usize,
         scratch_bytes: usize,
-        zero_scratch: bool,
         body: BodyPtr,
     ) -> Result<(), PoolPanic> {
         if n == 0 {
@@ -424,7 +405,6 @@ impl WorkerPool {
             n,
             grain,
             scratch_bytes,
-            zero_scratch,
             next: AtomicUsize::new(0),
             active: AtomicUsize::new(0),
             poisoned: AtomicBool::new(false),
@@ -491,32 +471,6 @@ impl Drop for WorkerPool {
     }
 }
 
-/// Dynamic-schedule parallel for on the [global](WorkerPool::global)
-/// pool. Re-raises captured worker panics on the calling thread (callers
-/// that want them as values use [`WorkerPool::run`]).
-pub fn parallel_for(threads: usize, n: usize, grain: usize, body: &(dyn Fn(usize) + Sync)) {
-    if let Err(p) = WorkerPool::global().run(threads, n, grain, body) {
-        panic!("{p}");
-    }
-}
-
-/// Parallel for with zeroed per-worker scratch (the GEM "staging"
-/// memory) on the [global](WorkerPool::global) pool. Re-raises captured
-/// worker panics; see [`WorkerPool::run_with_scratch`] for the
-/// value-returning, dirty-scratch-capable form.
-pub fn parallel_for_with_scratch(
-    threads: usize,
-    groups: usize,
-    scratch_bytes: usize,
-    body: &(dyn Fn(usize, &mut [u8]) + Sync),
-) {
-    if let Err(p) =
-        WorkerPool::global().run_with_scratch(threads, groups, scratch_bytes, true, body)
-    {
-        panic!("{p}");
-    }
-}
-
 /// The pool as the simulator's concurrent executor sees it: one job whose
 /// `participants` indices each run one ready-list loop. The executor
 /// catches its payloads' panics itself, so a captured panic here is a
@@ -537,45 +491,43 @@ mod tests {
     #[test]
     fn covers_all_indices_once() {
         let hits: Vec<AtomicU64> = (0..1000).map(|_| AtomicU64::new(0)).collect();
-        parallel_for(4, 1000, 7, &|i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
+        WorkerPool::global()
+            .run(4, 1000, 7, &|i| {
+                hits[i].fetch_add(1, Ordering::Relaxed);
+            })
+            .unwrap();
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
 
     #[test]
     fn zero_items_is_noop() {
-        parallel_for(4, 0, 1, &|_| panic!("must not be called"));
-        parallel_for_with_scratch(4, 0, 16, &|_, _| panic!("must not be called"));
+        let pool = WorkerPool::global();
+        pool.run(4, 0, 1, &|_| panic!("must not be called"))
+            .unwrap();
+        pool.run_with_scratch(4, 0, 16, &|_, _| panic!("must not be called"))
+            .unwrap();
     }
 
     #[test]
     fn single_thread_path() {
         let sum = AtomicU64::new(0);
-        parallel_for(1, 10, 100, &|i| {
-            sum.fetch_add(i as u64, Ordering::Relaxed);
-        });
+        WorkerPool::global()
+            .run(1, 10, 100, &|i| {
+                sum.fetch_add(i as u64, Ordering::Relaxed);
+            })
+            .unwrap();
         assert_eq!(sum.load(Ordering::Relaxed), 45);
-    }
-
-    #[test]
-    fn scratch_is_zeroed_per_group() {
-        let bad = AtomicU64::new(0);
-        parallel_for_with_scratch(3, 50, 8, &|g, scratch| {
-            if scratch.iter().any(|&b| b != 0) {
-                bad.fetch_add(1, Ordering::Relaxed);
-            }
-            scratch.fill(g as u8 + 1);
-        });
-        assert_eq!(bad.load(Ordering::Relaxed), 0);
     }
 
     #[test]
     fn groups_each_run_once() {
         let hits: Vec<AtomicU64> = (0..64).map(|_| AtomicU64::new(0)).collect();
-        parallel_for_with_scratch(8, 64, 4, &|g, _| {
-            hits[g].fetch_add(1, Ordering::Relaxed);
-        });
+        WorkerPool::global()
+            .run_with_scratch(8, 64, 4, &|g, s| {
+                assert_eq!(s.len(), 4);
+                hits[g].fetch_add(1, Ordering::Relaxed);
+            })
+            .unwrap();
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
 
@@ -609,24 +561,27 @@ mod tests {
     fn scratch_panic_reports_failing_group() {
         let pool = WorkerPool::new(2);
         let err = pool
-            .run_with_scratch(2, 16, 8, true, &|g, _| {
+            .run_with_scratch(2, 16, 8, &|g, _| {
                 if g == 5 {
                     panic!("scratch group failure");
                 }
             })
             .unwrap_err();
         assert_eq!(err.group, 5);
-        pool.run_with_scratch(2, 16, 8, true, &|_, s| {
-            assert!(s.iter().all(|&b| b == 0));
+        let ran = AtomicU64::new(0);
+        pool.run_with_scratch(2, 16, 8, &|_, s| {
+            assert_eq!(s.len(), 8);
+            ran.fetch_add(1, Ordering::Relaxed);
         })
         .expect("reusable");
+        assert_eq!(ran.load(Ordering::Relaxed), 16);
     }
 
     #[test]
     fn dirty_scratch_skips_rezero_and_reuses_arena() {
         let pool = WorkerPool::new(1); // single participant: deterministic
         let before = pool.stats();
-        pool.run_with_scratch(1, 4, 16, false, &|g, s| {
+        pool.run_with_scratch(1, 4, 16, &|g, s| {
             if g == 0 {
                 assert!(s.iter().all(|&b| b == 0), "fresh arena starts zeroed");
             } else {
@@ -636,7 +591,7 @@ mod tests {
         })
         .expect("dirty run");
         // Second call on the same thread reuses the grown arena.
-        pool.run_with_scratch(1, 1, 16, false, &|_, s| {
+        pool.run_with_scratch(1, 1, 16, &|_, s| {
             assert!(s.iter().all(|&b| b == 4), "arena survives across calls");
         })
         .expect("reuse run");

@@ -167,7 +167,7 @@ pub fn compress_keys<K: HuffKey>(
     let mut chunk_bits = vec![0u64; num_chunks];
     if n > 0 {
         let bits_sh = hpdr_core::SharedSlice::new(&mut chunk_bits);
-        Locality::new(num_chunks).run(adapter, &|c, _| {
+        Locality::new(num_chunks).run(adapter, &|c| {
             let lo = c * chunk;
             let hi = (lo + chunk).min(n);
             let bits = K::bits_sum(&keys[lo..hi], &tables.lens);
@@ -191,7 +191,7 @@ pub fn compress_keys<K: HuffKey>(
     let mut payload = vec![0u8; (cursor / 8) as usize];
     if n > 0 {
         let payload_sh = hpdr_core::SharedSlice::new(&mut payload);
-        Locality::new(num_chunks).run(adapter, &|c, _| {
+        Locality::new(num_chunks).run(adapter, &|c| {
             let lo = c * chunk;
             let hi = (lo + chunk).min(n);
             let base = (chunk_offsets[c] / 8) as usize;
@@ -470,7 +470,7 @@ fn decompress_keys<K: HuffKey>(
     {
         let out_sh = hpdr_core::SharedSlice::new(&mut out);
         let num_chunks = s.chunk_offsets.len();
-        Locality::new(num_chunks.div_ceil(2)).run(adapter, &|g, _| {
+        Locality::new(num_chunks.div_ceil(2)).run(adapter, &|g| {
             let (c, lo) = (2 * g, 2 * g * s.chunk);
             let mid = lo.saturating_add(s.chunk).min(n);
             let hi = mid.saturating_add(s.chunk).min(n);

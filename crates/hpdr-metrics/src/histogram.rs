@@ -7,7 +7,7 @@
 //! power of two, so the relative bucket width — and therefore the
 //! maximum quantile error — is ≤ 1/32 ≈ 3.1%. The property tests in
 //! `tests/serve.rs` check the "within one bucket width" guarantee
-//! against sorted-array quantiles, including across [`StreamingHistogram::merge`].
+//! against sorted-array quantiles.
 
 /// Linear sub-buckets per octave (2^5 = 32).
 const SUB_BITS: u32 = 5;
@@ -67,23 +67,6 @@ impl StreamingHistogram {
         self.count += 1;
         self.sum += v as u128;
         self.max = self.max.max(v);
-    }
-
-    /// Fold `other` into `self` bucket-wise. Because both sketches use
-    /// the same fixed bucket boundaries, merging loses no precision: the
-    /// merged sketch is bucket-identical to one that recorded every
-    /// sample of both — so the ≤ 1/32 quantile error bound is preserved.
-    /// This is how the registry aggregates per-device histograms.
-    pub fn merge(&mut self, other: &StreamingHistogram) {
-        if self.counts.len() < other.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
-        }
-        for (mine, &theirs) in self.counts.iter_mut().zip(&other.counts) {
-            *mine += theirs;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
     }
 
     pub fn count(&self) -> u64 {
@@ -223,44 +206,5 @@ mod tests {
         h.record(1_000_003);
         assert_eq!(h.quantile(0.99), 1_000_003);
         assert_eq!(h.quantile(0.01), 1_000_003);
-    }
-
-    #[test]
-    fn merge_is_bucket_identical_to_recording_everything() {
-        let a_samples: Vec<u64> = (0..200).map(|i| i * 997 % 500_000).collect();
-        let b_samples: Vec<u64> = (0..300).map(|i| (i * i * 31) % 3_000_000).collect();
-        let (mut a, mut b, mut all) = (
-            StreamingHistogram::new(),
-            StreamingHistogram::new(),
-            StreamingHistogram::new(),
-        );
-        for &s in &a_samples {
-            a.record(s);
-            all.record(s);
-        }
-        for &s in &b_samples {
-            b.record(s);
-            all.record(s);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert_eq!(a.sum(), all.sum());
-        assert_eq!(a.max(), all.max());
-        for q in [0.01, 0.25, 0.5, 0.9, 0.99, 1.0] {
-            assert_eq!(a.quantile(q), all.quantile(q), "q={q}");
-        }
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = StreamingHistogram::new();
-        a.record(123);
-        let before = (a.count(), a.sum(), a.max(), a.quantile(0.5));
-        a.merge(&StreamingHistogram::new());
-        assert_eq!(before, (a.count(), a.sum(), a.max(), a.quantile(0.5)));
-        let mut empty = StreamingHistogram::new();
-        empty.merge(&a);
-        assert_eq!(empty.count(), 1);
-        assert_eq!(empty.quantile(1.0), 123);
     }
 }

@@ -318,7 +318,7 @@ fn for_each_row(
     let rows: usize = outer.iter().product();
     if row_len > GROUP_ELEMS {
         let pieces = row_len.div_ceil(GROUP_ELEMS);
-        Locality::new(rows * pieces).run(adapter, &|g, _| {
+        Locality::new(rows * pieces).run(adapter, &|g| {
             let (r, start) = (g / pieces, g % pieces * GROUP_ELEMS);
             let at = Odometer::new(r, outer);
             body(r, at.pos(), start..(start + GROUP_ELEMS).min(row_len));
@@ -326,7 +326,7 @@ fn for_each_row(
         return;
     }
     let per_group = GROUP_ELEMS / row_len;
-    Locality::new(rows.div_ceil(per_group)).run(adapter, &|g, _| {
+    Locality::new(rows.div_ceil(per_group)).run(adapter, &|g| {
         let first = g * per_group;
         let mut at = Odometer::new(first, outer);
         for r in first..(first + per_group).min(rows) {

@@ -4,8 +4,8 @@
 //! compress/decompress jobs (codec × error bound × shape), admitted
 //! under a byte-budget admission controller with bounded-queue
 //! backpressure, batched into shared pipeline launches (continuous
-//! batching over [`hpdr_pipeline::run_batch`], reusing CMM context
-//! memory per device), and dispatched across the simulated multi-GPU
+//! batching over [`hpdr_pipeline::run_batch`], paying a context's setup
+//! once per device), and dispatched across the simulated multi-GPU
 //! device pool with per-tenant fair scheduling, priorities, deadlines
 //! and cooperative cancellation.
 //!

@@ -81,9 +81,6 @@ pub struct ServeConfig {
     pub launch_overhead: Ns,
     /// Virtual cost of building one reduction context on a CMM miss.
     pub context_setup: Ns,
-    /// CMM capacity per device. Keep generous: the cache evicts
-    /// arbitrarily at capacity, which would break report determinism.
-    pub cmm_capacity: usize,
     /// Chunking/overlap options for the shared launches.
     pub pipeline: PipelineOptions,
     /// Install a metrics registry (scrape cadence, SLO objective).
@@ -105,18 +102,11 @@ impl Default for ServeConfig {
             max_batch_bytes: 8 << 20,
             launch_overhead: Ns::from_micros(40),
             context_setup: Ns::from_micros(120),
-            cmm_capacity: 128,
             pipeline: PipelineOptions::fixed(32 * 1024),
             metrics: None,
             flight: None,
         }
     }
-}
-
-/// Reusable per-(codec, shape, device) reduction context cached by the
-/// CMM: staging memory a job family keeps across launches.
-pub struct ServeContext {
-    pub staging: Vec<u8>,
 }
 
 /// Where jobs come from. `peek` lets the event loop find the next
@@ -273,10 +263,6 @@ pub struct ServeOutcome {
     pub cmm_misses: u64,
     /// Contexts resident in the per-device CMM caches at the end.
     pub cmm_contexts: usize,
-    /// Of those, contexts with no live attachment — equal to
-    /// `cmm_contexts` iff every job (including cancelled and timed-out
-    /// ones) released its context.
-    pub cmm_idle: usize,
     /// Jobs still occupying a device slot at the end (must be 0).
     pub in_flight_end: u64,
     /// Worker-pool jobs dispatched during the run (PoolStats delta).
@@ -302,7 +288,9 @@ pub struct Scheduler {
     horizons: Vec<BusyHorizon>,
     device_jobs: Vec<(u64, u64)>, // (batches, jobs) per device
     in_flight_jobs: Vec<u64>,     // live gauge per device
-    cmm: Vec<ContextCache<ServeContext>>,
+    /// The (codec, shape) contexts each device holds. Unbounded, so no
+    /// eviction order can reach a report.
+    cmm: Vec<ContextCache<()>>,
     admission: Admission,
     tenants: BTreeMap<u32, TenantStats>,
     records: Vec<JobRecord>,
@@ -321,7 +309,7 @@ impl Scheduler {
             device_jobs: vec![(0, 0); devices],
             in_flight_jobs: vec![0; devices],
             cmm: (0..devices)
-                .map(|_| ContextCache::new(cfg.cmm_capacity))
+                .map(|_| ContextCache::new(usize::MAX))
                 .collect(),
             registry: cfg.metrics.map(Registry::new),
             recorder: cfg.flight.map(FlightRecorder::new),
@@ -340,11 +328,6 @@ impl Scheduler {
             records: Vec::new(),
             next_trace: 1,
         }
-    }
-
-    /// Jobs currently in flight on `device` (dispatch → completion).
-    pub fn in_flight(&self, device: usize) -> u64 {
-        self.in_flight_jobs[device]
     }
 
     /// Current virtual instant of this scheduler's clock.
@@ -370,11 +353,6 @@ impl Scheduler {
     /// scheduler's own instrument families.
     pub fn registry_mut(&mut self) -> Option<&mut Registry> {
         self.registry.as_mut()
-    }
-
-    /// Per-device CMM cache (tests assert context release through it).
-    pub fn cmm(&self, device: usize) -> &ContextCache<ServeContext> {
-        &self.cmm[device]
     }
 
     /// Copy the flight recorder's ring as it stands — the black-box dump
@@ -779,8 +757,8 @@ impl Scheduler {
         }
 
         // Cooperative cancellation checkpoint between admission and
-        // launch: drop jobs cancelled while queued. Their CMM contexts
-        // are never attached and no kernel runs for them.
+        // launch: drop jobs cancelled while queued. They never reach the
+        // CMM and no kernel runs for them.
         let now = self.clock;
         let (cancelled, live): (Vec<QueuedJob>, Vec<QueuedJob>) =
             batch.into_iter().partition(|q| q.req.cancelled_at(now));
@@ -799,29 +777,15 @@ impl Scheduler {
             return;
         }
 
-        // Attach CMM contexts (setup cost on miss), run the shared
-        // launch for real, then release the contexts.
+        // A job whose context the device does not hold yet pays the
+        // context setup (a CMM miss); then the shared launch runs for real.
         let mut setup = Ns::ZERO;
-        let mut attached = Vec::with_capacity(live.len());
         for q in &live {
-            let key = q.req.context_key(d);
             let before = self.cmm[d].stats().misses;
-            let staging = q.bytes as usize;
-            let ctx = self.cmm[d].get_or_create(&key, || ServeContext {
-                staging: vec![0u8; staging],
-            });
+            self.cmm[d].get_or_create(&q.req.context_key(d), || ());
             if self.cmm[d].stats().misses > before {
                 setup += self.cfg.context_setup;
             }
-            // Touch the staging arena so reuse is real, not notional.
-            {
-                let mut c = ctx.lock();
-                if c.staging.len() < staging {
-                    c.staging.resize(staging, 0);
-                }
-                c.staging[0] = c.staging[0].wrapping_add(1);
-            }
-            attached.push(ctx);
         }
 
         // Members share the payloads: inputs and refactorings by `Arc`,
@@ -867,7 +831,6 @@ impl Scheduler {
             .map(|r| r.map(|_| ()).map_err(|e| e.to_string()))
             .collect();
         let makespan = report.makespan;
-        drop(attached); // contexts release (idle in the CMM again)
 
         let service = self.cfg.launch_overhead + setup + makespan;
         let (start, end) = self.horizons[d].schedule(now, service);
@@ -1070,14 +1033,12 @@ impl Scheduler {
                 },
             );
         }
-        let (mut hits, mut misses) = (0, 0);
-        let (mut contexts, mut idle) = (0, 0);
+        let (mut hits, mut misses, mut contexts) = (0, 0, 0);
         for c in &self.cmm {
             let s = c.stats();
             hits += s.hits;
             misses += s.misses;
             contexts += c.len();
-            idle += c.idle_count();
         }
         ServeOutcome {
             records: self.records,
@@ -1088,7 +1049,6 @@ impl Scheduler {
             cmm_hits: hits,
             cmm_misses: misses,
             cmm_contexts: contexts,
-            cmm_idle: idle,
             in_flight_end: self.in_flight_jobs.iter().sum(),
             pool_jobs: pool_delta.jobs,
             metrics: self.registry,

@@ -35,11 +35,6 @@ impl Ns {
         self.0 as f64 / 1e9
     }
 
-    /// The span as floating-point milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// Saturating subtraction.
     pub fn saturating_sub(self, other: Ns) -> Ns {
         Ns(self.0.saturating_sub(other.0))

@@ -273,11 +273,6 @@ impl Reachability {
         self.ordered(a, b) || self.ordered(b, a)
     }
 
-    /// Number of 64-bit words per predecessor row (bitsets over ops).
-    pub fn row_words(&self) -> usize {
-        self.words
-    }
-
     /// Predecessor bitset of op `i`: bit `p` is set iff `p` happens-before
     /// `i`. The schedule-space explorer uses these rows to decide which
     /// ops are ready given an executed set.

@@ -326,32 +326,29 @@ pub fn compress<T: Float>(
             let errors = std::sync::Mutex::new(Vec::new());
             {
                 let payload_sh = SharedSlice::new(&mut payload);
-                Locality::new(groups)
-                    .with_staging(ctx.n * T::BYTES)
-                    .run(adapter, &|g, _| {
-                        let b0 = g * RATE_BATCH;
-                        let b1 = (b0 + RATE_BATCH).min(blocks);
-                        let mut vals = vec![T::ZERO; ctx.n];
-                        let mut bw = BitWriter::with_bit_capacity(block_bits as usize);
-                        let mut scratch = BlockScratch::new(ctx.n);
-                        for b in b0..b1 {
-                            ctx.grid.gather(data, b, &mut vals);
-                            bw.clear();
-                            match encode_block(&vals, &ctx, maxbits, 0, &mut bw, &mut scratch) {
-                                Ok(_) => {
-                                    // Safety: block b owns its byte range.
-                                    let dst = unsafe {
-                                        payload_sh.slice_mut(b * block_bytes, block_bytes)
-                                    };
-                                    bw.copy_bytes_to(dst);
-                                }
-                                Err(e) => {
-                                    errors.lock().unwrap().push(e);
-                                    return;
-                                }
+                Locality::new(groups).run(adapter, &|g| {
+                    let b0 = g * RATE_BATCH;
+                    let b1 = (b0 + RATE_BATCH).min(blocks);
+                    let mut vals = vec![T::ZERO; ctx.n];
+                    let mut bw = BitWriter::with_bit_capacity(block_bits as usize);
+                    let mut scratch = BlockScratch::new(ctx.n);
+                    for b in b0..b1 {
+                        ctx.grid.gather(data, b, &mut vals);
+                        bw.clear();
+                        match encode_block(&vals, &ctx, maxbits, 0, &mut bw, &mut scratch) {
+                            Ok(_) => {
+                                // Safety: block b owns its byte range.
+                                let dst =
+                                    unsafe { payload_sh.slice_mut(b * block_bytes, block_bytes) };
+                                bw.copy_bytes_to(dst);
+                            }
+                            Err(e) => {
+                                errors.lock().unwrap().push(e);
+                                return;
                             }
                         }
-                    });
+                    }
+                });
             }
             if let Some(e) = errors.into_inner().unwrap().into_iter().next() {
                 return Err(e);
@@ -370,7 +367,7 @@ pub fn compress<T: Float>(
             let errors = std::sync::Mutex::new(Vec::new());
             {
                 let enc_sh = SharedSlice::new(&mut encoded);
-                Locality::new(blocks).run(adapter, &|b, _| {
+                Locality::new(blocks).run(adapter, &|b| {
                     let mut vals = vec![T::ZERO; ctx.n];
                     ctx.grid.gather(data, b, &mut vals);
                     let amax = block_amax(&vals);
@@ -413,7 +410,7 @@ pub fn compress<T: Float>(
             let errors = std::sync::Mutex::new(Vec::new());
             {
                 let enc_sh = SharedSlice::new(&mut encoded);
-                Locality::new(blocks).run(adapter, &|b, _| {
+                Locality::new(blocks).run(adapter, &|b| {
                     let mut vals = vec![T::ZERO; ctx.n];
                     ctx.grid.gather(data, b, &mut vals);
                     let mut bw = BitWriter::new();
@@ -524,7 +521,7 @@ pub fn decompress<T: Float>(adapter: &dyn DeviceAdapter, bytes: &[u8]) -> Result
         // Every mode runs the same batched loop: RATE_BATCH blocks per
         // Locality group, with one stack scratch reused across the group
         // (`decode_block` rewrites every lane it reads).
-        Locality::new(blocks.div_ceil(RATE_BATCH)).run(adapter, &|g, _| {
+        Locality::new(blocks.div_ceil(RATE_BATCH)).run(adapter, &|g| {
             let b0 = g * RATE_BATCH;
             let b1 = (b0 + RATE_BATCH).min(blocks);
             let mut s = DecodeScratch::<T>::new();

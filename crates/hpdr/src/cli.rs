@@ -1126,6 +1126,56 @@ fn lint_config(
     }
 }
 
+/// The progressive retrievals `hpdr verify` and `hpdr audit` certify
+/// beside the pipelines: a 16³ NYX refactoring (seed 7) planned at a
+/// loose and a tight tolerance, which fetch different component subsets
+/// under the same invariants. Retrieval is single-pass and never stages
+/// through pinned chunk buffers, so the plans take the lints of an
+/// unpipelined decompression with CMM reuse, returned with them.
+fn retrieval_plans(
+    spec: &hpdr_sim::DeviceSpec,
+    adapter: &std::sync::Arc<dyn hpdr_core::DeviceAdapter>,
+) -> Result<(
+    hpdr_verify::LintConfig,
+    Vec<(&'static str, hpdr_sim::Sim<'static>)>,
+)> {
+    use hpdr_progressive::{plan_retrieve, refactor_progressive, ProgressiveConfig};
+    use std::sync::Arc;
+
+    let data = crate::data::nyx_density(16, 7);
+    let values: Vec<f32> = data
+        .bytes
+        .chunks_exact(4)
+        .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
+        .collect();
+    let set = Arc::new(refactor_progressive(
+        adapter.as_ref(),
+        &values,
+        &data.shape,
+        &ProgressiveConfig::default(),
+    )?);
+    let lint = hpdr_verify::LintConfig {
+        direction: hpdr_verify::Direction::Decompress,
+        two_buffers: false,
+        cmm: true,
+        deser_first: false,
+        serial_queue: false,
+    };
+    let plans = [
+        ("progressive/loose", set.manifest.base_bound() / 2.0),
+        ("progressive/tight", set.manifest.full_bound() * 4.0),
+    ]
+    .into_iter()
+    .map(|(name, tol)| {
+        Ok((
+            name,
+            plan_retrieve(spec, Arc::clone(adapter), Arc::clone(&set), tol)?,
+        ))
+    })
+    .collect::<Result<_>>()?;
+    Ok((lint, plans))
+}
+
 /// Statically verify every shipped pipeline configuration: build each
 /// compression and reconstruction DAG (without executing it), run the
 /// hazard analyzer and the schedule lints, and report per config.
@@ -1136,7 +1186,7 @@ fn verify_schedules(json: bool) -> Result<Vec<String>> {
     use hpdr_pipeline::{
         compress_pipelined, plan_compress, plan_decompress, PipelineMode, PipelineOptions,
     };
-    use hpdr_verify::Direction;
+    use hpdr_verify::{Direction, LintConfig};
     use std::sync::Arc;
 
     let spec = hpdr_sim::v100();
@@ -1203,36 +1253,34 @@ fn verify_schedules(json: bool) -> Result<Vec<String>> {
 
     let mut lines = Vec::new();
     let mut json_items = Vec::new();
-    let mut dirty = 0usize;
+    let (mut checked, mut dirty) = (0usize, 0usize);
+    // One report step for every plan: both directions of each pipeline
+    // config, then the retrievals.
+    let mut report_plan = |name: &str, dir: &str, lint: &LintConfig, sim: hpdr_sim::Sim| {
+        let dag = sim.dag();
+        let report = hpdr_verify::check(&dag, lint);
+        checked += 1;
+        if json {
+            json_items.push(format!(
+                "{{\"config\":\"{name}\",\"direction\":\"{dir}\",\"report\":{}}}",
+                report.to_json(&dag)
+            ));
+        } else if report.is_clean() {
+            lines.push(format!(
+                "ok   {dir:<10} {name}  ({} ops, {} pairs checked)",
+                report.analysis.num_ops, report.analysis.checked_pairs
+            ));
+        } else {
+            lines.push(format!("FAIL {dir:<10} {name}"));
+            for l in report.describe(&dag).lines() {
+                lines.push(format!("       {l}"));
+            }
+        }
+        if !report.is_clean() {
+            dirty += 1;
+        }
+    };
     for (name, opts) in &configs {
-        let mut one = |direction: Direction, sim: hpdr_sim::Sim| {
-            let dag = sim.dag();
-            let report = hpdr_verify::check(&dag, &lint_config(direction, opts));
-            let dir = match direction {
-                Direction::Compress => "compress",
-                Direction::Decompress => "decompress",
-            };
-            if json {
-                json_items.push(format!(
-                    "{{\"config\":\"{name}\",\"direction\":\"{dir}\",\"report\":{}}}",
-                    report.to_json(&dag)
-                ));
-            } else if report.is_clean() {
-                lines.push(format!(
-                    "ok   {dir:<10} {name}  ({} ops, {} pairs checked)",
-                    report.analysis.num_ops, report.analysis.checked_pairs
-                ));
-            } else {
-                lines.push(format!("FAIL {dir:<10} {name}"));
-                for l in report.describe(&dag).lines() {
-                    lines.push(format!("       {l}"));
-                }
-            }
-            if !report.is_clean() {
-                dirty += 1;
-            }
-        };
-
         let sim = plan_compress(
             &spec,
             Arc::clone(&adapter),
@@ -1241,7 +1289,12 @@ fn verify_schedules(json: bool) -> Result<Vec<String>> {
             &meta,
             opts,
         )?;
-        one(Direction::Compress, sim);
+        report_plan(
+            name,
+            "compress",
+            &lint_config(Direction::Compress, opts),
+            sim,
+        );
 
         let (container, _) = compress_pipelined(
             &spec,
@@ -1258,63 +1311,16 @@ fn verify_schedules(json: bool) -> Result<Vec<String>> {
             &container,
             opts,
         )?;
-        one(Direction::Decompress, sim);
+        report_plan(
+            name,
+            "decompress",
+            &lint_config(Direction::Decompress, opts),
+            sim,
+        );
     }
-
-    // Progressive retrieval plans ride along: the same hazard analyzer
-    // and lints certify the fetch → decode → reconstruct DAG at a loose
-    // and a tight tolerance (different component subsets, same
-    // invariants). Retrieval is single-pass and never stages through
-    // pinned chunk buffers, so only the decompress-direction lints with
-    // CMM reuse apply.
-    let popts = PipelineOptions {
-        mode: PipelineMode::Unpipelined,
-        two_buffers: false,
-        cmm: true,
-        deser_first: false,
-        serial_queue: false,
-        host_staging: false,
-    };
-    let pdata = crate::data::nyx_density(16, 7);
-    let pf32: Vec<f32> = pdata
-        .bytes
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-        .collect();
-    let set = Arc::new(hpdr_progressive::refactor_progressive(
-        adapter.as_ref(),
-        &pf32,
-        &pdata.shape,
-        &hpdr_progressive::ProgressiveConfig::default(),
-    )?);
-    let progressive = [
-        ("progressive/loose", set.manifest.base_bound() / 2.0),
-        ("progressive/tight", set.manifest.full_bound() * 4.0),
-    ];
-    for (name, tol) in progressive {
-        let sim =
-            hpdr_progressive::plan_retrieve(&spec, Arc::clone(&adapter), Arc::clone(&set), tol)?;
-        let dag = sim.dag();
-        let report = hpdr_verify::check(&dag, &lint_config(Direction::Decompress, &popts));
-        if json {
-            json_items.push(format!(
-                "{{\"config\":\"{name}\",\"direction\":\"retrieve\",\"report\":{}}}",
-                report.to_json(&dag)
-            ));
-        } else if report.is_clean() {
-            lines.push(format!(
-                "ok   {:<10} {name}  ({} ops, {} pairs checked)",
-                "retrieve", report.analysis.num_ops, report.analysis.checked_pairs
-            ));
-        } else {
-            lines.push(format!("FAIL {:<10} {name}", "retrieve"));
-            for l in report.describe(&dag).lines() {
-                lines.push(format!("       {l}"));
-            }
-        }
-        if !report.is_clean() {
-            dirty += 1;
-        }
+    let (lint, plans) = retrieval_plans(&spec, &adapter)?;
+    for (name, sim) in plans {
+        report_plan(name, "retrieve", &lint, sim);
     }
 
     if json {
@@ -1323,15 +1329,13 @@ fn verify_schedules(json: bool) -> Result<Vec<String>> {
             hpdr_verify::envelope::SCHEMA_VERIFY,
             dirty == 0,
             &format!(
-                "\"checked\":{},\"dirty\":{dirty},\"configs\":[{}]",
-                json_items.len(),
+                "\"checked\":{checked},\"dirty\":{dirty},\"configs\":[{}]",
                 json_items.join(",")
             ),
         ));
     } else {
         lines.push(format!(
-            "{} schedule(s) verified, {dirty} with findings",
-            2 * configs.len() + progressive.len()
+            "{checked} schedule(s) verified, {dirty} with findings"
         ));
     }
     if dirty > 0 {
@@ -1356,7 +1360,7 @@ fn audit_schedules(json: bool, out: Option<&str>) -> Result<Vec<String>> {
     use hpdr_pipeline::{
         compress_pipelined, plan_compress, plan_decompress, PipelineMode, PipelineOptions,
     };
-    use hpdr_verify::Direction;
+    use hpdr_verify::{Direction, LintConfig};
     use std::sync::Arc;
 
     let spec = hpdr_sim::v100();
@@ -1404,19 +1408,17 @@ fn audit_schedules(json: bool, out: Option<&str>) -> Result<Vec<String>> {
 
     let audit_one = |report: &mut AuditReport,
                      name: String,
-                     direction: Direction,
-                     opts: &PipelineOptions,
+                     lint: &LintConfig,
                      mut sim: hpdr_sim::Sim|
      -> Result<()> {
         let dag = sim.dag();
         sim.set_audit(true);
         sim.run();
         let effects = diff_effects(&dag, &sim.take_observed());
-        let explore = explore(&dag, &lint_config(direction, opts), &explore_opts)
-            .map_err(HpdrError::invalid)?;
+        let explore = explore(&dag, lint, &explore_opts).map_err(HpdrError::invalid)?;
         report.configs.push(ConfigAudit {
             name,
-            direction: match direction {
+            direction: match lint.direction {
                 Direction::Compress => "compress",
                 Direction::Decompress => "decompress",
             },
@@ -1440,7 +1442,12 @@ fn audit_schedules(json: bool, out: Option<&str>) -> Result<Vec<String>> {
             &meta,
             opts,
         )?;
-        audit_one(report, name.clone(), Direction::Compress, opts, sim)?;
+        audit_one(
+            report,
+            name.clone(),
+            &lint_config(Direction::Compress, opts),
+            sim,
+        )?;
         let (container, _) = compress_pipelined(
             &spec,
             Arc::clone(&adapter),
@@ -1450,7 +1457,7 @@ fn audit_schedules(json: bool, out: Option<&str>) -> Result<Vec<String>> {
             opts,
         )?;
         let sim = plan_decompress(&spec, adapter, reducer, &container, opts)?;
-        audit_one(report, name, Direction::Decompress, opts, sim)
+        audit_one(report, name, &lint_config(Direction::Decompress, opts), sim)
     };
 
     for (codec_name, codec) in &codecs {
@@ -1487,40 +1494,9 @@ fn audit_schedules(json: bool, out: Option<&str>) -> Result<Vec<String>> {
     // real fetch/decode/reconstruct payloads under the shadow-access
     // recorder and explore alternate interleavings of the retrieval
     // DAG, the same certification the pipelines get.
-    let popts = PipelineOptions {
-        mode: PipelineMode::Unpipelined,
-        two_buffers: false,
-        cmm: true,
-        deser_first: false,
-        serial_queue: false,
-        host_staging: false,
-    };
-    let pdata = crate::data::nyx_density(16, 7);
-    let pf32: Vec<f32> = pdata
-        .bytes
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-        .collect();
-    let pwork = Arc::clone(&adapters[1].1);
-    let set = Arc::new(hpdr_progressive::refactor_progressive(
-        pwork.as_ref(),
-        &pf32,
-        &pdata.shape,
-        &hpdr_progressive::ProgressiveConfig::default(),
-    )?);
-    for (name, tol) in [
-        ("progressive/loose", set.manifest.base_bound() / 2.0),
-        ("progressive/tight", set.manifest.full_bound() * 4.0),
-    ] {
-        let sim =
-            hpdr_progressive::plan_retrieve(&spec, Arc::clone(&pwork), Arc::clone(&set), tol)?;
-        audit_one(
-            &mut report,
-            name.to_string(),
-            Direction::Decompress,
-            &popts,
-            sim,
-        )?;
+    let (lint, plans) = retrieval_plans(&spec, &adapters[1].1)?;
+    for (name, sim) in plans {
+        audit_one(&mut report, name.to_string(), &lint, sim)?;
     }
 
     let doc = report.to_json();

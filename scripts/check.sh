@@ -92,6 +92,24 @@ cmp target/METRICS_1.prom target/METRICS_2.prom
 grep -q '"schema": "hpdr-metrics/v1"' target/LOADGEN_m1.json
 grep -q '# TYPE serve_queue_jobs gauge' target/METRICS_1.prom
 
+echo "==> hpdr serve (CMM counts past 128 contexts: two runs, byte-identical)"
+# 130 distinct (codec, shape) context keys, zfp rates 1..26 x sides 4..8,
+# each submitted twice 1 ms apart on one device: every key misses once
+# and hits once, and a second run writes the same report.
+for arrival_us in 0 1000; do
+  for rate in $(seq 1 26); do
+    for side in 4 5 6 7 8; do
+      echo "$arrival_us 0 compress zfp:$rate $side"
+    done
+  done
+done > target/SERVE_keys.jobs
+cargo run --release -p hpdr --bin hpdr -- serve --devices 1 --jobs target/SERVE_keys.jobs \
+  --json --out target/SERVE_keys1.json > /dev/null
+cargo run --release -p hpdr --bin hpdr -- serve --devices 1 --jobs target/SERVE_keys.jobs \
+  --json --out target/SERVE_keys2.json > /dev/null
+cmp target/SERVE_keys1.json target/SERVE_keys2.json
+grep -q '"cmm_misses": 130' target/SERVE_keys1.json
+
 echo "==> hpdr cluster --quick (sharded serving: deterministic, zero lost jobs)"
 # The command itself validates the hpdr-shard/v1 report and exits
 # non-zero on any lost job; here additionally pin byte-determinism

@@ -1,14 +1,10 @@
 //! Integration tests for the metrics layer (`hpdr-metrics`) wired
-//! through the serving stack: histogram merge accuracy, scrape
-//! determinism end-to-end through loadgen, the overlap gauge of every
+//! through the serving stack: scrape determinism end-to-end through loadgen, the overlap gauge of every
 //! serve device, injected SLO burn-rate breaches, record hygiene at
 //! admission, and the serve report's edge cases.
 
 use hpdr_core::{ArrayMeta, CpuParallelAdapter, DType, DeviceAdapter, Shape};
-use hpdr_metrics::{
-    bucket_width, exact_quantile, validate_metrics_json, MetricsConfig, SloConfig,
-    StreamingHistogram,
-};
+use hpdr_metrics::{validate_metrics_json, MetricsConfig, SloConfig};
 use hpdr_pipeline::{run_batch, BatchItem};
 use hpdr_serve::{
     run_loadgen, serve, validate_loadgen_json, validate_serve_json, AdmissionConfig, JobPayload,
@@ -16,7 +12,6 @@ use hpdr_serve::{
     ServeError, ServeReport, TenantId, VecSource,
 };
 use hpdr_sim::{DeviceId, Ns};
-use proptest::prelude::*;
 use std::sync::Arc;
 
 fn work() -> Arc<dyn DeviceAdapter> {
@@ -31,54 +26,6 @@ fn compress_job(cache: &mut PayloadCache, tenant: u32, arrival_us: u64, side: us
         ServeCodec::Zfp { rate: 16 },
         JobPayload::Compress { input, meta },
     )
-}
-
-// ---------------------------------------------------------------- merge
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Merging two sketches is lossless (bucket-wise sum), so the
-    /// merged quantile stays within the same one-bucket (~3.1%) error
-    /// bound as a single sketch fed every sample.
-    #[test]
-    fn merged_histogram_quantiles_stay_within_sketch_bound(
-        a in proptest::collection::vec(0u64..3_000_000, 1..300),
-        b in proptest::collection::vec(0u64..3_000_000, 0..300),
-        q in 0.01f64..1.0,
-    ) {
-        let mut ha = StreamingHistogram::new();
-        for &s in &a {
-            ha.record(s);
-        }
-        let mut hb = StreamingHistogram::new();
-        for &s in &b {
-            hb.record(s);
-        }
-        ha.merge(&hb);
-
-        let mut all: Vec<u64> = a.iter().chain(b.iter()).copied().collect();
-        all.sort_unstable();
-        let exact = exact_quantile(&all, q);
-        let approx = ha.quantile(q);
-        prop_assert!(approx >= exact, "merged sketch went below exact: {approx} < {exact}");
-        prop_assert!(
-            approx - exact < bucket_width(exact).max(1),
-            "q={q}: merged sketch {approx} vs exact {exact} (width {})",
-            bucket_width(exact)
-        );
-
-        // Lossless: merged sketch is indistinguishable from one sketch
-        // that recorded everything.
-        let mut one = StreamingHistogram::new();
-        for &s in &all {
-            one.record(s);
-        }
-        prop_assert_eq!(ha.quantile(q), one.quantile(q));
-        prop_assert_eq!(ha.count(), all.len() as u64);
-        prop_assert_eq!(ha.max(), one.max());
-        prop_assert_eq!(ha.sum(), one.sum());
-    }
 }
 
 // ---------------------------------------------------------- determinism

@@ -131,10 +131,17 @@ mod custom_backend {
     use hpdr_core::{AdapterInfo, AdapterKind, Ns};
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    /// A minimal out-of-tree adapter: serial execution plus launch
-    /// counting (a stand-in for a Kokkos/SYCL-backed implementation).
+    /// Every group's staging starts as this byte: GPU shared memory is
+    /// not initialized either, so a codec that read staging it had not
+    /// written would change its output here.
+    const POISON: u8 = 0xA5;
+
+    /// A minimal out-of-tree adapter: serial execution plus launch and
+    /// staged-group counting (a stand-in for a Kokkos/SYCL-backed
+    /// implementation).
     struct KokkosLikeAdapter {
         launches: AtomicU64,
+        staged_groups: AtomicU64,
     }
 
     impl hpdr_core::DeviceAdapter for KokkosLikeAdapter {
@@ -149,15 +156,16 @@ mod custom_backend {
             &self,
             groups: usize,
             staging_bytes: usize,
-            policy: hpdr_core::ScratchPolicy,
             body: &(dyn Fn(usize, &mut [u8]) + Sync),
         ) -> hpdr_core::Result<()> {
             self.launches.fetch_add(1, Ordering::Relaxed);
-            let mut staging = vec![0u8; staging_bytes];
+            if staging_bytes > 0 {
+                self.staged_groups
+                    .fetch_add(groups as u64, Ordering::Relaxed);
+            }
+            let mut staging = vec![POISON; staging_bytes];
             for g in 0..groups {
-                if policy == hpdr_core::ScratchPolicy::Zeroed {
-                    staging.fill(0);
-                }
+                staging.fill(POISON);
                 body(g, &mut staging);
             }
             Ok(())
@@ -176,10 +184,14 @@ mod custom_backend {
         }
     }
 
+    /// The custom back-end poisons its staging before every group, so
+    /// equal streams and equal restored bytes also show that no codec
+    /// reads staging it did not write.
     #[test]
     fn out_of_tree_adapter_runs_every_codec_bit_identically() {
         let custom = KokkosLikeAdapter {
             launches: AtomicU64::new(0),
+            staged_groups: AtomicU64::new(0),
         };
         let reference = SerialAdapter::new();
         let d = nyx_density(12, 99);
@@ -189,11 +201,20 @@ mod custom_backend {
             let (b, _) = hpdr::compress(&reference, &d.bytes, &meta, codec).unwrap();
             assert_eq!(a, b, "{} differs on the custom back-end", codec.name());
             let (out, _) = hpdr::decompress(&custom, &b).unwrap();
-            assert_eq!(out.len(), d.bytes.len());
+            let (want, _) = hpdr::decompress(&reference, &b).unwrap();
+            assert!(
+                out == want,
+                "{} restores differently on the custom back-end",
+                codec.name()
+            );
         }
         assert!(
             custom.launches.load(Ordering::Relaxed) > 0,
             "the custom adapter must actually execute kernels"
+        );
+        assert!(
+            custom.staged_groups.load(Ordering::Relaxed) > 0,
+            "some codec must run groups on poisoned staging"
         );
     }
 }
